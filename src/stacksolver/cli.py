@@ -2,7 +2,7 @@
 
 Every artifact-producing command writes a manifest next to its outputs with
 the exact config, seed, and dataset hash, so a run is reproducible from the
-manifest alone. Exit codes: 0 ok, 2 usage/config errors, 3 decode failure.
+manifest alone. Exit codes: 0 ok, 2 usage/config/data errors, 3 decode failure.
 """
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ import numpy as np
 
 from . import __version__, corpus, eqlang, trainer
 from .corpus import FormatError, PreparedProblem
-from .decoder import DecoderConfig
-from .numerics import OptimizerConfig
+from .decoder import ACTION_NAMES, DecoderConfig, action_to_index
+from .encoder import EmptyProblem
+from .numerics import NonFiniteValue, OptimizerConfig
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -35,17 +36,14 @@ def action_to_wire(action: eqlang.StackAction) -> str:
     if isinstance(action, eqlang.GenVar):
         return "genvar"
     if isinstance(action, eqlang.Push):
-        ref = action.ref
-        if isinstance(ref, eqlang.ConstRef):
-            return f"push:c{ref.index}"
-        if isinstance(ref, eqlang.OneRef):
-            return "push:1"
-        if isinstance(ref, eqlang.PiRef):
-            return "push:pi"
-        return "push:x"
+        return f"push:{eqlang.operand_name(action.ref)}"
     if isinstance(action, eqlang.Apply):
         return f"apply:{action.op}"
     return "equal"
+
+
+_NAMED_OPERANDS = {eqlang.operand_name(ref): ref
+                   for ref in (eqlang.ONE_REF, eqlang.PI_REF, eqlang.UNKNOWN_REF)}
 
 
 def action_from_wire(text: str) -> eqlang.StackAction:
@@ -57,12 +55,8 @@ def action_from_wire(text: str) -> eqlang.StackAction:
     if kind == "apply":
         return eqlang.Apply(arg)
     if kind == "push":
-        if arg == "x":
-            return eqlang.Push(eqlang.UNKNOWN_REF)
-        if arg == "1":
-            return eqlang.Push(eqlang.ONE_REF)
-        if arg == "pi":
-            return eqlang.Push(eqlang.PI_REF)
+        if arg in _NAMED_OPERANDS:
+            return eqlang.Push(_NAMED_OPERANDS[arg])
         if arg.startswith("c"):
             return eqlang.Push(eqlang.ConstRef(int(arg[1:])))
     raise ValueError(f"bad action encoding {text!r}")
@@ -199,11 +193,6 @@ def build_train_config(args) -> tuple[TrainConfig, float]:
     ), merged.get("heldout_frac", 0.0)
 
 
-def _config_snapshot(config: TrainConfig) -> dict:
-    snap = asdict(config)
-    return snap
-
-
 def write_metrics(path, metrics: trainer.Metrics) -> None:
     lines = [f"{key}={value}" for key, value in asdict(metrics).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -284,7 +273,7 @@ def cmd_train(args) -> int:
             row["equation_accuracy"] = stats.eval_metrics.equation_accuracy
         history_lines.append(json.dumps(row, sort_keys=True))
     (out / "history.jsonl").write_text("\n".join(history_lines) + "\n", encoding="utf-8")
-    write_manifest(out, "train", _config_snapshot(config), config.seed,
+    write_manifest(out, "train", asdict(config), config.seed,
                    args.data, str(out / "checkpoint.bin"))
     print(f"best_epoch={result.best_epoch}")
     print(f"final_loss={result.final_loss}")
@@ -326,7 +315,7 @@ def cmd_cv(args) -> int:
         (out / "cv.json").write_text(
             json.dumps({"folds": rows, "mean_answer_accuracy": mean_acc},
                        sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        write_manifest(out, "cv", _config_snapshot(config), config.seed,
+        write_manifest(out, "cv", asdict(config), config.seed,
                        args.data, None)
     return EXIT_OK
 
@@ -339,14 +328,16 @@ def _load_model_or_exit(checkpoint):
     return trainer.load_model(path)
 
 
-def _trace_record(step) -> dict:
+def _trace_record(i: int, action: eqlang.StackAction, stack, step) -> dict:
+    """Step ``i`` of a decode: its action and resulting stack, rendered, and
+    the neural readouts of ``step``."""
     return {
-        "step": step.step,
-        "action": step.action,
-        "operand": step.operand,
+        "step": i + 1,
+        "action": ACTION_NAMES[action_to_index(action)],
+        "operand": (eqlang.operand_name(action.ref)
+                    if isinstance(action, eqlang.Push) else None),
         "action_probs": {name: float(p) for name, p in
-                         zip(("genvar", "push", "apply+", "apply-", "apply*",
-                              "apply/", "equal"), step.action_probs)},
+                         zip(ACTION_NAMES, step.action_probs)},
         "operand_probs": None if step.operand_probs is None else
                          [float(p) for p in step.operand_probs],
         "attention": None if step.attention is None else
@@ -355,8 +346,8 @@ def _trace_record(step) -> dict:
                        [float(g) for g in step.gate_action],
         "gate_operand": None if step.gate_operand is None else
                         [float(g) for g in step.gate_operand],
-        "stack_depth": step.stack_depth,
-        "stack": step.stack_exprs,
+        "stack_depth": len(stack),
+        "stack": [eqlang.expr_to_infix(e) for e in stack],
     }
 
 
@@ -369,10 +360,12 @@ def cmd_solve(args) -> int:
     problem = PreparedProblem(id="cli", tokens=tokens, constant_positions=positions,
                               constant_values=values, target=[], gold_answer=None)
     result = trainer.decode_problem(model, problem, max_steps=args.max_steps)
-    for step in result.trace:
-        operand = f" {step.operand}" if step.operand else ""
-        print(f"step {step.step}: {step.action}{operand} "
-              f"(depth {step.stack_depth}) stack: {step.stack_exprs}")
+    steps = [_trace_record(i, action, stack, step) for i, (action, stack, step)
+             in enumerate(zip(result.actions, result.stack_history, result.trace))]
+    for rec in steps:
+        operand = f" {rec['operand']}" if rec["operand"] else ""
+        print(f"step {rec['step']}: {rec['action']}{operand} "
+              f"(depth {rec['stack_depth']}) stack: {rec['stack']}")
     for lhs, rhs in result.equations:
         print(f"equation: {eqlang.equation_to_infix(lhs, rhs)}")
     if result.answer is not None:
@@ -387,7 +380,7 @@ def cmd_solve(args) -> int:
             "equations": [eqlang.equation_to_infix(l, r) for l, r in result.equations],
             "answer": None if result.answer is None else str(result.answer),
             "status": result.status,
-            "steps": [_trace_record(s) for s in result.trace],
+            "steps": steps,
         }
         Path(args.trace).write_text(
             json.dumps(trace, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
@@ -479,10 +472,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except trainer.EmptyDataset as exc:
+    except (FormatError, FileNotFoundError, EmptyProblem, trainer.EmptyDataset,
+            NonFiniteValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

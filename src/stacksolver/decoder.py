@@ -187,7 +187,6 @@ class DecoderState:
     last_result: Node
     unknown_vector: Node | None
     equations: tuple[tuple[Expr, Expr], ...]
-    step: int
 
     @property
     def stack_depth(self) -> int:
@@ -210,7 +209,6 @@ class Features:
 @dataclass
 class ActionDistribution:
     probs: np.ndarray  # length 7; masked entries are exactly 0
-    legal: np.ndarray  # boolean mask, same indexing
     logits: Node
     legal_indices: np.ndarray
 
@@ -220,21 +218,17 @@ class OperandDistribution:
     probs: np.ndarray  # over [c_1..c_n, 1, pi] (+ x once generated)
     scores: Node
     n_constants: int
-    includes_unknown: bool
 
 
 @dataclass
 class StepTrace:
-    step: int
-    action: str
-    operand: str | None
+    """Neural readouts of one greedy step; the step's action and resulting
+    stack are ``DecodeResult.actions`` and ``stack_history`` at that index."""
     action_probs: np.ndarray
     operand_probs: np.ndarray | None
     attention: np.ndarray | None
     gate_action: np.ndarray | None
     gate_operand: np.ndarray | None
-    stack_depth: int
-    stack_exprs: list[str]
 
 
 @dataclass
@@ -290,7 +284,7 @@ class DecoderRun:
             sym_stack=(), vec_stack=(),
             h=self.encoded.final_h, c=self.encoded.final_c,
             last_result=self.zero, unknown_vector=None,
-            equations=(), step=0)
+            equations=())
 
     def advance(self, state: DecoderState) -> DecoderState:
         """Step the decoder recurrence over the previous action's result."""
@@ -352,7 +346,7 @@ class DecoderRun:
         e = np.exp(z)
         probs = np.zeros(N_ACTIONS)
         probs[legal_indices] = e / e.sum()
-        return ActionDistribution(probs, legal, logits, legal_indices)
+        return ActionDistribution(probs, logits, legal_indices)
 
     def action_loss(self, dist: ActionDistribution, gold: StackAction) -> Node:
         idx = action_to_index(gold)
@@ -379,8 +373,7 @@ class DecoderRun:
             dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
         z = scores.value - scores.value.max()
         e = np.exp(z)
-        return OperandDistribution(e / e.sum(), scores,
-                                   self.encoded.n_constants, state.has_unknown)
+        return OperandDistribution(e / e.sum(), scores, self.encoded.n_constants)
 
     def operand_loss(self, dist: OperandDistribution, gold_ref: OperandRef) -> Node:
         idx = ref_to_candidate_index(gold_ref, dist.n_constants)
@@ -413,8 +406,7 @@ class DecoderRun:
                 self._p("dec.genvar.v"), self._p("dec.genvar.w"),
                 self._p("dec.genvar.b"), dropout_p=self.config.dropout_p,
                 training=self.training, rng=self.rng)
-            return replace(state, unknown_vector=unknown_vec,
-                           last_result=unknown_vec, step=state.step + 1)
+            return replace(state, unknown_vector=unknown_vec, last_result=unknown_vec)
 
         if isinstance(action, (Apply, ApplyEqual)) and state.stack_depth < 2:
             raise IllegalAction(f"{action} with stack depth {state.stack_depth}")
@@ -428,7 +420,7 @@ class DecoderRun:
             vec = self._operand_vector(state, ref)
             return replace(state, sym_stack=tuple(sym_stack),
                            vec_stack=state.vec_stack + (vec,),
-                           last_result=vec, step=state.step + 1)
+                           last_result=vec)
         if isinstance(action, Apply):
             top_vec = state.vec_stack[-1]
             second_vec = state.vec_stack[-2]
@@ -437,13 +429,12 @@ class DecoderRun:
                                          tape=self.tape)
             return replace(state, sym_stack=tuple(sym_stack),
                            vec_stack=state.vec_stack[:-2] + (new_vec,),
-                           last_result=new_vec, step=state.step + 1)
+                           last_result=new_vec)
         # equal application: the remaining top is the step result, or zero
         remaining = state.vec_stack[:-2]
         result = remaining[-1] if remaining else self.zero
         return replace(state, sym_stack=tuple(sym_stack), vec_stack=remaining,
-                       equations=tuple(equations), last_result=result,
-                       step=state.step + 1)
+                       equations=tuple(equations), last_result=result)
 
     def solvable(self, state: DecoderState) -> bool:
         if not state.equations:
@@ -481,12 +472,9 @@ def greedy_decode(encoded: EncodedProblem, problem: PreparedProblem,
         actions.append(action)
         history.append(state.sym_stack)
         trace.append(StepTrace(
-            step=state.step, action=ACTION_NAMES[idx],
-            operand=_operand_name(ref, encoded.n_constants) if ref is not None else None,
             action_probs=dist.probs, operand_probs=operand_probs,
             attention=feats.attention_weights, gate_action=feats.gate_action,
-            gate_operand=feats.gate_operand, stack_depth=state.stack_depth,
-            stack_exprs=[eqlang.expr_to_infix(e) for e in state.sym_stack]))
+            gate_operand=feats.gate_operand))
         if run.solvable(state):
             status = "solved"
             break
@@ -499,13 +487,3 @@ def greedy_decode(encoded: EncodedProblem, problem: PreparedProblem,
     return DecodeResult(actions=actions, equations=list(state.equations),
                         answer=answer, status=status, trace=trace,
                         stack_history=history)
-
-
-def _operand_name(ref: OperandRef, n_constants: int) -> str:
-    if isinstance(ref, ConstRef):
-        return f"c{ref.index}"
-    if isinstance(ref, eqlang.OneRef):
-        return "1"
-    if isinstance(ref, eqlang.PiRef):
-        return "pi"
-    return "x"

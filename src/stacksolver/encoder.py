@@ -54,7 +54,6 @@ class EncoderConfig:
 
 @dataclass
 class EncodedProblem:
-    token_states: list[Node]
     token_matrix: Node
     constant_vectors: list[Node]
     one_vector: Node
@@ -176,7 +175,6 @@ def encode(problem: PreparedProblem, vocab: dict[str, int],
 
     one_vec, pi_vec = external_constant_vectors(registry, tape)
     return EncodedProblem(
-        token_states=token_states,
         token_matrix=token_matrix,
         constant_vectors=constant_vectors,
         one_vector=one_vec,
@@ -185,21 +183,3 @@ def encode(problem: PreparedProblem, vocab: dict[str, int],
         final_c=final_c,
         self_attention_maps=attention_maps,
     )
-
-
-def load_pretrained_embeddings(path, vocab: dict[str, int],
-                               registry: ParamRegistry) -> int:
-    """Overwrite embedding rows from a text file of `token v1 .. vd` lines."""
-    table = registry["enc.embed"]
-    loaded = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != table.shape[1] + 1:
-                continue
-            token = parts[0]
-            if token not in vocab:
-                continue
-            table[vocab[token]] = np.array([float(x) for x in parts[1:]])
-            loaded += 1
-    return loaded

@@ -91,19 +91,6 @@ Expr = Union[Const, Unknown, BinOp]
 UNKNOWN = Unknown()
 
 
-def expr_depth(e: Expr) -> int:
-    """Iterative depth so deep trees cannot blow the recursion limit."""
-    depth = 0
-    stack = [(e, 1)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        if isinstance(node, BinOp):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-    return depth
-
-
 def has_unknown(e: Expr) -> bool:
     stack = [e]
     while stack:
@@ -166,6 +153,17 @@ OperandRef = Union[ConstRef, OneRef, PiRef, UnknownRef]
 ONE_REF = OneRef()
 PI_REF = PiRef()
 UNKNOWN_REF = UnknownRef()
+
+
+def operand_name(ref: OperandRef) -> str:
+    """Short name of an operand: ``c{i}`` for the i-th constant, ``1``, ``pi``, ``x``."""
+    if isinstance(ref, ConstRef):
+        return f"c{ref.index}"
+    if isinstance(ref, OneRef):
+        return "1"
+    if isinstance(ref, PiRef):
+        return "pi"
+    return "x"
 
 
 @dataclass(frozen=True)
@@ -520,25 +518,22 @@ def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
 class ExecutionOutcome:
     equations: list[tuple[Expr, Expr]]
     stack: list[Expr]
-    depths: list[int]
     stack_history: list[tuple[Expr, ...]]
 
 
 def execute(actions: Sequence[StackAction], constants: Sequence[Fraction], *,
             one: Fraction = ONE_VALUE, pi: Fraction = PI_VALUE,
             max_steps: int = 40) -> ExecutionOutcome:
-    """Run an action sequence through the symbolic VM, tracing stack depth."""
+    """Run an action sequence through the symbolic VM, keeping each step's stack."""
     if len(actions) > max_steps:
         raise ValueError(f"{len(actions)} actions exceed the {max_steps}-step budget")
     stack: list[Expr] = []
     equations: list[tuple[Expr, Expr]] = []
-    depths: list[int] = []
     history: list[tuple[Expr, ...]] = []
     for action in actions:
         symbolic_step(stack, equations, action, constants, one, pi)
-        depths.append(len(stack))
         history.append(tuple(stack))
-    return ExecutionOutcome(equations, stack, depths, history)
+    return ExecutionOutcome(equations, stack, history)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ class IndexOutOfRange(IndexError):
     pass
 
 
+class NonFiniteValue(ArithmeticError):
+    """A loss or gradient norm is NaN or infinite."""
+
+
 class Node:
     """A value in the computation graph. ``grad`` is allocated lazily."""
 
@@ -81,15 +85,6 @@ class ParamRegistry:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def set_(self, name: str, value: np.ndarray) -> None:
-        """In-place overwrite; the shape is immutable after creation."""
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != self._params[name].shape:
-            raise ShapeMismatch(
-                f"{name}: cannot assign shape {arr.shape} over {self._params[name].shape}"
-            )
-        self._params[name][...] = arr
 
     def zero_grads(self) -> None:
         for g in self.grads.values():
@@ -186,20 +181,6 @@ def add_n(tape: Tape | None, parts: Sequence[Node]) -> Node:
     return out
 
 
-def mul(tape: Tape | None, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatch(f"mul: {a.value.shape} vs {b.value.shape}")
-    out = Node(a.value * b.value)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(a, out.grad * b.value)
-            _acc(b, out.grad * a.value)
-        tape.record(back)
-    return out
-
-
 def tanh(tape: Tape | None, x: Node) -> Node:
     out = Node(np.tanh(x.value))
     if tape is not None:
@@ -248,19 +229,6 @@ def concat(tape: Tape | None, parts: Sequence[Node]) -> Node:
             for p, sz in zip(parts, sizes):
                 _acc(p, out.grad[off:off + sz])
                 off += sz
-        tape.record(back)
-    return out
-
-
-def narrow(tape: Tape | None, x: Node, lo: int, hi: int) -> Node:
-    out = Node(x.value[lo:hi])
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[lo:hi] += out.grad
         tape.record(back)
     return out
 
@@ -315,19 +283,6 @@ def dot(tape: Tape | None, a: Node, b: Node) -> Node:
                 return
             _acc(a, out.grad * b.value)
             _acc(b, out.grad * a.value)
-        tape.record(back)
-    return out
-
-
-def scale(tape: Tape | None, s: Node, x: Node) -> Node:
-    """Scalar node times tensor node."""
-    out = Node(s.value * x.value)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(s, np.asarray((out.grad * x.value).sum()))
-            _acc(x, s.value * out.grad)
         tape.record(back)
     return out
 
@@ -620,20 +575,28 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must be in (0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive")
+        if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
+            raise ValueError("gradient_clip_norm must be positive or None")
 
 
 def adam_step(registry: ParamRegistry, grads: dict[str, np.ndarray],
               config: OptimizerConfig) -> ParamRegistry:
-    """Bias-corrected Adam update, in place; increments the step counter."""
+    """Bias-corrected Adam update, in place; increments the step counter.
+
+    Raises ``NonFiniteValue`` before touching any parameter when the global
+    gradient norm is NaN or infinite."""
+    total = 0.0
+    for name in registry.names():
+        g = grads[name]
+        total += float((g * g).sum())
+    norm = np.sqrt(total)
+    if not np.isfinite(norm):
+        raise NonFiniteValue(f"gradient norm is {norm}")
     clip_scale = 1.0
-    if config.gradient_clip_norm is not None:
-        total = 0.0
-        for name in registry.names():
-            g = grads[name]
-            total += float((g * g).sum())
-        norm = np.sqrt(total)
-        if norm > config.gradient_clip_norm:
-            clip_scale = config.gradient_clip_norm / norm
+    if config.gradient_clip_norm is not None and norm > config.gradient_clip_norm:
+        clip_scale = config.gradient_clip_norm / norm
     registry.adam_t += 1
     t = registry.adam_t
     bc1 = 1.0 - config.beta1 ** t

@@ -8,7 +8,8 @@ rerun with the same config reproduces the loss curve bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,22 +98,13 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
         constant_mode=config.constant_mode,
         dropout_p=config.dropout_p,
     )
-    dec_config = replace_dim(config.decoder, enc_config.dim, config.dropout_p)
+    # the decoder works in the encoder's concatenated dimension
+    dec_config = replace(config.decoder, dim=enc_config.dim, dropout_p=config.dropout_p)
     registry = ParamRegistry()
     fixed_slots = enc.FIXED_SLOT_LIMIT if dec_config.constant_repr == "fixed" else 0
     enc.register_params(registry, enc_config, rng, fixed_slots=fixed_slots)
     dec.register_params(registry, dec_config, rng)
     return Model(registry, vocab, enc_config, dec_config, mode=config.mode)
-
-
-def replace_dim(config: DecoderConfig, dim: int, dropout_p: float) -> DecoderConfig:
-    """Decoder dim always equals the encoder's concatenated dimension."""
-    return DecoderConfig(
-        dim=dim, use_gate=config.use_gate, use_attention=config.use_attention,
-        use_stack_feature=config.use_stack_feature,
-        transformer_mode=config.transformer_mode,
-        constant_repr=config.constant_repr, max_steps=config.max_steps,
-        dropout_p=dropout_p)
 
 
 def teacher_force(problem: PreparedProblem, model: Model, *, tape: Tape | None,
@@ -151,8 +143,7 @@ def decode_problem(model: Model, problem: PreparedProblem,
                    max_steps: int | None = None) -> DecodeResult:
     config = model.dec_config
     if max_steps is not None:
-        config = replace_dim(config, config.dim, config.dropout_p)
-        config.max_steps = max_steps
+        config = replace(config, max_steps=max_steps)
     encoded = enc.encode(problem, model.vocab, model.registry, model.enc_config,
                          constant_repr=config.constant_repr, tape=None,
                          training=False)
@@ -225,18 +216,26 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
     for epoch in range(1, config.epochs + 1):
         loop_rng.shuffle(order)
         total_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
+        for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[start:start + config.batch_size]
             model.registry.zero_grads()
             for i in batch:
                 tape = Tape()
                 loss = problem_loss(usable[int(i)], model, tape=tape,
                                     training=True, rng=loop_rng)
+                value = float(loss.value)
+                if not math.isfinite(value):
+                    raise nm.NonFiniteValue(
+                        f"epoch {epoch}, batch {batch_no}: loss is {value}")
                 tape.backward(loss)
-                total_loss += float(loss.value)
+                total_loss += value
             for g in model.registry.grads.values():
                 g /= len(batch)
-            nm.adam_step(model.registry, model.registry.grads, config.optimizer)
+            try:
+                nm.adam_step(model.registry, model.registry.grads, config.optimizer)
+            except nm.NonFiniteValue as exc:
+                raise nm.NonFiniteValue(
+                    f"epoch {epoch}, batch {batch_no}: {exc}") from None
         mean_loss = total_loss / len(usable)
         stats = EpochStats(epoch=epoch, mean_loss=mean_loss)
         if epoch % config.eval_every == 0 or epoch == config.epochs:

@@ -1,9 +1,13 @@
 """CLI commands end to end: files in, artifacts out, exit codes."""
 import json
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from stacksolver import cli, corpus, eqlang, trainer
+from stacksolver import cli, corpus, eqlang, numerics as nm, trainer
 from stacksolver.cli import main
+from stacksolver.decoder import ACTION_NAMES, action_to_index
 
 
 def run_cli(*argv):
@@ -138,6 +142,39 @@ def test_bad_config_key_exits_2(tmp_path, synth_file):
                    "--config", config) == 2
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "cv"])
+def test_missing_data_file_exits_2(tmp_path, capsys, trained_dir, command):
+    argv = [command, "--data", tmp_path / "missing.jsonl"]
+    if command == "train":
+        argv += ["--out", tmp_path / "model"]
+    if command == "eval":
+        argv += ["--checkpoint", trained_dir]
+    assert run_cli(*argv) == 2
+    assert_one_error_line(capsys)
+
+
+def test_clip_zero_is_a_config_error(tmp_path, capsys, synth_file):
+    assert run_cli("train", "--data", synth_file, "--out", tmp_path / "m",
+                   "--clip", 0) == 2
+    assert "gradient_clip_norm" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_nan_loss_exits_2_without_checkpoint(tmp_path, capsys, monkeypatch, synth_file):
+    monkeypatch.setattr(trainer, "problem_loss",
+                        lambda *args, **kwargs: nm.constant(np.nan))
+    out = tmp_path / "model"
+    assert run_cli("train", "--data", synth_file, "--out", out,
+                   "--epochs", 1, "--embed-dim", 8, "--hidden", 8) == 2
+    assert_one_error_line(capsys)
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_eval_prints_accuracies(capsys, trained_dir, synth_file):
     assert run_cli("eval", "--checkpoint", trained_dir, "--data", synth_file) == 0
     out = capsys.readouterr().out
@@ -167,6 +204,40 @@ def test_solve_missing_checkpoint(tmp_path):
                    "--text", "tom has 2 pens") == 2
 
 
+def test_solve_empty_text_exits_2(capsys, trained_dir):
+    assert run_cli("solve", "--checkpoint", trained_dir, "--text", "  ") == 2
+    assert_one_error_line(capsys)
+
+
+def assert_trace_matches_decode(record):
+    """Each step record agrees with the decoded actions and the VM replay."""
+    actions = [cli.action_from_wire(w) for w in record["actions"]]
+    constants = [Fraction(c) for c in record["problem"]["constants"]]
+    replay = eqlang.execute(actions, constants, max_steps=len(actions))
+    assert len(record["steps"]) == len(actions) > 0
+    for i, (step, action, stack) in enumerate(
+            zip(record["steps"], actions, replay.stack_history)):
+        assert step["step"] == i + 1
+        assert step["action"] == ACTION_NAMES[action_to_index(action)]
+        if isinstance(action, eqlang.Push):
+            ref = action.ref
+            expected = {eqlang.ONE_REF: "1", eqlang.PI_REF: "pi",
+                        eqlang.UNKNOWN_REF: "x"}.get(ref) or f"c{ref.index}"
+            assert step["operand"] == expected
+        else:
+            assert step["operand"] is None
+        assert step["stack"] == [eqlang.expr_to_infix(e) for e in stack]
+        assert step["stack_depth"] == len(stack)
+
+
+def test_solve_trace_values_match_the_decode(tmp_path, trained_dir):
+    trace = tmp_path / "trace.json"
+    run_cli("solve", "--checkpoint", trained_dir,
+            "--text", "tom has 3 apples and 4 pens . how many in total ?",
+            "--trace", trace)
+    assert_trace_matches_decode(json.loads(trace.read_text()))
+
+
 def test_solve_budget_exit_code(tmp_path, trained_dir):
     trace = tmp_path / "trace.json"
     code = run_cli("solve", "--checkpoint", trained_dir,
@@ -192,7 +263,7 @@ def test_solve_overfit_model_prints_equation(tmp_path, capsys, overfit_one):
     gold = eqlang.format_rational(problem.gold_answer)
     assert f"answer: {gold}" in printed
     record = json.loads(trace.read_text())
-    assert len(record["steps"]) == len(record["actions"])
+    assert_trace_matches_decode(record)
     for step in record["steps"]:
         assert set(step) == {"step", "action", "operand", "action_probs",
                              "operand_probs", "attention", "gate_action",

@@ -1,16 +1,18 @@
 """Decoder: legality masks, selectors, transformers, the dual-stack mirror."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm, trainer
+from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm
 from stacksolver.decoder import (
-    ACTION_NAMES,
     DecoderConfig,
     DecoderRun,
     GENVAR_IDX,
+    N_ACTIONS,
     PUSH_IDX,
+    action_to_index,
     greedy_decode,
     legal_action_mask,
     semantic_transform,
@@ -121,7 +123,6 @@ def test_operand_candidates_before_genvar():
     odist = run.select_operand(run.state_features(state), state)
     # only the two external constants: x is not yet available
     assert odist.probs.shape == (2,)
-    assert not odist.includes_unknown
 
 
 def test_operand_candidates_after_genvar():
@@ -252,8 +253,7 @@ def test_saturated_gates_match_ungated():
         return run.state_features(state)
 
     gated = features(model.dec_config)
-    ungated_config = trainer.replace_dim(
-        DecoderConfig(use_gate=False), model.dec_config.dim, 0.1)
+    ungated_config = replace(model.dec_config, use_gate=False)
     ungated = features(ungated_config)
     assert np.allclose(gated.action_feats.value, ungated.action_feats.value,
                        atol=1e-6)
@@ -347,8 +347,7 @@ def test_push_unknown_before_genvar_is_illegal():
 def test_greedy_budget_one_step():
     problem = simple_problem()
     model, _ = tiny_model([problem], seed=3)
-    config = trainer.replace_dim(DecoderConfig(), model.dec_config.dim, 0.1)
-    config.max_steps = 1
+    config = replace(model.dec_config, max_steps=1)
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
     result = greedy_decode(encoded, problem, model.registry, config)
     assert result.status == "budget_exceeded"
@@ -378,13 +377,15 @@ def test_greedy_trace_records_every_step():
     model, _ = tiny_model([problem], seed=23)
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
     result = greedy_decode(encoded, problem, model.registry, model.dec_config)
-    assert len(result.trace) == len(result.actions)
-    for step in result.trace:
-        assert step.action in ACTION_NAMES
+    assert len(result.trace) == len(result.actions) == len(result.stack_history)
+    for action, step in zip(result.actions, result.trace):
+        assert step.action_probs.shape == (N_ACTIONS,)
         assert abs(step.action_probs.sum() - 1.0) < 1e-9
+        assert step.action_probs[action_to_index(action)] > 0
+        assert (step.operand_probs is not None) == isinstance(action, Push)
         if step.attention is not None:
             assert abs(step.attention.sum() - 1.0) < 1e-9
-        assert step.stack_depth == len(step.stack_exprs)
+            assert step.attention.shape == (len(problem.tokens),)
 
 
 # ---------------------------------------------------------------------------

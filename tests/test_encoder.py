@@ -31,8 +31,8 @@ def test_zero_params_give_zero_vectors():
     model, _ = tiny_model([problem])
     zeroed(model)
     encoded = encode_with(model, problem)
-    for state in encoded.token_states:
-        assert np.array_equal(state.value, np.zeros(model.enc_config.dim))
+    assert np.array_equal(encoded.token_matrix.value,
+                          np.zeros((len(problem.tokens), model.enc_config.dim)))
     for vec in encoded.constant_vectors:
         assert np.array_equal(vec.value, np.zeros(model.enc_config.dim))
     assert np.array_equal(encoded.final_h.value, np.zeros(model.enc_config.dim))
@@ -44,9 +44,8 @@ def test_direct_mode_is_row_selection():
     encoded = encode_with(model, problem)
     assert encoded.n_constants == 2
     for vec, pos in zip(encoded.constant_vectors, problem.constant_positions):
-        # bitwise: the constant vector IS the recurrent state at that position
-        assert vec is encoded.token_states[pos]
-        assert np.array_equal(vec.value, encoded.token_states[pos].value)
+        # bitwise: the constant vector is the recurrent state at that position
+        assert np.array_equal(vec.value, encoded.token_matrix.value[pos])
 
 
 def test_empty_problem_rejected():
@@ -68,9 +67,7 @@ def test_permutation_sensitivity():
     model, _ = tiny_model([problem], seed=9)
     fwd = encode_with(model, problem)
     rev = encode_with(model, reversed_problem)
-    gap = sum(np.linalg.norm(a.value - b.value)
-              for a, b in zip(fwd.token_states, rev.token_states))
-    assert gap > 0
+    assert np.linalg.norm(fwd.token_matrix.value - rev.token_matrix.value) > 0
 
 
 def test_oov_tokens_hit_unk_row():
@@ -80,7 +77,7 @@ def test_oov_tokens_hit_unk_row():
                                     constant_positions=[], constant_values=[],
                                     target=[], gold_answer=None)
     encoded = encode_with(model, unseen)
-    assert len(encoded.token_states) == 2
+    assert encoded.token_matrix.value.shape[0] == 2
 
 
 def test_self_attention_rows_are_distributions():
@@ -99,7 +96,7 @@ def test_self_attention_uniform_gives_mean():
     zeroed(model)
     # zero scores -> uniform weights -> each constant vector is the mean state
     encoded = encode_with(model, problem)
-    mean_state = np.mean([s.value for s in encoded.token_states], axis=0)
+    mean_state = encoded.token_matrix.value.mean(axis=0)
     for vec in encoded.constant_vectors:
         assert np.allclose(vec.value, mean_state, atol=1e-15)
 
@@ -155,16 +152,3 @@ def test_build_vocab_reserves_unk():
     assert vocab[encoder.UNK_TOKEN] == encoder.UNK_ID == 0
     assert list(vocab) == [encoder.UNK_TOKEN, "b", "a", "c"]
 
-
-def test_load_pretrained_embeddings(tmp_path):
-    problem = small_problem()
-    model, _ = tiny_model([problem])
-    dim = model.enc_config.embed_dim
-    values = " ".join(str(float(i)) for i in range(dim))
-    path = tmp_path / "vectors.txt"
-    path.write_text(f"tom {values}\nunknowntoken {values}\nshort 1.0 2.0\n",
-                    encoding="utf-8")
-    loaded = encoder.load_pretrained_embeddings(path, model.vocab, model.registry)
-    assert loaded == 1
-    row = model.registry["enc.embed"][model.vocab["tom"]]
-    assert np.array_equal(row, np.arange(dim, dtype=float))

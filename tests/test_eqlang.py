@@ -312,8 +312,9 @@ def test_depth_law_random_sequences():
                 depth -= 2
             counts[kind] += 1
         outcome = eqlang.execute(actions, [F(3)], max_steps=len(actions))
-        assert outcome.depths[-1] == counts["push"] - counts["apply"] - 2 * counts["equal"]
-        assert min(outcome.depths) >= 0
+        depths = [len(stack) for stack in outcome.stack_history]
+        assert depths[-1] == counts["push"] - counts["apply"] - 2 * counts["equal"]
+        assert min(depths) >= 0
         assert len(outcome.equations) == counts["equal"]
 
 

@@ -33,7 +33,7 @@ def test_grads_elementwise_ops():
     def loss_fn(tape):
         a = nm.param(tape, registry, "a")
         b = nm.param(tape, registry, "b")
-        y = nm.mul(tape, nm.tanh(tape, a), nm.sigmoid(tape, b))
+        y = nm.add(tape, nm.tanh(tape, a), nm.sigmoid(tape, b))
         y = nm.add(tape, y, nm.relu(tape, a))
         return nm.dot(tape, y, y)
 
@@ -71,7 +71,7 @@ def test_grads_structural_ops():
         b = nm.param(tape, registry, "b")
         t = nm.param(tape, registry, "t")
         cat = nm.concat(tape, [a, b])                        # (8,)
-        piece = nm.narrow(tape, cat, 2, 7)                   # (5,)
+        piece = nm.gather(tape, cat, np.arange(2, 7))        # (5,)
         row = nm.embedding_row(tape, t, 1)                   # (3,)
         stacked = nm.rows_stack(tape, [b, row, b])           # (3, 3)
         picked = nm.gather(tape, piece, np.array([0, 0, 3])) # fan-in on index 0
@@ -89,10 +89,9 @@ def test_grads_softmax_and_scale():
     def loss_fn(tape):
         z = nm.param(tape, registry, "z")
         p = nm.softmax(tape, z)
-        g = nm.narrow(tape, nm.param(tape, registry, "g"), 0, 1)
-        s = nm.gather(tape, g, np.array([0]))
-        scalar = nm.dot(tape, s, s)
-        y = nm.scale(tape, scalar, nm.param(tape, registry, "x"))
+        s = nm.gather(tape, nm.param(tape, registry, "g"), np.array([0]))
+        # a one-block gate is a scalar times a tensor
+        y = nm.gate_blocks(tape, s, [nm.param(tape, registry, "x")])
         return nm.add(tape, nm.dot(tape, y, y), nm.dot(tape, p, p))
 
     check(loss_fn, registry)
@@ -349,6 +348,26 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0)
     with pytest.raises(ValueError):
         OptimizerConfig(beta1=1.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            OptimizerConfig(gradient_clip_norm=bad)
+        with pytest.raises(ValueError):
+            OptimizerConfig(epsilon=bad)
+    assert OptimizerConfig(gradient_clip_norm=None).gradient_clip_norm is None
+
+
+@pytest.mark.parametrize("clip", [5.0, None])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_non_finite_gradient_updates_nothing(clip, bad):
+    registry = make_registry(w=np.array([1.0, -2.0]), u=np.array([0.5]))
+    before = {name: registry[name].copy() for name in registry.names()}
+    with pytest.raises(nm.NonFiniteValue):
+        nm.adam_step(registry, {"w": np.array([0.1, bad]), "u": np.array([1.0])},
+                     OptimizerConfig(gradient_clip_norm=clip))
+    assert registry.adam_t == 0
+    for name in registry.names():
+        assert np.array_equal(registry[name], before[name])
+        assert not registry.adam_m[name].any() and not registry.adam_v[name].any()
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +378,6 @@ def test_registry_unique_names_and_frozen_shapes():
     registry = make_registry(w=np.zeros(3))
     with pytest.raises(ValueError):
         registry.add("w", np.zeros(3))
-    with pytest.raises(nm.ShapeMismatch):
-        registry.set_("w", np.zeros(4))
     assert registry.size() == 3
 
 

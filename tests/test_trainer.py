@@ -113,6 +113,32 @@ def test_train_empty_dataset():
         trainer.train([], tiny_train_config())
 
 
+def test_nan_loss_stops_training_before_any_update(monkeypatch, synth_prepared):
+    steps = []
+    monkeypatch.setattr(trainer, "problem_loss",
+                        lambda *args, **kwargs: nm.constant(np.nan))
+    monkeypatch.setattr(nm, "adam_step", lambda *args: steps.append(args))
+    with pytest.raises(nm.NonFiniteValue, match="epoch 1, batch 1: loss is nan"):
+        trainer.train(synth_prepared[:8], tiny_train_config())
+    assert steps == []
+
+
+def test_nan_gradient_stops_training(monkeypatch, synth_prepared):
+    original = trainer.problem_loss
+
+    def poisoned_loss(problem, model, *, tape, training, rng):
+        leaf = nm.param(tape, model.registry, "enc.one")
+
+        def poison():  # recorded first, so it runs last in the backward sweep
+            leaf.grad = np.full_like(leaf.value, np.nan)
+        tape.record(poison)
+        return original(problem, model, tape=tape, training=training, rng=rng)
+
+    monkeypatch.setattr(trainer, "problem_loss", poisoned_loss)
+    with pytest.raises(nm.NonFiniteValue, match="epoch 1, batch 1: gradient norm is nan"):
+        trainer.train(synth_prepared[:8], tiny_train_config())
+
+
 def test_train_smoke_and_determinism(synth_prepared):
     subset = synth_prepared[:8]
     config = tiny_train_config(epochs=3, batch_size=4, seed=17, eval_every=3)
