@@ -20,7 +20,7 @@ from . import __version__, corpus, eqlang, trainer
 from .corpus import FormatError, PreparedProblem
 from .decoder import ACTION_NAMES, DecoderConfig, action_to_index
 from .encoder import EmptyProblem
-from .numerics import NonFiniteValue, OptimizerConfig
+from .numerics import CheckpointError, NonFiniteValue, OptimizerConfig
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -86,9 +86,14 @@ def prepared_from_record(obj: dict) -> PreparedProblem:
 
 def load_prepared(path) -> list[PreparedProblem]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
             out.append(prepared_from_record(json.loads(line)))
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise FormatError(f"{path}:{lineno}: bad prepared record: "
+                              f"{type(exc).__name__}: {exc}") from None
     return out
 
 
@@ -472,8 +477,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, EmptyProblem, trainer.EmptyDataset,
-            NonFiniteValue) as exc:
+    except (FormatError, OSError, EmptyProblem, trainer.EmptyDataset,
+            NonFiniteValue, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

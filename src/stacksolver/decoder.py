@@ -12,16 +12,25 @@ Actions: generate the unknown variable (first step only), push an operand
 chosen by content-based addressing over candidate vectors, apply one of the
 four binary operators through a per-operator semantic transformer, or close
 an equation. Operators consume the two top elements as ``second <op> top``.
+
+A ``DecoderRun`` steps R rows in lockstep: every problem of a training batch
+under teacher forcing, or the single row of a greedy decode, through the
+same methods. Semantic vectors live in an append-only buffer and each
+semantic stack is a tuple of pointers into it (a "thin stack"), so pushes
+and equals only move pointers, top and second are one gather, and the
+operator transforms run once per operator over the rows that apply it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Sequence
+
 import numpy as np
 
 from . import eqlang
 from . import numerics as nm
 from .corpus import PreparedProblem
-from .encoder import EncodedProblem
+from .encoder import EncodedBatch
 from .eqlang import (
     APPLY_EQUAL,
     GEN_VAR,
@@ -165,36 +174,50 @@ def register_params(registry: ParamRegistry, config: DecoderConfig,
             registry.add(f"dec.tf.{op}.vec", nm.uniform_init(rng, (d,)))
 
 
-def semantic_transform(op: str, e1: Node, e2: Node, registry: ParamRegistry,
+def semantic_transform(op: str, pairs: Node | None, registry: ParamRegistry,
                        mode: str = "mlp", *, tape: Tape | None = None) -> Node:
-    """Semantic vector of ``e1 <op> e2`` via the operator's transformer."""
+    """Semantic vectors of ``e1 <op> e2`` via the operator's transformer, for
+    rows ``pairs`` = [e1; e2]. The ``embedding`` transformer ignores its
+    operands and returns the operator's one vector."""
+    def p(name: str) -> Node:
+        return nm.param(tape, registry, f"dec.tf.{op}.{name}")
+
     if mode == "embedding":
-        return nm.param(tape, registry, f"dec.tf.{op}.vec")
-    w = nm.param(tape, registry, f"dec.tf.{op}.w")
-    b = nm.param(tape, registry, f"dec.tf.{op}.b")
-    u = nm.param(tape, registry, f"dec.tf.{op}.u")
-    c = nm.param(tape, registry, f"dec.tf.{op}.c")
-    hidden = nm.relu(tape, nm.affine(tape, w, nm.concat(tape, [e1, e2]), b))
-    return nm.tanh(tape, nm.affine(tape, u, hidden, c))
+        return p("vec")
+    hidden = nm.relu(tape, nm.linear(tape, pairs, p("w"), p("b")))
+    return nm.tanh(tape, nm.linear(tape, hidden, p("u"), p("c")))
+
+
+# rows of every run's vector buffer that exist before the first step
+ZERO_ROW, ONE_ROW, PI_ROW = 0, 1, 2
 
 
 @dataclass
 class DecoderState:
-    sym_stack: tuple[Expr, ...]
-    vec_stack: tuple[Node, ...]
-    h: Node
-    c: Node
-    last_result: Node
-    unknown_vector: Node | None
-    equations: tuple[tuple[Expr, Expr], ...]
+    """R rows decoding in lockstep; row r decodes problem r of the run.
+
+    The semantic stacks are a thin stack: each is a tuple of rows of the
+    run's vector buffer, top last, beside the row's symbolic stack.
+    """
+    h: Node                  # (R, d)
+    c: Node                  # (R, d)
+    last: np.ndarray         # (R,) buffer row of the previous step's result
+    unknown: np.ndarray      # (R,) buffer row of x, -1 before it is generated
+    vec_stacks: tuple[tuple[int, ...], ...]
+    sym_stacks: tuple[tuple[Expr, ...], ...]
+    equations: tuple[tuple[tuple[Expr, Expr], ...], ...]
 
     @property
-    def stack_depth(self) -> int:
-        return len(self.sym_stack)
+    def rows(self) -> int:
+        return len(self.vec_stacks)
 
     @property
-    def has_unknown(self) -> bool:
-        return self.unknown_vector is not None
+    def depth(self) -> np.ndarray:
+        return np.array([len(stack) for stack in self.vec_stacks], dtype=np.intp)
+
+    @property
+    def has_unknown(self) -> np.ndarray:
+        return self.unknown >= 0
 
 
 @dataclass
@@ -208,16 +231,19 @@ class Features:
 
 @dataclass
 class ActionDistribution:
-    probs: np.ndarray  # length 7; masked entries are exactly 0
+    probs: np.ndarray  # (R, 7); masked entries are exactly 0
     logits: Node
-    legal_indices: np.ndarray
+    legal: np.ndarray  # (R, 7) bool
 
 
 @dataclass
 class OperandDistribution:
-    probs: np.ndarray  # over [c_1..c_n, 1, pi] (+ x once generated)
+    """Scores over each row's candidates [c_1..c_n, 1, pi] (+ x once
+    generated), padded to the widest row; padding has probability 0."""
+    probs: np.ndarray  # (P, C)
     scores: Node
-    n_constants: int
+    mask: np.ndarray   # (P, C) bool, True on a row's candidates
+    n_constants: np.ndarray  # (P,)
 
 
 @dataclass
@@ -241,86 +267,125 @@ class DecodeResult:
     stack_history: list[tuple[Expr, ...]] = field(default_factory=list)
 
 
-def legal_action_mask(stack_depth: int, has_unknown: bool) -> np.ndarray:
-    """Push is always legal; operators need two operands; one unknown only."""
-    mask = np.ones(N_ACTIONS, dtype=bool)
-    if stack_depth < 2:
-        mask[ADD_IDX:EQUAL_IDX + 1] = False
-    if has_unknown:
-        mask[GENVAR_IDX] = False
-    return mask
+# legal actions by (stack depth, capped at 2) and (unknown generated)
+_LEGAL = np.ones((3, 2, N_ACTIONS), dtype=bool)
+_LEGAL[:2, :, ADD_IDX:EQUAL_IDX + 1] = False
+_LEGAL[:, 1, GENVAR_IDX] = False
+
+
+def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
+    """Push is always legal; operators need two operands; one unknown only.
+    Takes one row's depth and flag, or arrays of them for (R, 7) masks."""
+    return _LEGAL[np.minimum(stack_depth, 2), np.asarray(has_unknown, dtype=np.intp)]
 
 
 class DecoderRun:
-    """One decoding pass (teacher-forced or greedy) over an encoded problem."""
+    """One decoding pass (teacher-forced or greedy) over R encoded problems.
 
-    def __init__(self, encoded: EncodedProblem, problem: PreparedProblem,
+    Every method acts on all rows of a state at once; teacher forcing runs a
+    batch's rows in lockstep and greedy decoding runs one row. A state may
+    be narrowed to its first rows (``narrow``), so rows whose targets have
+    ended drop out when the batch is sorted by target length.
+    """
+
+    def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
                  registry: ParamRegistry, config: DecoderConfig, *,
                  tape: Tape | None = None, training: bool = False,
                  rng: np.random.Generator | None = None):
         self.encoded = encoded
-        self.problem = problem
+        self.problems = list(problems)
         self.registry = registry
         self.config = config
         self.tape = tape
         self.training = training
         self.rng = rng
-        self.zero = nm.constant(np.zeros(config.dim))
-        self.base_candidates = list(encoded.constant_vectors) + [
-            encoded.one_vector, encoded.pi_vector]
+        self._params: dict[str, Node] = {}
+        self.buffer = nm.RowBuffer(tape, config.dim)
+        self.buffer.append(nm.constant(np.zeros(config.dim)))
+        self.buffer.append(encoded.one_vector)
+        self.buffer.append(encoded.pi_vector)
+        n_constants = encoded.n_constants
+        self.const_start = self.buffer.size + np.cumsum(n_constants) - n_constants
+        self.buffer.append(encoded.constants)
+        # each row's operand candidates [c_1..c_n, 1, pi, x], padded; x's slot
+        # is filled when x is generated, and states before that mask it out
+        width = int(n_constants.max()) + 3
+        self._candidate_rows = np.array(
+            [[*range(start, start + n), ONE_ROW, PI_ROW] + [ZERO_ROW] * (width - n - 2)
+             for start, n in zip(self.const_start.tolist(), n_constants.tolist())],
+            dtype=np.intp)
+        # an unpadded batch (every greedy decode) needs no attention mask
+        self._token_mask = None if encoded.token_mask.all() else encoded.token_mask
         if config.use_attention:
-            # candidate half of the attention hidden layer, shared across steps
-            self._q_pre = nm.attention_pre(
-                tape, nm.param(tape, registry, "dec.qattn.w"),
-                encoded.token_matrix, config.dim)
+            # key half of the attention hidden layer, shared across steps
+            self._q_pre = nm.attention_pre(tape, self._p("dec.qattn.w"),
+                                           encoded.token_matrix, config.dim)
         else:
             self._q_pre = None
 
     def _p(self, name: str) -> Node:
-        return nm.param(self.tape, self.registry, name)
+        node = self._params.get(name)
+        if node is None:
+            node = self._params[name] = nm.param(self.tape, self.registry, name)
+        return node
 
     def initial_state(self) -> DecoderState:
+        rows = len(self.problems)
         return DecoderState(
-            sym_stack=(), vec_stack=(),
             h=self.encoded.final_h, c=self.encoded.final_c,
-            last_result=self.zero, unknown_vector=None,
-            equations=())
+            last=np.full(rows, ZERO_ROW, dtype=np.intp),
+            unknown=np.full(rows, -1, dtype=np.intp),
+            vec_stacks=((),) * rows, sym_stacks=((),) * rows, equations=((),) * rows)
+
+    def narrow(self, state: DecoderState, rows: int) -> DecoderState:
+        """The first ``rows`` rows of ``state``."""
+        keep = slice(0, rows)
+        return DecoderState(
+            h=nm.gather(self.tape, state.h, keep), c=nm.gather(self.tape, state.c, keep),
+            last=state.last[keep], unknown=state.unknown[keep],
+            vec_stacks=state.vec_stacks[keep], sym_stacks=state.sym_stacks[keep],
+            equations=state.equations[keep])
 
     def advance(self, state: DecoderState) -> DecoderState:
         """Step the decoder recurrence over the previous action's result."""
-        x = nm.dropout(self.tape, state.last_result, self.config.dropout_p,
-                       self.training, self.rng)
+        x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None]),
+                       self.config.dropout_p, self.training, self.rng)
         h, c = nm.lstm_cell(self.tape, x, state.h, state.c,
                             self._p("dec.lstm.wx"), self._p("dec.lstm.wh"),
                             self._p("dec.lstm.b"))
-        return replace(state, h=h, c=c)
+        return DecoderState(h, c, state.last, state.unknown, state.vec_stacks,
+                            state.sym_stacks, state.equations)
+
+    def _top_two(self, state: DecoderState) -> np.ndarray:
+        """Buffer rows of each row's top and second stack entries (zero row if absent)."""
+        return np.array([(stack[-1] if stack else ZERO_ROW,
+                           stack[-2] if len(stack) > 1 else ZERO_ROW)
+                          for stack in state.vec_stacks], dtype=np.intp)
 
     def state_features(self, state: DecoderState) -> Features:
         """Gated concatenation of recurrent state, stack status, and attention."""
         cfg = self.config
         blocks = [state.h]
         if cfg.use_stack_feature:
-            top = state.vec_stack[-1] if state.stack_depth >= 1 else self.zero
-            second = state.vec_stack[-2] if state.stack_depth >= 2 else self.zero
-            blocks.append(nm.concat(self.tape, [top, second]))
+            blocks.append(self.buffer.gather(self._top_two(state)))
         attn_weights = None
         if cfg.use_attention:
             context, weights = nm.attention(
                 self.tape, state.h, self.encoded.token_matrix,
                 self._p("dec.qattn.v"), self._p("dec.qattn.w"), self._p("dec.qattn.b"),
-                pre=self._q_pre, dropout_p=cfg.dropout_p,
+                mask=self._token_mask, pre=self._q_pre,
+                rows=slice(0, state.rows), dropout_p=cfg.dropout_p,
                 training=self.training, rng=self.rng)
             blocks.append(context)
             attn_weights = weights.value
+        feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
         if not cfg.use_gate:
-            feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
             return Features(feats, feats, attn_weights, None, None)
-        gate_in = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
         gates = {}
         gated = {}
         for which in ("sa", "opd"):
-            g = nm.sigmoid(self.tape, nm.affine(
-                self.tape, self._p(f"dec.gate_{which}.w"), gate_in,
+            g = nm.sigmoid(self.tape, nm.linear(
+                self.tape, feats, self._p(f"dec.gate_{which}.w"),
                 self._p(f"dec.gate_{which}.b")))
             gates[which] = g
             gated[which] = nm.gate_blocks(self.tape, g, blocks)
@@ -337,118 +402,144 @@ class DecoderRun:
             self.tape, x, self._p("dec.act.w1"), self._p("dec.act.b1"),
             self._p("dec.act.w2"), self._p("dec.act.b2"),
             hidden_dropout=cfg.dropout_p, training=self.training, rng=self.rng)
-        legal = legal_action_mask(state.stack_depth, state.has_unknown)
-        legal_indices = np.flatnonzero(legal)
-        if legal_indices.size == 0:
-            raise IllegalAction("no legal stack action")  # unreachable: push is always legal
-        z = logits.value[legal_indices]
-        z = z - z.max()
-        e = np.exp(z)
-        probs = np.zeros(N_ACTIONS)
-        probs[legal_indices] = e / e.sum()
-        return ActionDistribution(probs, logits, legal_indices)
+        legal = legal_action_mask(state.depth, state.has_unknown)
+        return ActionDistribution(nm.masked_softmax(logits.value, legal), logits, legal)
 
-    def action_loss(self, dist: ActionDistribution, gold: StackAction) -> Node:
-        idx = action_to_index(gold)
-        where = np.flatnonzero(dist.legal_indices == idx)
-        if where.size == 0:
-            raise IllegalAction(f"gold action {gold} is masked at this step")
-        sub = nm.gather(self.tape, dist.logits, dist.legal_indices)
-        loss, _ = nm.softmax_cross_entropy(self.tape, sub, int(where[0]))
+    def action_loss(self, dist: ActionDistribution, golds: Sequence[StackAction]) -> Node:
+        """Summed cross-entropy of each row's gold action."""
+        targets = np.array([action_to_index(gold) for gold in golds], dtype=np.intp)
+        masked = ~dist.legal[np.arange(targets.size), targets]
+        if masked.any():
+            raise IllegalAction(f"gold action {golds[int(np.argmax(masked))]} "
+                                "is masked at this step")
+        loss, _ = nm.softmax_cross_entropy(self.tape, dist.logits, targets, dist.legal)
         return loss
 
     # -- operand selection
 
-    def _candidates(self, state: DecoderState) -> list[Node]:
-        cands = list(self.base_candidates)
-        if state.has_unknown:
-            cands.append(state.unknown_vector)
-        return cands
-
-    def select_operand(self, feats: Features, state: DecoderState) -> OperandDistribution:
-        cands = self._candidates(state)
+    def select_operand(self, feats: Features, state: DecoderState,
+                       rows: np.ndarray | None = None) -> OperandDistribution:
+        """Operand scores for ``rows`` of the state (all rows by default)."""
+        query = feats.operand_feats
+        if rows is None or rows.size == state.rows:
+            rows = slice(0, state.rows)
+        else:
+            query = nm.gather(self.tape, query, rows)
+        # each row's candidates [c_1..c_n, 1, pi, (x)], padded to the widest row
+        count = self.encoded.n_constants[rows] + 2 + (state.unknown[rows] >= 0)
+        keys = self.buffer.gather(self._candidate_rows[rows, :count.max(), None])
+        mask = np.arange(keys.value.shape[1]) < count[:, None]
+        w = self._p("dec.opd.w")
         scores = nm.attention_scores(
-            self.tape, feats.operand_feats, cands,
-            self._p("dec.opd.v"), self._p("dec.opd.w"), self._p("dec.opd.b"),
+            self.tape, query, nm.attention_pre(self.tape, w, keys, query.value.shape[-1]),
+            self._p("dec.opd.v"), w, self._p("dec.opd.b"),
             dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
-        z = scores.value - scores.value.max()
-        e = np.exp(z)
-        return OperandDistribution(e / e.sum(), scores, self.encoded.n_constants)
+        probs = nm.masked_softmax(scores.value, None if mask.all() else mask)
+        return OperandDistribution(probs, scores, mask, self.encoded.n_constants[rows])
 
-    def operand_loss(self, dist: OperandDistribution, gold_ref: OperandRef) -> Node:
-        idx = ref_to_candidate_index(gold_ref, dist.n_constants)
-        if idx >= dist.probs.shape[0]:
-            raise IllegalAction(f"operand {gold_ref} not yet available")
-        loss, _ = nm.softmax_cross_entropy(self.tape, dist.scores, idx)
+    def operand_loss(self, dist: OperandDistribution,
+                     gold_refs: Sequence[OperandRef]) -> Node:
+        """Summed cross-entropy of each scored row's gold operand."""
+        targets = []
+        for ref, n, mask in zip(gold_refs, dist.n_constants, dist.mask):
+            idx = ref_to_candidate_index(ref, int(n))
+            if idx >= mask.shape[0] or not mask[idx]:
+                raise IllegalAction(f"operand {ref} not yet available")
+            targets.append(idx)
+        loss, _ = nm.softmax_cross_entropy(self.tape, dist.scores, targets, dist.mask)
         return loss
 
     # -- state transition
 
-    def _operand_vector(self, state: DecoderState, ref: OperandRef) -> Node:
+    def _operand_row(self, row: int, ref: OperandRef, unknown: int) -> int:
         if isinstance(ref, ConstRef):
-            return self.encoded.constant_vectors[ref.index]
+            return int(self.const_start[row]) + ref.index
         if isinstance(ref, eqlang.OneRef):
-            return self.encoded.one_vector
+            return ONE_ROW
         if isinstance(ref, eqlang.PiRef):
-            return self.encoded.pi_vector
-        if state.unknown_vector is None:
+            return PI_ROW
+        if unknown < 0:
             raise IllegalAction("push of the unknown before it was generated")
-        return state.unknown_vector
+        return unknown
 
-    def apply_action(self, state: DecoderState, action: StackAction,
-                     operand_ref: OperandRef | None = None) -> DecoderState:
-        """Apply one action to the dual stack; the caller enforced legality."""
-        if isinstance(action, GenVar):
-            if state.has_unknown:
-                raise IllegalAction("second unknown generation is masked")
-            unknown_vec, _ = nm.attention(
-                self.tape, state.h, self.encoded.token_matrix,
-                self._p("dec.genvar.v"), self._p("dec.genvar.w"),
-                self._p("dec.genvar.b"), dropout_p=self.config.dropout_p,
-                training=self.training, rng=self.rng)
-            return replace(state, unknown_vector=unknown_vec, last_result=unknown_vec)
-
-        if isinstance(action, (Apply, ApplyEqual)) and state.stack_depth < 2:
-            raise IllegalAction(f"{action} with stack depth {state.stack_depth}")
-
-        sym_stack = list(state.sym_stack)
+    def apply_action(self, state: DecoderState,
+                     actions: Sequence[StackAction]) -> DecoderState:
+        """Apply one action per row to the dual stacks; the caller enforced
+        legality. Pushes and equals only move pointers; generating x and
+        applying an operator append new vectors, one op call per kind."""
+        if len(actions) != state.rows:
+            raise ValueError(f"{len(actions)} actions for {state.rows} rows")
+        vec_stacks = list(state.vec_stacks)
+        sym_stacks = list(state.sym_stacks)
         equations = list(state.equations)
-        eqlang.symbolic_step(sym_stack, equations, action, self.problem.constant_values)
+        last = state.last.copy()
+        unknown = state.unknown.copy()
+        genvar: list[int] = []
+        by_op: dict[str, list[int]] = {}
+        for row, action in enumerate(actions):
+            stack = vec_stacks[row]
+            if isinstance(action, GenVar):
+                if unknown[row] >= 0:
+                    raise IllegalAction("second unknown generation is masked")
+                genvar.append(row)
+                continue
+            if isinstance(action, (Apply, ApplyEqual)) and len(stack) < 2:
+                raise IllegalAction(f"{action} with stack depth {len(stack)}")
+            sym = list(sym_stacks[row])
+            eqs = list(equations[row])
+            eqlang.symbolic_step(sym, eqs, action, self.problems[row].constant_values)
+            sym_stacks[row] = tuple(sym)
+            equations[row] = tuple(eqs)
+            if isinstance(action, Push):
+                vec = self._operand_row(row, action.ref, int(unknown[row]))
+                vec_stacks[row] = stack + (vec,)
+                last[row] = vec
+            elif isinstance(action, Apply):
+                by_op.setdefault(action.op, []).append(row)
+            else:
+                # equal application: the remaining top is the step result, or zero
+                vec_stacks[row] = stack[:-2]
+                last[row] = stack[-3] if len(stack) > 2 else ZERO_ROW
 
-        if isinstance(action, Push):
-            ref = operand_ref if operand_ref is not None else action.ref
-            vec = self._operand_vector(state, ref)
-            return replace(state, sym_stack=tuple(sym_stack),
-                           vec_stack=state.vec_stack + (vec,),
-                           last_result=vec)
-        if isinstance(action, Apply):
-            top_vec = state.vec_stack[-1]
-            second_vec = state.vec_stack[-2]
-            new_vec = semantic_transform(action.op, second_vec, top_vec,
-                                         self.registry, self.config.transformer_mode,
-                                         tape=self.tape)
-            return replace(state, sym_stack=tuple(sym_stack),
-                           vec_stack=state.vec_stack[:-2] + (new_vec,),
-                           last_result=new_vec)
-        # equal application: the remaining top is the step result, or zero
-        remaining = state.vec_stack[:-2]
-        result = remaining[-1] if remaining else self.zero
-        return replace(state, sym_stack=tuple(sym_stack), vec_stack=remaining,
-                       equations=tuple(equations), last_result=result)
+        if genvar:
+            rows = np.array(genvar)
+            every = rows.size == state.rows
+            vec, _ = nm.attention(
+                self.tape, state.h if every else nm.gather(self.tape, state.h, rows),
+                self.encoded.token_matrix, self._p("dec.genvar.v"),
+                self._p("dec.genvar.w"), self._p("dec.genvar.b"), mask=self._token_mask,
+                rows=slice(0, state.rows) if every else rows,
+                dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
+            unknown[rows] = last[rows] = self.buffer.append(vec)
+            self._candidate_rows[rows, self.encoded.n_constants[rows] + 2] = unknown[rows]
+        for op, op_rows in by_op.items():
+            pairs = None
+            if self.config.transformer_mode == "mlp":
+                pairs = self.buffer.gather(
+                    np.array([vec_stacks[r][-2:] for r in op_rows], dtype=np.intp))
+            new = self.buffer.append(semantic_transform(
+                op, pairs, self.registry, self.config.transformer_mode, tape=self.tape))
+            new = new.tolist() * (len(op_rows) // len(new))  # embedding: one vector
+            for r, vec in zip(op_rows, new):
+                vec_stacks[r] = vec_stacks[r][:-2] + (vec,)
+                last[r] = vec
+        return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown,
+                            vec_stacks=tuple(vec_stacks), sym_stacks=tuple(sym_stacks),
+                            equations=tuple(equations))
 
-    def solvable(self, state: DecoderState) -> bool:
-        if not state.equations:
-            return False
-        lhs, rhs = state.equations[-1]
-        return eqlang.has_unknown(lhs) or eqlang.has_unknown(rhs)
+    def solvable(self, state: DecoderState) -> list[bool]:
+        """Per row: the last closed equation mentions the unknown."""
+        return [bool(eqs) and (eqlang.has_unknown(eqs[-1][0])
+                               or eqlang.has_unknown(eqs[-1][1]))
+                for eqs in state.equations]
 
 
-def greedy_decode(encoded: EncodedProblem, problem: PreparedProblem,
+def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
                   registry: ParamRegistry, config: DecoderConfig, *,
                   tape: Tape | None = None,
                   rng: np.random.Generator | None = None) -> DecodeResult:
     """Decode with argmax action/operand choices until solvable or out of budget."""
-    run = DecoderRun(encoded, problem, registry, config, tape=tape,
+    run = DecoderRun(encoded, [problem], registry, config, tape=tape,
                      training=False, rng=rng)
     state = run.initial_state()
     actions: list[StackAction] = []
@@ -459,31 +550,32 @@ def greedy_decode(encoded: EncodedProblem, problem: PreparedProblem,
         state = run.advance(state)
         feats = run.state_features(state)
         dist = run.select_action(feats, state)
-        idx = int(np.argmax(dist.probs))
+        idx = int(np.argmax(dist.probs[0]))
         operand_probs = None
         ref = None
         if idx == PUSH_IDX:
             odist = run.select_operand(feats, state)
-            ref = candidate_index_to_ref(int(np.argmax(odist.probs)),
-                                         odist.n_constants)
-            operand_probs = odist.probs
+            operand_probs = odist.probs[0]
+            ref = candidate_index_to_ref(int(np.argmax(operand_probs)),
+                                         problem.n_constants)
         action = index_to_action(idx, ref)
-        state = run.apply_action(state, action, ref)
+        state = run.apply_action(state, [action])
         actions.append(action)
-        history.append(state.sym_stack)
+        history.append(state.sym_stacks[0])
         trace.append(StepTrace(
-            action_probs=dist.probs, operand_probs=operand_probs,
-            attention=feats.attention_weights, gate_action=feats.gate_action,
-            gate_operand=feats.gate_operand))
-        if run.solvable(state):
+            action_probs=dist.probs[0], operand_probs=operand_probs,
+            attention=None if feats.attention_weights is None else feats.attention_weights[0],
+            gate_action=None if feats.gate_action is None else feats.gate_action[0],
+            gate_operand=None if feats.gate_operand is None else feats.gate_operand[0]))
+        if run.solvable(state)[0]:
             status = "solved"
             break
     answer = None
     if status == "solved":
         try:
-            answer = eqlang.solve(list(state.equations))
+            answer = eqlang.solve(list(state.equations[0]))
         except (eqlang.NonAffine, eqlang.NoUnknown, eqlang.DivisionByZero):
             status = "unsolvable"
-    return DecodeResult(actions=actions, equations=list(state.equations),
+    return DecodeResult(actions=actions, equations=list(state.equations[0]),
                         answer=answer, status=status, trace=trace,
                         stack_history=history)

@@ -7,10 +7,15 @@ whole sequence and keeps the weight rows for export. The external operands
 1 and pi, which equations may need but text never mentions, live as two
 dedicated trainable vectors. A ``fixed`` constant representation (an
 ablation) replaces text-derived vectors with per-slot trainable vectors.
+
+``encode_batch`` runs a whole batch at once as a padded, masked BiLSTM and
+gathers every problem's constant vectors through flat index arrays;
+``encode`` is its one-problem case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,18 +58,17 @@ class EncoderConfig:
 
 
 @dataclass
-class EncodedProblem:
-    token_matrix: Node
-    constant_vectors: list[Node]
+class EncodedBatch:
+    """Encoder outputs for a batch of problems, padded to the longest one."""
+    token_matrix: Node          # (B, T, d); rows past a problem's length are 0
+    token_mask: np.ndarray      # (B, T), True on a problem's own tokens
+    constants: Node             # (K, d): every problem's constants, problem by problem
+    n_constants: np.ndarray     # (B,) constants per problem
     one_vector: Node
     pi_vector: Node
-    final_h: Node
+    final_h: Node               # (B, d)
     final_c: Node
-    self_attention_maps: list[np.ndarray] | None
-
-    @property
-    def n_constants(self) -> int:
-        return len(self.constant_vectors)
+    self_attention_maps: list[np.ndarray] | None  # per constant, over its problem's tokens
 
 
 def build_vocab(token_lists) -> dict[str, int]:
@@ -112,71 +116,77 @@ def encode(problem: PreparedProblem, vocab: dict[str, int],
            registry: ParamRegistry, config: EncoderConfig, *,
            constant_repr: str = "semantic", tape: Tape | None = None,
            training: bool = False,
-           rng: np.random.Generator | None = None) -> EncodedProblem:
-    """Run the bidirectional recurrence and extract per-constant vectors."""
-    m = len(problem.tokens)
-    if m == 0:
+           rng: np.random.Generator | None = None) -> EncodedBatch:
+    """Encode one problem: ``encode_batch`` of a batch of one."""
+    return encode_batch([problem], vocab, registry, config,
+                        constant_repr=constant_repr, tape=tape,
+                        training=training, rng=rng)
+
+
+def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
+                 registry: ParamRegistry, config: EncoderConfig, *,
+                 constant_repr: str = "semantic", tape: Tape | None = None,
+                 training: bool = False,
+                 rng: np.random.Generator | None = None) -> EncodedBatch:
+    """Run the bidirectional recurrence over a padded batch and extract the
+    constant vectors of every problem."""
+    lengths = np.array([len(p.tokens) for p in problems], dtype=np.intp)
+    if lengths.size == 0 or lengths.min() == 0:
         raise EmptyProblem("cannot encode a problem with no tokens")
-    h_dir = config.hidden_per_direction
+    n_constants = np.array([p.n_constants for p in problems], dtype=np.intp)
+    if constant_repr == "fixed" and n_constants.max() > FIXED_SLOT_LIMIT:
+        raise TooManyConstants(
+            f"{n_constants.max()} constants exceed the {FIXED_SLOT_LIMIT} fixed slots")
 
-    table = nm.param(tape, registry, "enc.embed")
-    embeds = [nm.embedding_row(tape, table, vocab.get(tok, UNK_ID))
-              for tok in problem.tokens]
+    ids = np.full((len(problems), lengths.max()), UNK_ID, dtype=np.intp)
+    for row, problem in enumerate(problems):
+        ids[row, :lengths[row]] = [vocab.get(tok, UNK_ID) for tok in problem.tokens]
+    mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+    embeds = nm.gather(tape, nm.param(tape, registry, "enc.embed"), ids)
 
-    def run_direction(xs, prefix):
-        wx = nm.param(tape, registry, f"enc.{prefix}.wx")
-        wh = nm.param(tape, registry, f"enc.{prefix}.wh")
-        b = nm.param(tape, registry, f"enc.{prefix}.b")
-        h = nm.constant(np.zeros(h_dir))
-        c = nm.constant(np.zeros(h_dir))
-        states = []
-        for x in xs:
-            h, c = nm.lstm_cell(tape, x, h, c, wx, wh, b)
-            states.append(h)
-        return states, c
+    def run_direction(prefix, reverse):
+        return nm.lstm_sequence(
+            tape, embeds, lengths, nm.param(tape, registry, f"enc.{prefix}.wx"),
+            nm.param(tape, registry, f"enc.{prefix}.wh"),
+            nm.param(tape, registry, f"enc.{prefix}.b"), reverse=reverse)
 
-    fwd_states, fwd_cell = run_direction(embeds, "fwd")
-    bwd_states_rev, bwd_cell = run_direction(list(reversed(embeds)), "bwd")
-    bwd_states = list(reversed(bwd_states_rev))
+    fwd_states, fwd_h, fwd_c = run_direction("fwd", False)
+    bwd_states, bwd_h, bwd_c = run_direction("bwd", True)
+    token_matrix = nm.concat(tape, [fwd_states, bwd_states])
 
-    token_states = [nm.concat(tape, [f, bwd]) for f, bwd in zip(fwd_states, bwd_states)]
-    token_matrix = nm.rows_stack(tape, token_states)
-
+    owner = np.repeat(np.arange(len(problems)), n_constants)
     attention_maps = None
     if constant_repr == "fixed":
-        if problem.n_constants > FIXED_SLOT_LIMIT:
-            raise TooManyConstants(
-                f"{problem.n_constants} constants exceed the {FIXED_SLOT_LIMIT} fixed slots")
-        slots = nm.param(tape, registry, "enc.const_slots")
-        constant_vectors = [nm.embedding_row(tape, slots, i)
-                            for i in range(problem.n_constants)]
-    elif config.constant_mode == "self_attention":
-        v = nm.param(tape, registry, "enc.selfattn.v")
-        w = nm.param(tape, registry, "enc.selfattn.w")
-        b = nm.param(tape, registry, "enc.selfattn.b")
-        pre = nm.attention_pre(tape, w, token_matrix, config.dim)
-        constant_vectors = []
-        attention_maps = []
-        for p in problem.constant_positions:
-            ctx, weights = nm.attention(tape, token_states[p], token_matrix, v, w, b,
-                                        pre=pre, dropout_p=config.dropout_p,
-                                        training=training, rng=rng)
-            constant_vectors.append(ctx)
-            attention_maps.append(weights.value.copy())
+        slots = np.concatenate([np.arange(n) for n in n_constants])
+        constants = nm.gather(tape, nm.param(tape, registry, "enc.const_slots"), slots)
     else:
-        constant_vectors = [token_states[p] for p in problem.constant_positions]
+        positions = np.array([i for p in problems for i in p.constant_positions],
+                             dtype=np.intp)
+        constants = nm.gather(tape, token_matrix, (owner, positions))
+        if config.constant_mode == "self_attention":
+            constants, weights = nm.attention(
+                tape, constants, token_matrix,
+                nm.param(tape, registry, "enc.selfattn.v"),
+                nm.param(tape, registry, "enc.selfattn.w"),
+                nm.param(tape, registry, "enc.selfattn.b"),
+                mask=mask, rows=owner, dropout_p=config.dropout_p,
+                training=training, rng=rng)
+            attention_maps = [weights.value[k, :lengths[row]].copy()
+                              for k, row in enumerate(owner)]
 
-    enc_h = nm.concat(tape, [fwd_states[-1], bwd_states[0]])
-    enc_c = nm.concat(tape, [fwd_cell, bwd_cell])
-    final_h = nm.affine(tape, nm.param(tape, registry, "enc.init_h.w"), enc_h,
+    enc_h = nm.concat(tape, [fwd_h, bwd_h])
+    enc_c = nm.concat(tape, [fwd_c, bwd_c])
+    final_h = nm.linear(tape, enc_h, nm.param(tape, registry, "enc.init_h.w"),
                         nm.param(tape, registry, "enc.init_h.b"))
-    final_c = nm.affine(tape, nm.param(tape, registry, "enc.init_c.w"), enc_c,
+    final_c = nm.linear(tape, enc_c, nm.param(tape, registry, "enc.init_c.w"),
                         nm.param(tape, registry, "enc.init_c.b"))
 
     one_vec, pi_vec = external_constant_vectors(registry, tape)
-    return EncodedProblem(
+    return EncodedBatch(
         token_matrix=token_matrix,
-        constant_vectors=constant_vectors,
+        token_mask=mask,
+        constants=constants,
+        n_constants=n_constants,
         one_vector=one_vec,
         pi_vector=pi_vec,
         final_h=final_h,

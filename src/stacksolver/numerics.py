@@ -4,8 +4,14 @@ Everything runs in float64. A ``Tape`` records one backward closure per
 executed op, in execution order; ``Tape.backward`` replays them reversed,
 accumulating gradients additively so fan-out just works. Trainable tensors
 live in a ``ParamRegistry`` keyed by name; leaf nodes for parameters are
-memoized per tape and their gradients are flushed into the registry after
-the backward sweep.
+memoized per tape and their gradients are flushed into the registry once,
+after the backward sweep.
+
+Ops act on the last axis and treat any leading axes as rows, so one op call
+serves a whole batch of problems. Whole recurrences and attention reads are
+fused ops with a single backward closure each, which keeps only what that
+closure needs (dropout masks are kept as booleans). ``RowBuffer`` is the
+append-only vector store behind the decoder's pointer stacks.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
 recorded, so closures are never built). Node values must never be mutated
@@ -35,6 +41,11 @@ class IndexOutOfRange(IndexError):
 
 class NonFiniteValue(ArithmeticError):
     """A loss or gradient norm is NaN or infinite."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint is not an archive, is cut short or padded, or does not
+    hold the parameters its model description registers."""
 
 
 class Node:
@@ -124,10 +135,14 @@ class Tape:
         return node
 
     def backward(self, root: Node) -> None:
-        """Reverse sweep from ``root``; flushes parameter grads into registries."""
+        """Reverse sweep from ``root``; flushes parameter grads into registries.
+
+        Each closure is dropped once it has run, so the intermediate values
+        that only it referred to are freed during the sweep."""
         root.grad = np.ones_like(root.value)
-        for back in reversed(self._backs):
-            back()
+        backs, self._backs = self._backs, []
+        while backs:
+            backs.pop()()
         for name, (registry, node) in self._params.items():
             if node.grad is not None:
                 registry.grads[name] += node.grad
@@ -149,6 +164,14 @@ def uniform_init(rng: np.random.Generator, shape, scale: float = 0.08) -> np.nda
 
 # ---------------------------------------------------------------------------
 # elementwise / structural primitives
+
+
+def _scatter(grad: np.ndarray, idx, g: np.ndarray) -> None:
+    """grad[idx] += g, summing over repeated indices."""
+    if isinstance(idx, slice):
+        grad[idx] += g
+    else:
+        np.add.at(grad, idx, g)
 
 
 def add(tape: Tape | None, a: Node, b: Node) -> Node:
@@ -192,10 +215,15 @@ def tanh(tape: Tape | None, x: Node) -> Node:
     return out
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic of the LSTM gates; an overflowing exp gives exactly 0."""
+    return 1.0 / (1.0 + np.exp(-v))
+
+
 def sigmoid(tape: Tape | None, x: Node) -> Node:
     v = x.value
-    out = Node(np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v)))))
+    e = np.exp(-np.abs(v))  # stable on both sides of 0
+    out = Node(np.where(v >= 0, 1.0, e) / (1.0 + e))
     if tape is not None:
         def back():
             if out.grad is None:
@@ -217,50 +245,25 @@ def relu(tape: Tape | None, x: Node) -> Node:
 
 
 def concat(tape: Tape | None, parts: Sequence[Node]) -> Node:
+    """Concatenation along the last axis."""
     if not parts:
         raise EmptyCandidates("concat of no nodes")
-    out = Node(np.concatenate([p.value for p in parts]))
+    out = Node(np.concatenate([p.value for p in parts], axis=-1))
     if tape is not None:
-        sizes = [p.value.shape[0] for p in parts]
+        sizes = [p.value.shape[-1] for p in parts]
         def back():
             if out.grad is None:
                 return
             off = 0
             for p, sz in zip(parts, sizes):
-                _acc(p, out.grad[off:off + sz])
+                _acc(p, out.grad[..., off:off + sz])
                 off += sz
         tape.record(back)
     return out
 
 
-def cols(tape: Tape | None, m: Node, lo: int, hi: int) -> Node:
-    out = Node(m.value[:, lo:hi])
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            if m.grad is None:
-                m.grad = np.zeros_like(m.value)
-            m.grad[:, lo:hi] += out.grad
-        tape.record(back)
-    return out
-
-
-def rows_stack(tape: Tape | None, rows: Sequence[Node]) -> Node:
-    if not rows:
-        raise EmptyCandidates("rows_stack of no nodes")
-    out = Node(np.stack([r.value for r in rows]))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            for i, r in enumerate(rows):
-                _acc(r, out.grad[i])
-        tape.record(back)
-    return out
-
-
-def gather(tape: Tape | None, x: Node, idx: np.ndarray) -> Node:
+def gather(tape: Tape | None, x: Node, idx) -> Node:
+    """``x[idx]`` for an index array, a tuple of index arrays or a slice."""
     out = Node(x.value[idx])
     if tape is not None:
         def back():
@@ -268,7 +271,7 @@ def gather(tape: Tape | None, x: Node, idx: np.ndarray) -> Node:
                 return
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
-            np.add.at(x.grad, idx, out.grad)
+            _scatter(x.grad, idx, out.grad)
         tape.record(back)
     return out
 
@@ -276,7 +279,7 @@ def gather(tape: Tape | None, x: Node, idx: np.ndarray) -> Node:
 def dot(tape: Tape | None, a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeMismatch(f"dot: {a.value.shape} vs {b.value.shape}")
-    out = Node(np.asarray(a.value @ b.value))
+    out = Node(np.asarray(a.value.ravel() @ b.value.ravel()))
     if tape is not None:
         def back():
             if out.grad is None:
@@ -287,152 +290,176 @@ def dot(tape: Tape | None, a: Node, b: Node) -> Node:
     return out
 
 
+class RowBuffer:
+    """Append-only store of d-vectors that later ops read back by index.
+
+    ``append`` copies a node's rows in and returns their indices; ``gather``
+    reads any rows back as one node, so a stack of vectors is a set of
+    pointers into the buffer. Gathers add their gradients into one
+    buffer-wide array; the backward closure of an append runs after those of
+    every later gather and hands its rows' share to the appended node.
+    """
+
+    def __init__(self, tape: Tape | None, dim: int, capacity: int = 16):
+        self.tape = tape
+        self.value = np.zeros((capacity, dim))
+        self.size = 0
+        self.grad: np.ndarray | None = None
+
+    def append(self, node: Node) -> np.ndarray:
+        dim = self.value.shape[1]
+        rows = node.value.reshape(-1, dim)
+        lo, hi = self.size, self.size + rows.shape[0]
+        if hi > self.value.shape[0]:
+            grown = np.zeros((max(hi, 2 * self.value.shape[0]), dim))
+            grown[:lo] = self.value[:lo]
+            self.value = grown  # earlier gathers hold copies, not views
+        self.value[lo:hi] = rows
+        self.size = hi
+        if self.tape is not None:
+            def back():
+                if self.grad is not None:
+                    _acc(node, self.grad[lo:hi].reshape(node.value.shape))
+            self.tape.record(back)
+        return np.arange(lo, hi)
+
+    def gather(self, idx: np.ndarray) -> Node:
+        """Rows ``idx``; the vectors named along its last axis are concatenated."""
+        dim = self.value.shape[1]
+        out = Node(self.value[idx].reshape(idx.shape[:-1] + (idx.shape[-1] * dim,)))
+        if self.tape is not None:
+            def back():
+                if out.grad is None:
+                    return
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.value)
+                np.add.at(self.grad, idx.ravel(), out.grad.reshape(-1, dim))
+            self.tape.record(back)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # linear algebra primitives
 
 
-def matvec(tape: Tape | None, m: Node, v: Node) -> Node:
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.value.shape[1] != v.value.shape[0]:
-        raise ShapeMismatch(f"matvec: {m.value.shape} @ {v.value.shape}")
-    out = Node(m.value @ v.value)
+def linear(tape: Tape | None, x: Node, w: Node, b: Node) -> Node:
+    """x @ W.T + b for a (n, k) matrix W, over the last axis of x."""
+    if (w.value.ndim != 2 or x.value.shape[-1] != w.value.shape[1]
+            or b.value.shape != w.value.shape[:1]):
+        raise ShapeMismatch(f"linear: {x.value.shape} @ {w.value.shape}.T + {b.value.shape}")
+    y = np.dot(x.value, w.value.T)
+    y += b.value
+    out = Node(y)
     if tape is not None:
         def back():
-            if out.grad is None:
+            g = out.grad
+            if g is None:
                 return
-            _acc(m, np.outer(out.grad, v.value))
-            _acc(v, m.value.T @ out.grad)
+            g2 = g.reshape(-1, g.shape[-1])
+            _acc(w, g2.T @ x.value.reshape(-1, x.value.shape[-1]))
+            _acc(b, g2.sum(axis=0))
+            _acc(x, g @ w.value)
         tape.record(back)
     return out
-
-
-def matvec_t(tape: Tape | None, m: Node, v: Node) -> Node:
-    """M.T @ v for a (k, n) matrix and length-k vector."""
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.value.shape[0] != v.value.shape[0]:
-        raise ShapeMismatch(f"matvec_t: {m.value.shape}.T @ {v.value.shape}")
-    out = Node(m.value.T @ v.value)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(m, np.outer(v.value, out.grad))
-            _acc(v, m.value @ out.grad)
-        tape.record(back)
-    return out
-
-
-def matmul_nt(tape: Tape | None, a: Node, b: Node) -> Node:
-    """A @ B.T for (k, n) and (j, n) matrices."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
-        raise ShapeMismatch(f"matmul_nt: {a.value.shape} @ {b.value.shape}.T")
-    out = Node(a.value @ b.value.T)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(a, out.grad @ b.value)
-            _acc(b, out.grad.T @ a.value)
-        tape.record(back)
-    return out
-
-
-def add_col(tape: Tape | None, m: Node, v: Node) -> Node:
-    """M + v[:, None] column broadcast."""
-    if m.value.shape[0] != v.value.shape[0]:
-        raise ShapeMismatch(f"add_col: {m.value.shape} + {v.value.shape}")
-    out = Node(m.value + v.value[:, None])
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(m, out.grad)
-            _acc(v, out.grad.sum(axis=1))
-        tape.record(back)
-    return out
-
-
-def affine(tape: Tape | None, w: Node, x: Node, b: Node) -> Node:
-    return add(tape, matvec(tape, w, x), b)
 
 
 # ---------------------------------------------------------------------------
 # probability ops
 
 
-def softmax(tape: Tape | None, x: Node) -> Node:
-    z = x.value - x.value.max()
-    e = np.exp(z)
-    p = e / e.sum()
+def masked_softmax(z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis; entries where ``mask`` is False get exactly 0."""
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def softmax(tape: Tape | None, x: Node, mask: np.ndarray | None = None) -> Node:
+    p = masked_softmax(x.value, mask)
     out = Node(p)
     if tape is not None:
         def back():
             if out.grad is None:
                 return
             g = out.grad
-            _acc(x, p * (g - (g * p).sum()))
+            _acc(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
         tape.record(back)
     return out
 
 
-def softmax_cross_entropy(tape: Tape | None, logits: Node, target: int) -> tuple[Node, np.ndarray]:
-    """Stabilized -log softmax(logits)[target]; also returns the probabilities."""
-    n = logits.value.shape[0]
-    if not 0 <= target < n:
-        raise IndexOutOfRange(f"target {target} out of range for {n} logits")
-    z = logits.value - logits.value.max()
-    lse = np.log(np.exp(z).sum())
-    p = np.exp(z - lse)
-    loss = Node(np.asarray(lse - z[target]))
+def softmax_cross_entropy(tape: Tape | None, logits: Node, targets,
+                          mask: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
+    """Stabilized -log softmax(logits)[target], summed over rows; also returns
+    the probabilities. Entries where ``mask`` is False are left out of the
+    softmax. ``targets`` holds one index per row (an int for one row)."""
+    shape = logits.value.shape
+    n = shape[-1]
+    z = logits.value.reshape(-1, n)
+    t = np.asarray(targets, dtype=np.intp).reshape(-1)
+    if t.shape[0] != z.shape[0]:
+        raise ShapeMismatch(f"{t.shape[0]} targets for {z.shape[0]} rows of logits")
+    if np.any((t < 0) | (t >= n)):
+        raise IndexOutOfRange(f"targets {t.tolist()} out of range for {n} logits")
+    rows = np.arange(t.shape[0])
+    if mask is not None:
+        mask = mask.reshape(-1, n)
+        if not mask[rows, t].all():
+            raise IndexOutOfRange("a target is masked")
+        z = np.where(mask, z, -np.inf)
+    z = z - z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    p = np.exp(z - lse[:, None])
+    loss = Node(np.asarray((lse - z[rows, t]).sum()))
     if tape is not None:
         def back():
             if loss.grad is None:
                 return
             g = p.copy()
-            g[target] -= 1.0
-            _acc(logits, g * loss.grad)
+            g[rows, t] -= 1.0
+            _acc(logits, (g * loss.grad).reshape(shape))
         tape.record(back)
-    return loss, p
+    return loss, p.reshape(shape)
+
+
+def _keep_mask(shape, p: float, training: bool,
+               rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout keep mask, or None when dropout is off."""
+    if not training or p <= 0.0:
+        return None
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    if rng is None:
+        raise ValueError("dropout in training mode needs an rng")
+    return rng.random(shape) >= p
 
 
 def dropout(tape: Tape | None, x: Node, p: float, training: bool,
             rng: np.random.Generator | None) -> Node:
     """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
+    keep = _keep_mask(x.value.shape, p, training, rng)
+    if keep is None:
         return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.value.shape) >= p) / (1.0 - p)
-    out = Node(x.value * keep)
+    scale = 1.0 / (1.0 - p)
+    out = Node(x.value * scale * keep)
     if tape is not None:
         def back():
             if out.grad is None:
                 return
-            _acc(x, out.grad * keep)
-        tape.record(back)
-    return out
-
-
-def embedding_row(tape: Tape | None, table: Node, idx: int) -> Node:
-    out = Node(table.value[idx])
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.value)
-            table.grad[idx] += out.grad
+            _acc(x, out.grad * scale * keep)
         tape.record(back)
     return out
 
 
 def gate_blocks(tape: Tape | None, gates: Node, blocks: Sequence[Node]) -> Node:
-    """Concat of gates[k] * blocks[k]; one scalar gate scales one whole block."""
-    if gates.value.shape[0] != len(blocks):
-        raise ShapeMismatch(f"{gates.value.shape[0]} gates for {len(blocks)} blocks")
-    out = Node(np.concatenate([gates.value[k] * blk.value for k, blk in enumerate(blocks)]))
+    """Concat of gates[..., k] * blocks[k]; one scalar gate scales one whole block."""
+    if gates.value.shape[-1] != len(blocks):
+        raise ShapeMismatch(f"{gates.value.shape[-1]} gates for {len(blocks)} blocks")
+    out = Node(np.concatenate([gates.value[..., k:k + 1] * blk.value
+                               for k, blk in enumerate(blocks)], axis=-1))
     if tape is not None:
-        sizes = [blk.value.shape[0] for blk in blocks]
+        sizes = [blk.value.shape[-1] for blk in blocks]
         def back():
             if out.grad is None:
                 return
@@ -440,112 +467,255 @@ def gate_blocks(tape: Tape | None, gates: Node, blocks: Sequence[Node]) -> Node:
                 gates.grad = np.zeros_like(gates.value)
             off = 0
             for k, (blk, sz) in enumerate(zip(blocks, sizes)):
-                sl = out.grad[off:off + sz]
-                gates.grad[k] += sl @ blk.value
-                _acc(blk, gates.value[k] * sl)
+                sl = out.grad[..., off:off + sz]
+                gates.grad[..., k] += (sl * blk.value).sum(axis=-1)
+                _acc(blk, gates.value[..., k:k + 1] * sl)
                 off += sz
         tape.record(back)
     return out
 
 
 # ---------------------------------------------------------------------------
-# composed network pieces
+# recurrences
+
+
+def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
+    """Gate activations [i f o g], new cell and new hidden state from z."""
+    hidden = z.shape[-1] // 4
+    acts = np.empty_like(z)
+    acts[..., :3 * hidden] = _sigmoid(z[..., :3 * hidden])
+    acts[..., 3 * hidden:] = np.tanh(z[..., 3 * hidden:])
+    c = acts[..., hidden:2 * hidden] * c_prev + acts[..., :hidden] * acts[..., 3 * hidden:]
+    return acts, c, acts[..., 2 * hidden:3 * hidden] * np.tanh(c)
+
+
+def _lstm_gates_back(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray,
+                     c_prev: np.ndarray, c: np.ndarray):
+    """Gradient on z and on the previous cell from gradients on (h, c)."""
+    hidden = acts.shape[-1] // 4
+    gi, gf = acts[..., :hidden], acts[..., hidden:2 * hidden]
+    go, gg = acts[..., 2 * hidden:3 * hidden], acts[..., 3 * hidden:]
+    tc = np.tanh(c)
+    dc_tot = dc + dh * go * (1.0 - tc * tc)
+    dz = np.concatenate([
+        dc_tot * gg * gi * (1.0 - gi),
+        dc_tot * c_prev * gf * (1.0 - gf),
+        dh * tc * go * (1.0 - go),
+        dc_tot * gi * (1.0 - gg * gg),
+    ], axis=-1)
+    return dz, dc_tot * gf
+
+
+def _check_lstm(x_dim: int, hidden: int, wx: Node, wh: Node, b: Node, what: str) -> None:
+    if (wx.value.shape != (4 * hidden, x_dim) or wh.value.shape != (4 * hidden, hidden)
+            or b.value.shape != (4 * hidden,)):
+        raise ShapeMismatch(f"{what}: input {x_dim}, hidden {hidden}, wx{wx.value.shape} "
+                            f"wh{wh.value.shape} b{b.value.shape}")
 
 
 def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
               wx: Node, wh: Node, b: Node) -> tuple[Node, Node]:
-    """Single fused LSTM cell step: gates i, f, o, g; returns (h', c')."""
-    hidden = h.value.shape[0]
-    if (wx.value.shape[0] != 4 * hidden or wh.value.shape != (4 * hidden, hidden)
-            or b.value.shape[0] != 4 * hidden or wx.value.shape[1] != x.value.shape[0]
-            or c.value.shape[0] != hidden):
-        raise ShapeMismatch(
-            f"lstm_cell: x{x.value.shape} h{h.value.shape} c{c.value.shape} "
-            f"wx{wx.value.shape} wh{wh.value.shape} b{b.value.shape}")
-    z = wx.value @ x.value + wh.value @ h.value + b.value
-    zi, zf, zo, zg = z[:hidden], z[hidden:2 * hidden], z[2 * hidden:3 * hidden], z[3 * hidden:]
-    gi = 1.0 / (1.0 + np.exp(-zi))
-    gf = 1.0 / (1.0 + np.exp(-zf))
-    go = 1.0 / (1.0 + np.exp(-zo))
-    gg = np.tanh(zg)
-    cn_val = gf * c.value + gi * gg
-    tc = np.tanh(cn_val)
-    hn = Node(go * tc)
+    """One LSTM step (gates i, f, o, g) for one row or a batch of rows; returns (h', c')."""
+    hidden = h.value.shape[-1]
+    _check_lstm(x.value.shape[-1], hidden, wx, wh, b, "lstm_cell")
+    if c.value.shape != h.value.shape or x.value.shape[:-1] != h.value.shape[:-1]:
+        raise ShapeMismatch(f"lstm_cell: x{x.value.shape} h{h.value.shape} c{c.value.shape}")
+    z = np.dot(x.value, wx.value.T) + np.dot(h.value, wh.value.T) + b.value
+    acts, cn_val, hn_val = _lstm_gates(z, c.value)
+    hn = Node(hn_val)
     cn = Node(cn_val)
     if tape is not None:
         def back():
-            dh = hn.grad
-            dc = cn.grad
-            if dh is None and dc is None:
+            if hn.grad is None and cn.grad is None:
                 return
-            dc_tot = np.zeros_like(cn_val) if dc is None else dc.copy()
-            if dh is not None:
-                dc_tot += dh * go * (1.0 - tc * tc)
-                do = dh * tc
-            else:
-                do = np.zeros_like(go)
-            di = dc_tot * gg
-            df = dc_tot * c.value
-            dg = dc_tot * gi
-            dz = np.concatenate([
-                di * gi * (1.0 - gi),
-                df * gf * (1.0 - gf),
-                do * go * (1.0 - go),
-                dg * (1.0 - gg * gg),
-            ])
-            _acc(wx, np.outer(dz, x.value))
-            _acc(wh, np.outer(dz, h.value))
-            _acc(b, dz)
-            _acc(x, wx.value.T @ dz)
-            _acc(h, wh.value.T @ dz)
-            _acc(c, dc_tot * gf)
+            zero = np.zeros_like(cn_val)
+            dz, dc_prev = _lstm_gates_back(
+                zero if hn.grad is None else hn.grad,
+                zero if cn.grad is None else cn.grad, acts, c.value, cn_val)
+            dz2 = dz.reshape(-1, dz.shape[-1])
+            _acc(wx, dz2.T @ x.value.reshape(-1, x.value.shape[-1]))
+            _acc(wh, dz2.T @ h.value.reshape(-1, hidden))
+            _acc(b, dz2.sum(axis=0))
+            _acc(x, dz @ wx.value)
+            _acc(h, dz @ wh.value)
+            _acc(c, dc_prev)
         tape.record(back)
     return hn, cn
 
 
-def attention_pre(tape: Tape | None, w: Node, vmat: Node, query_dim: int) -> Node:
-    """Candidate-side half of the attention hidden layer, reusable across steps."""
-    wv = cols(tape, w, query_dim, w.value.shape[1])
-    return matmul_nt(tape, wv, vmat)
+def lstm_sequence(tape: Tape | None, x: Node, lengths: np.ndarray, wx: Node,
+                  wh: Node, b: Node, *, reverse: bool = False
+                  ) -> tuple[Node, Node, Node]:
+    """One LSTM direction over a padded batch, with one backward closure.
+
+    ``x`` is (B, T, k) and row r's tokens are ``x[r, :lengths[r]]``. Returns
+    the hidden states (B, T, h), zero past each row's length, and the final
+    (h, c) of each row: after its last token, or with ``reverse`` (which
+    starts at each row's last token) after its first. The input projection
+    of every token is one matrix product, and so are the weight gradients.
+    """
+    n_rows, steps, x_dim = x.value.shape
+    hidden = wh.value.shape[1]
+    _check_lstm(x_dim, hidden, wx, wh, b, "lstm_sequence")
+    live = (np.arange(steps)[None, :] < np.asarray(lengths)[:, None])[:, :, None]
+    xz = (x.value.reshape(-1, x_dim) @ wx.value.T + b.value).reshape(n_rows, steps, -1)
+    acts = np.empty_like(xz)
+    hs = np.zeros((n_rows, steps + 1, hidden))  # column `steps` is the zero start
+    cs = np.zeros((n_rows, steps + 1, hidden))
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    prev = steps
+    for t in order:
+        z = xz[:, t] + np.dot(hs[:, prev], wh.value.T)
+        acts[:, t], c, h = _lstm_gates(z, cs[:, prev])
+        # a padded step leaves the zero state, so the reverse pass starts at
+        # each row's last token, and the forward pass's padding is never read
+        cs[:, t] = np.where(live[:, t], c, 0.0)
+        hs[:, t] = np.where(live[:, t], h, 0.0)
+        prev = t
+    if reverse:
+        last = np.zeros(n_rows, dtype=np.intp)
+    else:
+        last = np.asarray(lengths) - 1
+    rows = np.arange(n_rows)
+    out = Node(hs[:, :steps])
+    h_last = Node(hs[rows, last])
+    c_last = Node(cs[rows, last])
+    if tape is not None:
+        def back():
+            if out.grad is None and h_last.grad is None and c_last.grad is None:
+                return
+            dh_out = np.zeros((n_rows, steps, hidden)) if out.grad is None else out.grad.copy()
+            dc_out = np.zeros((n_rows, steps, hidden))
+            if h_last.grad is not None:
+                dh_out[rows, last] += h_last.grad
+            if c_last.grad is not None:
+                dc_out[rows, last] += c_last.grad
+            dz_all = np.zeros_like(acts)
+            dh = np.zeros((n_rows, hidden))
+            dc = np.zeros((n_rows, hidden))
+            for t in reversed(order):
+                prev = t + 1 if reverse else t - 1
+                dh, dc = dh + dh_out[:, t], dc + dc_out[:, t]
+                dh = np.where(live[:, t], dh, 0.0)
+                dc = np.where(live[:, t], dc, 0.0)
+                dz_all[:, t], dc = _lstm_gates_back(dh, dc, acts[:, t],
+                                                    cs[:, prev], cs[:, t])
+                dh = dz_all[:, t] @ wh.value
+            h_prev = hs[:, 1:] if reverse else hs[:, np.arange(-1, steps - 1)]
+            dz2 = dz_all.reshape(-1, 4 * hidden)
+            _acc(wx, dz2.T @ x.value.reshape(-1, x_dim))
+            _acc(wh, dz2.T @ h_prev.reshape(-1, hidden))
+            _acc(b, dz2.sum(axis=0))
+            _acc(x, (dz2 @ wx.value).reshape(x.value.shape))
+        tape.record(back)
+    return out, h_last, c_last
 
 
-def _as_matrix(tape: Tape | None, candidates) -> Node:
-    if isinstance(candidates, Node):
-        if candidates.value.shape[0] == 0:
-            raise EmptyCandidates("attention over zero candidates")
-        return candidates
-    if len(candidates) == 0:
-        raise EmptyCandidates("attention over zero candidates")
-    return rows_stack(tape, candidates)
+# ---------------------------------------------------------------------------
+# attention
 
 
-def attention_scores(tape: Tape | None, u: Node, candidates, w_score: Node,
-                     w: Node, b: Node, *, pre: Node | None = None,
-                     dropout_p: float = 0.0, training: bool = False,
+def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Node:
+    """Key half of the attention hidden layer, keys @ W[:, query_dim:].T;
+    computed once and reused by every query over the same keys."""
+    w_keys = w.value[:, query_dim:]  # a view: `@` reads it in place, np.dot would copy
+    if keys.value.shape[-1] != w_keys.shape[1]:
+        raise ShapeMismatch(f"attention_pre: keys {keys.value.shape} for W {w.value.shape}")
+    out = Node(keys.value @ w_keys.T)
+    if tape is not None:
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            if w.grad is None:
+                w.grad = np.zeros_like(w.value)
+            w.grad[:, query_dim:] += (g.reshape(-1, g.shape[-1]).T
+                                      @ keys.value.reshape(-1, w_keys.shape[1]))
+            _acc(keys, g @ w_keys)
+        tape.record(back)
+    return out
+
+
+def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
+                     w: Node, b: Node, rows=slice(None), *, dropout_p: float = 0.0,
+                     training: bool = False,
                      rng: np.random.Generator | None = None) -> Node:
-    """Additive attention scores w_score . tanh(W [u; v_i] + b) for each candidate."""
-    vmat = _as_matrix(tape, candidates)
-    du = u.value.shape[0]
+    """Additive scores w_score . tanh(W [u_r; k_rc] + b), one row per query.
+
+    ``pre`` is ``attention_pre`` of the keys, (B, C, d); query row r scores
+    the keys of ``pre[rows][r]``. Dropout acts on the hidden layer.
+    """
+    query_dim = query.value.shape[-1]
+    w_query = w.value[:, :query_dim]
+    pre_rows = pre.value[rows]
+    if pre_rows.shape[0] != query.value.shape[0]:
+        raise ShapeMismatch(f"{query.value.shape[0]} queries for {pre_rows.shape[0]} key rows")
+    hidden = np.tanh(pre_rows + (query.value @ w_query.T + b.value)[:, None, :])
+    keep = _keep_mask(hidden.shape, dropout_p, training, rng)
+    scale = 1.0 if keep is None else 1.0 / (1.0 - dropout_p)
+
+    def dropped():  # recomputed in backward rather than kept alive
+        return hidden if keep is None else hidden * scale * keep
+
+    n_rows, n_keys, width = hidden.shape
+    out = Node((dropped().reshape(-1, width) @ w_score.value).reshape(n_rows, n_keys))
+    if tape is not None:
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            _acc(w_score, g.reshape(-1) @ dropped().reshape(-1, width))
+            d_hidden = g[:, :, None] * w_score.value
+            if keep is not None:
+                d_hidden = d_hidden * scale * keep
+            dz = d_hidden * (1.0 - hidden * hidden)
+            if pre.grad is None:
+                pre.grad = np.zeros_like(pre.value)
+            _scatter(pre.grad, rows, dz)
+            da = dz.sum(axis=1)
+            if w.grad is None:
+                w.grad = np.zeros_like(w.value)
+            w.grad[:, :query_dim] += da.T @ query.value
+            _acc(b, da.sum(axis=0))
+            _acc(query, da @ w_query)
+        tape.record(back)
+    return out
+
+
+def attend(tape: Tape | None, weights: Node, keys: Node, rows=slice(None)) -> Node:
+    """Weighted sums of key vectors: row r is sum_c weights[r, c] keys[rows][r, c]."""
+    out = Node((weights.value[:, None, :] @ keys.value[rows])[:, 0])
+    if tape is not None:
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            _acc(weights, (keys.value[rows] @ g[:, :, None])[:, :, 0])
+            if keys.grad is None:
+                keys.grad = np.zeros_like(keys.value)
+            _scatter(keys.grad, rows, weights.value[:, :, None] * g[:, None, :])
+        tape.record(back)
+    return out
+
+
+def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node,
+              b: Node, *, mask: np.ndarray | None = None, pre: Node | None = None,
+              rows=slice(None), dropout_p: float = 0.0, training: bool = False,
+              rng: np.random.Generator | None = None) -> tuple[Node, Node]:
+    """Soft attention read of each query row over its row of ``keys``.
+
+    ``keys`` is (B, C, dk) with ``mask`` (B, C) marking real entries; query
+    row r reads ``keys[rows][r]``. Masked entries get exactly 0 weight.
+    Returns (context vectors, weight distributions).
+    """
+    if keys.value.shape[1] == 0:
+        raise EmptyCandidates("attention over zero candidates")
     if pre is None:
-        pre = attention_pre(tape, w, vmat, du)
-    wu = cols(tape, w, 0, du)
-    a = affine(tape, wu, u, b)
-    hidden = tanh(tape, add_col(tape, pre, a))
-    hidden = dropout(tape, hidden, dropout_p, training, rng)
-    return matvec_t(tape, hidden, w_score)
-
-
-def attention(tape: Tape | None, u: Node, candidates, w_score: Node, w: Node,
-              b: Node, *, pre: Node | None = None, dropout_p: float = 0.0,
-              training: bool = False, rng: np.random.Generator | None = None
-              ) -> tuple[Node, Node]:
-    """Soft attention read; returns (context vector, weight distribution node)."""
-    vmat = _as_matrix(tape, candidates)
-    scores = attention_scores(tape, u, vmat, w_score, w, b, pre=pre,
+        pre = attention_pre(tape, w, keys, query.value.shape[-1])
+    scores = attention_scores(tape, query, pre, w_score, w, b, rows,
                               dropout_p=dropout_p, training=training, rng=rng)
-    weights = softmax(tape, scores)
-    context = matvec_t(tape, vmat, weights)
-    return context, weights
+    weights = softmax(tape, scores, None if mask is None else mask[rows])
+    return attend(tape, weights, keys, rows), weights
 
 
 def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,
@@ -553,9 +723,9 @@ def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,
                      training: bool = False,
                      rng: np.random.Generator | None = None) -> Node:
     """One-hidden-layer ReLU scorer: W2 relu(W1 x + b1) + b2."""
-    hidden = relu(tape, affine(tape, w1, x, b1))
+    hidden = relu(tape, linear(tape, x, w1, b1))
     hidden = dropout(tape, hidden, hidden_dropout, training, rng)
-    return affine(tape, w2, hidden, b2)
+    return linear(tape, hidden, w2, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -705,38 +875,43 @@ def save_checkpoint(path, registry: ParamRegistry) -> None:
 def load_checkpoint(path) -> ParamRegistry:
     data = Path(path).read_bytes()
     if data[:4] != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint archive")
-    if data[4] != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {data[4]}")
+        raise CheckpointError(f"{path}: not a checkpoint archive")
+    if len(data) < 5 or data[4] != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version "
+                              f"{data[4] if len(data) > 4 else None}")
     off = 5
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+
+    def take(n: int) -> int:
+        """Offset of the next ``n`` bytes, which must all be present."""
+        nonlocal off
+        if off + n > len(data):
+            raise CheckpointError(f"{path}: truncated: needs more than its "
+                                  f"{len(data)} bytes")
+        off += n
+        return off - n
+
+    def floats(shape) -> np.ndarray:
+        count = int(np.prod(shape)) if shape else 1
+        at = take(count * 8)
+        return np.frombuffer(data, dtype="<f8", count=count, offset=at).reshape(shape)
+
+    (count,) = struct.unpack_from("<I", data, take(4))
     registry = ParamRegistry()
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off:off + nlen].decode("utf-8")
-        off += nlen
-        ndim = data[off]
-        off += 1
-        shape = []
-        for _ in range(ndim):
-            (d,) = struct.unpack_from("<I", data, off)
-            off += 4
-            shape.append(d)
-        n_items = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n_items, offset=off).reshape(shape)
-        off += n_items * 8
-        registry.add(name, arr.copy())
-    (registry.adam_t,) = struct.unpack_from("<Q", data, off)
-    off += 8
+        (nlen,) = struct.unpack_from("<H", data, take(2))
+        try:
+            name = data[take(nlen):off].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
+        if name in registry:
+            raise CheckpointError(f"{path}: parameter {name!r} stored twice")
+        ndim = data[take(1)]
+        shape = [struct.unpack_from("<I", data, take(4))[0] for _ in range(ndim)]
+        registry.add(name, floats(shape).copy())
+    (registry.adam_t,) = struct.unpack_from("<Q", data, take(8))
     for name in registry.names():
-        n_items = registry[name].size
-        shape = registry[name].shape
-        m = np.frombuffer(data, dtype="<f8", count=n_items, offset=off).reshape(shape)
-        off += n_items * 8
-        v = np.frombuffer(data, dtype="<f8", count=n_items, offset=off).reshape(shape)
-        off += n_items * 8
-        registry.adam_m[name][...] = m
-        registry.adam_v[name][...] = v
+        registry.adam_m[name][...] = floats(registry[name].shape)
+        registry.adam_v[name][...] = floats(registry[name].shape)
+    if off != len(data):
+        raise CheckpointError(f"{path}: {len(data) - off} bytes after the archive")
     return registry

@@ -1,9 +1,10 @@
 """Teacher-forced training, evaluation, cross-validation, and model persistence.
 
-Problems are processed one at a time (variable-length stacks make per-problem
-graphs natural); gradients accumulate across a batch and one Adam step is
-taken per batch with the mean-of-problems loss. Everything is seeded, so a
-rerun with the same config reproduces the loss curve bit for bit.
+A training batch is one graph on one tape: the encoder runs the batch as a
+padded BiLSTM and the decoder steps every problem's stacks in lockstep, so
+one backward sweep and one Adam step (on the mean-of-problems loss) are
+taken per batch. Everything is seeded, so a rerun with the same config
+reproduces the loss curve bit for bit.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -100,43 +102,79 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
     )
     # the decoder works in the encoder's concatenated dimension
     dec_config = replace(config.decoder, dim=enc_config.dim, dropout_p=config.dropout_p)
+    registry = _register_params(enc_config, dec_config, rng)
+    return Model(registry, vocab, enc_config, dec_config, mode=config.mode)
+
+
+def _register_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
+                     rng: np.random.Generator) -> ParamRegistry:
     registry = ParamRegistry()
     fixed_slots = enc.FIXED_SLOT_LIMIT if dec_config.constant_repr == "fixed" else 0
     enc.register_params(registry, enc_config, rng, fixed_slots=fixed_slots)
     dec.register_params(registry, dec_config, rng)
-    return Model(registry, vocab, enc_config, dec_config, mode=config.mode)
+    return registry
 
 
-def teacher_force(problem: PreparedProblem, model: Model, *, tape: Tape | None,
-                  training: bool = True, rng: np.random.Generator | None = None
-                  ) -> tuple[Node, dec.DecoderState]:
-    """Sum of per-step losses under the gold action sequence, plus final state."""
-    if not problem.target or not isinstance(problem.target[0], eqlang.GenVar):
-        raise dec.IllegalAction("target must be non-empty and start with GenVar")
-    encoded = enc.encode(problem, model.vocab, model.registry, model.enc_config,
-                         constant_repr=model.dec_config.constant_repr,
-                         tape=tape, training=training, rng=rng)
-    run = DecoderRun(encoded, problem, model.registry, model.dec_config,
+def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
+                  tape: Tape | None, training: bool = True,
+                  rng: np.random.Generator | None = None
+                  ) -> tuple[Node, list[tuple[tuple, tuple]]]:
+    """Summed per-step losses of a batch under the gold action sequences,
+    plus each problem's final symbolic (stack, equations).
+
+    The rows run in lockstep, sorted by target length (longest first), so
+    the rows still decoding at step t are always the first ones."""
+    for problem in problems:
+        if not problem.target or not isinstance(problem.target[0], eqlang.GenVar):
+            raise dec.IllegalAction("target must be non-empty and start with GenVar")
+    order = sorted(range(len(problems)), key=lambda i: -len(problems[i].target))
+    rows = [problems[i] for i in order]
+    encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
+                               constant_repr=model.dec_config.constant_repr,
+                               tape=tape, training=training, rng=rng)
+    run = DecoderRun(encoded, rows, model.registry, model.dec_config,
                      tape=tape, training=training, rng=rng)
     state = run.initial_state()
+    finals: dict[int, tuple[tuple, tuple]] = {}
+
+    def keep_finals(first_done: int) -> None:
+        for r in range(first_done, state.rows):
+            finals[order[r]] = (state.sym_stacks[r], state.equations[r])
+
     terms: list[Node] = []
-    for gold in problem.target:
+    for step in range(len(rows[0].target)):
+        active = sum(len(p.target) > step for p in rows)
+        if active < state.rows:
+            keep_finals(active)
+            state = run.narrow(state, active)
+        golds = [p.target[step] for p in rows[:active]]
         state = run.advance(state)
         feats = run.state_features(state)
         dist = run.select_action(feats, state)
-        terms.append(run.action_loss(dist, gold))
-        if isinstance(gold, eqlang.Push):
-            odist = run.select_operand(feats, state)
-            terms.append(run.operand_loss(odist, gold.ref))
-        state = run.apply_action(state, gold)
-    return nm.add_n(tape, terms), state
+        terms.append(run.action_loss(dist, golds))
+        pushes = np.array([r for r, gold in enumerate(golds)
+                           if isinstance(gold, eqlang.Push)], dtype=np.intp)
+        if pushes.size:
+            odist = run.select_operand(feats, state, pushes)
+            terms.append(run.operand_loss(odist, [golds[r].ref for r in pushes]))
+        state = run.apply_action(state, golds)
+    keep_finals(0)
+    return nm.add_n(tape, terms), [finals[i] for i in range(len(problems))]
+
+
+def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
+               tape: Tape | None, training: bool = True,
+               rng: np.random.Generator | None = None) -> Node:
+    """Summed teacher-forced loss of a batch, as one graph on ``tape``."""
+    loss, _ = teacher_force(problems, model, tape=tape, training=training, rng=rng)
+    return loss
 
 
 def problem_loss(problem: PreparedProblem, model: Model, *, tape: Tape | None,
                  training: bool = True,
                  rng: np.random.Generator | None = None) -> Node:
-    loss, _ = teacher_force(problem, model, tape=tape, training=training, rng=rng)
-    return loss
+    """Teacher-forced loss of one problem: ``batch_loss`` of a batch of one."""
+    return batch_loss([problem], model, tape=tape, training=training, rng=rng)
 
 
 def decode_problem(model: Model, problem: PreparedProblem,
@@ -219,16 +257,15 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
         for batch_no, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = order[start:start + config.batch_size]
             model.registry.zero_grads()
-            for i in batch:
-                tape = Tape()
-                loss = problem_loss(usable[int(i)], model, tape=tape,
-                                    training=True, rng=loop_rng)
-                value = float(loss.value)
-                if not math.isfinite(value):
-                    raise nm.NonFiniteValue(
-                        f"epoch {epoch}, batch {batch_no}: loss is {value}")
-                tape.backward(loss)
-                total_loss += value
+            tape = Tape()
+            loss = batch_loss([usable[int(i)] for i in batch], model, tape=tape,
+                              training=True, rng=loop_rng)
+            value = float(loss.value)
+            if not math.isfinite(value):
+                raise nm.NonFiniteValue(
+                    f"epoch {epoch}, batch {batch_no}: loss is {value}")
+            tape.backward(loss)
+            total_loss += value
             for g in model.registry.grads.values():
                 g /= len(batch)
             try:
@@ -303,13 +340,27 @@ def save_model(directory, model: Model) -> None:
 
 
 def load_model(directory) -> Model:
+    """Load a saved model; raises ``CheckpointError`` when the checkpoint
+    does not hold exactly the parameters that ``meta.json`` describes."""
     directory = Path(directory)
     meta = json.loads((directory / _META_NAME).read_text(encoding="utf-8"))
     registry = nm.load_checkpoint(directory / _CKPT_NAME)
+    enc_config = EncoderConfig(**meta["encoder"])
+    dec_config = DecoderConfig(**meta["decoder"])
+    expected = _register_params(enc_config, dec_config, np.random.default_rng(0))
+    have = {name: registry[name].shape for name in registry.names()}
+    want = {name: expected[name].shape for name in expected.names()}
+    if have != want:
+        diffs = [f"{name}: {have.get(name, 'missing')} in the checkpoint, "
+                 f"{want.get(name, 'none')} in {_META_NAME}"
+                 for name in sorted(have.keys() | want.keys())
+                 if have.get(name) != want.get(name)]
+        raise nm.CheckpointError(f"{directory / _CKPT_NAME} does not match "
+                                 f"{_META_NAME}: " + "; ".join(diffs[:3]))
     return Model(
         registry=registry,
         vocab={k: int(v) for k, v in meta["vocab"].items()},
-        enc_config=EncoderConfig(**meta["encoder"]),
-        dec_config=DecoderConfig(**meta["decoder"]),
+        enc_config=enc_config,
+        dec_config=dec_config,
         mode=meta.get("mode", "word"),
     )

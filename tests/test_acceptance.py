@@ -241,7 +241,7 @@ def test_criterion_7_ablation_plumbing(capsys):
     model = trainer.build_model(vocab, config, np.random.default_rng(2))
     encoded = encoder.encode(problems[0], model.vocab, model.registry,
                              model.enc_config)
-    run = decoder.DecoderRun(encoded, problems[0], model.registry,
+    run = decoder.DecoderRun(encoded, [problems[0]], model.registry,
                              model.dec_config)
     state = run.advance(run.initial_state())
     feats = run.state_features(state)

@@ -158,6 +158,54 @@ def test_missing_data_file_exits_2(tmp_path, capsys, trained_dir, command):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("bad_line, error", [
+    ('{"target": ["genvar"], "id": "a"', "JSONDecodeError"),
+    ('{"target": ["genvar"], "id": "a"}', "KeyError: 'tokens'"),
+])
+def test_malformed_prepared_line_exits_2(tmp_path, capsys, trained_dir, fig1_prepared,
+                                         bad_line, error):
+    data = tmp_path / "prepared.jsonl"
+    good = json.dumps(cli.prepared_to_record(fig1_prepared))
+    data.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+    assert run_cli("eval", "--checkpoint", trained_dir, "--data", data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{data}:2:" in err and error in err
+
+
+def test_data_path_that_is_a_directory_exits_2(tmp_path, capsys, trained_dir):
+    assert run_cli("eval", "--checkpoint", trained_dir, "--data", tmp_path) == 2
+    assert_one_error_line(capsys)
+
+
+def copy_model(trained_dir, tmp_path):
+    out = tmp_path / "model"
+    out.mkdir()
+    for name in ("meta.json", "checkpoint.bin"):
+        (out / name).write_bytes((trained_dir / name).read_bytes())
+    return out
+
+
+def test_truncated_checkpoint_exits_2(tmp_path, capsys, trained_dir, synth_file):
+    model = copy_model(trained_dir, tmp_path)
+    ckpt = model / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "truncated" in err and err.count("\n") == 1
+
+
+def test_checkpoint_not_matching_meta_exits_2(tmp_path, capsys, trained_dir, synth_file):
+    model = copy_model(trained_dir, tmp_path)
+    meta = json.loads((model / "meta.json").read_text())
+    meta["decoder"]["use_gate"] = False  # registers no gate parameters
+    (model / "meta.json").write_text(json.dumps(meta))
+    assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not match meta.json" in err
+    assert "dec.gate_opd.b" in err and err.count("\n") == 1
+
+
 def test_clip_zero_is_a_config_error(tmp_path, capsys, synth_file):
     assert run_cli("train", "--data", synth_file, "--out", tmp_path / "m",
                    "--clip", 0) == 2
@@ -166,7 +214,7 @@ def test_clip_zero_is_a_config_error(tmp_path, capsys, synth_file):
 
 
 def test_nan_loss_exits_2_without_checkpoint(tmp_path, capsys, monkeypatch, synth_file):
-    monkeypatch.setattr(trainer, "problem_loss",
+    monkeypatch.setattr(trainer, "batch_loss",
                         lambda *args, **kwargs: nm.constant(np.nan))
     out = tmp_path / "model"
     assert run_cli("train", "--data", synth_file, "--out", out,

@@ -33,7 +33,7 @@ def make_run(problems, *, seed=0, zero=False, problem_index=0, training=False,
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config,
                              constant_repr=model.dec_config.constant_repr,
                              tape=tape, training=training, rng=rng)
-    run = DecoderRun(encoded, problem, model.registry, model.dec_config,
+    run = DecoderRun(encoded, [problem], model.registry, model.dec_config,
                      tape=tape, training=training, rng=rng)
     return model, run
 
@@ -62,8 +62,8 @@ def test_select_action_depth0_masks_applies():
     _, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
     dist = run.select_action(run.state_features(state), state)
-    assert np.all(dist.probs[2:] == 0.0)
-    assert abs(dist.probs.sum() - 1.0) < 1e-12
+    assert np.all(dist.probs[0, 2:] == 0.0)
+    assert abs(dist.probs[0].sum() - 1.0) < 1e-12
 
 
 def test_select_action_uniform_when_zero_params():
@@ -71,17 +71,18 @@ def test_select_action_uniform_when_zero_params():
     _, run = make_run([problem], zero=True)
     state = run.initial_state()
     state = run.advance(state)
-    state = run.apply_action(state, GEN_VAR)
+    state = run.apply_action(state, [GEN_VAR])
     for ref in (ConstRef(0), ConstRef(1)):
         state = run.advance(state)
-        state = run.apply_action(state, Push(ref), ref)
+        state = run.apply_action(state, [Push(ref)])
     state = run.advance(state)
     dist = run.select_action(run.state_features(state), state)
     # depth 2 with the unknown generated: six legal actions, uniform 1/6
-    legal = dist.probs[dist.probs > 0]
+    probs = dist.probs[0]
+    legal = probs[probs > 0]
     assert len(legal) == 6
     assert np.allclose(legal, 1 / 6)
-    assert dist.probs[GENVAR_IDX] == 0.0
+    assert probs[GENVAR_IDX] == 0.0
 
 
 def test_distributions_sum_to_one_random_params():
@@ -90,9 +91,9 @@ def test_distributions_sum_to_one_random_params():
     state = run.advance(run.initial_state())
     feats = run.state_features(state)
     dist = run.select_action(feats, state)
-    assert abs(dist.probs.sum() - 1.0) < 1e-12
+    assert abs(dist.probs[0].sum() - 1.0) < 1e-12
     odist = run.select_operand(feats, state)
-    assert abs(odist.probs.sum() - 1.0) < 1e-12
+    assert abs(odist.probs[0].sum() - 1.0) < 1e-12
 
 
 def test_argmax_invariant_under_logit_scaling():
@@ -104,10 +105,10 @@ def test_argmax_invariant_under_logit_scaling():
     model.registry["dec.act.w2"][...] *= 3.0
     model.registry["dec.act.b2"][...] *= 3.0
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
-    run2 = DecoderRun(encoded, problem, model.registry, model.dec_config)
+    run2 = DecoderRun(encoded, [problem], model.registry, model.dec_config)
     state2 = run2.advance(run2.initial_state())
     dist2 = run2.select_action(run2.state_features(state2), state2)
-    assert int(np.argmax(dist.probs)) == int(np.argmax(dist2.probs))
+    assert int(np.argmax(dist.probs[0])) == int(np.argmax(dist2.probs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +123,28 @@ def test_operand_candidates_before_genvar():
     state = run.advance(run.initial_state())
     odist = run.select_operand(run.state_features(state), state)
     # only the two external constants: x is not yet available
-    assert odist.probs.shape == (2,)
+    assert odist.probs.shape == (1, 2)
 
 
 def test_operand_candidates_after_genvar():
     problem = simple_problem()
     _, run = make_run([problem], seed=5)
     state = run.advance(run.initial_state())
-    state = run.apply_action(state, GEN_VAR)
+    state = run.apply_action(state, [GEN_VAR])
     state = run.advance(state)
     odist = run.select_operand(run.state_features(state), state)
-    assert odist.probs.shape == (problem.n_constants + 3,)
+    assert odist.probs.shape == (1, problem.n_constants + 3)
 
 
 def test_operand_identical_vectors_get_equal_probability():
     problem = simple_problem()
     model, run = make_run([problem], seed=13)
     # forge two identical candidate vectors; content addressing cannot split them
-    run.base_candidates = [run.base_candidates[0], run.base_candidates[0],
-                           run.encoded.one_vector]
+    first = run.const_start[0]
+    run.buffer.value[first + 1] = run.buffer.value[first]
     state = run.advance(run.initial_state())
     odist = run.select_operand(run.state_features(state), state)
-    assert np.isclose(odist.probs[0], odist.probs[1])
+    assert np.isclose(odist.probs[0, 0], odist.probs[0, 1])
 
 
 def test_operand_loss_gradient_matches_fd():
@@ -151,20 +152,19 @@ def test_operand_loss_gradient_matches_fd():
     registry = nm.ParamRegistry()
     rng = np.random.default_rng(3)
     d = 6
-    for i in range(3):
-        registry.add(f"cand{i}", rng.standard_normal(d) * 0.3)
-    registry.add("query", rng.standard_normal(d) * 0.3)
+    registry.add("cands", rng.standard_normal((1, 3, d)) * 0.3)
+    registry.add("query", rng.standard_normal((1, d)) * 0.3)
     registry.add("v", rng.standard_normal(d) * 0.3)
     registry.add("w", rng.standard_normal((d, 2 * d)) * 0.3)
     registry.add("b", rng.standard_normal(d) * 0.3)
 
     def loss_fn(tape):
-        cands = [nm.param(tape, registry, f"cand{i}") for i in range(3)]
+        w = nm.param(tape, registry, "w")
+        pre = nm.attention_pre(tape, w, nm.param(tape, registry, "cands"), d)
         scores = nm.attention_scores(tape, nm.param(tape, registry, "query"),
-                                     cands, nm.param(tape, registry, "v"),
-                                     nm.param(tape, registry, "w"),
+                                     pre, nm.param(tape, registry, "v"), w,
                                      nm.param(tape, registry, "b"))
-        loss, _ = nm.softmax_cross_entropy(tape, scores, 1)
+        loss, _ = nm.softmax_cross_entropy(tape, scores, [1])
         return loss
 
     err = nm.grad_check(loss_fn, registry, 60, np.random.default_rng(0))
@@ -179,8 +179,7 @@ def test_transform_zero_params_gives_zero():
     problem = simple_problem()
     model, run = make_run([problem], zero=True)
     d = model.dec_config.dim
-    out = semantic_transform("+", nm.constant(np.ones(d)), nm.constant(np.ones(d)),
-                             model.registry, "mlp")
+    out = semantic_transform("+", nm.constant(np.ones(2 * d)), model.registry, "mlp")
     assert np.array_equal(out.value, np.zeros(d))
 
 
@@ -190,11 +189,9 @@ def test_transform_embedding_mode_ignores_inputs():
                           decoder=DecoderConfig(transformer_mode="embedding"))
     d = model.dec_config.dim
     rng = np.random.default_rng(0)
-    a = semantic_transform("*", nm.constant(rng.standard_normal(d)),
-                           nm.constant(rng.standard_normal(d)),
+    a = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)),
                            model.registry, "embedding")
-    b = semantic_transform("*", nm.constant(rng.standard_normal(d)),
-                           nm.constant(rng.standard_normal(d)),
+    b = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)),
                            model.registry, "embedding")
     assert np.array_equal(a.value, b.value)
     assert np.array_equal(a.value, model.registry["dec.tf.*.vec"])
@@ -204,9 +201,8 @@ def test_transform_operators_differ():
     problem = simple_problem()
     model, _ = tiny_model([problem], seed=14)
     d = model.dec_config.dim
-    e1 = nm.constant(np.full(d, 0.3))
-    e2 = nm.constant(np.full(d, -0.2))
-    outputs = [semantic_transform(op, e1, e2, model.registry, "mlp").value
+    pair = nm.constant(np.concatenate([np.full(d, 0.3), np.full(d, -0.2)]))
+    outputs = [semantic_transform(op, pair, model.registry, "mlp").value
                for op in eqlang.OPS]
     for i in range(len(outputs)):
         for j in range(i + 1, len(outputs)):
@@ -224,7 +220,7 @@ def test_empty_stack_feature_is_zero_padded():
     feats = run.state_features(state)
     d = model.dec_config.dim
     # layout: [h; s; q] with s the zero-padded top-2 block
-    assert np.array_equal(feats.action_feats.value[d:3 * d], np.zeros(2 * d))
+    assert np.array_equal(feats.action_feats.value[0, d:3 * d], np.zeros(2 * d))
 
 
 def test_gate_values_in_unit_interval():
@@ -234,7 +230,7 @@ def test_gate_values_in_unit_interval():
     feats = run.state_features(state)
     for g in (feats.gate_action, feats.gate_operand):
         assert np.all(g > 0) and np.all(g < 1)
-        assert g.shape == (3,)
+        assert g.shape == (1, 3)
 
 
 def test_saturated_gates_match_ungated():
@@ -248,7 +244,7 @@ def test_saturated_gates_match_ungated():
     def features(config):
         encoded = encoder.encode(problem, model.vocab, model.registry,
                                  model.enc_config)
-        run = DecoderRun(encoded, problem, model.registry, config)
+        run = DecoderRun(encoded, [problem], model.registry, config)
         state = run.advance(run.initial_state())
         return run.state_features(state)
 
@@ -282,13 +278,15 @@ def test_push_mirrors_symbolic_vm():
     problem = simple_problem()
     _, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
-    state = run.apply_action(state, GEN_VAR)
+    state = run.apply_action(state, [GEN_VAR])
     state = run.advance(state)
-    state = run.apply_action(state, Push(ConstRef(1)), ConstRef(1))
-    assert state.stack_depth == 1
-    assert state.sym_stack[0] == eqlang.Const(problem.constant_values[1])
-    assert state.vec_stack[0] is run.encoded.constant_vectors[1]
-    assert state.last_result is run.encoded.constant_vectors[1]
+    state = run.apply_action(state, [Push(ConstRef(1))])
+    assert state.depth[0] == 1
+    assert state.sym_stacks[0][0] == eqlang.Const(problem.constant_values[1])
+    # the semantic stack points at constant 1's vector, the step's result too
+    row = run.const_start[0] + 1
+    assert state.vec_stacks[0] == (row,) and state.last[0] == row
+    assert np.array_equal(run.buffer.value[row], run.encoded.constants.value[1])
 
 
 def test_teacher_forced_fig1_solves(fig1_prepared):
@@ -296,28 +294,27 @@ def test_teacher_forced_fig1_solves(fig1_prepared):
     state = run.initial_state()
     for gold in fig1_prepared.target:
         state = run.advance(state)
-        ref = gold.ref if isinstance(gold, Push) else None
-        state = run.apply_action(state, gold, ref)
-    assert len(state.equations) == 1
-    assert eqlang.solve(list(state.equations)) == 10
+        state = run.apply_action(state, [gold])
+    assert len(state.equations[0]) == 1
+    assert eqlang.solve(list(state.equations[0])) == 10
     # step-for-step symbolic mirror against the standalone VM
     outcome = eqlang.execute(fig1_prepared.target, fig1_prepared.constant_values)
-    assert list(state.equations) == outcome.equations
-    assert list(state.sym_stack) == outcome.stack
+    assert list(state.equations[0]) == outcome.equations
+    assert list(state.sym_stacks[0]) == outcome.stack
 
 
 def test_equal_on_two_element_stack_leaves_zero_result():
     problem = simple_problem()
     model, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
-    state = run.apply_action(state, GEN_VAR)
+    state = run.apply_action(state, [GEN_VAR])
     for ref in (UNKNOWN_REF, ConstRef(0)):
         state = run.advance(state)
-        state = run.apply_action(state, Push(ref), ref)
+        state = run.apply_action(state, [Push(ref)])
     state = run.advance(state)
-    state = run.apply_action(state, eqlang.APPLY_EQUAL)
-    assert state.stack_depth == 0
-    assert np.array_equal(state.last_result.value,
+    state = run.apply_action(state, [eqlang.APPLY_EQUAL])
+    assert state.depth[0] == 0
+    assert np.array_equal(run.buffer.value[state.last[0]],
                           np.zeros(model.dec_config.dim))
 
 
@@ -326,10 +323,10 @@ def test_illegal_actions_raise():
     _, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
     with pytest.raises(decoder.IllegalAction):
-        run.apply_action(state, Apply("+"))
-    state = run.apply_action(state, GEN_VAR)
+        run.apply_action(state, [Apply("+")])
+    state = run.apply_action(state, [GEN_VAR])
     with pytest.raises(decoder.IllegalAction):
-        run.apply_action(state, GEN_VAR)
+        run.apply_action(state, [GEN_VAR])
 
 
 def test_push_unknown_before_genvar_is_illegal():
@@ -337,7 +334,7 @@ def test_push_unknown_before_genvar_is_illegal():
     _, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
     with pytest.raises(decoder.IllegalAction):
-        run.apply_action(state, Push(UNKNOWN_REF), UNKNOWN_REF)
+        run.apply_action(state, [Push(UNKNOWN_REF)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,20 +32,20 @@ def test_zero_params_give_zero_vectors():
     zeroed(model)
     encoded = encode_with(model, problem)
     assert np.array_equal(encoded.token_matrix.value,
-                          np.zeros((len(problem.tokens), model.enc_config.dim)))
-    for vec in encoded.constant_vectors:
-        assert np.array_equal(vec.value, np.zeros(model.enc_config.dim))
-    assert np.array_equal(encoded.final_h.value, np.zeros(model.enc_config.dim))
+                          np.zeros((1, len(problem.tokens), model.enc_config.dim)))
+    assert np.array_equal(encoded.constants.value,
+                          np.zeros((problem.n_constants, model.enc_config.dim)))
+    assert np.array_equal(encoded.final_h.value, np.zeros((1, model.enc_config.dim)))
 
 
 def test_direct_mode_is_row_selection():
     problem = small_problem()
     model, _ = tiny_model([problem], seed=4)
     encoded = encode_with(model, problem)
-    assert encoded.n_constants == 2
-    for vec, pos in zip(encoded.constant_vectors, problem.constant_positions):
+    assert encoded.n_constants.tolist() == [2]
+    for vec, pos in zip(encoded.constants.value, problem.constant_positions):
         # bitwise: the constant vector is the recurrent state at that position
-        assert np.array_equal(vec.value, encoded.token_matrix.value[pos])
+        assert np.array_equal(vec, encoded.token_matrix.value[0, pos])
 
 
 def test_empty_problem_rejected():
@@ -77,7 +77,7 @@ def test_oov_tokens_hit_unk_row():
                                     constant_positions=[], constant_values=[],
                                     target=[], gold_answer=None)
     encoded = encode_with(model, unseen)
-    assert encoded.token_matrix.value.shape[0] == 2
+    assert encoded.token_matrix.value.shape[:2] == (1, 2)
 
 
 def test_self_attention_rows_are_distributions():
@@ -96,9 +96,9 @@ def test_self_attention_uniform_gives_mean():
     zeroed(model)
     # zero scores -> uniform weights -> each constant vector is the mean state
     encoded = encode_with(model, problem)
-    mean_state = encoded.token_matrix.value.mean(axis=0)
-    for vec in encoded.constant_vectors:
-        assert np.allclose(vec.value, mean_state, atol=1e-15)
+    mean_state = encoded.token_matrix.value[0].mean(axis=0)
+    for vec in encoded.constants.value:
+        assert np.allclose(vec, mean_state, atol=1e-15)
 
 
 def test_fixed_repr_ignores_text():
@@ -108,8 +108,7 @@ def test_fixed_repr_ignores_text():
                           decoder=trainer.DecoderConfig(constant_repr="fixed"))
     e1 = encode_with(model, p1, constant_repr="fixed")
     e2 = encode_with(model, p2, constant_repr="fixed")
-    for a, b in zip(e1.constant_vectors, e2.constant_vectors):
-        assert np.array_equal(a.value, b.value)
+    assert np.array_equal(e1.constants.value, e2.constants.value)
 
 
 def test_fixed_repr_slot_limit():

@@ -43,20 +43,17 @@ def test_grads_elementwise_ops():
 def test_grads_linear_ops():
     rng = np.random.default_rng(2)
     registry = make_registry(m=rng_arr(rng, 4, 6), v=rng_arr(rng, 6),
-                             u=rng_arr(rng, 4), w=rng_arr(rng, 3, 6))
+                             x=rng_arr(rng, 3, 6), b=rng_arr(rng, 4),
+                             w=rng_arr(rng, 2, 4), c=rng_arr(rng, 2))
 
     def loss_fn(tape):
         m = nm.param(tape, registry, "m")
-        v = nm.param(tape, registry, "v")
-        u = nm.param(tape, registry, "u")
-        w = nm.param(tape, registry, "w")
-        a = nm.matvec(tape, m, v)            # (4,)
-        b = nm.matvec_t(tape, m, u)          # (6,)
-        c = nm.matmul_nt(tape, m, w)         # (4, 3)
-        d = nm.add_col(tape, c, a)
-        e = nm.matvec_t(tape, d, a)          # (3,)
-        return nm.add(tape, nm.dot(tape, e, e),
-                      nm.dot(tape, b, nm.param(tape, registry, "v")))
+        b = nm.param(tape, registry, "b")
+        a = nm.linear(tape, nm.param(tape, registry, "v"), m, b)     # one row (4,)
+        rows = nm.linear(tape, nm.param(tape, registry, "x"), m, b)  # rows (3, 4)
+        e = nm.linear(tape, rows, nm.param(tape, registry, "w"),
+                      nm.param(tape, registry, "c"))                  # (3, 2)
+        return nm.add(tape, nm.dot(tape, e, e), nm.dot(tape, a, a))
 
     check(loss_fn, registry)
 
@@ -70,14 +67,30 @@ def test_grads_structural_ops():
         a = nm.param(tape, registry, "a")
         b = nm.param(tape, registry, "b")
         t = nm.param(tape, registry, "t")
-        cat = nm.concat(tape, [a, b])                        # (8,)
-        piece = nm.gather(tape, cat, np.arange(2, 7))        # (5,)
-        row = nm.embedding_row(tape, t, 1)                   # (3,)
-        stacked = nm.rows_stack(tape, [b, row, b])           # (3, 3)
-        picked = nm.gather(tape, piece, np.array([0, 0, 3])) # fan-in on index 0
-        col = nm.cols(tape, stacked, 0, 2)                   # (3, 2)
-        s = nm.matvec_t(tape, col, picked)
-        return nm.add(tape, nm.dot(tape, s, s), nm.dot(tape, piece, piece))
+        cat = nm.concat(tape, [a, b])                          # (8,)
+        piece = nm.gather(tape, cat, np.arange(2, 7))          # (5,)
+        rows = nm.gather(tape, t, np.array([1, 1, 3]))         # fan-in on row 1
+        head = nm.gather(tape, t, slice(0, 3))                 # (3, 3)
+        wide = nm.concat(tape, [rows, head])                   # (3, 6), last axis
+        picked = nm.gather(tape, t, (np.array([0, 2, 0]), np.array([1, 1, 1])))
+        return nm.add(tape, nm.add(tape, nm.dot(tape, wide, wide),
+                                   nm.dot(tape, piece, piece)),
+                      nm.dot(tape, picked, picked))
+
+    check(loss_fn, registry)
+
+
+def test_grads_row_buffer():
+    rng = np.random.default_rng(13)
+    registry = make_registry(a=rng_arr(rng, 2, 3), b=rng_arr(rng, 3))
+
+    def loss_fn(tape):
+        buffer = nm.RowBuffer(tape, 3, capacity=2)
+        rows_a = buffer.append(nm.tanh(tape, nm.param(tape, registry, "a")))
+        pair = buffer.gather(np.array([[rows_a[1], rows_a[0]], [rows_a[1], rows_a[1]]]))
+        row_b = buffer.append(nm.param(tape, registry, "b"))  # grows the buffer
+        picked = buffer.gather(np.array([[row_b[0]], [rows_a[0]]]))
+        return nm.add(tape, nm.dot(tape, pair, pair), nm.dot(tape, picked, picked))
 
     check(loss_fn, registry)
 
@@ -127,21 +140,82 @@ def test_grads_lstm_cell():
     check(loss_fn, registry, probes=60)
 
 
+def test_grads_lstm_sequence_padded():
+    rng = np.random.default_rng(14)
+    h = 3
+    registry = make_registry(x=rng_arr(rng, 3, 4, 2), wx=rng_arr(rng, 4 * h, 2),
+                             wh=rng_arr(rng, 4 * h, h), b=rng_arr(rng, 4 * h))
+    lengths = np.array([4, 2, 1])
+
+    for reverse in (False, True):
+        def loss_fn(tape):
+            args = [nm.param(tape, registry, n) for n in ("x", "wx", "wh", "b")]
+            states, h_last, c_last = nm.lstm_sequence(tape, args[0], lengths, *args[1:],
+                                                      reverse=reverse)
+            return nm.add(tape, nm.dot(tape, states, states),
+                          nm.add(tape, nm.dot(tape, h_last, h_last),
+                                 nm.dot(tape, c_last, c_last)))
+
+        check(loss_fn, registry, probes=60)
+
+
+def test_lstm_sequence_matches_cell_steps_and_ignores_padding():
+    rng = np.random.default_rng(15)
+    h = 3
+    x = rng_arr(rng, 2, 4, 2)
+    x[1, 2:] = 30.0  # padding of row 1 must not leak into its states
+    weights = [nm.constant(rng_arr(rng, 4 * h, 2)), nm.constant(rng_arr(rng, 4 * h, h)),
+               nm.constant(rng_arr(rng, 4 * h))]
+    lengths = np.array([4, 2])
+    for reverse in (False, True):
+        states, h_last, c_last = nm.lstm_sequence(None, nm.constant(x), lengths,
+                                                  *weights, reverse=reverse)
+        for row, n in enumerate(lengths):
+            hs, c_ref = [], nm.constant(np.zeros(h))
+            h_ref = nm.constant(np.zeros(h))
+            steps = range(n - 1, -1, -1) if reverse else range(n)
+            for t in steps:
+                h_ref, c_ref = nm.lstm_cell(None, nm.constant(x[row, t]), h_ref, c_ref,
+                                            *weights)
+                hs.append((t, h_ref.value))
+            for t, value in hs:
+                assert np.allclose(states.value[row, t], value, rtol=0, atol=1e-14)
+            assert np.all(states.value[row, n:] == 0.0)
+            assert np.allclose(h_last.value[row], h_ref.value, rtol=0, atol=1e-14)
+            assert np.allclose(c_last.value[row], c_ref.value, rtol=0, atol=1e-14)
+
+
 def test_grads_attention():
     rng = np.random.default_rng(7)
     registry = make_registry(
-        u=rng_arr(rng, 4), v1=rng_arr(rng, 4), v2=rng_arr(rng, 4), v3=rng_arr(rng, 4),
+        u=rng_arr(rng, 2, 4), keys=rng_arr(rng, 2, 3, 4),
         score=rng_arr(rng, 6), w=rng_arr(rng, 6, 8), b=rng_arr(rng, 6))
+    mask = np.array([[True, True, True], [True, True, False]])
 
     def loss_fn(tape):
-        u = nm.param(tape, registry, "u")
-        vs = [nm.param(tape, registry, n) for n in ("v1", "v2", "v3")]
-        ctx, weights = nm.attention(tape, u, vs, nm.param(tape, registry, "score"),
+        ctx, weights = nm.attention(tape, nm.param(tape, registry, "u"),
+                                    nm.param(tape, registry, "keys"),
+                                    nm.param(tape, registry, "score"),
                                     nm.param(tape, registry, "w"),
-                                    nm.param(tape, registry, "b"))
+                                    nm.param(tape, registry, "b"), mask=mask,
+                                    dropout_p=0.3, training=True,
+                                    rng=np.random.default_rng(3))
         return nm.add(tape, nm.dot(tape, ctx, ctx), nm.dot(tape, weights, weights))
 
     check(loss_fn, registry, probes=60)
+    # attention reads over chosen key rows, repeated ones included
+    rows = np.array([1, 1, 0])
+    registry.add("q", rng_arr(rng, 3, 4))
+
+    def rows_loss(tape):
+        ctx, _ = nm.attention(tape, nm.param(tape, registry, "q"),
+                              nm.param(tape, registry, "keys"),
+                              nm.param(tape, registry, "score"),
+                              nm.param(tape, registry, "w"),
+                              nm.param(tape, registry, "b"), mask=mask, rows=rows)
+        return nm.dot(tape, ctx, ctx)
+
+    check(rows_loss, registry, probes=60)
 
 
 def test_grads_dense_relu_dense():
@@ -234,19 +308,27 @@ def test_attention_singleton_and_symmetry():
     w_score = nm.constant(rng_arr(rng, 6))
     w = nm.constant(rng_arr(rng, 6, 8))
     b = nm.constant(rng_arr(rng, 6))
-    u = nm.constant(rng_arr(rng, 4))
-    v = nm.constant(rng_arr(rng, 4))
-    ctx, weights = nm.attention(None, u, [v], w_score, w, b)
-    assert np.allclose(weights.value, [1.0])
-    assert np.allclose(ctx.value, v.value)
-    ctx2, weights2 = nm.attention(None, u, [v, v], w_score, w, b)
-    assert np.allclose(weights2.value, [0.5, 0.5])
+    u = nm.constant(rng_arr(rng, 1, 4))
+    v = rng_arr(rng, 4)
+    ctx, weights = nm.attention(None, u, nm.constant(v[None, None]), w_score, w, b)
+    assert np.allclose(weights.value, [[1.0]])
+    assert np.allclose(ctx.value, [v])
+    pair = nm.constant(np.stack([v, v])[None])
+    ctx2, weights2 = nm.attention(None, u, pair, w_score, w, b)
+    assert np.allclose(weights2.value, [[0.5, 0.5]])
+    # a masked (padding) entry gets exactly zero weight
+    padded = nm.constant(np.stack([v, rng_arr(rng, 4)])[None])
+    ctx3, weights3 = nm.attention(None, u, padded, w_score, w, b,
+                                  mask=np.array([[True, False]]))
+    assert weights3.value.tolist() == [[1.0, 0.0]]
+    assert np.array_equal(ctx3.value, ctx.value)
 
 
 def test_attention_empty_candidates():
     with pytest.raises(nm.EmptyCandidates):
-        nm.attention(None, nm.constant(np.zeros(2)), [], nm.constant(np.zeros(2)),
-                     nm.constant(np.zeros((2, 4))), nm.constant(np.zeros(2)))
+        nm.attention(None, nm.constant(np.zeros((1, 2))), nm.constant(np.zeros((1, 0, 2))),
+                     nm.constant(np.zeros(2)), nm.constant(np.zeros((2, 4))),
+                     nm.constant(np.zeros(2)))
 
 
 def test_dense_relu_dense_hand_values():
@@ -409,6 +491,21 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         nm.load_checkpoint(path)
 
 
+def test_checkpoint_cut_or_padded_is_a_typed_error(tmp_path):
+    rng = np.random.default_rng(8)
+    registry = make_registry(w=rng_arr(rng, 3, 2), b=rng_arr(rng, 3))
+    path = tmp_path / "ckpt.bin"
+    nm.save_checkpoint(path, registry)
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(nm.CheckpointError):
+            nm.load_checkpoint(path)
+    path.write_bytes(data + b"\0")
+    with pytest.raises(nm.CheckpointError, match="1 bytes after"):
+        nm.load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # determinism and the checker itself
 
@@ -417,9 +514,10 @@ def test_forward_determinism_same_seed():
     def build():
         rng = np.random.default_rng(55)
         registry = make_registry(w=nm.uniform_init(rng, (6, 6)),
-                                 v=nm.uniform_init(rng, (6,)))
-        y = nm.matvec(None, nm.param(None, registry, "w"),
-                      nm.param(None, registry, "v"))
+                                 v=nm.uniform_init(rng, (6,)),
+                                 b=nm.uniform_init(rng, (6,)))
+        y = nm.linear(None, nm.param(None, registry, "v"),
+                      nm.param(None, registry, "w"), nm.param(None, registry, "b"))
         return nm.tanh(None, y).value
     assert np.array_equal(build(), build())
 

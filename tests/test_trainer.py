@@ -52,14 +52,17 @@ def test_problem_loss_gradcheck(synth_prepared):
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("overrides", [
+CONFIG_VARIANTS = [
     dict(constant_mode="self_attention"),
     dict(decoder=decoder.DecoderConfig(use_gate=False)),
     dict(decoder=decoder.DecoderConfig(use_attention=False)),
     dict(decoder=decoder.DecoderConfig(use_stack_feature=False)),
     dict(decoder=decoder.DecoderConfig(transformer_mode="embedding")),
     dict(decoder=decoder.DecoderConfig(constant_repr="fixed")),
-])
+]
+
+
+@pytest.mark.parametrize("overrides", CONFIG_VARIANTS)
 def test_problem_loss_gradcheck_config_variants(synth_prepared, overrides):
     model, _ = tiny_model(synth_prepared, seed=6, **overrides)
 
@@ -68,6 +71,53 @@ def test_problem_loss_gradcheck_config_variants(synth_prepared, overrides):
                                     training=True, rng=np.random.default_rng(8))
 
     err = nm.grad_check(loss_fn, model.registry, 30, np.random.default_rng(2))
+    assert err < 1e-4
+
+
+def mixed_batch(problems, size):
+    """Problems that all push x, with differing token counts, target lengths
+    and constant counts, so every padded and narrowed path is exercised."""
+    batch = [p for p in problems if Push(eqlang.UNKNOWN_REF) in p.target][:size]
+    assert len(batch) == size
+    for feature in (lambda p: len(p.tokens), lambda p: len(p.target),
+                    lambda p: p.n_constants):
+        assert len({feature(p) for p in batch}) > 1
+    return batch
+
+
+@pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
+def test_batch_loss_is_the_sum_of_problem_losses(synth_prepared, overrides):
+    model, _ = tiny_model(synth_prepared, seed=6, **overrides)
+    registry = model.registry
+    batch = mixed_batch(synth_prepared, 6)
+
+    def loss_and_grads(loss_of):
+        registry.zero_grads()
+        tape = nm.Tape()
+        loss = loss_of(tape)
+        tape.backward(loss)
+        return float(loss.value), {n: registry.grads[n].copy() for n in registry.names()}
+
+    # dropout is off outside training, so the two paths do the same arithmetic
+    batch_value, batch_grads = loss_and_grads(
+        lambda tape: trainer.batch_loss(batch, model, tape=tape, training=False))
+    singles = [loss_and_grads(lambda tape, p=p: trainer.problem_loss(
+        p, model, tape=tape, training=False)) for p in batch]
+    assert batch_value == pytest.approx(sum(v for v, _ in singles), rel=1e-10, abs=0)
+    for name in registry.names():
+        summed = sum(grads[name] for _, grads in singles)
+        assert np.abs(batch_grads[name] - summed).max() <= 1e-10 * np.abs(summed).max(), name
+
+
+def test_batch_loss_gradcheck_with_dropout(synth_prepared):
+    model, _ = tiny_model(synth_prepared, seed=7)
+    batch = mixed_batch(synth_prepared, 3)
+
+    def loss_fn(tape):
+        return trainer.batch_loss(batch, model, tape=tape, training=True,
+                                  rng=np.random.default_rng(11))
+
+    err = nm.grad_check(loss_fn, model.registry, 60, np.random.default_rng(3))
     assert err < 1e-4
 
 
@@ -91,11 +141,12 @@ def test_char_mode_end_to_end():
 
 def test_teacher_forcing_mirrors_vm(synth_prepared):
     model, _ = tiny_model(synth_prepared, seed=2)
-    for problem in synth_prepared[:5]:
-        _, state = trainer.teacher_force(problem, model, tape=None, training=False)
+    problems = synth_prepared[:5]
+    _, finals = trainer.teacher_force(problems, model, tape=None, training=False)
+    for problem, (stack, equations) in zip(problems, finals):
         outcome = eqlang.execute(problem.target, problem.constant_values)
-        assert list(state.equations) == outcome.equations
-        assert list(state.sym_stack) == outcome.stack
+        assert list(equations) == outcome.equations
+        assert list(stack) == outcome.stack
 
 
 def test_problem_loss_rejects_malformed_target(synth_prepared):
@@ -115,7 +166,7 @@ def test_train_empty_dataset():
 
 def test_nan_loss_stops_training_before_any_update(monkeypatch, synth_prepared):
     steps = []
-    monkeypatch.setattr(trainer, "problem_loss",
+    monkeypatch.setattr(trainer, "batch_loss",
                         lambda *args, **kwargs: nm.constant(np.nan))
     monkeypatch.setattr(nm, "adam_step", lambda *args: steps.append(args))
     with pytest.raises(nm.NonFiniteValue, match="epoch 1, batch 1: loss is nan"):
@@ -124,17 +175,17 @@ def test_nan_loss_stops_training_before_any_update(monkeypatch, synth_prepared):
 
 
 def test_nan_gradient_stops_training(monkeypatch, synth_prepared):
-    original = trainer.problem_loss
+    original = trainer.batch_loss
 
-    def poisoned_loss(problem, model, *, tape, training, rng):
+    def poisoned_loss(problems, model, *, tape, training, rng):
         leaf = nm.param(tape, model.registry, "enc.one")
 
         def poison():  # recorded first, so it runs last in the backward sweep
             leaf.grad = np.full_like(leaf.value, np.nan)
         tape.record(poison)
-        return original(problem, model, tape=tape, training=training, rng=rng)
+        return original(problems, model, tape=tape, training=training, rng=rng)
 
-    monkeypatch.setattr(trainer, "problem_loss", poisoned_loss)
+    monkeypatch.setattr(trainer, "batch_loss", poisoned_loss)
     with pytest.raises(nm.NonFiniteValue, match="epoch 1, batch 1: gradient norm is nan"):
         trainer.train(synth_prepared[:8], tiny_train_config())
 
