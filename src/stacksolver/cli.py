@@ -86,12 +86,12 @@ def prepared_from_record(obj: dict) -> PreparedProblem:
 
 def load_prepared(path) -> list[PreparedProblem]:
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(corpus.read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
             out.append(prepared_from_record(json.loads(line)))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
             raise FormatError(f"{path}:{lineno}: bad prepared record: "
                               f"{type(exc).__name__}: {exc}") from None
     return out
@@ -99,12 +99,7 @@ def load_prepared(path) -> list[PreparedProblem]:
 
 def _load_any(path, mode: str) -> tuple[list[PreparedProblem], corpus.RejectionReport]:
     """Accept either raw interchange records or an already-prepared file."""
-    first = ""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                first = line
-                break
+    first = next((line for line in corpus.read_text(path).splitlines() if line.strip()), "")
     if '"target"' in first:
         return load_prepared(path), corpus.RejectionReport()
     raws = corpus.load_dataset(path)

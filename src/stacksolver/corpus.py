@@ -80,15 +80,23 @@ def _record_to_problem(obj, index: int) -> RawProblem:
     return RawProblem(id=pid, text=str(text), equation=str(equation), answer=str(obj["ans"]))
 
 
+def read_text(path) -> str:
+    """A data file's text; a file that is not UTF-8 is a ``FormatError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_dataset(path) -> list[RawProblem]:
     """Read interchange records, preserving source order."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     stripped = text.lstrip()
     problems: list[RawProblem] = []
     if stripped.startswith("["):
         try:
             records = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past the digit limit
             raise FormatError(f"invalid JSON array: {exc}") from exc
         if not isinstance(records, list):
             raise FormatError("top-level JSON value is not an array")
@@ -100,7 +108,7 @@ def load_dataset(path) -> list[RawProblem]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise FormatError(f"invalid JSON: {exc}", i) from exc
             problems.append(_record_to_problem(obj, i))
     return problems

@@ -23,7 +23,7 @@ operator transforms run once per operator over the rows that apply it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -136,42 +136,42 @@ class DecoderConfig:
         return d + (2 * d if self.use_stack_feature else 0) + (d if self.use_attention else 0)
 
 
-def register_params(registry: ParamRegistry, config: DecoderConfig,
-                    rng: np.random.Generator) -> None:
+def init_params(config: DecoderConfig, rng: np.random.Generator
+                ) -> Iterator[tuple[str, np.ndarray]]:
     d = config.dim
     f_dim = config.feature_dim
     nb = config.block_count
-    registry.add("dec.lstm.wx", nm.uniform_init(rng, (4 * d, d)))
-    registry.add("dec.lstm.wh", nm.uniform_init(rng, (4 * d, d)))
+    yield "dec.lstm.wx", nm.uniform_init(rng, (4 * d, d))
+    yield "dec.lstm.wh", nm.uniform_init(rng, (4 * d, d))
     b = nm.uniform_init(rng, (4 * d,))
     b[d:2 * d] = 1.0
-    registry.add("dec.lstm.b", b)
+    yield "dec.lstm.b", b
     if config.use_attention:
-        registry.add("dec.qattn.v", nm.uniform_init(rng, (d,)))
-        registry.add("dec.qattn.w", nm.uniform_init(rng, (d, 2 * d)))
-        registry.add("dec.qattn.b", nm.uniform_init(rng, (d,)))
-    registry.add("dec.genvar.v", nm.uniform_init(rng, (d,)))
-    registry.add("dec.genvar.w", nm.uniform_init(rng, (d, 2 * d)))
-    registry.add("dec.genvar.b", nm.uniform_init(rng, (d,)))
+        yield "dec.qattn.v", nm.uniform_init(rng, (d,))
+        yield "dec.qattn.w", nm.uniform_init(rng, (d, 2 * d))
+        yield "dec.qattn.b", nm.uniform_init(rng, (d,))
+    yield "dec.genvar.v", nm.uniform_init(rng, (d,))
+    yield "dec.genvar.w", nm.uniform_init(rng, (d, 2 * d))
+    yield "dec.genvar.b", nm.uniform_init(rng, (d,))
     if config.use_gate:
         for which in ("sa", "opd"):
-            registry.add(f"dec.gate_{which}.w", nm.uniform_init(rng, (nb, f_dim)))
-            registry.add(f"dec.gate_{which}.b", nm.uniform_init(rng, (nb,)))
-    registry.add("dec.act.w1", nm.uniform_init(rng, (d, f_dim)))
-    registry.add("dec.act.b1", nm.uniform_init(rng, (d,)))
-    registry.add("dec.act.w2", nm.uniform_init(rng, (N_ACTIONS, d)))
-    registry.add("dec.act.b2", nm.uniform_init(rng, (N_ACTIONS,)))
-    registry.add("dec.opd.v", nm.uniform_init(rng, (d,)))
-    registry.add("dec.opd.w", nm.uniform_init(rng, (d, f_dim + d)))
-    registry.add("dec.opd.b", nm.uniform_init(rng, (d,)))
+            yield f"dec.gate_{which}.w", nm.uniform_init(rng, (nb, f_dim))
+            yield f"dec.gate_{which}.b", nm.uniform_init(rng, (nb,))
+    yield "dec.act.w1", nm.uniform_init(rng, (d, f_dim))
+    yield "dec.act.b1", nm.uniform_init(rng, (d,))
+    yield "dec.act.w2", nm.uniform_init(rng, (N_ACTIONS, d))
+    yield "dec.act.b2", nm.uniform_init(rng, (N_ACTIONS,))
+    yield "dec.opd.v", nm.uniform_init(rng, (d,))
+    yield "dec.opd.w", nm.uniform_init(rng, (d, f_dim + d))
+    yield "dec.opd.b", nm.uniform_init(rng, (d,))
     for op in eqlang.OPS:
         if config.transformer_mode == "mlp":
-            registry.add(f"dec.tf.{op}.w", nm.uniform_init(rng, (d, 2 * d)))
-            registry.add(f"dec.tf.{op}.b", nm.uniform_init(rng, (d,)))
-            registry.add(f"dec.tf.{op}.u", nm.uniform_init(rng, (d, d)))
-            registry.add(f"dec.tf.{op}.c", nm.uniform_init(rng, (d,)))
+            yield f"dec.tf.{op}.w", nm.uniform_init(rng, (d, 2 * d))
+            yield f"dec.tf.{op}.b", nm.uniform_init(rng, (d,))
+            yield f"dec.tf.{op}.u", nm.uniform_init(rng, (d, d))
+            yield f"dec.tf.{op}.c", nm.uniform_init(rng, (d,))
         else:
-            registry.add(f"dec.tf.{op}.vec", nm.uniform_init(rng, (d,)))
+            yield f"dec.tf.{op}.vec", nm.uniform_init(rng, (d,))
 
 
 def semantic_transform(op: str, pairs: Node | None, registry: ParamRegistry,

@@ -15,7 +15,7 @@ gathers every problem's constant vectors through flat index arrays;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,29 +81,29 @@ def build_vocab(token_lists) -> dict[str, int]:
     return vocab
 
 
-def register_params(registry: ParamRegistry, config: EncoderConfig,
-                    rng: np.random.Generator, *, fixed_slots: int = 0) -> None:
+def init_params(config: EncoderConfig, rng: np.random.Generator, *,
+                fixed_slots: int = 0) -> Iterator[tuple[str, np.ndarray]]:
     h = config.hidden_per_direction
     d = config.dim
-    registry.add("enc.embed", nm.uniform_init(rng, (config.vocab_size, config.embed_dim)))
+    yield "enc.embed", nm.uniform_init(rng, (config.vocab_size, config.embed_dim))
     for direction in ("fwd", "bwd"):
-        registry.add(f"enc.{direction}.wx", nm.uniform_init(rng, (4 * h, config.embed_dim)))
-        registry.add(f"enc.{direction}.wh", nm.uniform_init(rng, (4 * h, h)))
+        yield f"enc.{direction}.wx", nm.uniform_init(rng, (4 * h, config.embed_dim))
+        yield f"enc.{direction}.wh", nm.uniform_init(rng, (4 * h, h))
         b = nm.uniform_init(rng, (4 * h,))
         b[h:2 * h] = 1.0  # forget gate starts open
-        registry.add(f"enc.{direction}.b", b)
-    registry.add("enc.init_h.w", nm.uniform_init(rng, (d, d)))
-    registry.add("enc.init_h.b", nm.uniform_init(rng, (d,)))
-    registry.add("enc.init_c.w", nm.uniform_init(rng, (d, d)))
-    registry.add("enc.init_c.b", nm.uniform_init(rng, (d,)))
-    registry.add("enc.one", nm.uniform_init(rng, (d,)))
-    registry.add("enc.pi", nm.uniform_init(rng, (d,)))
+        yield f"enc.{direction}.b", b
+    yield "enc.init_h.w", nm.uniform_init(rng, (d, d))
+    yield "enc.init_h.b", nm.uniform_init(rng, (d,))
+    yield "enc.init_c.w", nm.uniform_init(rng, (d, d))
+    yield "enc.init_c.b", nm.uniform_init(rng, (d,))
+    yield "enc.one", nm.uniform_init(rng, (d,))
+    yield "enc.pi", nm.uniform_init(rng, (d,))
     if config.constant_mode == "self_attention":
-        registry.add("enc.selfattn.v", nm.uniform_init(rng, (d,)))
-        registry.add("enc.selfattn.w", nm.uniform_init(rng, (d, 2 * d)))
-        registry.add("enc.selfattn.b", nm.uniform_init(rng, (d,)))
+        yield "enc.selfattn.v", nm.uniform_init(rng, (d,))
+        yield "enc.selfattn.w", nm.uniform_init(rng, (d, 2 * d))
+        yield "enc.selfattn.b", nm.uniform_init(rng, (d,))
     if fixed_slots:
-        registry.add("enc.const_slots", nm.uniform_init(rng, (fixed_slots, d)))
+        yield "enc.const_slots", nm.uniform_init(rng, (fixed_slots, d))
 
 
 def external_constant_vectors(registry: ParamRegistry,

@@ -3,9 +3,9 @@
 Everything runs in float64. A ``Tape`` records one backward closure per
 executed op, in execution order; ``Tape.backward`` replays them reversed,
 accumulating gradients additively so fan-out just works. Trainable tensors
-live in a ``ParamRegistry`` keyed by name; leaf nodes for parameters are
-memoized per tape and their gradients are flushed into the registry once,
-after the backward sweep.
+are named views into the flat buffers of a ``ParamRegistry``; leaf nodes
+for parameters are memoized per tape and their gradients are flushed into
+the registry once, after the backward sweep.
 
 Ops act on the last axis and treat any leading axes as rows, so one op call
 serves a whole batch of problems. Whole recurrences and attention reads are
@@ -19,10 +19,13 @@ while a tape that refers to them is still alive.
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,8 +47,8 @@ class NonFiniteValue(ArithmeticError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint is not an archive, is cut short or padded, or does not
-    hold the parameters its model description registers."""
+    """A checkpoint is not a v2 archive, is cut short, padded or altered, or
+    does not hold the parameters that its model description registers."""
 
 
 class Node:
@@ -65,51 +68,57 @@ def _acc(node: Node, g: np.ndarray) -> None:
 
 
 class ParamRegistry:
-    """Named, flat registry of every trainable tensor plus optimizer slots.
+    """Every trainable tensor, packed into four contiguous float64 buffers.
 
-    Names are unique, shapes are frozen at ``add`` time, and every tensor
-    gets a same-shape gradient slot and Adam moment slots.
+    ``ParamRegistry(pairs)`` copies the (name, array) pairs into ``flat`` in
+    pair order; ``flat_grads``, ``flat_m`` and ``flat_v`` (the Adam moments)
+    share that layout and start at zero. ``registry[name]``, ``grads[name]``,
+    ``adam_m[name]`` and ``adam_v[name]`` are writable views into them.
     """
 
-    def __init__(self):
-        self._params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.adam_m: dict[str, np.ndarray] = {}
-        self.adam_v: dict[str, np.ndarray] = {}
-        self.adam_t: int = 0
+    def __init__(self, params: Iterable[tuple[str, np.ndarray | Sequence]] = ()):
+        values: dict[str, np.ndarray] = {}
+        for name, value in params:
+            if name in values:
+                raise ValueError(f"duplicate parameter name: {name}")
+            values[name] = np.asarray(value, dtype=np.float64)
+        self._lay_out({name: v.shape for name, v in values.items()})
+        if values:
+            np.concatenate([v.ravel() for v in values.values()], out=self.flat)
 
-    def add(self, name: str, value: np.ndarray | Sequence) -> np.ndarray:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
-        self._params[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        self.adam_m[name] = np.zeros_like(arr)
-        self.adam_v[name] = np.zeros_like(arr)
-        return arr
+    def _lay_out(self, shapes: dict[str, tuple[int, ...]]) -> None:
+        """Zeroed buffers for ``shapes``, and each name's views into them."""
+        self.shapes = shapes
+        starts = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
+        spans = list(zip(shapes.items(), starts, starts[1:]))
+        self.flat, self.flat_grads, self.flat_m, self.flat_v = np.zeros((4, starts[-1]))
+        self._params, self.grads, self.adam_m, self.adam_v = (
+            {name: buf[lo:hi].reshape(shape) for (name, shape), lo, hi in spans}
+            for buf in (self.flat, self.flat_grads, self.flat_m, self.flat_v))
+        self.adam_t = 0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._params
+        return name in self.shapes
 
     def names(self) -> list[str]:
-        return list(self._params)
+        return list(self.shapes)
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat_grads.fill(0.0)
 
     def size(self) -> int:
-        return sum(p.size for p in self._params.values())
+        return self.flat.size
 
     def copy(self) -> "ParamRegistry":
+        """Parameters and Adam state in new buffers; gradients zero."""
         other = ParamRegistry()
-        for name, p in self._params.items():
-            other.add(name, p.copy())
-            other.adam_m[name][...] = self.adam_m[name]
-            other.adam_v[name][...] = self.adam_v[name]
+        other._lay_out(self.shapes)
+        other.flat[...] = self.flat
+        other.flat_m[...] = self.flat_m
+        other.flat_v[...] = self.flat_v
         other.adam_t = self.adam_t
         return other
 
@@ -751,40 +760,36 @@ class OptimizerConfig:
             raise ValueError("gradient_clip_norm must be positive or None")
 
 
-def adam_step(registry: ParamRegistry, grads: dict[str, np.ndarray],
-              config: OptimizerConfig) -> ParamRegistry:
-    """Bias-corrected Adam update, in place; increments the step counter.
+def adam_step(registry: ParamRegistry, config: OptimizerConfig) -> ParamRegistry:
+    """Bias-corrected Adam update from ``registry.flat_grads``, in place over
+    the whole arena; increments the step counter.
 
     Raises ``NonFiniteValue`` before touching any parameter when the global
     gradient norm is NaN or infinite."""
-    total = 0.0
-    for name in registry.names():
-        g = grads[name]
-        total += float((g * g).sum())
-    norm = np.sqrt(total)
+    g = registry.flat_grads
+    norm = np.sqrt(g @ g)
     if not np.isfinite(norm):
         raise NonFiniteValue(f"gradient norm is {norm}")
-    clip_scale = 1.0
-    if config.gradient_clip_norm is not None and norm > config.gradient_clip_norm:
-        clip_scale = config.gradient_clip_norm / norm
     registry.adam_t += 1
     t = registry.adam_t
     bc1 = 1.0 - config.beta1 ** t
     bc2 = 1.0 - config.beta2 ** t
-    for name in registry.names():
-        g = grads[name]
-        p = registry[name]
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"{name}: grad {g.shape} vs param {p.shape}")
-        if clip_scale != 1.0:
-            g = g * clip_scale
-        m = registry.adam_m[name]
-        v = registry.adam_v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+    # every intermediate goes through these two rows: an arena-sized temporary
+    # per operation would cost more than the arithmetic
+    step, scratch = np.empty((2, g.size))
+    if config.gradient_clip_norm is not None and norm > config.gradient_clip_norm:
+        g = np.multiply(g, config.gradient_clip_norm / norm, out=step)
+    m, v = registry.flat_m, registry.flat_v
+    m *= config.beta1
+    m += np.multiply(g, 1.0 - config.beta1, out=scratch)
+    v *= config.beta2
+    v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - config.beta2, out=scratch)
+    # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
+    np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+    scratch += config.epsilon
+    step /= scratch
+    registry.flat -= step
     return registry
 
 
@@ -807,17 +812,11 @@ def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
     tape = Tape()
     loss = loss_fn(tape)
     tape.backward(loss)
-    analytic = {name: registry.grads[name].copy() for name in registry.names()}
+    analytic = registry.flat_grads.copy()
     registry.zero_grads()
+    flat = registry.flat
 
-    names = registry.names()
-    sizes = np.array([registry[n].size for n in names])
-    total = int(sizes.sum())
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    flat_picks = rng.integers(0, total, size=probe_count)
-
-    def numeric_at(name: str, i: int, h: float) -> float:
-        flat = registry[name].reshape(-1)
+    def numeric_at(i: int, h: float) -> float:
         orig = flat[i]
         flat[i] = orig + h
         lp = float(loss_fn(None).value)
@@ -827,15 +826,12 @@ def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
         return (lp - lm) / (2.0 * h)
 
     worst = 0.0
-    for flat_idx in flat_picks:
-        k = int(np.searchsorted(offsets, flat_idx, side="right")) - 1
-        name = names[k]
-        i = int(flat_idx - offsets[k])
-        ana = float(analytic[name].reshape(-1)[i])
-        num = numeric_at(name, i, step)
+    for i in rng.integers(0, flat.size, size=probe_count):
+        ana = float(analytic[i])
+        num = numeric_at(i, step)
         err = abs(ana - num) / max(1.0, abs(ana), abs(num))
         if err > 1e-4:
-            num2 = numeric_at(name, i, step / 10.0)
+            num2 = numeric_at(i, step / 10.0)
             err2 = abs(ana - num2) / max(1.0, abs(ana), abs(num2))
             err = min(err, err2)
         worst = max(worst, err)
@@ -846,30 +842,23 @@ def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
 # checkpoint archive
 
 _CKPT_MAGIC = b"SSCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(path, registry: ParamRegistry) -> None:
-    """Flat archive of (name, shape, float64 LE data) plus Adam slots."""
-    out = bytearray()
-    out += _CKPT_MAGIC
-    out += bytes([_CKPT_VERSION])
-    names = registry.names()
-    out += struct.pack("<I", len(names))
-    for name in names:
+    """Magic, version, a name/ndim/shape table, the Adam step count, the
+    params, Adam m and Adam v buffers (float64 LE), then a sha256 of every
+    byte before it."""
+    out = bytearray(_CKPT_MAGIC)
+    out += struct.pack("<BI", _CKPT_VERSION, len(registry.shapes))
+    for name, shape in registry.shapes.items():
         nb = name.encode("utf-8")
-        arr = registry[name]
-        out += struct.pack("<H", len(nb))
-        out += nb
-        out += struct.pack("<B", arr.ndim)
-        for d in arr.shape:
-            out += struct.pack("<I", d)
-        out += arr.astype("<f8").tobytes()
+        out += struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
     out += struct.pack("<Q", registry.adam_t)
-    for name in names:
-        out += registry.adam_m[name].astype("<f8").tobytes()
-        out += registry.adam_v[name].astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    for buf in (registry.flat, registry.flat_m, registry.flat_v):
+        out += buf.astype("<f8").tobytes()
+    out += hashlib.sha256(out).digest()
+    Path(path).write_bytes(out)
 
 
 def load_checkpoint(path) -> ParamRegistry:
@@ -890,28 +879,29 @@ def load_checkpoint(path) -> ParamRegistry:
         off += n
         return off - n
 
-    def floats(shape) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        at = take(count * 8)
-        return np.frombuffer(data, dtype="<f8", count=count, offset=at).reshape(shape)
-
     (count,) = struct.unpack_from("<I", data, take(4))
-    registry = ParamRegistry()
+    shapes: dict[str, tuple[int, ...]] = {}
     for _ in range(count):
         (nlen,) = struct.unpack_from("<H", data, take(2))
         try:
             name = data[take(nlen):off].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
-        if name in registry:
+        if name in shapes:
             raise CheckpointError(f"{path}: parameter {name!r} stored twice")
         ndim = data[take(1)]
-        shape = [struct.unpack_from("<I", data, take(4))[0] for _ in range(ndim)]
-        registry.add(name, floats(shape).copy())
-    (registry.adam_t,) = struct.unpack_from("<Q", data, take(8))
-    for name in registry.names():
-        registry.adam_m[name][...] = floats(registry[name].shape)
-        registry.adam_v[name][...] = floats(registry[name].shape)
+        shapes[name] = struct.unpack_from(f"<{ndim}I", data, take(4 * ndim))
+    (adam_t,) = struct.unpack_from("<Q", data, take(8))
+    size = sum(math.prod(shape) for shape in shapes.values())
+    buffers = take(3 * 8 * size)
+    digest = take(32)
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} bytes after the archive")
+    if hashlib.sha256(memoryview(data)[:digest]).digest() != data[digest:]:
+        raise CheckpointError(f"{path}: sha256 does not match the contents")
+    registry = ParamRegistry()
+    registry._lay_out(shapes)
+    registry.flat[...], registry.flat_m[...], registry.flat_v[...] = np.frombuffer(
+        data, dtype="<f8", count=3 * size, offset=buffers).reshape(3, size)
+    registry.adam_t = adam_t
     return registry

@@ -8,6 +8,7 @@ reproduces the loss curve bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
@@ -108,11 +109,10 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
 
 def _register_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
                      rng: np.random.Generator) -> ParamRegistry:
-    registry = ParamRegistry()
     fixed_slots = enc.FIXED_SLOT_LIMIT if dec_config.constant_repr == "fixed" else 0
-    enc.register_params(registry, enc_config, rng, fixed_slots=fixed_slots)
-    dec.register_params(registry, dec_config, rng)
-    return registry
+    return ParamRegistry(itertools.chain(
+        enc.init_params(enc_config, rng, fixed_slots=fixed_slots),
+        dec.init_params(dec_config, rng)))
 
 
 def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
@@ -266,10 +266,9 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
                     f"epoch {epoch}, batch {batch_no}: loss is {value}")
             tape.backward(loss)
             total_loss += value
-            for g in model.registry.grads.values():
-                g /= len(batch)
+            model.registry.flat_grads /= len(batch)
             try:
-                nm.adam_step(model.registry, model.registry.grads, config.optimizer)
+                nm.adam_step(model.registry, config.optimizer)
             except nm.NonFiniteValue as exc:
                 raise nm.NonFiniteValue(
                     f"epoch {epoch}, batch {batch_no}: {exc}") from None
@@ -340,16 +339,22 @@ def save_model(directory, model: Model) -> None:
 
 
 def load_model(directory) -> Model:
-    """Load a saved model; raises ``CheckpointError`` when the checkpoint
-    does not hold exactly the parameters that ``meta.json`` describes."""
+    """Load a saved model; raises ``CheckpointError`` when ``meta.json`` is
+    not a model description, or the checkpoint does not hold exactly the
+    parameters that it describes."""
     directory = Path(directory)
-    meta = json.loads((directory / _META_NAME).read_text(encoding="utf-8"))
+    try:
+        meta = json.loads((directory / _META_NAME).read_text(encoding="utf-8"))
+        enc_config = EncoderConfig(**meta["encoder"])
+        dec_config = DecoderConfig(**meta["decoder"])
+        vocab = {k: int(v) for k, v in meta["vocab"].items()}
+        mode = meta.get("mode", "word")
+        want = _register_params(enc_config, dec_config, np.random.default_rng(0)).shapes
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
+                                 f"{type(exc).__name__}: {exc}") from None
     registry = nm.load_checkpoint(directory / _CKPT_NAME)
-    enc_config = EncoderConfig(**meta["encoder"])
-    dec_config = DecoderConfig(**meta["decoder"])
-    expected = _register_params(enc_config, dec_config, np.random.default_rng(0))
-    have = {name: registry[name].shape for name in registry.names()}
-    want = {name: expected[name].shape for name in expected.names()}
+    have = registry.shapes
     if have != want:
         diffs = [f"{name}: {have.get(name, 'missing')} in the checkpoint, "
                  f"{want.get(name, 'none')} in {_META_NAME}"
@@ -359,8 +364,8 @@ def load_model(directory) -> Model:
                                  f"{_META_NAME}: " + "; ".join(diffs[:3]))
     return Model(
         registry=registry,
-        vocab={k: int(v) for k, v in meta["vocab"].items()},
+        vocab=vocab,
         enc_config=enc_config,
         dec_config=dec_config,
-        mode=meta.get("mode", "word"),
+        mode=mode,
     )

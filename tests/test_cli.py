@@ -161,6 +161,10 @@ def test_missing_data_file_exits_2(tmp_path, capsys, trained_dir, command):
 @pytest.mark.parametrize("bad_line, error", [
     ('{"target": ["genvar"], "id": "a"', "JSONDecodeError"),
     ('{"target": ["genvar"], "id": "a"}', "KeyError: 'tokens'"),
+    ('{"target": [1], "id": "a", "tokens": [], "positions": [], "values": []}',
+     "AttributeError"),
+    ('{"target": [], "id": "a", "tokens": [], "positions": [1e400], "values": []}',
+     "OverflowError"),
 ])
 def test_malformed_prepared_line_exits_2(tmp_path, capsys, trained_dir, fig1_prepared,
                                          bad_line, error):
@@ -171,6 +175,18 @@ def test_malformed_prepared_line_exits_2(tmp_path, capsys, trained_dir, fig1_pre
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{data}:2:" in err and error in err
+
+
+def test_non_utf8_data_file_exits_2(tmp_path, capsys, trained_dir, synth_file):
+    data = tmp_path / "utf16.jsonl"
+    data.write_bytes(b"\xff\xfe" + synth_file.read_bytes())
+    assert run_cli("eval", "--checkpoint", trained_dir, "--data", data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{data}: not UTF-8 text" in err
+    for load in (corpus.load_dataset, cli.load_prepared):
+        with pytest.raises(corpus.FormatError, match="not UTF-8 text"):
+            load(data)
 
 
 def test_data_path_that_is_a_directory_exits_2(tmp_path, capsys, trained_dir):
@@ -204,6 +220,37 @@ def test_checkpoint_not_matching_meta_exits_2(tmp_path, capsys, trained_dir, syn
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "does not match meta.json" in err
     assert "dec.gate_opd.b" in err and err.count("\n") == 1
+
+
+def test_version_1_checkpoint_exits_2(tmp_path, capsys, trained_dir, synth_file):
+    model = copy_model(trained_dir, tmp_path)
+    ckpt = model / "checkpoint.bin"
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:4] + bytes([1]) + data[5:])
+    assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "unsupported checkpoint version 1" in err
+
+
+def drop_vocab_size(text):
+    meta = json.loads(text)
+    del meta["encoder"]["vocab_size"]
+    return json.dumps(meta)
+
+
+@pytest.mark.parametrize("rewrite, error", [
+    (lambda text: '{"vocab": {', "JSONDecodeError"),
+    (drop_vocab_size, "vocab_size"),
+])
+def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewrite, error):
+    model = copy_model(trained_dir, tmp_path)
+    meta = model / "meta.json"
+    meta.write_text(rewrite(meta.read_text()))
+    assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{meta}: not a model description" in err and error in err
 
 
 def test_clip_zero_is_a_config_error(tmp_path, capsys, synth_file):

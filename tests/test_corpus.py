@@ -51,6 +51,15 @@ def test_load_truncated_is_format_error(tmp_path):
         corpus.load_dataset(path)
 
 
+@pytest.mark.parametrize("text", ["[{\"ans\": " + "1" * 5000 + "}]",
+                                  "{\"ans\": " + "1" * 5000 + "}\n"])
+def test_load_integer_past_digit_limit_is_format_error(tmp_path, text):
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(corpus.FormatError, match="digits"):
+        corpus.load_dataset(path)
+
+
 def test_load_missing_field_reports_index(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"id": "1", "segmented_text": "t", "ans": "2"}) + "\n",

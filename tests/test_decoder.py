@@ -149,14 +149,15 @@ def test_operand_identical_vectors_get_equal_probability():
 
 def test_operand_loss_gradient_matches_fd():
     problem = simple_problem()
-    registry = nm.ParamRegistry()
     rng = np.random.default_rng(3)
     d = 6
-    registry.add("cands", rng.standard_normal((1, 3, d)) * 0.3)
-    registry.add("query", rng.standard_normal((1, d)) * 0.3)
-    registry.add("v", rng.standard_normal(d) * 0.3)
-    registry.add("w", rng.standard_normal((d, 2 * d)) * 0.3)
-    registry.add("b", rng.standard_normal(d) * 0.3)
+    registry = nm.ParamRegistry([
+        ("cands", rng.standard_normal((1, 3, d)) * 0.3),
+        ("query", rng.standard_normal((1, d)) * 0.3),
+        ("v", rng.standard_normal(d) * 0.3),
+        ("w", rng.standard_normal((d, 2 * d)) * 0.3),
+        ("b", rng.standard_normal(d) * 0.3),
+    ])
 
     def loss_fn(tape):
         w = nm.param(tape, registry, "w")

@@ -1,4 +1,6 @@
 """Autodiff ops vs finite differences, optimizer, checkpoints, determinism."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,7 @@ from stacksolver.numerics import OptimizerConfig, ParamRegistry, Tape
 
 
 def make_registry(**tensors) -> ParamRegistry:
-    registry = ParamRegistry()
-    for name, value in tensors.items():
-        registry.add(name, value)
-    return registry
+    return ParamRegistry(tensors.items())
 
 
 def check(loss_fn, registry, probes=40, seed=0, tol=1e-6):
@@ -205,7 +204,8 @@ def test_grads_attention():
     check(loss_fn, registry, probes=60)
     # attention reads over chosen key rows, repeated ones included
     rows = np.array([1, 1, 0])
-    registry.add("q", rng_arr(rng, 3, 4))
+    registry = make_registry(**{name: registry[name] for name in registry.names()},
+                             q=rng_arr(rng, 3, 4))
 
     def rows_loss(tape):
         ctx, _ = nm.attention(tape, nm.param(tape, registry, "q"),
@@ -396,7 +396,7 @@ def test_dropout_validates_rate():
 def test_adam_zero_gradient_keeps_params():
     registry = make_registry(w=np.array([1.0, -2.0]))
     before = registry["w"].copy()
-    nm.adam_step(registry, {"w": np.zeros(2)}, OptimizerConfig())
+    nm.adam_step(registry, OptimizerConfig())
     assert np.array_equal(registry["w"], before)
     assert registry.adam_t == 1
 
@@ -405,7 +405,8 @@ def test_adam_first_step_closed_form():
     config = OptimizerConfig(gradient_clip_norm=None)
     assert config.learning_rate == 0.001
     registry = make_registry(w=np.array([0.5]))
-    nm.adam_step(registry, {"w": np.array([1.0])}, config)
+    registry.grads["w"][...] = 1.0
+    nm.adam_step(registry, config)
     # m_hat = v_hat = 1, so the step is -lr / (1 + eps)
     expected = 0.5 - 0.001 / (1.0 + config.epsilon)
     assert np.isclose(registry["w"][0], expected, rtol=0, atol=1e-15)
@@ -414,15 +415,63 @@ def test_adam_first_step_closed_form():
 def test_adam_clipping_bounds_update():
     config = OptimizerConfig(gradient_clip_norm=1.0)
     registry = make_registry(w=np.zeros(4))
-    nm.adam_step(registry, {"w": np.full(4, 100.0)}, config)
+    registry.grads["w"][...] = 100.0
+    nm.adam_step(registry, config)
     # post-clip gradient has norm 1; the first Adam step is still -lr-ish
     assert np.all(np.abs(registry["w"]) <= config.learning_rate * 1.01)
 
 
-def test_adam_shape_mismatch():
-    registry = make_registry(w=np.zeros(4))
-    with pytest.raises(nm.ShapeMismatch):
-        nm.adam_step(registry, {"w": np.zeros(3)}, OptimizerConfig())
+def reference_adam_step(params, grads, m, v, t, config):
+    """The per-name Adam loop that the whole-arena update replaced."""
+    total = 0.0
+    for name in params:
+        total += float((grads[name] * grads[name]).sum())
+    norm = np.sqrt(total)
+    clip_scale = 1.0
+    if config.gradient_clip_norm is not None and norm > config.gradient_clip_norm:
+        clip_scale = config.gradient_clip_norm / norm
+    bc1 = 1.0 - config.beta1 ** t
+    bc2 = 1.0 - config.beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if clip_scale != 1.0:
+            g = g * clip_scale
+        m[name] *= config.beta1
+        m[name] += (1.0 - config.beta1) * g
+        v[name] *= config.beta2
+        v[name] += (1.0 - config.beta2) * (g * g)
+        p -= config.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + config.epsilon)
+
+
+@pytest.mark.parametrize("clip", [None, 0.5])
+def test_adam_step_matches_per_name_reference(clip):
+    rng = np.random.default_rng(21)
+    shapes = {"w": (4, 3), "b": (4,), "e": (5, 2, 3), "s": ()}
+    # parameters on the scale of one step, so that a last-bit change in a
+    # step shows in the parameter
+    registry = make_registry(**{name: 1e-3 * rng_arr(rng, *shape)
+                                for name, shape in shapes.items()})
+    params = {name: registry[name].copy() for name in shapes}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    config = OptimizerConfig(gradient_clip_norm=clip)
+    for t in range(1, 4):
+        for name, shape in shapes.items():
+            registry.grads[name][...] = rng_arr(rng, *shape)
+        grads = {name: registry.grads[name].copy() for name in shapes}
+        if clip is not None:
+            assert np.sqrt(sum((g * g).sum() for g in grads.values())) > clip
+        nm.adam_step(registry, config)
+        reference_adam_step(params, grads, m, v, t, config)
+        assert registry.adam_t == t
+        for name in shapes:
+            for got, want in ((registry[name], params[name]),
+                              (registry.adam_m[name], m[name]),
+                              (registry.adam_v[name], v[name])):
+                if clip is None:
+                    assert np.array_equal(got, want), name
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_optimizer_config_validation():
@@ -443,9 +492,10 @@ def test_optimizer_config_validation():
 def test_adam_non_finite_gradient_updates_nothing(clip, bad):
     registry = make_registry(w=np.array([1.0, -2.0]), u=np.array([0.5]))
     before = {name: registry[name].copy() for name in registry.names()}
+    registry.grads["w"][...] = [0.1, bad]
+    registry.grads["u"][...] = 1.0
     with pytest.raises(nm.NonFiniteValue):
-        nm.adam_step(registry, {"w": np.array([0.1, bad]), "u": np.array([1.0])},
-                     OptimizerConfig(gradient_clip_norm=clip))
+        nm.adam_step(registry, OptimizerConfig(gradient_clip_norm=clip))
     assert registry.adam_t == 0
     for name in registry.names():
         assert np.array_equal(registry[name], before[name])
@@ -458,9 +508,30 @@ def test_adam_non_finite_gradient_updates_nothing(clip, bad):
 
 def test_registry_unique_names_and_frozen_shapes():
     registry = make_registry(w=np.zeros(3))
-    with pytest.raises(ValueError):
-        registry.add("w", np.zeros(3))
+    with pytest.raises(ValueError, match="duplicate parameter name: w"):
+        ParamRegistry([("w", np.zeros(3)), ("w", np.zeros(3))])
     assert registry.size() == 3
+    assert registry.shapes == {"w": (3,)}
+
+
+def test_registry_views_share_the_arena_and_copies_share_nothing():
+    rng = np.random.default_rng(15)
+    registry = make_registry(w=rng_arr(rng, 3, 2), b=rng_arr(rng, 3), s=rng_arr(rng))
+    buffers = (registry.flat, registry.flat_grads, registry.flat_m, registry.flat_v)
+    views = (registry, registry.grads, registry.adam_m, registry.adam_v)
+    for table, buf in zip(views, buffers):
+        assert buf.shape == (registry.size(),) and buf.flags.c_contiguous
+        for name in registry.names():
+            assert np.shares_memory(table[name], buf), name
+    registry["b"][...] = 7.0
+    assert np.array_equal(registry.flat[6:9], [7.0, 7.0, 7.0])
+    registry.adam_t = 3
+    other = registry.copy()
+    assert other.names() == registry.names() and other.adam_t == 3
+    for buf in buffers:
+        for other_buf in (other.flat, other.flat_grads, other.flat_m, other.flat_v):
+            assert not np.shares_memory(buf, other_buf)
+    assert np.array_equal(other.flat, registry.flat)
 
 
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
@@ -503,6 +574,28 @@ def test_checkpoint_cut_or_padded_is_a_typed_error(tmp_path):
             nm.load_checkpoint(path)
     path.write_bytes(data + b"\0")
     with pytest.raises(nm.CheckpointError, match="1 bytes after"):
+        nm.load_checkpoint(path)
+
+
+def test_checkpoint_every_byte_flip_is_a_typed_error(tmp_path):
+    rng = np.random.default_rng(16)
+    registry = make_registry(w=rng_arr(rng, 2, 2), b=rng_arr(rng, 2))
+    registry.adam_t = 5
+    path = tmp_path / "ckpt.bin"
+    nm.save_checkpoint(path, registry)
+    data = path.read_bytes()
+    for i in range(len(data)):
+        flipped = bytearray(data)
+        flipped[i] ^= 0xFF
+        path.write_bytes(flipped)
+        with pytest.raises(nm.CheckpointError):
+            nm.load_checkpoint(path)
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"SSCK" + bytes([1]) + struct.pack("<IQ", 0, 0))
+    with pytest.raises(nm.CheckpointError, match="unsupported checkpoint version 1"):
         nm.load_checkpoint(path)
 
 
