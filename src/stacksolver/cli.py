@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__, corpus, eqlang, trainer
 from .corpus import FormatError, PreparedProblem
-from .decoder import ACTION_NAMES, DecoderConfig, action_to_index
+from .decoder import DecoderConfig
 from .encoder import EmptyProblem
 from .numerics import CheckpointError, NonFiniteValue, OptimizerConfig
 from .trainer import TrainConfig
@@ -29,37 +30,16 @@ EXIT_DECODE = 3
 
 
 # ---------------------------------------------------------------------------
-# wire formats
+# prepared files
+
+# the one spelling of a number that ``str(Fraction)`` writes
+_FRACTION_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def action_to_wire(action: eqlang.StackAction) -> str:
-    if isinstance(action, eqlang.GenVar):
-        return "genvar"
-    if isinstance(action, eqlang.Push):
-        return f"push:{eqlang.operand_name(action.ref)}"
-    if isinstance(action, eqlang.Apply):
-        return f"apply:{action.op}"
-    return "equal"
-
-
-_NAMED_OPERANDS = {eqlang.operand_name(ref): ref
-                   for ref in (eqlang.ONE_REF, eqlang.PI_REF, eqlang.UNKNOWN_REF)}
-
-
-def action_from_wire(text: str) -> eqlang.StackAction:
-    if text == "genvar":
-        return eqlang.GEN_VAR
-    if text == "equal":
-        return eqlang.APPLY_EQUAL
-    kind, _, arg = text.partition(":")
-    if kind == "apply":
-        return eqlang.Apply(arg)
-    if kind == "push":
-        if arg in _NAMED_OPERANDS:
-            return eqlang.Push(_NAMED_OPERANDS[arg])
-        if arg.startswith("c"):
-            return eqlang.Push(eqlang.ConstRef(int(arg[1:])))
-    raise ValueError(f"bad action encoding {text!r}")
+def _fraction(text: str) -> Fraction:
+    if not _FRACTION_TEXT.fullmatch(text):
+        raise ValueError(f"bad number {text!r}")
+    return Fraction(text)
 
 
 def prepared_to_record(p: PreparedProblem) -> dict:
@@ -68,7 +48,7 @@ def prepared_to_record(p: PreparedProblem) -> dict:
         "tokens": p.tokens,
         "positions": p.constant_positions,
         "values": [str(v) for v in p.constant_values],
-        "target": [action_to_wire(a) for a in p.target],
+        "target": [eqlang.action_to_wire(a) for a in p.target],
         "answer": str(p.gold_answer),
     }
 
@@ -78,9 +58,9 @@ def prepared_from_record(obj: dict) -> PreparedProblem:
         id=obj["id"],
         tokens=list(obj["tokens"]),
         constant_positions=[int(i) for i in obj["positions"]],
-        constant_values=[Fraction(v) for v in obj["values"]],
-        target=[action_from_wire(a) for a in obj["target"]],
-        gold_answer=Fraction(obj["answer"]) if obj.get("answer") not in (None, "None") else None,
+        constant_values=[_fraction(v) for v in obj["values"]],
+        target=[eqlang.action_from_wire(a) for a in obj["target"]],
+        gold_answer=_fraction(obj["answer"]) if obj.get("answer") not in (None, "None") else None,
     )
 
 
@@ -177,6 +157,11 @@ def build_train_config(args) -> tuple[TrainConfig, float]:
         learning_rate=merged.get("lr", 0.001),
         gradient_clip_norm=merged.get("clip", 5.0),
     )
+    heldout_frac = merged.get("heldout_frac", 0.0)
+    if not 0 <= heldout_frac < 1:
+        raise ValueError(f"heldout_frac must be in [0, 1), got {heldout_frac}")
+    if getattr(args, "folds", 2) < 2:
+        raise ValueError("cross-validation needs at least 2 folds")
     return TrainConfig(
         epochs=merged.get("epochs", 50),
         batch_size=merged.get("batch_size", 32),
@@ -190,7 +175,7 @@ def build_train_config(args) -> tuple[TrainConfig, float]:
         decoder=decoder,
         patience=merged.get("patience", 10),
         eval_every=merged.get("eval_every", 1),
-    ), merged.get("heldout_frac", 0.0)
+    ), heldout_frac
 
 
 def write_metrics(path, metrics: trainer.Metrics) -> None:
@@ -331,13 +316,13 @@ def _load_model_or_exit(checkpoint):
 def _trace_record(i: int, action: eqlang.StackAction, stack, step) -> dict:
     """Step ``i`` of a decode: its action and resulting stack, rendered, and
     the neural readouts of ``step``."""
+    index = eqlang.action_index(action)
     return {
         "step": i + 1,
-        "action": ACTION_NAMES[action_to_index(action)],
-        "operand": (eqlang.operand_name(action.ref)
-                    if isinstance(action, eqlang.Push) else None),
+        "action": eqlang.ACTION_NAMES[index],
+        "operand": eqlang.operand_name(action.ref) if index == eqlang.PUSH else None,
         "action_probs": {name: float(p) for name, p in
-                         zip(ACTION_NAMES, step.action_probs)},
+                         zip(eqlang.ACTION_NAMES, step.action_probs)},
         "operand_probs": None if step.operand_probs is None else
                          [float(p) for p in step.operand_probs],
         "attention": None if step.attention is None else
@@ -376,7 +361,7 @@ def cmd_solve(args) -> int:
         trace = {
             "problem": {"text": args.text, "tokens": tokens,
                         "constants": [str(v) for v in values]},
-            "actions": [action_to_wire(a) for a in result.actions],
+            "actions": [eqlang.action_to_wire(a) for a in result.actions],
             "equations": [eqlang.equation_to_infix(l, r) for l, r in result.equations],
             "answer": None if result.answer is None else str(result.answer),
             "status": result.status,
@@ -473,7 +458,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FormatError, OSError, EmptyProblem, trainer.EmptyDataset,
-            NonFiniteValue, CheckpointError) as exc:
+            NonFiniteValue, CheckpointError, eqlang.LiteralTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -190,10 +190,11 @@ def parse_answer(text: str) -> Fraction:
         return -parse_answer(s[1:])
     m = _MIXED_RE.fullmatch(s)
     if m:
-        whole, num, den = (int(g) for g in m.groups())
-        if den == 0:
+        whole, num, den = m.groups()
+        part = parse_rational(f"{num}/{den}")
+        if part is None:
             raise AnswerFormatError(f"zero denominator in answer {text!r}")
-        return whole + Fraction(num, den)
+        return parse_rational(whole) + part
     s = s.replace("(", "").replace(")", "")
     value = parse_rational(s)
     if value is None:
@@ -208,9 +209,9 @@ def parse_answer(text: str) -> Fraction:
 def prepare(raw: RawProblem, mode: str = "word") -> PreparedProblem:
     """Build the training view of one problem, or raise a typed rejection.
 
-    Raises UnalignableLiteral, EquationSyntaxError, AnswerFormatError, or one
-    of the solver errors (NonAffine/NoUnknown/DivisionByZero) when the gold
-    equation cannot back a training target.
+    Raises UnalignableLiteral, EquationSyntaxError, AnswerFormatError,
+    LiteralTooLong, or one of the solver errors (NonAffine/NoUnknown/
+    DivisionByZero) when the gold equation cannot back a training target.
     """
     tokens = tokenize(raw.text, mode)
     positions, values = extract_constants(tokens)
@@ -232,6 +233,7 @@ def prepare(raw: RawProblem, mode: str = "word") -> PreparedProblem:
 _REJECTION_KINDS = (
     (UnalignableLiteral, "unalignable"),
     (EquationSyntaxError, "syntax_error"),
+    (eqlang.LiteralTooLong, "syntax_error"),
     (AnswerFormatError, "syntax_error"),
     (eqlang.NonAffine, "nonaffine"),
     (eqlang.NoUnknown, "nonaffine"),

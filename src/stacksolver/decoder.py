@@ -31,79 +31,12 @@ from . import eqlang
 from . import numerics as nm
 from .corpus import PreparedProblem
 from .encoder import EncodedBatch
-from .eqlang import (
-    APPLY_EQUAL,
-    GEN_VAR,
-    Apply,
-    ApplyEqual,
-    ConstRef,
-    Expr,
-    GenVar,
-    ONE_REF,
-    OperandRef,
-    PI_REF,
-    Push,
-    StackAction,
-    UNKNOWN_REF,
-)
+from .eqlang import EQUAL, GENVAR, PUSH, Expr, StackAction
 from .numerics import Node, ParamRegistry, Tape
 
 
 class IllegalAction(RuntimeError):
     pass
-
-
-# action indices in every distribution over stack actions
-GENVAR_IDX, PUSH_IDX, ADD_IDX, SUB_IDX, MUL_IDX, DIV_IDX, EQUAL_IDX = range(7)
-N_ACTIONS = 7
-ACTION_NAMES = ("genvar", "push", "apply+", "apply-", "apply*", "apply/", "equal")
-_OP_TO_IDX = {"+": ADD_IDX, "-": SUB_IDX, "*": MUL_IDX, "/": DIV_IDX}
-_IDX_TO_OP = {v: k for k, v in _OP_TO_IDX.items()}
-
-
-def action_to_index(action: StackAction) -> int:
-    if isinstance(action, GenVar):
-        return GENVAR_IDX
-    if isinstance(action, Push):
-        return PUSH_IDX
-    if isinstance(action, Apply):
-        return _OP_TO_IDX[action.op]
-    return EQUAL_IDX
-
-
-def index_to_action(idx: int, ref: OperandRef | None = None) -> StackAction:
-    if idx == GENVAR_IDX:
-        return GEN_VAR
-    if idx == PUSH_IDX:
-        if ref is None:
-            raise ValueError("push needs an operand reference")
-        return Push(ref)
-    if idx == EQUAL_IDX:
-        return APPLY_EQUAL
-    return Apply(_IDX_TO_OP[idx])
-
-
-def ref_to_candidate_index(ref: OperandRef, n_constants: int) -> int:
-    """Position of an operand in the candidate list [c_1..c_n, 1, pi, x]."""
-    if isinstance(ref, ConstRef):
-        if ref.index >= n_constants:
-            raise IndexError(f"constant index {ref.index} out of range")
-        return ref.index
-    if isinstance(ref, eqlang.OneRef):
-        return n_constants
-    if isinstance(ref, eqlang.PiRef):
-        return n_constants + 1
-    return n_constants + 2
-
-
-def candidate_index_to_ref(idx: int, n_constants: int) -> OperandRef:
-    if idx < n_constants:
-        return ConstRef(idx)
-    if idx == n_constants:
-        return ONE_REF
-    if idx == n_constants + 1:
-        return PI_REF
-    return UNKNOWN_REF
 
 
 @dataclass
@@ -159,8 +92,8 @@ def init_params(config: DecoderConfig, rng: np.random.Generator
             yield f"dec.gate_{which}.b", nm.uniform_init(rng, (nb,))
     yield "dec.act.w1", nm.uniform_init(rng, (d, f_dim))
     yield "dec.act.b1", nm.uniform_init(rng, (d,))
-    yield "dec.act.w2", nm.uniform_init(rng, (N_ACTIONS, d))
-    yield "dec.act.b2", nm.uniform_init(rng, (N_ACTIONS,))
+    yield "dec.act.w2", nm.uniform_init(rng, (len(eqlang.ACTIONS), d))
+    yield "dec.act.b2", nm.uniform_init(rng, (len(eqlang.ACTIONS),))
     yield "dec.opd.v", nm.uniform_init(rng, (d,))
     yield "dec.opd.w", nm.uniform_init(rng, (d, f_dim + d))
     yield "dec.opd.b", nm.uniform_init(rng, (d,))
@@ -243,7 +176,6 @@ class OperandDistribution:
     probs: np.ndarray  # (P, C)
     scores: Node
     mask: np.ndarray   # (P, C) bool, True on a row's candidates
-    n_constants: np.ndarray  # (P,)
 
 
 @dataclass
@@ -268,9 +200,9 @@ class DecodeResult:
 
 
 # legal actions by (stack depth, capped at 2) and (unknown generated)
-_LEGAL = np.ones((3, 2, N_ACTIONS), dtype=bool)
-_LEGAL[:2, :, ADD_IDX:EQUAL_IDX + 1] = False
-_LEGAL[:, 1, GENVAR_IDX] = False
+_LEGAL = np.ones((3, 2, len(eqlang.ACTIONS)), dtype=bool)
+_LEGAL[:2, :, PUSH + 1:] = False  # every action after push pops two entries
+_LEGAL[:, 1, GENVAR] = False
 
 
 def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
@@ -305,14 +237,15 @@ class DecoderRun:
         self.buffer.append(encoded.one_vector)
         self.buffer.append(encoded.pi_vector)
         n_constants = encoded.n_constants
-        self.const_start = self.buffer.size + np.cumsum(n_constants) - n_constants
+        const_start = self.buffer.size + np.cumsum(n_constants) - n_constants
         self.buffer.append(encoded.constants)
-        # each row's operand candidates [c_1..c_n, 1, pi, x], padded; x's slot
-        # is filled when x is generated, and states before that mask it out
+        # each row's operand candidates [c_1..c_n, 1, pi, x] (eqlang's order) as
+        # buffer rows, padded; x's slot holds the zero row until x is generated,
+        # and states before that mask it out
         width = int(n_constants.max()) + 3
         self._candidate_rows = np.array(
             [[*range(start, start + n), ONE_ROW, PI_ROW] + [ZERO_ROW] * (width - n - 2)
-             for start, n in zip(self.const_start.tolist(), n_constants.tolist())],
+             for start, n in zip(const_start.tolist(), n_constants.tolist())],
             dtype=np.intp)
         # an unpadded batch (every greedy decode) needs no attention mask
         self._token_mask = None if encoded.token_mask.all() else encoded.token_mask
@@ -405,12 +338,11 @@ class DecoderRun:
         legal = legal_action_mask(state.depth, state.has_unknown)
         return ActionDistribution(nm.masked_softmax(logits.value, legal), logits, legal)
 
-    def action_loss(self, dist: ActionDistribution, golds: Sequence[StackAction]) -> Node:
-        """Summed cross-entropy of each row's gold action."""
-        targets = np.array([action_to_index(gold) for gold in golds], dtype=np.intp)
+    def action_loss(self, dist: ActionDistribution, targets: np.ndarray) -> Node:
+        """Summed cross-entropy of each row's gold action index."""
         masked = ~dist.legal[np.arange(targets.size), targets]
         if masked.any():
-            raise IllegalAction(f"gold action {golds[int(np.argmax(masked))]} "
+            raise IllegalAction(f"gold action {eqlang.ACTION_NAMES[targets[masked][0]]} "
                                 "is masked at this step")
         loss, _ = nm.softmax_cross_entropy(self.tape, dist.logits, targets, dist.legal)
         return loss
@@ -435,32 +367,18 @@ class DecoderRun:
             self._p("dec.opd.v"), w, self._p("dec.opd.b"),
             dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
         probs = nm.masked_softmax(scores.value, None if mask.all() else mask)
-        return OperandDistribution(probs, scores, mask, self.encoded.n_constants[rows])
+        return OperandDistribution(probs, scores, mask)
 
-    def operand_loss(self, dist: OperandDistribution,
-                     gold_refs: Sequence[OperandRef]) -> Node:
-        """Summed cross-entropy of each scored row's gold operand."""
-        targets = []
-        for ref, n, mask in zip(gold_refs, dist.n_constants, dist.mask):
-            idx = ref_to_candidate_index(ref, int(n))
-            if idx >= mask.shape[0] or not mask[idx]:
-                raise IllegalAction(f"operand {ref} not yet available")
-            targets.append(idx)
+    def operand_loss(self, dist: OperandDistribution, targets: np.ndarray) -> Node:
+        """Summed cross-entropy of each scored row's gold candidate index."""
+        mask = dist.mask
+        if not ((targets < mask.shape[1]).all()
+                and mask[np.arange(targets.size), targets].all()):
+            raise IllegalAction(f"gold operands {targets.tolist()} not all available")
         loss, _ = nm.softmax_cross_entropy(self.tape, dist.scores, targets, dist.mask)
         return loss
 
     # -- state transition
-
-    def _operand_row(self, row: int, ref: OperandRef, unknown: int) -> int:
-        if isinstance(ref, ConstRef):
-            return int(self.const_start[row]) + ref.index
-        if isinstance(ref, eqlang.OneRef):
-            return ONE_ROW
-        if isinstance(ref, eqlang.PiRef):
-            return PI_ROW
-        if unknown < 0:
-            raise IllegalAction("push of the unknown before it was generated")
-        return unknown
 
     def apply_action(self, state: DecoderState,
                      actions: Sequence[StackAction]) -> DecoderState:
@@ -478,28 +396,33 @@ class DecoderRun:
         by_op: dict[str, list[int]] = {}
         for row, action in enumerate(actions):
             stack = vec_stacks[row]
-            if isinstance(action, GenVar):
+            kind = eqlang.action_index(action)
+            if kind == GENVAR:
                 if unknown[row] >= 0:
                     raise IllegalAction("second unknown generation is masked")
                 genvar.append(row)
                 continue
-            if isinstance(action, (Apply, ApplyEqual)) and len(stack) < 2:
+            if kind == PUSH:
+                vec = int(self._candidate_rows[
+                    row, eqlang.operand_index(action.ref, self.problems[row].n_constants)])
+                if vec == ZERO_ROW:  # x's slot before x is generated
+                    raise IllegalAction("push of the unknown before it was generated")
+            elif len(stack) < 2:
                 raise IllegalAction(f"{action} with stack depth {len(stack)}")
             sym = list(sym_stacks[row])
             eqs = list(equations[row])
             eqlang.symbolic_step(sym, eqs, action, self.problems[row].constant_values)
             sym_stacks[row] = tuple(sym)
             equations[row] = tuple(eqs)
-            if isinstance(action, Push):
-                vec = self._operand_row(row, action.ref, int(unknown[row]))
+            if kind == PUSH:
                 vec_stacks[row] = stack + (vec,)
                 last[row] = vec
-            elif isinstance(action, Apply):
-                by_op.setdefault(action.op, []).append(row)
-            else:
+            elif kind == EQUAL:
                 # equal application: the remaining top is the step result, or zero
                 vec_stacks[row] = stack[:-2]
                 last[row] = stack[-3] if len(stack) > 2 else ZERO_ROW
+            else:
+                by_op.setdefault(action.op, []).append(row)
 
         if genvar:
             rows = np.array(genvar)
@@ -553,12 +476,11 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
         idx = int(np.argmax(dist.probs[0]))
         operand_probs = None
         ref = None
-        if idx == PUSH_IDX:
+        if idx == PUSH:
             odist = run.select_operand(feats, state)
             operand_probs = odist.probs[0]
-            ref = candidate_index_to_ref(int(np.argmax(operand_probs)),
-                                         problem.n_constants)
-        action = index_to_action(idx, ref)
+            ref = eqlang.operand_at(int(np.argmax(operand_probs)), problem.n_constants)
+        action = eqlang.action_at(idx, ref)
         state = run.apply_action(state, [action])
         actions.append(action)
         history.append(state.sym_stacks[0])

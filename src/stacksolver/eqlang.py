@@ -25,6 +25,9 @@ PI_VALUE = Fraction(3.141592653589793)
 PI_LITERAL = Fraction("3.14")
 
 MAX_TREE_DEPTH = 64
+# digits one numeric literal may have; longer ones are rejected before any
+# arithmetic (Python refuses to convert past 4300 digits)
+MAX_LITERAL_DIGITS = 100
 
 
 class EqLangError(Exception):
@@ -41,6 +44,12 @@ class UnalignableLiteral(EqLangError):
     def __init__(self, value: Fraction):
         super().__init__(f"equation literal {value} matches no problem constant and is not 1/pi")
         self.value = value
+
+
+class LiteralTooLong(EqLangError):
+    def __init__(self, digits: int):
+        super().__init__(f"numeric literal of {digits} digits exceeds the "
+                         f"{MAX_LITERAL_DIGITS}-digit limit")
 
 
 class StackUnderflow(EqLangError):
@@ -155,17 +164,6 @@ PI_REF = PiRef()
 UNKNOWN_REF = UnknownRef()
 
 
-def operand_name(ref: OperandRef) -> str:
-    """Short name of an operand: ``c{i}`` for the i-th constant, ``1``, ``pi``, ``x``."""
-    if isinstance(ref, ConstRef):
-        return f"c{ref.index}"
-    if isinstance(ref, OneRef):
-        return "1"
-    if isinstance(ref, PiRef):
-        return "pi"
-    return "x"
-
-
 @dataclass(frozen=True)
 class GenVar:
     pass
@@ -197,6 +195,77 @@ APPLY_EQUAL = ApplyEqual()
 
 
 # ---------------------------------------------------------------------------
+# the action and operand tables: every index, name and wire string of an
+# action or an operand derives from these two
+
+# Stack actions in decoder index order, by wire spelling. Push is the one
+# action that takes an operand (its entry is the class), and every action
+# after it pops the top two stack entries. A trace names an action by its
+# spelling without the colon (``apply+``).
+ACTIONS = {"genvar": GEN_VAR, "push": Push,
+           **{f"apply:{op}": Apply(op) for op in OPS}, "equal": APPLY_EQUAL}
+_WIRE = tuple(ACTIONS)
+ACTION_NAMES = tuple(wire.replace(":", "") for wire in _WIRE)
+GENVAR, PUSH, EQUAL = (_WIRE.index(wire) for wire in ("genvar", "push", "equal"))
+_ACTION_LIST = tuple(ACTIONS.values())
+_ACTION_INDEX = {action: i for i, action in enumerate(_ACTION_LIST)}
+
+# A push's operand candidates, in decoder order: the problem's constants
+# c0..c{n-1}, then these, by name (x only once it has been generated).
+EXTERNAL_OPERANDS = {"1": ONE_REF, "pi": PI_REF, "x": UNKNOWN_REF}
+_EXTERNAL = tuple(EXTERNAL_OPERANDS.values())
+_EXTERNAL_NAME = {ref: name for name, ref in EXTERNAL_OPERANDS.items()}
+_CONST_NAME_RE = re.compile(r"c([0-9]+)")
+
+
+def action_index(action: StackAction) -> int:
+    return PUSH if isinstance(action, Push) else _ACTION_INDEX[action]
+
+
+def action_at(index: int, ref: OperandRef | None = None) -> StackAction:
+    """The action at ``index``; a push takes its operand ``ref``."""
+    return Push(ref) if index == PUSH else _ACTION_LIST[index]
+
+
+def operand_index(ref: OperandRef, n_constants: int) -> int:
+    """Candidate index of ``ref`` for a problem with ``n_constants`` constants."""
+    if isinstance(ref, ConstRef):
+        if not 0 <= ref.index < n_constants:
+            raise IndexError(f"constant index {ref.index} out of range")
+        return ref.index
+    return n_constants + _EXTERNAL.index(ref)
+
+
+def operand_at(index: int, n_constants: int) -> OperandRef:
+    return ConstRef(index) if index < n_constants else _EXTERNAL[index - n_constants]
+
+
+def operand_name(ref: OperandRef) -> str:
+    """``c{i}`` for the i-th constant, else the external operand's name."""
+    return f"c{ref.index}" if isinstance(ref, ConstRef) else _EXTERNAL_NAME[ref]
+
+
+def action_to_wire(action: StackAction) -> str:
+    """Prepared-file spelling of an action: ``push:c2``, ``apply:+``, ``equal``."""
+    if isinstance(action, Push):
+        return f"push:{operand_name(action.ref)}"
+    return _WIRE[_ACTION_INDEX[action]]
+
+
+def action_from_wire(text: str) -> StackAction:
+    kind, colon, name = text.partition(":")
+    if kind == "push" and colon:
+        if name in EXTERNAL_OPERANDS:
+            return Push(EXTERNAL_OPERANDS[name])
+        const = _CONST_NAME_RE.fullmatch(name)
+        if const:
+            return Push(ConstRef(int(const.group(1))))
+    elif text != "push" and text in ACTIONS:
+        return ACTIONS[text]
+    raise ValueError(f"bad action encoding {text!r}")
+
+
+# ---------------------------------------------------------------------------
 # number lexing shared with the corpus module
 
 
@@ -207,8 +276,9 @@ _DECIMAL_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
 def parse_rational(text: str) -> Fraction | None:
     """Exact value of one numeric literal: int, decimal, a/b fraction, p%.
 
-    Returns None when the text is not a single literal. A bare ``a/b``
-    between two integers is one rational; ``5.`` tolerates a trailing dot.
+    Returns None when the text is not a single literal, and raises
+    ``LiteralTooLong`` past ``MAX_LITERAL_DIGITS``. A bare ``a/b`` between
+    two integers is one rational; ``5.`` tolerates a trailing dot.
     """
     s = text.strip()
     percent = False
@@ -216,19 +286,19 @@ def parse_rational(text: str) -> Fraction | None:
         percent = True
         s = s[:-1]
     m = _FRACTION_RE.fullmatch(s)
+    if not m and not _DECIMAL_RE.fullmatch(s):
+        return None
+    digits = len(s) - s.count(".") - s.count("/")
+    if digits > MAX_LITERAL_DIGITS:
+        raise LiteralTooLong(digits)
     if m:
         den = int(m.group(2))
         if den == 0:
             return None
         value = Fraction(int(m.group(1)), den)
     else:
-        if not _DECIMAL_RE.fullmatch(s):
-            return None
-        if s.endswith("."):
-            s = s[:-1]
-        if not s:
-            return None
-        value = Fraction(s)
+        whole, _, frac = s.partition(".")
+        value = Fraction(int(whole + frac), 10 ** len(frac))
     return value / 100 if percent else value
 
 
@@ -283,19 +353,12 @@ def _lex(text: str) -> list[_Token]:
             i += 1
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            m = _FRACTION_RE.match(text, i)
-            if m:
-                if int(m.group(2)) == 0:
-                    raise EquationSyntaxError("fraction with zero denominator", i)
-                value = Fraction(int(m.group(1)), int(m.group(2)))
-            else:
-                m = _DECIMAL_RE.match(text, i)
-                lit = m.group(0).rstrip(".") or "0"
-                value = Fraction(lit)
-            j = m.end()
-            if j < n and text[j] == "%":
-                value /= 100
+            j = (_FRACTION_RE.match(text, i) or _DECIMAL_RE.match(text, i)).end()
+            if text.startswith("%", j):
                 j += 1
+            value = parse_rational(text[i:j])
+            if value is None:
+                raise EquationSyntaxError("fraction with zero denominator", i)
             tokens.append(_Token("num", i, value))
             i = j
             continue
@@ -480,15 +543,8 @@ def linearize(postfix: Sequence[PostfixToken],
 
 def resolve_operand(ref: OperandRef, constants: Sequence[Fraction],
                     one: Fraction = ONE_VALUE, pi: Fraction = PI_VALUE) -> Expr:
-    if isinstance(ref, ConstRef):
-        if ref.index >= len(constants):
-            raise IndexError(f"constant index {ref.index} out of range")
-        return Const(constants[ref.index])
-    if isinstance(ref, OneRef):
-        return Const(one)
-    if isinstance(ref, PiRef):
-        return Const(pi)
-    return UNKNOWN
+    index = operand_index(ref, len(constants))
+    return UNKNOWN if ref == UNKNOWN_REF else Const((*constants, one, pi)[index])
 
 
 def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],

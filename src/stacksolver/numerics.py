@@ -183,20 +183,6 @@ def _scatter(grad: np.ndarray, idx, g: np.ndarray) -> None:
         np.add.at(grad, idx, g)
 
 
-def add(tape: Tape | None, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatch(f"add: {a.value.shape} vs {b.value.shape}")
-    out = Node(a.value + b.value)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(a, out.grad)
-            _acc(b, out.grad)
-        tape.record(back)
-    return out
-
-
 def add_n(tape: Tape | None, parts: Sequence[Node]) -> Node:
     """Sum of same-shape nodes (used to total per-step losses)."""
     if not parts:
@@ -281,20 +267,6 @@ def gather(tape: Tape | None, x: Node, idx) -> Node:
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
             _scatter(x.grad, idx, out.grad)
-        tape.record(back)
-    return out
-
-
-def dot(tape: Tape | None, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatch(f"dot: {a.value.shape} vs {b.value.shape}")
-    out = Node(np.asarray(a.value.ravel() @ b.value.ravel()))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(a, out.grad * b.value)
-            _acc(b, out.grad * a.value)
         tape.record(back)
     return out
 
@@ -750,8 +722,9 @@ class OptimizerConfig:
     gradient_clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("betas must be in (0, 1)")
         if not self.epsilon > 0:

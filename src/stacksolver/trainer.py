@@ -24,6 +24,7 @@ from . import numerics as nm
 from .corpus import PreparedProblem
 from .decoder import DecoderConfig, DecoderRun, DecodeResult
 from .encoder import EncoderConfig, TooManyConstants
+from .eqlang import PUSH
 from .numerics import Node, OptimizerConfig, ParamRegistry, Tape
 
 
@@ -52,6 +53,10 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.embed_dim < 1 or self.hidden_per_direction < 1:
+            raise ValueError("encoder dimensions must be positive")
+        if not 0 <= self.dropout_p < 1:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_p}")
 
 
 @dataclass
@@ -129,6 +134,15 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
             raise dec.IllegalAction("target must be non-empty and start with GenVar")
     order = sorted(range(len(problems)), key=lambda i: -len(problems[i].target))
     rows = [problems[i] for i in order]
+    lengths = np.array([len(p.target) for p in rows])
+    # each row's gold action index and, at pushes, candidate index per step
+    actions = np.full((len(rows), lengths[0]), -1, dtype=np.intp)
+    operands = actions.copy()
+    for r, problem in enumerate(rows):
+        for t, action in enumerate(problem.target):
+            actions[r, t] = kind = eqlang.action_index(action)
+            if kind == PUSH:
+                operands[r, t] = eqlang.operand_index(action.ref, problem.n_constants)
     encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
                                constant_repr=model.dec_config.constant_repr,
                                tape=tape, training=training, rng=rng)
@@ -142,22 +156,20 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
             finals[order[r]] = (state.sym_stacks[r], state.equations[r])
 
     terms: list[Node] = []
-    for step in range(len(rows[0].target)):
-        active = sum(len(p.target) > step for p in rows)
+    for step in range(lengths[0]):
+        active = int((lengths > step).sum())
         if active < state.rows:
             keep_finals(active)
             state = run.narrow(state, active)
-        golds = [p.target[step] for p in rows[:active]]
         state = run.advance(state)
         feats = run.state_features(state)
         dist = run.select_action(feats, state)
-        terms.append(run.action_loss(dist, golds))
-        pushes = np.array([r for r, gold in enumerate(golds)
-                           if isinstance(gold, eqlang.Push)], dtype=np.intp)
+        terms.append(run.action_loss(dist, actions[:active, step]))
+        pushes = np.flatnonzero(actions[:active, step] == PUSH)
         if pushes.size:
             odist = run.select_operand(feats, state, pushes)
-            terms.append(run.operand_loss(odist, [golds[r].ref for r in pushes]))
-        state = run.apply_action(state, golds)
+            terms.append(run.operand_loss(odist, operands[pushes, step]))
+        state = run.apply_action(state, [p.target[step] for p in rows[:active]])
     keep_finals(0)
     return nm.add_n(tape, terms), [finals[i] for i in range(len(problems))]
 
@@ -302,8 +314,6 @@ def cross_validate(problems: list[PreparedProblem], config: TrainConfig,
     """Train k models on k-1 folds each, evaluate on the held-out fold."""
     from .corpus import make_folds
 
-    if k < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
     split = make_folds([p.id for p in problems], k=k, seed=config.seed)
     fold_metrics: list[Metrics] = []
     for fold in range(k):

@@ -7,7 +7,6 @@ import pytest
 
 from stacksolver import cli, corpus, eqlang, numerics as nm, trainer
 from stacksolver.cli import main
-from stacksolver.decoder import ACTION_NAMES, action_to_index
 
 
 def run_cli(*argv):
@@ -68,6 +67,30 @@ def test_preprocess_format_error_exit_code(tmp_path):
     assert run_cli("preprocess", data, tmp_path / "out.jsonl") == 2
 
 
+LONG_NUMBER = "7" * 5000
+
+
+@pytest.mark.parametrize("field", ["text", "equation", "answer"])
+def test_preprocess_rejects_an_over_long_literal(tmp_path, capsys, field):
+    record = {"text": "tom has 2 pens", "equation": "x=2", "answer": "2"}
+    record[field] = {"text": f"tom has 2 pens and {LONG_NUMBER} pins",
+                     "equation": f"x=2+{LONG_NUMBER}", "answer": LONG_NUMBER}[field]
+    data = tmp_path / "long.jsonl"
+    corpus.write_dataset(data, [corpus.RawProblem(id="long", **record)])
+    out = tmp_path / "prepared.jsonl"
+    assert run_cli("preprocess", data, out) == 0
+    assert "syntax_error=1" in capsys.readouterr().out
+    rejects = json.loads((tmp_path / "prepared.jsonl.rejects.json").read_text())
+    assert rejects["rejected"][0]["detail"] == (
+        f"numeric literal of 5000 digits exceeds the {eqlang.MAX_LITERAL_DIGITS}-digit limit")
+
+
+def test_solve_over_long_literal_exits_2(capsys, trained_dir):
+    assert run_cli("solve", "--checkpoint", trained_dir, "--text",
+                   f"tom has {LONG_NUMBER} pens") == 2
+    assert_one_error_line(capsys)
+
+
 def test_prepared_file_roundtrip(tmp_path, synth_file):
     out = tmp_path / "prepared.jsonl"
     run_cli("preprocess", synth_file, out)
@@ -79,11 +102,12 @@ def test_prepared_file_roundtrip(tmp_path, synth_file):
 
 
 def test_action_wire_roundtrip(fig1_prepared):
-    wires = [cli.action_to_wire(a) for a in fig1_prepared.target]
-    assert wires[0] == "genvar"
-    assert [cli.action_from_wire(w) for w in wires] == fig1_prepared.target
+    wires = [eqlang.action_to_wire(a) for a in fig1_prepared.target]
+    assert wires == ["genvar", "push:x", "push:c2", "push:c1", "push:c3", "apply:*",
+                     "apply:-", "push:c0", "apply:/", "equal"]
+    assert [eqlang.action_from_wire(w) for w in wires] == fig1_prepared.target
     with pytest.raises(ValueError):
-        cli.action_from_wire("launch:missiles")
+        eqlang.action_from_wire("launch:missiles")
 
 
 def test_train_artifacts(trained_dir):
@@ -165,6 +189,8 @@ def test_missing_data_file_exits_2(tmp_path, capsys, trained_dir, command):
      "AttributeError"),
     ('{"target": [], "id": "a", "tokens": [], "positions": [1e400], "values": []}',
      "OverflowError"),
+    ('{"target": [], "id": "a", "tokens": [], "positions": [], "values": [],'
+     ' "answer": "1e1000000"}', "ValueError: bad number '1e1000000'"),
 ])
 def test_malformed_prepared_line_exits_2(tmp_path, capsys, trained_dir, fig1_prepared,
                                          bad_line, error):
@@ -253,6 +279,25 @@ def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewri
     assert f"{meta}: not a model description" in err and error in err
 
 
+@pytest.mark.parametrize("command, flags, error", [
+    ("train", ["--hidden", 0], "encoder dimensions must be positive"),
+    ("train", ["--embed-dim", 0], "encoder dimensions must be positive"),
+    ("train", ["--dropout", 1.0], "dropout rate must be in [0, 1)"),
+    ("train", ["--lr", "nan"], "learning_rate must be positive and finite"),
+    ("train", ["--lr", "inf"], "learning_rate must be positive and finite"),
+    ("train", ["--heldout-frac", 1.5], "heldout_frac must be in [0, 1)"),
+    ("cv", ["--folds", 1], "cross-validation needs at least 2 folds"),
+])
+def test_invalid_config_exits_2_before_reading_data(tmp_path, capsys, command, flags,
+                                                    error):
+    # the data file does not exist, so reading it first would print "error:"
+    out = ["--out", tmp_path / "m"] if command == "train" else []
+    assert run_cli(command, "--data", tmp_path / "missing.jsonl", *out, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert error in err
+
+
 def test_clip_zero_is_a_config_error(tmp_path, capsys, synth_file):
     assert run_cli("train", "--data", synth_file, "--out", tmp_path / "m",
                    "--clip", 0) == 2
@@ -306,14 +351,14 @@ def test_solve_empty_text_exits_2(capsys, trained_dir):
 
 def assert_trace_matches_decode(record):
     """Each step record agrees with the decoded actions and the VM replay."""
-    actions = [cli.action_from_wire(w) for w in record["actions"]]
+    actions = [eqlang.action_from_wire(w) for w in record["actions"]]
     constants = [Fraction(c) for c in record["problem"]["constants"]]
     replay = eqlang.execute(actions, constants, max_steps=len(actions))
     assert len(record["steps"]) == len(actions) > 0
     for i, (step, action, stack) in enumerate(
             zip(record["steps"], actions, replay.stack_history)):
         assert step["step"] == i + 1
-        assert step["action"] == ACTION_NAMES[action_to_index(action)]
+        assert step["action"] == eqlang.ACTION_NAMES[eqlang.action_index(action)]
         if isinstance(action, eqlang.Push):
             ref = action.ref
             expected = {eqlang.ONE_REF: "1", eqlang.PI_REF: "pi",

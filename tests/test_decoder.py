@@ -9,15 +9,13 @@ from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm
 from stacksolver.decoder import (
     DecoderConfig,
     DecoderRun,
-    GENVAR_IDX,
-    N_ACTIONS,
-    PUSH_IDX,
-    action_to_index,
     greedy_decode,
     legal_action_mask,
     semantic_transform,
 )
-from stacksolver.eqlang import Apply, ConstRef, GEN_VAR, Push, UNKNOWN_REF
+from stacksolver.eqlang import (
+    ACTIONS, GENVAR, PUSH, Apply, ConstRef, GEN_VAR, Push, UNKNOWN_REF, action_index,
+)
 
 from conftest import tiny_model, zeroed
 
@@ -50,11 +48,11 @@ def simple_problem():
 
 def test_mask_rules():
     mask = legal_action_mask(stack_depth=0, has_unknown=False)
-    assert mask[GENVAR_IDX] and mask[PUSH_IDX]
+    assert mask[GENVAR] and mask[PUSH]
     assert not mask[2:].any()
     mask = legal_action_mask(stack_depth=2, has_unknown=True)
-    assert not mask[GENVAR_IDX]
-    assert mask[PUSH_IDX] and mask[2:].all()
+    assert not mask[GENVAR]
+    assert mask[PUSH] and mask[2:].all()
 
 
 def test_select_action_depth0_masks_applies():
@@ -82,7 +80,7 @@ def test_select_action_uniform_when_zero_params():
     legal = probs[probs > 0]
     assert len(legal) == 6
     assert np.allclose(legal, 1 / 6)
-    assert probs[GENVAR_IDX] == 0.0
+    assert probs[GENVAR] == 0.0
 
 
 def test_distributions_sum_to_one_random_params():
@@ -140,8 +138,8 @@ def test_operand_identical_vectors_get_equal_probability():
     problem = simple_problem()
     model, run = make_run([problem], seed=13)
     # forge two identical candidate vectors; content addressing cannot split them
-    first = run.const_start[0]
-    run.buffer.value[first + 1] = run.buffer.value[first]
+    first, second = run._candidate_rows[0, :2]
+    run.buffer.value[second] = run.buffer.value[first]
     state = run.advance(run.initial_state())
     odist = run.select_operand(run.state_features(state), state)
     assert np.isclose(odist.probs[0, 0], odist.probs[0, 1])
@@ -285,7 +283,7 @@ def test_push_mirrors_symbolic_vm():
     assert state.depth[0] == 1
     assert state.sym_stacks[0][0] == eqlang.Const(problem.constant_values[1])
     # the semantic stack points at constant 1's vector, the step's result too
-    row = run.const_start[0] + 1
+    row = run._candidate_rows[0, 1]
     assert state.vec_stacks[0] == (row,) and state.last[0] == row
     assert np.array_equal(run.buffer.value[row], run.encoded.constants.value[1])
 
@@ -377,9 +375,9 @@ def test_greedy_trace_records_every_step():
     result = greedy_decode(encoded, problem, model.registry, model.dec_config)
     assert len(result.trace) == len(result.actions) == len(result.stack_history)
     for action, step in zip(result.actions, result.trace):
-        assert step.action_probs.shape == (N_ACTIONS,)
+        assert step.action_probs.shape == (len(ACTIONS),)
         assert abs(step.action_probs.sum() - 1.0) < 1e-9
-        assert step.action_probs[action_to_index(action)] > 0
+        assert step.action_probs[action_index(action)] > 0
         assert (step.operand_probs is not None) == isinstance(action, Push)
         if step.attention is not None:
             assert abs(step.attention.sum() - 1.0) < 1e-9

@@ -403,6 +403,35 @@ def test_parse_rational(text, expected):
     assert eqlang.parse_rational(text) == expected
 
 
+def test_action_and_operand_tables():
+    # trace names and wire strings are file formats: they must not move
+    assert eqlang.ACTION_NAMES == ("genvar", "push", "apply+", "apply-", "apply*",
+                                   "apply/", "equal")
+    for i in range(len(eqlang.ACTIONS)):
+        action = eqlang.action_at(i, ONE_REF)
+        assert eqlang.action_index(action) == i
+        assert eqlang.action_from_wire(eqlang.action_to_wire(action)) == action
+    refs = [ConstRef(0), ConstRef(1), ONE_REF, eqlang.PI_REF, UNKNOWN_REF]
+    assert [eqlang.operand_index(ref, 2) for ref in refs] == [0, 1, 2, 3, 4]
+    assert [eqlang.operand_at(i, 2) for i in range(5)] == refs
+    assert [eqlang.operand_name(ref) for ref in refs] == ["c0", "c1", "1", "pi", "x"]
+    with pytest.raises(IndexError):
+        eqlang.operand_index(ConstRef(2), 2)
+    for bad in ("push", "push:", "push:c-1", "push:y", "apply:^", "genvar:x"):
+        with pytest.raises(ValueError):
+            eqlang.action_from_wire(bad)
+
+
+def test_parse_rational_caps_digits():
+    limit = eqlang.MAX_LITERAL_DIGITS
+    assert eqlang.parse_rational("9" * limit) == int("9" * limit)
+    for text in ("9" * (limit + 1), "1/" + "3" * limit, "0." + "5" * limit + "%"):
+        with pytest.raises(eqlang.LiteralTooLong):
+            eqlang.parse_rational(text)
+    with pytest.raises(eqlang.LiteralTooLong):
+        eqlang.parse_equation("x=" + "9" * (limit + 1))
+
+
 def test_parse_rational_rejects_junk():
     assert eqlang.parse_rational("abc") is None
     assert eqlang.parse_rational("1/0") is None
