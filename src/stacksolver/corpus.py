@@ -184,22 +184,24 @@ _MIXED_RE = re.compile(r"(\d+)\s*(?:又|\()\s*(\d+)\s*/\s*(\d+)\s*\)?")
 def parse_answer(text: str) -> Fraction:
     """Exact value of a gold answer string, including mixed numerals a(b/c)."""
     s = text.strip()
+    negative = False
+    while s.startswith("-"):  # each leading minus flips the sign
+        negative = not negative
+        s = s[1:].strip()
     if not s:
         raise AnswerFormatError("empty answer")
-    if s.startswith("-"):
-        return -parse_answer(s[1:])
     m = _MIXED_RE.fullmatch(s)
     if m:
         whole, num, den = m.groups()
         part = parse_rational(f"{num}/{den}")
         if part is None:
             raise AnswerFormatError(f"zero denominator in answer {text!r}")
-        return parse_rational(whole) + part
-    s = s.replace("(", "").replace(")", "")
-    value = parse_rational(s)
-    if value is None:
-        raise AnswerFormatError(f"cannot parse answer {text!r}")
-    return value
+        value = parse_rational(whole) + part
+    else:
+        value = parse_rational(s.replace("(", "").replace(")", ""))
+        if value is None:
+            raise AnswerFormatError(f"cannot parse answer {text!r}")
+    return -value if negative else value
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ operator transforms run once per operator over the rows that apply it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -136,6 +137,7 @@ class DecoderState:
     c: Node                  # (R, d)
     last: np.ndarray         # (R,) buffer row of the previous step's result
     unknown: np.ndarray      # (R,) buffer row of x, -1 before it is generated
+    depth: np.ndarray        # (R,) stack depth
     vec_stacks: tuple[tuple[int, ...], ...]
     sym_stacks: tuple[tuple[Expr, ...], ...]
     equations: tuple[tuple[tuple[Expr, Expr], ...], ...]
@@ -143,10 +145,6 @@ class DecoderState:
     @property
     def rows(self) -> int:
         return len(self.vec_stacks)
-
-    @property
-    def depth(self) -> np.ndarray:
-        return np.array([len(stack) for stack in self.vec_stacks], dtype=np.intp)
 
     @property
     def has_unknown(self) -> np.ndarray:
@@ -164,29 +162,53 @@ class Features:
 
 @dataclass
 class ActionDistribution:
-    probs: np.ndarray  # (R, 7); masked entries are exactly 0
     logits: Node
     legal: np.ndarray  # (R, 7) bool
+
+    @property
+    def probs(self) -> np.ndarray:
+        """(R, 7); masked entries are exactly 0."""
+        return nm.masked_softmax(self.logits.value, self.legal)
 
 
 @dataclass
 class OperandDistribution:
     """Scores over each row's candidates [c_1..c_n, 1, pi] (+ x once
     generated), padded to the widest row; padding has probability 0."""
-    probs: np.ndarray  # (P, C)
-    scores: Node
-    mask: np.ndarray   # (P, C) bool, True on a row's candidates
+    scores: Node       # (P, C)
+    count: np.ndarray  # (P,) candidates of each row
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(P, C) bool, True on a row's candidates."""
+        return np.arange(self.scores.value.shape[1]) < self.count[:, None]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return nm.masked_softmax(self.scores.value, self.mask)
 
 
 @dataclass
 class StepTrace:
     """Neural readouts of one greedy step; the step's action and resulting
-    stack are ``DecodeResult.actions`` and ``stack_history`` at that index."""
-    action_probs: np.ndarray
-    operand_probs: np.ndarray | None
+    stack are ``DecodeResult.actions`` and ``stack_history`` at that index.
+    The probabilities are computed from the kept logits when read."""
+    action_logits: np.ndarray
+    legal: np.ndarray
+    operand_scores: np.ndarray | None
     attention: np.ndarray | None
     gate_action: np.ndarray | None
     gate_operand: np.ndarray | None
+
+    @property
+    def action_probs(self) -> np.ndarray:
+        return nm.masked_softmax(self.action_logits, self.legal)
+
+    @property
+    def operand_probs(self) -> np.ndarray | None:
+        if self.operand_scores is None:
+            return None
+        return nm.masked_softmax(self.operand_scores)
 
 
 @dataclass
@@ -217,7 +239,10 @@ class DecoderRun:
     Every method acts on all rows of a state at once; teacher forcing runs a
     batch's rows in lockstep and greedy decoding runs one row. A state may
     be narrowed to its first rows (``narrow``), so rows whose targets have
-    ended drop out when the batch is sorted by target length.
+    ended drop out when the batch is sorted by target length. Work that does
+    not change from step to step is done once per run: the key halves of the
+    attention and of the operand scorer (the latter again after genvar) and
+    the stacking of the two gates' weights.
     """
 
     def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
@@ -231,7 +256,8 @@ class DecoderRun:
         self.tape = tape
         self.training = training
         self.rng = rng
-        self._params: dict[str, Node] = {}
+        self._p = {name: nm.param(tape, registry, name)
+                   for name in registry.shapes if name.startswith("dec.")}
         self.buffer = nm.RowBuffer(tape, config.dim)
         self.buffer.append(nm.constant(np.zeros(config.dim)))
         self.buffer.append(encoded.one_vector)
@@ -243,6 +269,7 @@ class DecoderRun:
         # buffer rows, padded; x's slot holds the zero row until x is generated,
         # and states before that mask it out
         width = int(n_constants.max()) + 3
+        self._candidate_count = n_constants + 2  # x joins at genvar
         self._candidate_rows = np.array(
             [[*range(start, start + n), ONE_ROW, PI_ROW] + [ZERO_ROW] * (width - n - 2)
              for start, n in zip(const_start.tolist(), n_constants.tolist())],
@@ -251,23 +278,26 @@ class DecoderRun:
         self._token_mask = None if encoded.token_mask.all() else encoded.token_mask
         if config.use_attention:
             # key half of the attention hidden layer, shared across steps
-            self._q_pre = nm.attention_pre(tape, self._p("dec.qattn.w"),
+            self._q_pre = nm.attention_pre(tape, self._p["dec.qattn.w"],
                                            encoded.token_matrix, config.dim)
         else:
             self._q_pre = None
-
-    def _p(self, name: str) -> Node:
-        node = self._params.get(name)
-        if node is None:
-            node = self._params[name] = nm.param(self.tape, self.registry, name)
-        return node
+        # key half of the operand scorer over every row's candidates; projected
+        # at the first push and again once genvar has filled x's slot
+        self._opd_pre: Node | None = None
+        if config.use_gate:
+            # both gates' weights, stacked once: one gate op per step
+            self._gate_w = nm.concat(tape, [self._p["dec.gate_sa.w"],
+                                            self._p["dec.gate_opd.w"]], axis=0)
+            self._gate_b = nm.concat(tape, [self._p["dec.gate_sa.b"],
+                                            self._p["dec.gate_opd.b"]])
 
     def initial_state(self) -> DecoderState:
         rows = len(self.problems)
         return DecoderState(
             h=self.encoded.final_h, c=self.encoded.final_c,
             last=np.full(rows, ZERO_ROW, dtype=np.intp),
-            unknown=np.full(rows, -1, dtype=np.intp),
+            unknown=np.full(rows, -1, dtype=np.intp), depth=np.zeros(rows, dtype=np.intp),
             vec_stacks=((),) * rows, sym_stacks=((),) * rows, equations=((),) * rows)
 
     def narrow(self, state: DecoderState, rows: int) -> DecoderState:
@@ -275,7 +305,7 @@ class DecoderRun:
         keep = slice(0, rows)
         return DecoderState(
             h=nm.gather(self.tape, state.h, keep), c=nm.gather(self.tape, state.c, keep),
-            last=state.last[keep], unknown=state.unknown[keep],
+            last=state.last[keep], unknown=state.unknown[keep], depth=state.depth[keep],
             vec_stacks=state.vec_stacks[keep], sym_stacks=state.sym_stacks[keep],
             equations=state.equations[keep])
 
@@ -283,11 +313,10 @@ class DecoderRun:
         """Step the decoder recurrence over the previous action's result."""
         x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None]),
                        self.config.dropout_p, self.training, self.rng)
-        h, c = nm.lstm_cell(self.tape, x, state.h, state.c,
-                            self._p("dec.lstm.wx"), self._p("dec.lstm.wh"),
-                            self._p("dec.lstm.b"))
-        return DecoderState(h, c, state.last, state.unknown, state.vec_stacks,
-                            state.sym_stacks, state.equations)
+        h, c = nm.lstm_cell(self.tape, x, state.h, state.c, self._p["dec.lstm.wx"],
+                            self._p["dec.lstm.wh"], self._p["dec.lstm.b"])
+        return DecoderState(h, c, state.last, state.unknown, state.depth,
+                            state.vec_stacks, state.sym_stacks, state.equations)
 
     def _top_two(self, state: DecoderState) -> np.ndarray:
         """Buffer rows of each row's top and second stack entries (zero row if absent)."""
@@ -305,7 +334,7 @@ class DecoderRun:
         if cfg.use_attention:
             context, weights = nm.attention(
                 self.tape, state.h, self.encoded.token_matrix,
-                self._p("dec.qattn.v"), self._p("dec.qattn.w"), self._p("dec.qattn.b"),
+                self._p["dec.qattn.v"], self._p["dec.qattn.w"], self._p["dec.qattn.b"],
                 mask=self._token_mask, pre=self._q_pre,
                 rows=slice(0, state.rows), dropout_p=cfg.dropout_p,
                 training=self.training, rng=self.rng)
@@ -314,16 +343,10 @@ class DecoderRun:
         feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
         if not cfg.use_gate:
             return Features(feats, feats, attn_weights, None, None)
-        gates = {}
-        gated = {}
-        for which in ("sa", "opd"):
-            g = nm.sigmoid(self.tape, nm.linear(
-                self.tape, feats, self._p(f"dec.gate_{which}.w"),
-                self._p(f"dec.gate_{which}.b")))
-            gates[which] = g
-            gated[which] = nm.gate_blocks(self.tape, g, blocks)
-        return Features(gated["sa"], gated["opd"], attn_weights,
-                        gates["sa"].value, gates["opd"].value)
+        (action_feats, operand_feats), gates = nm.gate_blocks(
+            self.tape, feats, self._gate_w, self._gate_b,
+            [blk.value.shape[-1] for blk in blocks])
+        return Features(action_feats, operand_feats, attn_weights, gates[0], gates[1])
 
     # -- stack action selection
 
@@ -332,11 +355,10 @@ class DecoderRun:
         x = nm.dropout(self.tape, feats.action_feats, cfg.dropout_p,
                        self.training, self.rng)
         logits = nm.dense_relu_dense(
-            self.tape, x, self._p("dec.act.w1"), self._p("dec.act.b1"),
-            self._p("dec.act.w2"), self._p("dec.act.b2"),
+            self.tape, x, self._p["dec.act.w1"], self._p["dec.act.b1"],
+            self._p["dec.act.w2"], self._p["dec.act.b2"],
             hidden_dropout=cfg.dropout_p, training=self.training, rng=self.rng)
-        legal = legal_action_mask(state.depth, state.has_unknown)
-        return ActionDistribution(nm.masked_softmax(logits.value, legal), logits, legal)
+        return ActionDistribution(logits, legal_action_mask(state.depth, state.has_unknown))
 
     def action_loss(self, dist: ActionDistribution, targets: np.ndarray) -> Node:
         """Summed cross-entropy of each row's gold action index."""
@@ -358,16 +380,18 @@ class DecoderRun:
         else:
             query = nm.gather(self.tape, query, rows)
         # each row's candidates [c_1..c_n, 1, pi, (x)], padded to the widest row
-        count = self.encoded.n_constants[rows] + 2 + (state.unknown[rows] >= 0)
-        keys = self.buffer.gather(self._candidate_rows[rows, :count.max(), None])
-        mask = np.arange(keys.value.shape[1]) < count[:, None]
-        w = self._p("dec.opd.w")
+        count = self._candidate_count[rows]
+        width = int(count.max())
+        w = self._p["dec.opd.w"]
+        if self._opd_pre is None:
+            # a copy: genvar later fills x's slot in place
+            keys = self.buffer.gather(self._candidate_rows[:, :, None].copy())
+            self._opd_pre = nm.attention_pre(self.tape, w, keys, query.value.shape[-1])
         scores = nm.attention_scores(
-            self.tape, query, nm.attention_pre(self.tape, w, keys, query.value.shape[-1]),
-            self._p("dec.opd.v"), w, self._p("dec.opd.b"),
+            self.tape, query, self._opd_pre, self._p["dec.opd.v"], w,
+            self._p["dec.opd.b"], (rows, slice(0, width)),
             dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
-        probs = nm.masked_softmax(scores.value, None if mask.all() else mask)
-        return OperandDistribution(probs, scores, mask)
+        return OperandDistribution(scores, count)
 
     def operand_loss(self, dist: OperandDistribution, targets: np.ndarray) -> Node:
         """Summed cross-entropy of each scored row's gold candidate index."""
@@ -392,6 +416,7 @@ class DecoderRun:
         equations = list(state.equations)
         last = state.last.copy()
         unknown = state.unknown.copy()
+        depth = state.depth.copy()
         genvar: list[int] = []
         by_op: dict[str, list[int]] = {}
         for row, action in enumerate(actions):
@@ -417,24 +442,29 @@ class DecoderRun:
             if kind == PUSH:
                 vec_stacks[row] = stack + (vec,)
                 last[row] = vec
+                depth[row] += 1
             elif kind == EQUAL:
                 # equal application: the remaining top is the step result, or zero
                 vec_stacks[row] = stack[:-2]
                 last[row] = stack[-3] if len(stack) > 2 else ZERO_ROW
+                depth[row] -= 2
             else:
                 by_op.setdefault(action.op, []).append(row)
+                depth[row] -= 1
 
         if genvar:
             rows = np.array(genvar)
             every = rows.size == state.rows
             vec, _ = nm.attention(
                 self.tape, state.h if every else nm.gather(self.tape, state.h, rows),
-                self.encoded.token_matrix, self._p("dec.genvar.v"),
-                self._p("dec.genvar.w"), self._p("dec.genvar.b"), mask=self._token_mask,
+                self.encoded.token_matrix, self._p["dec.genvar.v"],
+                self._p["dec.genvar.w"], self._p["dec.genvar.b"], mask=self._token_mask,
                 rows=slice(0, state.rows) if every else rows,
                 dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
             unknown[rows] = last[rows] = self.buffer.append(vec)
-            self._candidate_rows[rows, self.encoded.n_constants[rows] + 2] = unknown[rows]
+            self._candidate_rows[rows, self._candidate_count[rows]] = unknown[rows]
+            self._candidate_count[rows] += 1
+            self._opd_pre = None  # x's key is new
         for op, op_rows in by_op.items():
             pairs = None
             if self.config.transformer_mode == "mlp":
@@ -446,7 +476,7 @@ class DecoderRun:
             for r, vec in zip(op_rows, new):
                 vec_stacks[r] = vec_stacks[r][:-2] + (vec,)
                 last[r] = vec
-        return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown,
+        return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown, depth=depth,
                             vec_stacks=tuple(vec_stacks), sym_stacks=tuple(sym_stacks),
                             equations=tuple(equations))
 
@@ -461,7 +491,10 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
                   registry: ParamRegistry, config: DecoderConfig, *,
                   tape: Tape | None = None,
                   rng: np.random.Generator | None = None) -> DecodeResult:
-    """Decode with argmax action/operand choices until solvable or out of budget."""
+    """Decode with argmax action/operand choices until solvable or out of budget.
+
+    The argmax runs over the legal logits and the operand scores; a chosen
+    logit or score that is not finite raises ``NonFiniteValue``."""
     run = DecoderRun(encoded, [problem], registry, config, tape=tape,
                      training=False, rng=rng)
     state = run.initial_state()
@@ -469,27 +502,31 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
     trace: list[StepTrace] = []
     history: list[tuple[Expr, ...]] = []
     status = "budget_exceeded"
-    for _ in range(config.max_steps):
+    for step in range(1, config.max_steps + 1):
         state = run.advance(state)
         feats = run.state_features(state)
         dist = run.select_action(feats, state)
-        idx = int(np.argmax(dist.probs[0]))
-        operand_probs = None
-        ref = None
+        logits, legal = dist.logits.value[0], dist.legal[0]
+        idx = int(np.where(legal, logits, -np.inf).argmax())
+        _check_finite(logits[idx], "action logit", step)
+        scores = ref = None
         if idx == PUSH:
-            odist = run.select_operand(feats, state)
-            operand_probs = odist.probs[0]
-            ref = eqlang.operand_at(int(np.argmax(operand_probs)), problem.n_constants)
+            # one row: every column of the scores is a candidate
+            scores = run.select_operand(feats, state).scores.value[0]
+            choice = int(scores.argmax())
+            _check_finite(scores[choice], "operand score", step)
+            ref = eqlang.operand_at(choice, problem.n_constants)
         action = eqlang.action_at(idx, ref)
         state = run.apply_action(state, [action])
         actions.append(action)
         history.append(state.sym_stacks[0])
         trace.append(StepTrace(
-            action_probs=dist.probs[0], operand_probs=operand_probs,
+            action_logits=logits, legal=legal, operand_scores=scores,
             attention=None if feats.attention_weights is None else feats.attention_weights[0],
             gate_action=None if feats.gate_action is None else feats.gate_action[0],
             gate_operand=None if feats.gate_operand is None else feats.gate_operand[0]))
-        if run.solvable(state)[0]:
+        # only an equal closes an equation
+        if idx == EQUAL and run.solvable(state)[0]:
             status = "solved"
             break
     answer = None
@@ -501,3 +538,8 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
     return DecodeResult(actions=actions, equations=list(state.equations[0]),
                         answer=answer, status=status, trace=trace,
                         stack_history=history)
+
+
+def _check_finite(value: float, what: str, step: int) -> None:
+    if not math.isfinite(value):
+        raise nm.NonFiniteValue(f"decode step {step}: the chosen {what} is {value}")

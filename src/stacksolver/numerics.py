@@ -10,8 +10,11 @@ the registry once, after the backward sweep.
 Ops act on the last axis and treat any leading axes as rows, so one op call
 serves a whole batch of problems. Whole recurrences and attention reads are
 fused ops with a single backward closure each, which keeps only what that
-closure needs (dropout masks are kept as booleans). ``RowBuffer`` is the
-append-only vector store behind the decoder's pointer stacks.
+closure needs (dropout masks are kept as booleans). So is ``gate_blocks``,
+which computes every group of feature gates (the decoder has two) with one
+product over the stacked gate weights, applies their sigmoids and scales the
+feature blocks. ``RowBuffer`` is the append-only vector store behind the
+decoder's pointer stacks.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
 recorded, so closures are never built). Node values must never be mutated
@@ -177,7 +180,7 @@ def uniform_init(rng: np.random.Generator, shape, scale: float = 0.08) -> np.nda
 
 def _scatter(grad: np.ndarray, idx, g: np.ndarray) -> None:
     """grad[idx] += g, summing over repeated indices."""
-    if isinstance(idx, slice):
+    if all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,))):
         grad[idx] += g
     else:
         np.add.at(grad, idx, g)
@@ -210,24 +213,6 @@ def tanh(tape: Tape | None, x: Node) -> Node:
     return out
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """Logistic of the LSTM gates; an overflowing exp gives exactly 0."""
-    return 1.0 / (1.0 + np.exp(-v))
-
-
-def sigmoid(tape: Tape | None, x: Node) -> Node:
-    v = x.value
-    e = np.exp(-np.abs(v))  # stable on both sides of 0
-    out = Node(np.where(v >= 0, 1.0, e) / (1.0 + e))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(x, out.value * (1.0 - out.value) * out.grad)
-        tape.record(back)
-    return out
-
-
 def relu(tape: Tape | None, x: Node) -> Node:
     out = Node(np.maximum(x.value, 0.0))
     if tape is not None:
@@ -239,20 +224,18 @@ def relu(tape: Tape | None, x: Node) -> Node:
     return out
 
 
-def concat(tape: Tape | None, parts: Sequence[Node]) -> Node:
-    """Concatenation along the last axis."""
+def concat(tape: Tape | None, parts: Sequence[Node], axis: int = -1) -> Node:
+    """Concatenation along ``axis`` (the last by default)."""
     if not parts:
         raise EmptyCandidates("concat of no nodes")
-    out = Node(np.concatenate([p.value for p in parts], axis=-1))
+    out = Node(np.concatenate([p.value for p in parts], axis=axis))
     if tape is not None:
-        sizes = [p.value.shape[-1] for p in parts]
+        bounds = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
         def back():
             if out.grad is None:
                 return
-            off = 0
-            for p, sz in zip(parts, sizes):
-                _acc(p, out.grad[..., off:off + sz])
-                off += sz
+            for p, g in zip(parts, np.split(out.grad, bounds, axis=axis)):
+                _acc(p, g)
         tape.record(back)
     return out
 
@@ -433,41 +416,71 @@ def dropout(tape: Tape | None, x: Node, p: float, training: bool,
     return out
 
 
-def gate_blocks(tape: Tape | None, gates: Node, blocks: Sequence[Node]) -> Node:
-    """Concat of gates[..., k] * blocks[k]; one scalar gate scales one whole block."""
-    if gates.value.shape[-1] != len(blocks):
-        raise ShapeMismatch(f"{gates.value.shape[-1]} gates for {len(blocks)} blocks")
-    out = Node(np.concatenate([gates.value[..., k:k + 1] * blk.value
-                               for k, blk in enumerate(blocks)], axis=-1))
+def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
+                sizes: Sequence[int]) -> tuple[list[Node], np.ndarray]:
+    """Copies of ``x`` whose blocks are scaled by sigmoid gates computed from
+    ``x``, one copy per group of gates, as one op.
+
+    ``x``'s last axis is split into blocks of ``sizes``; ``w`` (G*K, k) and
+    ``b`` (G*K,) stack G groups of K = len(sizes) gate rows. Group j's gates
+    are sigmoid(x @ W_j.T + b_j), and gate k scales all of block k. The
+    product is stacked per group, so a gate equals, bit for bit, the one a
+    separate linear over W_j gives; one (G*K, k) product would not, because
+    BLAS sums its columns in another order. Returns the G gated copies and
+    the gate values, (G, ..., K).
+    """
+    n_blocks = len(sizes)
+    groups = w.value.shape[0] // n_blocks
+    if (w.value.ndim != 2 or groups * n_blocks != w.value.shape[0] or groups == 0
+            or not x.value.shape[-1] == w.value.shape[1] == sum(sizes)
+            or b.value.shape != w.value.shape[:1]):
+        raise ShapeMismatch(f"gate_blocks: x{x.value.shape}, blocks {list(sizes)}, "
+                            f"w{w.value.shape} b{b.value.shape}")
+    lead = x.value.shape[:-1]
+    w3 = w.value.reshape(groups, n_blocks, -1)
+    z = np.matmul(x.value, w3.transpose(0, 2, 1))  # (G, ..., K)
+    z += b.value.reshape((groups,) + (1,) * len(lead) + (n_blocks,))
+    e = np.exp(-np.abs(z))  # a sigmoid stable on both sides of 0
+    gates = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    scale = gates.repeat(sizes, axis=-1)
+    gated = x.value * scale
+    outs = [Node(g) for g in gated]
     if tape is not None:
-        sizes = [blk.value.shape[-1] for blk in blocks]
         def back():
-            if out.grad is None:
+            grads = [o.grad for o in outs]
+            if all(g is None for g in grads):
                 return
-            if gates.grad is None:
-                gates.grad = np.zeros_like(gates.value)
-            off = 0
-            for k, (blk, sz) in enumerate(zip(blocks, sizes)):
-                sl = out.grad[..., off:off + sz]
-                gates.grad[..., k] += (sl * blk.value).sum(axis=-1)
-                _acc(blk, gates.value[..., k:k + 1] * sl)
-                off += sz
+            dout = np.stack([np.zeros_like(x.value) if g is None else g for g in grads])
+            # gradient on each gate: its block of x against its copy's gradient
+            dgate = np.add.reduceat(dout * x.value, np.cumsum([0, *sizes[:-1]]), axis=-1)
+            dz = dgate * gates * (1.0 - gates)
+            dz2 = dz.reshape(groups, -1, n_blocks)
+            x2 = x.value.reshape(-1, x.value.shape[-1])
+            _acc(w, (dz2.transpose(0, 2, 1) @ x2).reshape(w.value.shape))
+            _acc(b, dz2.sum(axis=1).reshape(-1))
+            _acc(x, (dout * scale).sum(axis=0) + (dz2 @ w3).sum(axis=0).reshape(x.value.shape))
         tape.record(back)
-    return out
+    return outs, gates
 
 
 # ---------------------------------------------------------------------------
 # recurrences
 
 
-def _lstm_gates(z: np.ndarray, c_prev: np.ndarray):
-    """Gate activations [i f o g], new cell and new hidden state from z."""
-    hidden = z.shape[-1] // 4
-    acts = np.empty_like(z)
-    acts[..., :3 * hidden] = _sigmoid(z[..., :3 * hidden])
-    acts[..., 3 * hidden:] = np.tanh(z[..., 3 * hidden:])
-    c = acts[..., hidden:2 * hidden] * c_prev + acts[..., :hidden] * acts[..., 3 * hidden:]
-    return acts, c, acts[..., 2 * hidden:3 * hidden] * np.tanh(c)
+def _lstm_gates(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray,
+                c: np.ndarray, h: np.ndarray) -> None:
+    """Gate activations [i f o g], new cell and new hidden state from z,
+    written into ``acts`` (which may be ``z`` itself), ``c`` and ``h``."""
+    hidden = c.shape[-1]
+    # logistic 1 / (1 + exp(-z)) of i, f, o; an overflowing exp gives exactly 0
+    sig = np.negative(z[..., :3 * hidden], out=acts[..., :3 * hidden])
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    g = np.tanh(z[..., 3 * hidden:], out=acts[..., 3 * hidden:])
+    np.multiply(acts[..., hidden:2 * hidden], c_prev, out=c)
+    c += acts[..., :hidden] * g
+    np.multiply(acts[..., 2 * hidden:3 * hidden], np.tanh(c), out=h)
 
 
 def _lstm_gates_back(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray,
@@ -501,8 +514,10 @@ def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
     _check_lstm(x.value.shape[-1], hidden, wx, wh, b, "lstm_cell")
     if c.value.shape != h.value.shape or x.value.shape[:-1] != h.value.shape[:-1]:
         raise ShapeMismatch(f"lstm_cell: x{x.value.shape} h{h.value.shape} c{c.value.shape}")
-    z = np.dot(x.value, wx.value.T) + np.dot(h.value, wh.value.T) + b.value
-    acts, cn_val, hn_val = _lstm_gates(z, c.value)
+    acts = np.dot(x.value, wx.value.T) + np.dot(h.value, wh.value.T) + b.value
+    cn_val = np.empty_like(c.value)
+    hn_val = np.empty_like(h.value)
+    _lstm_gates(acts, c.value, acts, cn_val, hn_val)
     hn = Node(hn_val)
     cn = Node(cn_val)
     if tape is not None:
@@ -538,7 +553,11 @@ def lstm_sequence(tape: Tape | None, x: Node, lengths: np.ndarray, wx: Node,
     n_rows, steps, x_dim = x.value.shape
     hidden = wh.value.shape[1]
     _check_lstm(x_dim, hidden, wx, wh, b, "lstm_sequence")
-    live = (np.arange(steps)[None, :] < np.asarray(lengths)[:, None])[:, :, None]
+    # a padded step leaves the zero state, so the reverse pass starts at each
+    # row's last token, and the forward pass's padding is never read; a batch
+    # without padding (any batch of one) skips the masking
+    pad = np.arange(steps)[None, :] >= np.asarray(lengths)[:, None]
+    padded = pad.any()
     xz = (x.value.reshape(-1, x_dim) @ wx.value.T + b.value).reshape(n_rows, steps, -1)
     acts = np.empty_like(xz)
     hs = np.zeros((n_rows, steps + 1, hidden))  # column `steps` is the zero start
@@ -547,11 +566,10 @@ def lstm_sequence(tape: Tape | None, x: Node, lengths: np.ndarray, wx: Node,
     prev = steps
     for t in order:
         z = xz[:, t] + np.dot(hs[:, prev], wh.value.T)
-        acts[:, t], c, h = _lstm_gates(z, cs[:, prev])
-        # a padded step leaves the zero state, so the reverse pass starts at
-        # each row's last token, and the forward pass's padding is never read
-        cs[:, t] = np.where(live[:, t], c, 0.0)
-        hs[:, t] = np.where(live[:, t], h, 0.0)
+        _lstm_gates(z, cs[:, prev], acts[:, t], cs[:, t], hs[:, t])
+        if padded:
+            cs[pad[:, t], t] = 0.0
+            hs[pad[:, t], t] = 0.0
         prev = t
     if reverse:
         last = np.zeros(n_rows, dtype=np.intp)
@@ -577,8 +595,9 @@ def lstm_sequence(tape: Tape | None, x: Node, lengths: np.ndarray, wx: Node,
             for t in reversed(order):
                 prev = t + 1 if reverse else t - 1
                 dh, dc = dh + dh_out[:, t], dc + dc_out[:, t]
-                dh = np.where(live[:, t], dh, 0.0)
-                dc = np.where(live[:, t], dc, 0.0)
+                if padded:
+                    dh[pad[:, t]] = 0.0
+                    dc[pad[:, t]] = 0.0
                 dz_all[:, t], dc = _lstm_gates_back(dh, dc, acts[:, t],
                                                     cs[:, prev], cs[:, t])
                 dh = dz_all[:, t] @ wh.value

@@ -182,6 +182,19 @@ def test_missing_data_file_exits_2(tmp_path, capsys, trained_dir, command):
     assert_one_error_line(capsys)
 
 
+def prepared_line(**fields) -> str:
+    """A well-formed prepared record (x = 4 + 2) with ``fields`` replaced."""
+    record = {"id": "a", "tokens": ["x", "is", "4", "and", "2"], "positions": [2, 4],
+              "values": ["4", "2"], "answer": "6",
+              "target": ["genvar", "push:x", "push:c0", "push:c1", "apply:+", "equal"]}
+    return json.dumps({**record, **fields})
+
+
+def test_prepared_line_helper_is_well_formed():
+    problem = cli.prepared_from_record(json.loads(prepared_line()))
+    assert problem.n_constants == 2 and len(problem.target) == 6
+
+
 @pytest.mark.parametrize("bad_line, error", [
     ('{"target": ["genvar"], "id": "a"', "JSONDecodeError"),
     ('{"target": ["genvar"], "id": "a"}', "KeyError: 'tokens'"),
@@ -191,6 +204,19 @@ def test_missing_data_file_exits_2(tmp_path, capsys, trained_dir, command):
      "OverflowError"),
     ('{"target": [], "id": "a", "tokens": [], "positions": [], "values": [],'
      ' "answer": "1e1000000"}', "ValueError: bad number '1e1000000'"),
+    (prepared_line(target=["push:c0", "genvar", "push:x", "equal"]),
+     "does not start with genvar"),
+    (prepared_line(target=[]), "does not start with genvar"),
+    (prepared_line(target=["genvar", "push:x", "genvar", "push:c0", "equal"]),
+     "generates the unknown twice"),
+    (prepared_line(target=["genvar", "push:x", "push:c2", "equal"]),
+     "pushes c2 of 2 values"),
+    (prepared_line(target=["genvar", "push:x", "equal"]), "underflows the stack"),
+    (prepared_line(positions=[2]), "1 positions for 2 values"),
+    (prepared_line(positions=[2, 5]), "outside the 5 tokens"),
+    (prepared_line(tokens="x is 4 and 2"), "tokens is not a list"),
+    (prepared_line(values="42"), "values is not a list"),
+    (prepared_line(tokens=["x", "is", 4, "and", 2]), "a token is not a string"),
 ])
 def test_malformed_prepared_line_exits_2(tmp_path, capsys, trained_dir, fig1_prepared,
                                          bad_line, error):
@@ -347,6 +373,18 @@ def test_solve_missing_checkpoint(tmp_path):
 def test_solve_empty_text_exits_2(capsys, trained_dir):
     assert run_cli("solve", "--checkpoint", trained_dir, "--text", "  ") == 2
     assert_one_error_line(capsys)
+
+
+def test_solve_with_a_nan_parameter_exits_2(tmp_path, capsys, trained_dir):
+    model = trainer.load_model(trained_dir)
+    model.registry["dec.lstm.wx"][0, 0] = np.nan
+    broken = tmp_path / "nan-model"
+    trainer.save_model(broken, model)
+    assert run_cli("solve", "--checkpoint", broken,
+                   "--text", "tom has 3 apples and 4 pens . how many in total ?") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "decode step 1: the chosen action logit is nan" in err
 
 
 def assert_trace_matches_decode(record):

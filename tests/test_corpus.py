@@ -168,6 +168,15 @@ def test_parse_answer_rejects_junk():
         corpus.parse_answer("elephants")
 
 
+def test_parse_answer_many_leading_minus_signs():
+    # one pass over the signs, not one call per sign
+    assert corpus.parse_answer("-" * 5000 + "5") == 5
+    assert corpus.parse_answer("-" * 5001 + "5") == -5
+    assert corpus.parse_answer("- -  - 7") == -7
+    with pytest.raises(corpus.AnswerFormatError):
+        corpus.parse_answer("-" * 5000)
+
+
 # ---------------------------------------------------------------------------
 # prepare
 

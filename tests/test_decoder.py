@@ -134,6 +134,23 @@ def test_operand_candidates_after_genvar():
     assert odist.probs.shape == (1, problem.n_constants + 3)
 
 
+def test_operand_keys_are_projected_again_after_genvar():
+    """A push scored before genvar projects the candidates' keys; once x is
+    generated, its key must be projected too: the scores equal a run's that
+    never scored before genvar."""
+    problem = simple_problem()
+    _, early = make_run([problem], seed=5)
+    _, late = make_run([problem], seed=5)
+    state = early.advance(early.initial_state())
+    early.select_operand(early.state_features(state), state)
+    scores = []
+    for run, state in ((early, state), (late, late.advance(late.initial_state()))):
+        state = run.advance(run.apply_action(state, [GEN_VAR]))
+        scores.append(run.select_operand(run.state_features(state), state).scores.value)
+    assert scores[0].shape == (1, problem.n_constants + 3)
+    assert np.array_equal(scores[0], scores[1])
+
+
 def test_operand_identical_vectors_get_equal_probability():
     problem = simple_problem()
     model, run = make_run([problem], seed=13)
@@ -382,6 +399,54 @@ def test_greedy_trace_records_every_step():
         if step.attention is not None:
             assert abs(step.attention.sum() - 1.0) < 1e-9
             assert step.attention.shape == (len(problem.tokens),)
+
+
+def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
+    """At every step of a greedy decode, the chosen action and operand are the
+    argmax of the trace's probabilities, and ``state.depth`` is the stack's
+    length."""
+    problems = [simple_problem()]
+    run_apply = DecoderRun.apply_action
+    depths = []
+
+    def apply_action(run, state, actions):
+        state = run_apply(run, state, actions)
+        depths.append((state.depth.copy(), [len(s) for s in state.vec_stacks],
+                       [len(s) for s in state.sym_stacks]))
+        return state
+
+    monkeypatch.setattr(DecoderRun, "apply_action", apply_action)
+    for seed in range(12):
+        model, _ = tiny_model(problems, seed=seed)
+        for name in model.registry.names():  # sharper, more varied decodes
+            model.registry[name][...] *= 1.0 + seed
+        encoded = encoder.encode(problems[0], model.vocab, model.registry,
+                                 model.enc_config)
+        depths.clear()
+        result = greedy_decode(encoded, problems[0], model.registry, model.dec_config)
+        assert len(depths) == len(result.actions)
+        for action, step, (depth, vec_lengths, sym_lengths) in zip(
+                result.actions, result.trace, depths):
+            probs = step.action_probs
+            assert int(np.argmax(probs)) == action_index(action)
+            assert probs[action_index(action)] > 0
+            if isinstance(action, Push):
+                choice = eqlang.operand_index(action.ref, problems[0].n_constants)
+                assert int(np.argmax(step.operand_probs)) == choice
+            assert depth.tolist() == vec_lengths == sym_lengths
+
+
+@pytest.mark.parametrize("name, index", [
+    ("dec.lstm.wx", (0, 0)), ("dec.act.b2", (GENVAR,)), ("dec.opd.v", (0,)),
+])
+def test_greedy_raises_on_a_nan_parameter(name, index):
+    """A NaN logit or score never becomes an action, legal or not."""
+    problem = simple_problem()
+    model, _ = tiny_model([problem], seed=3)
+    model.registry[name][index] = np.nan
+    encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+    with pytest.raises(nm.NonFiniteValue, match="is nan"):
+        greedy_decode(encoded, problem, model.registry, model.dec_config)
 
 
 # ---------------------------------------------------------------------------

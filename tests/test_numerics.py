@@ -1,4 +1,5 @@
 """Autodiff ops vs finite differences, optimizer, checkpoints, determinism."""
+import itertools
 import struct
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_grads_elementwise_ops():
     def loss_fn(tape):
         a = nm.param(tape, registry, "a")
         b = nm.param(tape, registry, "b")
-        y = nm.add_n(tape, [nm.tanh(tape, a), nm.sigmoid(tape, b), nm.relu(tape, a)])
+        y = nm.add_n(tape, [nm.tanh(tape, a), nm.tanh(tape, b), nm.relu(tape, a)])
         return xent(tape, y)
 
     check(loss_fn, registry)
@@ -102,30 +103,59 @@ def test_grads_row_buffer():
 
 def test_grads_softmax_and_scale():
     rng = np.random.default_rng(4)
-    registry = make_registry(z=rng_arr(rng, 7), g=rng_arr(rng, 1), x=rng_arr(rng, 4))
+    registry = make_registry(z=rng_arr(rng, 7), g=rng_arr(rng, 1, 4), c=rng_arr(rng, 1),
+                             x=rng_arr(rng, 4))
 
     def loss_fn(tape):
         z = nm.param(tape, registry, "z")
         p = nm.softmax(tape, z)
-        s = nm.gather(tape, nm.param(tape, registry, "g"), np.array([0]))
         # a one-block gate is a scalar times a tensor
-        y = nm.gate_blocks(tape, s, [nm.param(tape, registry, "x")])
+        (y,), _ = nm.gate_blocks(tape, nm.param(tape, registry, "x"),
+                                 nm.param(tape, registry, "g"),
+                                 nm.param(tape, registry, "c"), [4])
         return xent(tape, y, p)
 
     check(loss_fn, registry)
 
 
 def test_grads_gate_blocks():
+    """Two groups of three gates over [a; b; c], as the decoder gates its
+    features, for one row and three, with dropout on the gated copies and without."""
     rng = np.random.default_rng(5)
-    registry = make_registry(g=rng_arr(rng, 3), a=rng_arr(rng, 4),
-                             b=rng_arr(rng, 2), c=rng_arr(rng, 5))
+    sizes = [4, 2, 5]
+    for rows in (1, 3):
+        registry = make_registry(a=rng_arr(rng, rows, 4), b=rng_arr(rng, rows, 2),
+                                 c=rng_arr(rng, rows, 5), w=rng_arr(rng, 6, 11),
+                                 wb=rng_arr(rng, 6))
+        for p in (0.0, 0.3):
+            def loss_fn(tape):
+                x = nm.concat(tape, [nm.param(tape, registry, n) for n in ("a", "b", "c")])
+                outs, _ = nm.gate_blocks(tape, x, nm.param(tape, registry, "w"),
+                                         nm.param(tape, registry, "wb"), sizes)
+                drop = np.random.default_rng(77)
+                return xent(tape, *(nm.dropout(tape, out, p, True, drop) for out in outs))
 
-    def loss_fn(tape):
-        g = nm.sigmoid(tape, nm.param(tape, registry, "g"))
-        blocks = [nm.param(tape, registry, n) for n in ("a", "b", "c")]
-        return xent(tape, nm.gate_blocks(tape, g, blocks))
+            check(loss_fn, registry, probes=60)
 
-    check(loss_fn, registry)
+
+def test_gate_blocks_equal_one_linear_per_group_bitwise():
+    rng = np.random.default_rng(12)
+    sizes = [64, 128, 64]
+    for rows in (1, 3, 16):
+        x = rng_arr(rng, rows, 256)
+        w = rng_arr(rng, 6, 256)
+        b = rng_arr(rng, 6)
+        outs, gates = nm.gate_blocks(None, nm.constant(x), nm.constant(w),
+                                     nm.constant(b), sizes)
+        for j in range(2):
+            z = np.dot(x, w[3 * j:3 * j + 3].T)
+            z += b[3 * j:3 * j + 3]
+            e = np.exp(-np.abs(z))
+            want = np.where(z >= 0, 1.0, e) / (1.0 + e)
+            assert np.array_equal(gates[j], want)
+            blocks = np.split(x, np.cumsum(sizes)[:-1], axis=-1)
+            assert np.array_equal(outs[j].value, np.concatenate(
+                [want[:, k:k + 1] * blk for k, blk in enumerate(blocks)], axis=-1))
 
 
 def test_grads_lstm_cell():
@@ -168,9 +198,10 @@ def test_lstm_sequence_matches_cell_steps_and_ignores_padding():
     x[1, 2:] = 30.0  # padding of row 1 must not leak into its states
     weights = [nm.constant(rng_arr(rng, 4 * h, 2)), nm.constant(rng_arr(rng, 4 * h, h)),
                nm.constant(rng_arr(rng, 4 * h))]
-    lengths = np.array([4, 2])
-    for reverse in (False, True):
-        states, h_last, c_last = nm.lstm_sequence(None, nm.constant(x), lengths,
+    # a padded batch of two, and its first row alone, which has no padding
+    for rows, reverse in itertools.product((2, 1), (False, True)):
+        lengths = np.array([4, 2][:rows])
+        states, h_last, c_last = nm.lstm_sequence(None, nm.constant(x[:rows]), lengths,
                                                   *weights, reverse=reverse)
         for row, n in enumerate(lengths):
             hs, c_ref = [], nm.constant(np.zeros(h))
@@ -268,7 +299,7 @@ def test_grads_fanout_sums_three_consumers():
     def loss_fn(tape):
         x = nm.param(tape, registry, "x")
         a = nm.tanh(tape, x)
-        b = nm.sigmoid(tape, x)
+        b = nm.gather(tape, x, np.array([4, 0, 1, 2, 3]))
         c = nm.relu(tape, x)
         return xent(tape, nm.add_n(tape, [a, b, c]))
 

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "stacksolver"
 ALLOWED = {
     "trainer.problem_loss": "the benchmark harness wraps and times it",
     "numerics.grad_check": "the gradient gate of the tests and acceptance criterion 3",
-    "eqlang.execute": "the VM replay that the tests and the harness check decodes with",
 }
 
 
