@@ -173,6 +173,8 @@ def build_train_config(args) -> tuple[TrainConfig, float]:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             typ = _CONFIG_KEYS[key]
+            if typ is bool and raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise ValueError(f"{key} must be true or false, got {raw!r}")
             merged[key] = raw.lower() in ("1", "true", "yes") if typ is bool else typ(raw)
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)

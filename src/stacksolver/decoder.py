@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -108,13 +108,13 @@ def init_params(config: DecoderConfig, rng: np.random.Generator
             yield f"dec.tf.{op}.vec", nm.uniform_init(rng, (d,))
 
 
-def semantic_transform(op: str, pairs: Node | None, registry: ParamRegistry,
+def semantic_transform(op: str, pairs: Node | None, params: Mapping[str, Node],
                        mode: str = "mlp", *, tape: Tape | None = None) -> Node:
-    """Semantic vectors of ``e1 <op> e2`` via the operator's transformer, for
-    rows ``pairs`` = [e1; e2]. The ``embedding`` transformer ignores its
-    operands and returns the operator's one vector."""
+    """Semantic vectors of ``e1 <op> e2`` via the operator's transformer (its
+    nodes in ``params``), for rows ``pairs`` = [e1; e2]. The ``embedding``
+    transformer ignores its operands and returns the operator's one vector."""
     def p(name: str) -> Node:
-        return nm.param(tape, registry, f"dec.tf.{op}.{name}")
+        return params[f"dec.tf.{op}.{name}"]
 
     if mode == "embedding":
         return p("vec")
@@ -471,7 +471,7 @@ class DecoderRun:
                 pairs = self.buffer.gather(
                     np.array([vec_stacks[r][-2:] for r in op_rows], dtype=np.intp))
             new = self.buffer.append(semantic_transform(
-                op, pairs, self.registry, self.config.transformer_mode, tape=self.tape))
+                op, pairs, self._p, self.config.transformer_mode, tape=self.tape))
             new = new.tolist() * (len(op_rows) // len(new))  # embedding: one vector
             for r, vec in zip(op_rows, new):
                 vec_stacks[r] = vec_stacks[r][:-2] + (vec,)

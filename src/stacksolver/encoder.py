@@ -144,15 +144,10 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
     mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     embeds = nm.gather(tape, nm.param(tape, registry, "enc.embed"), ids)
 
-    def run_direction(prefix, reverse):
-        return nm.lstm_sequence(
-            tape, embeds, lengths, nm.param(tape, registry, f"enc.{prefix}.wx"),
-            nm.param(tape, registry, f"enc.{prefix}.wh"),
-            nm.param(tape, registry, f"enc.{prefix}.b"), reverse=reverse)
-
-    fwd_states, fwd_h, fwd_c = run_direction("fwd", False)
-    bwd_states, bwd_h, bwd_c = run_direction("bwd", True)
-    token_matrix = nm.concat(tape, [fwd_states, bwd_states])
+    token_matrix, enc_h, enc_c = nm.bilstm(
+        tape, embeds, lengths,
+        *([nm.param(tape, registry, f"enc.{direction}.{name}") for name in ("wx", "wh", "b")]
+          for direction in ("fwd", "bwd")))
 
     owner = np.repeat(np.arange(len(problems)), n_constants)
     attention_maps = None
@@ -174,8 +169,6 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
             attention_maps = [weights.value[k, :lengths[row]].copy()
                               for k, row in enumerate(owner)]
 
-    enc_h = nm.concat(tape, [fwd_h, bwd_h])
-    enc_c = nm.concat(tape, [fwd_c, bwd_c])
     final_h = nm.linear(tape, enc_h, nm.param(tape, registry, "enc.init_h.w"),
                         nm.param(tape, registry, "enc.init_h.b"))
     final_c = nm.linear(tape, enc_c, nm.param(tape, registry, "enc.init_c.w"),

@@ -352,7 +352,8 @@ def _lex(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: "²" is a digit that \d does not match
+        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = (_FRACTION_RE.match(text, i) or _DECIMAL_RE.match(text, i)).end()
             if text.startswith("%", j):
                 j += 1

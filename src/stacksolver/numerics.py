@@ -2,19 +2,24 @@
 
 Everything runs in float64. A ``Tape`` records one backward closure per
 executed op, in execution order; ``Tape.backward`` replays them reversed,
-accumulating gradients additively so fan-out just works. Trainable tensors
-are named views into the flat buffers of a ``ParamRegistry``; leaf nodes
-for parameters are memoized per tape and their gradients are flushed into
-the registry once, after the backward sweep.
+accumulating gradients additively so fan-out just works: a node's first
+gradient is copied, later ones are added to it. Trainable tensors are named
+views into the flat buffers of a ``ParamRegistry``; leaf nodes for
+parameters are memoized per tape, and their gradients are the registry's
+gradient views, so the backward sweep adds into the registry directly.
 
 Ops act on the last axis and treat any leading axes as rows, so one op call
 serves a whole batch of problems. Whole recurrences and attention reads are
 fused ops with a single backward closure each, which keeps only what that
-closure needs (dropout masks are kept as booleans). So is ``gate_blocks``,
-which computes every group of feature gates (the decoder has two) with one
-product over the stacked gate weights, applies their sigmoids and scales the
-feature blocks. ``RowBuffer`` is the append-only vector store behind the
-decoder's pointer stacks.
+closure needs (dropout masks are kept as booleans). ``bilstm`` steps both
+encoder directions at once, time-major: one stacked product per step, and
+each gate's block of both directions contiguous. ``gate_blocks`` computes
+every group of feature gates (the decoder has two) with one product over the
+stacked gate weights, applies their sigmoids and scales the feature blocks.
+``RowBuffer`` is the append-only vector store behind the decoder's pointer
+stacks. Per-step ops take their weight gradients ``g.T @ x`` from
+``_weight_grad``, which hands a one-row product to ``np.dot``: matmul runs
+it outside BLAS, about 3x slower, and each entry is one product either way.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
 recorded, so closures are never built). Node values must never be mutated
@@ -66,8 +71,9 @@ class Node:
 
 def _acc(node: Node, g: np.ndarray) -> None:
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = g.copy()
+    else:
+        node.grad += g
 
 
 class ParamRegistry:
@@ -133,21 +139,20 @@ class Tape:
 
     def __init__(self):
         self._backs: list[Callable[[], None]] = []
-        self._params: dict[str, tuple[ParamRegistry, Node]] = {}
+        self._params: dict[str, Node] = {}
 
     def record(self, back: Callable[[], None]) -> None:
         self._backs.append(back)
 
     def param_leaf(self, registry: ParamRegistry, name: str) -> Node:
-        hit = self._params.get(name)
-        if hit is not None:
-            return hit[1]
-        node = Node(registry[name])
-        self._params[name] = (registry, node)
+        node = self._params.get(name)
+        if node is None:
+            node = self._params[name] = Node(registry[name])
+            node.grad = registry.grads[name]
         return node
 
     def backward(self, root: Node) -> None:
-        """Reverse sweep from ``root``; flushes parameter grads into registries.
+        """Reverse sweep from ``root``, adding into the registries' gradients.
 
         Each closure is dropped once it has run, so the intermediate values
         that only it referred to are freed during the sweep."""
@@ -155,9 +160,6 @@ class Tape:
         backs, self._backs = self._backs, []
         while backs:
             backs.pop()()
-        for name, (registry, node) in self._params.items():
-            if node.grad is not None:
-                registry.grads[name] += node.grad
 
 
 def param(tape: Tape | None, registry: ParamRegistry, name: str) -> Node:
@@ -230,12 +232,13 @@ def concat(tape: Tape | None, parts: Sequence[Node], axis: int = -1) -> Node:
         raise EmptyCandidates("concat of no nodes")
     out = Node(np.concatenate([p.value for p in parts], axis=axis))
     if tape is not None:
-        bounds = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
+        ends = np.cumsum([p.value.shape[axis] for p in parts]).tolist()
+        lead = (slice(None),) * (axis % out.value.ndim)
         def back():
             if out.grad is None:
                 return
-            for p, g in zip(parts, np.split(out.grad, bounds, axis=axis)):
-                _acc(p, g)
+            for p, lo, hi in zip(parts, [0, *ends], ends):
+                _acc(p, out.grad[lead + (slice(lo, hi),)])
         tape.record(back)
     return out
 
@@ -306,6 +309,16 @@ class RowBuffer:
 # linear algebra primitives
 
 
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``g.T @ x`` over the rows of ``g`` and ``x`` (leading axes flattened):
+    the gradient on W of a product ``x @ W.T`` whose gradient is ``g``."""
+    g2 = g.reshape(-1, g.shape[-1])
+    x2 = x.reshape(-1, x.shape[-1])
+    if g2.shape[0] == 1:
+        return np.dot(g2.T, x2)  # one product per entry: the bits of matmul's non-BLAS loop
+    return g2.T @ x2
+
+
 def linear(tape: Tape | None, x: Node, w: Node, b: Node) -> Node:
     """x @ W.T + b for a (n, k) matrix W, over the last axis of x."""
     if (w.value.ndim != 2 or x.value.shape[-1] != w.value.shape[1]
@@ -319,9 +332,8 @@ def linear(tape: Tape | None, x: Node, w: Node, b: Node) -> Node:
             g = out.grad
             if g is None:
                 return
-            g2 = g.reshape(-1, g.shape[-1])
-            _acc(w, g2.T @ x.value.reshape(-1, x.value.shape[-1]))
-            _acc(b, g2.sum(axis=0))
+            _acc(w, _weight_grad(g, x.value))
+            _acc(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
             _acc(x, g @ w.value)
         tape.record(back)
     return out
@@ -364,7 +376,7 @@ def softmax_cross_entropy(tape: Tape | None, logits: Node, targets,
     t = np.asarray(targets, dtype=np.intp).reshape(-1)
     if t.shape[0] != z.shape[0]:
         raise ShapeMismatch(f"{t.shape[0]} targets for {z.shape[0]} rows of logits")
-    if np.any((t < 0) | (t >= n)):
+    if t.size and not 0 <= t.min() <= t.max() < n:
         raise IndexOutOfRange(f"targets {t.tolist()} out of range for {n} logits")
     rows = np.arange(t.shape[0])
     if mask is not None:
@@ -447,10 +459,11 @@ def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
     outs = [Node(g) for g in gated]
     if tape is not None:
         def back():
-            grads = [o.grad for o in outs]
-            if all(g is None for g in grads):
+            if all(o.grad is None for o in outs):
                 return
-            dout = np.stack([np.zeros_like(x.value) if g is None else g for g in grads])
+            dout = np.empty((groups,) + x.value.shape)
+            for d, o in zip(dout, outs):
+                d[...] = 0.0 if o.grad is None else o.grad
             # gradient on each gate: its block of x against its copy's gradient
             dgate = np.add.reduceat(dout * x.value, np.cumsum([0, *sizes[:-1]]), axis=-1)
             dz = dgate * gates * (1.0 - gates)
@@ -469,35 +482,39 @@ def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
 
 def _lstm_gates(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray,
                 c: np.ndarray, h: np.ndarray) -> None:
-    """Gate activations [i f o g], new cell and new hidden state from z,
-    written into ``acts`` (which may be ``z`` itself), ``c`` and ``h``."""
-    hidden = c.shape[-1]
+    """Gate activations, new cell and new hidden state from gate logits z
+    ([i f o g] on the first axis), into ``acts`` (may be ``z``), ``c``, ``h``."""
     # logistic 1 / (1 + exp(-z)) of i, f, o; an overflowing exp gives exactly 0
-    sig = np.negative(z[..., :3 * hidden], out=acts[..., :3 * hidden])
+    sig = np.negative(z[:3], out=acts[:3])
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    g = np.tanh(z[..., 3 * hidden:], out=acts[..., 3 * hidden:])
-    np.multiply(acts[..., hidden:2 * hidden], c_prev, out=c)
-    c += acts[..., :hidden] * g
-    np.multiply(acts[..., 2 * hidden:3 * hidden], np.tanh(c), out=h)
+    g = np.tanh(z[3], out=acts[3])
+    np.multiply(acts[1], c_prev, out=c)
+    c += acts[0] * g
+    np.multiply(acts[2], np.tanh(c), out=h)
 
 
 def _lstm_gates_back(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray,
-                     c_prev: np.ndarray, c: np.ndarray):
-    """Gradient on z and on the previous cell from gradients on (h, c)."""
-    hidden = acts.shape[-1] // 4
-    gi, gf = acts[..., :hidden], acts[..., hidden:2 * hidden]
-    go, gg = acts[..., 2 * hidden:3 * hidden], acts[..., 3 * hidden:]
+                     c_prev: np.ndarray, c: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Gradient on the gate logits, written into ``dz`` (gates on its first
+    axis), and on the previous cell (returned) from gradients on (h, c)."""
+    gi, gf, go, gg = acts
     tc = np.tanh(c)
     dc_tot = dc + dh * go * (1.0 - tc * tc)
-    dz = np.concatenate([
-        dc_tot * gg * gi * (1.0 - gi),
-        dc_tot * c_prev * gf * (1.0 - gf),
-        dh * tc * go * (1.0 - go),
-        dc_tot * gi * (1.0 - gg * gg),
-    ], axis=-1)
-    return dz, dc_tot * gf
+    np.multiply(dc_tot, gg, out=dz[0])
+    np.multiply(dc_tot, c_prev, out=dz[1])
+    np.multiply(dh, tc, out=dz[2])
+    dz[:3] *= acts[:3]
+    dz[:3] *= 1.0 - acts[:3]
+    np.multiply(dc_tot, gi, out=dz[3])
+    dz[3] *= 1.0 - gg * gg
+    return dc_tot * gf
+
+
+def _by_gate(z: np.ndarray) -> np.ndarray:
+    """A (..., 4h) view of [i f o g] gate blocks as (4, ..., h)."""
+    return z.reshape(z.shape[:-1] + (4, -1)).transpose((z.ndim - 1, *range(z.ndim - 1), z.ndim))
 
 
 def _check_lstm(x_dim: int, hidden: int, wx: Node, wh: Node, b: Node, what: str) -> None:
@@ -517,7 +534,8 @@ def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
     acts = np.dot(x.value, wx.value.T) + np.dot(h.value, wh.value.T) + b.value
     cn_val = np.empty_like(c.value)
     hn_val = np.empty_like(h.value)
-    _lstm_gates(acts, c.value, acts, cn_val, hn_val)
+    gates = _by_gate(acts)
+    _lstm_gates(gates, c.value, gates, cn_val, hn_val)
     hn = Node(hn_val)
     cn = Node(cn_val)
     if tape is not None:
@@ -525,13 +543,13 @@ def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
             if hn.grad is None and cn.grad is None:
                 return
             zero = np.zeros_like(cn_val)
-            dz, dc_prev = _lstm_gates_back(
+            dz = np.empty_like(acts)
+            dc_prev = _lstm_gates_back(
                 zero if hn.grad is None else hn.grad,
-                zero if cn.grad is None else cn.grad, acts, c.value, cn_val)
-            dz2 = dz.reshape(-1, dz.shape[-1])
-            _acc(wx, dz2.T @ x.value.reshape(-1, x.value.shape[-1]))
-            _acc(wh, dz2.T @ h.value.reshape(-1, hidden))
-            _acc(b, dz2.sum(axis=0))
+                zero if cn.grad is None else cn.grad, gates, c.value, cn_val, _by_gate(dz))
+            _acc(wx, _weight_grad(dz, x.value))
+            _acc(wh, _weight_grad(dz, h.value))
+            _acc(b, dz.reshape(-1, dz.shape[-1]).sum(axis=0))
             _acc(x, dz @ wx.value)
             _acc(h, dz @ wh.value)
             _acc(c, dc_prev)
@@ -539,74 +557,86 @@ def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
     return hn, cn
 
 
-def lstm_sequence(tape: Tape | None, x: Node, lengths: np.ndarray, wx: Node,
-                  wh: Node, b: Node, *, reverse: bool = False
-                  ) -> tuple[Node, Node, Node]:
-    """One LSTM direction over a padded batch, with one backward closure.
+def bilstm(tape: Tape | None, x: Node, lengths: np.ndarray,
+           fwd: Sequence[Node], bwd: Sequence[Node]) -> tuple[Node, Node, Node]:
+    """Both directions of an LSTM over a padded batch, as one op.
 
-    ``x`` is (B, T, k) and row r's tokens are ``x[r, :lengths[r]]``. Returns
-    the hidden states (B, T, h), zero past each row's length, and the final
-    (h, c) of each row: after its last token, or with ``reverse`` (which
-    starts at each row's last token) after its first. The input projection
-    of every token is one matrix product, and so are the weight gradients.
+    ``x`` is (B, T, k) and row r's tokens are ``x[r, :lengths[r]]``; ``fwd``
+    and ``bwd`` are each direction's (wx, wh, b). Returns the states
+    (B, T, 2h), [forward; backward] at each token and zero past each row's
+    length, and each row's final (h, c), (B, 2h): the forward direction's
+    after its last token beside the backward direction's after its first.
+    Step s runs the forward direction at token s and the backward one at
+    token T-1-s; a padded step leaves the zero state, so the backward
+    direction starts at each row's last token. Input projections and weight
+    gradients are one product per direction over the tokens in row order.
     """
     n_rows, steps, x_dim = x.value.shape
-    hidden = wh.value.shape[1]
-    _check_lstm(x_dim, hidden, wx, wh, b, "lstm_sequence")
-    # a padded step leaves the zero state, so the reverse pass starts at each
-    # row's last token, and the forward pass's padding is never read; a batch
-    # without padding (any batch of one) skips the masking
-    pad = np.arange(steps)[None, :] >= np.asarray(lengths)[:, None]
-    padded = pad.any()
-    xz = (x.value.reshape(-1, x_dim) @ wx.value.T + b.value).reshape(n_rows, steps, -1)
-    acts = np.empty_like(xz)
-    hs = np.zeros((n_rows, steps + 1, hidden))  # column `steps` is the zero start
-    cs = np.zeros((n_rows, steps + 1, hidden))
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    prev = steps
-    for t in order:
-        z = xz[:, t] + np.dot(hs[:, prev], wh.value.T)
-        _lstm_gates(z, cs[:, prev], acts[:, t], cs[:, t], hs[:, t])
+    hidden = fwd[1].value.shape[1]
+    for w in (fwd, bwd):
+        _check_lstm(x_dim, hidden, *w, "bilstm")
+    wx, wh, b = (np.stack([f.value, r.value]) for f, r in zip(fwd, bwd))
+    x2 = x.value.reshape(-1, x_dim)
+
+    def flip(a):
+        """(2, B, T, ...) with the backward direction's T axis reversed."""
+        return np.stack([a[0], a[1, :, ::-1]])
+
+    xz = np.matmul(x2, wx.transpose(0, 2, 1)) + b[:, None]
+    # (T, 4, 2, B, h): the gate logits of each step
+    acts = np.ascontiguousarray(
+        flip(xz.reshape(2, n_rows, steps, 4, hidden)).transpose(2, 3, 0, 1, 4))
+    # h and c; state s + 1 follows step s, and state 0 is the zero start
+    hc = np.zeros((2, steps + 1, 2, n_rows, hidden))
+    hs, cs = hc
+    pad = np.arange(steps)[:, None] >= np.asarray(lengths)[None, :]
+    pad = np.stack([pad, pad[::-1]], axis=1)  # (T, 2, B) per step
+    padded = pad.any()  # a batch of one never is
+    wh_t = wh.transpose(0, 2, 1)
+    for s in range(steps):
+        z = acts[s]
+        z += np.matmul(hs[s], wh_t).reshape(2, n_rows, 4, hidden).transpose(2, 0, 1, 3)
+        _lstm_gates(z, cs[s], z, cs[s + 1], hs[s + 1])
         if padded:
-            cs[pad[:, t], t] = 0.0
-            hs[pad[:, t], t] = 0.0
-        prev = t
-    if reverse:
-        last = np.zeros(n_rows, dtype=np.intp)
-    else:
-        last = np.asarray(lengths) - 1
+            hc[:, s + 1, pad[s]] = 0.0
+    # [forward; backward] per token: each direction's (B, T, h) in token order
+    out = Node(np.concatenate(flip(hs[1:].transpose(1, 2, 0, 3)), axis=-1))
+    last = np.asarray(lengths) - 1  # the forward direction's last step per row
     rows = np.arange(n_rows)
-    out = Node(hs[:, :steps])
-    h_last = Node(hs[rows, last])
-    c_last = Node(cs[rows, last])
+    h_last, c_last = map(Node, np.concatenate([hc[:, last + 1, 0, rows], hc[:, steps, 1]],
+                                              axis=-1))
     if tape is not None:
         def back():
             if out.grad is None and h_last.grad is None and c_last.grad is None:
                 return
-            dh_out = np.zeros((n_rows, steps, hidden)) if out.grad is None else out.grad.copy()
-            dc_out = np.zeros((n_rows, steps, hidden))
-            if h_last.grad is not None:
-                dh_out[rows, last] += h_last.grad
-            if c_last.grad is not None:
-                dc_out[rows, last] += c_last.grad
-            dz_all = np.zeros_like(acts)
-            dh = np.zeros((n_rows, hidden))
-            dc = np.zeros((n_rows, hidden))
-            for t in reversed(order):
-                prev = t + 1 if reverse else t - 1
-                dh, dc = dh + dh_out[:, t], dc + dc_out[:, t]
+            # the [forward; backward] halves of the states' gradient, per step
+            g = np.zeros_like(out.value) if out.grad is None else out.grad
+            g = g.reshape(n_rows, steps, 2, -1).transpose(2, 0, 1, 3)
+            dh_out = flip(g).transpose(2, 0, 1, 3)
+            dc_out = np.zeros_like(dh_out)
+            for d_out, final in ((dh_out, h_last), (dc_out, c_last)):
+                if final.grad is not None:
+                    d_out[last, 0, rows] += final.grad[:, :hidden]
+                    d_out[steps - 1, 1] += final.grad[:, hidden:]
+            dz = np.empty_like(acts)
+            dh, dc = np.zeros((2, 2, n_rows, hidden))
+            for s in range(steps - 1, -1, -1):
+                dh += dh_out[s]
+                dc += dc_out[s]
                 if padded:
-                    dh[pad[:, t]] = 0.0
-                    dc[pad[:, t]] = 0.0
-                dz_all[:, t], dc = _lstm_gates_back(dh, dc, acts[:, t],
-                                                    cs[:, prev], cs[:, t])
-                dh = dz_all[:, t] @ wh.value
-            h_prev = hs[:, 1:] if reverse else hs[:, np.arange(-1, steps - 1)]
-            dz2 = dz_all.reshape(-1, 4 * hidden)
-            _acc(wx, dz2.T @ x.value.reshape(-1, x_dim))
-            _acc(wh, dz2.T @ h_prev.reshape(-1, hidden))
-            _acc(b, dz2.sum(axis=0))
-            _acc(x, (dz2 @ wx.value).reshape(x.value.shape))
+                    dh[pad[s]] = 0.0
+                    dc[pad[s]] = 0.0
+                dc = _lstm_gates_back(dh, dc, acts[s], cs[s], cs[s + 1], dz[s])
+                dh = np.matmul(dz[s].transpose(1, 2, 0, 3).reshape(2, n_rows, -1), wh)
+            # per direction, rows in token order
+            dz = flip(dz.transpose(2, 3, 0, 1, 4)).reshape(2, -1, 4 * hidden)
+            h_prev = flip(hs[:steps].transpose(1, 2, 0, 3)).reshape(2, -1, hidden)
+            grads = (dz.transpose(0, 2, 1) @ x2, dz.transpose(0, 2, 1) @ h_prev, dz.sum(axis=1))
+            for w, w_grads in zip((fwd, bwd), zip(*grads)):
+                for node, g in zip(w, w_grads):
+                    _acc(node, g)
+            for g in np.matmul(dz, wx):
+                _acc(x, g.reshape(x.value.shape))
         tape.record(back)
     return out, h_last, c_last
 
@@ -629,8 +659,7 @@ def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Nod
                 return
             if w.grad is None:
                 w.grad = np.zeros_like(w.value)
-            w.grad[:, query_dim:] += (g.reshape(-1, g.shape[-1]).T
-                                      @ keys.value.reshape(-1, w_keys.shape[1]))
+            w.grad[:, query_dim:] += _weight_grad(g, keys.value)
             _acc(keys, g @ w_keys)
         tape.record(back)
     return out
@@ -675,7 +704,7 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
             da = dz.sum(axis=1)
             if w.grad is None:
                 w.grad = np.zeros_like(w.value)
-            w.grad[:, :query_dim] += da.T @ query.value
+            w.grad[:, :query_dim] += _weight_grad(da, query.value)
             _acc(b, da.sum(axis=0))
             _acc(query, da @ w_query)
         tape.record(back)

@@ -57,6 +57,11 @@ class TrainConfig:
             raise ValueError("encoder dimensions must be positive")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_p}")
+        if self.mode not in ("word", "char") or self.constant_mode not in (
+                "direct", "self_attention"):
+            raise ValueError(f"unknown mode {self.mode!r} or constant_mode {self.constant_mode!r}")
+        if self.seed < 0 or min(self.patience, self.eval_every, self.decoder.max_steps) < 1:
+            raise ValueError("seed must be >= 0; patience, eval_every, max_steps >= 1")
 
 
 @dataclass

@@ -313,6 +313,10 @@ def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewri
     ("train", ["--lr", "inf"], "learning_rate must be positive and finite"),
     ("train", ["--heldout-frac", 1.5], "heldout_frac must be in [0, 1)"),
     ("cv", ["--folds", 1], "cross-validation needs at least 2 folds"),
+    ("train", ["--seed", -1], "seed must be >= 0"),
+    ("train", ["--eval-every", 0], "eval_every"),
+    ("cv", ["--patience", 0], "patience"),
+    ("train", ["--max-steps", 0], "max_steps"),
 ])
 def test_invalid_config_exits_2_before_reading_data(tmp_path, capsys, command, flags,
                                                     error):
@@ -322,6 +326,19 @@ def test_invalid_config_exits_2_before_reading_data(tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert error in err
+
+
+@pytest.mark.parametrize("line", [
+    "mode = wrd", "constant_mode = dirct", "seed = -1", "eval_every = 0", "patience = 0",
+    "max_steps = 0", "no_gate = maybe", "epochs = 1e3", "lr = nan", "heldout_frac = nan",
+])
+def test_invalid_config_file_value_exits_2(tmp_path, capsys, line):
+    config = tmp_path / "train.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert run_cli("train", "--data", tmp_path / "missing.jsonl", "--out", tmp_path / "m",
+                   "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_clip_zero_is_a_config_error(tmp_path, capsys, synth_file):

@@ -195,30 +195,28 @@ def test_transform_zero_params_gives_zero():
     problem = simple_problem()
     model, run = make_run([problem], zero=True)
     d = model.dec_config.dim
-    out = semantic_transform("+", nm.constant(np.ones(2 * d)), model.registry, "mlp")
+    out = semantic_transform("+", nm.constant(np.ones(2 * d)), run._p, "mlp")
     assert np.array_equal(out.value, np.zeros(d))
 
 
 def test_transform_embedding_mode_ignores_inputs():
     problem = simple_problem()
-    model, _ = tiny_model([problem], seed=6,
+    model, run = make_run([problem], seed=6,
                           decoder=DecoderConfig(transformer_mode="embedding"))
     d = model.dec_config.dim
     rng = np.random.default_rng(0)
-    a = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)),
-                           model.registry, "embedding")
-    b = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)),
-                           model.registry, "embedding")
+    a = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)), run._p, "embedding")
+    b = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)), run._p, "embedding")
     assert np.array_equal(a.value, b.value)
     assert np.array_equal(a.value, model.registry["dec.tf.*.vec"])
 
 
 def test_transform_operators_differ():
     problem = simple_problem()
-    model, _ = tiny_model([problem], seed=14)
+    model, run = make_run([problem], seed=14)
     d = model.dec_config.dim
     pair = nm.constant(np.concatenate([np.full(d, 0.3), np.full(d, -0.2)]))
-    outputs = [semantic_transform(op, pair, model.registry, "mlp").value
+    outputs = [semantic_transform(op, pair, run._p, "mlp").value
                for op in eqlang.OPS]
     for i in range(len(outputs)):
         for j in range(i + 1, len(outputs)):

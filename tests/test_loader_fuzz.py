@@ -1,8 +1,9 @@
 """Loaders fed mutated bytes raise their typed error and nothing else.
 
-Each case starts from a small valid file, applies a few byte flips, cuts,
-insertions and deletions, and loads the result. Hypothesis runs derandomized
-with a bounded number of examples, so the suite stays deterministic.
+Each case starts from a small valid input (a file, or an equation's text),
+applies a few byte flips, cuts, insertions and deletions, and loads the
+result. Hypothesis runs derandomized with a bounded number of examples, so
+the suite stays deterministic.
 """
 import json
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stacksolver import cli, corpus, numerics as nm
+from stacksolver import cli, corpus, eqlang, numerics as nm, trainer
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -94,3 +95,73 @@ def test_data_loaders_on_mutated_bytes(tmp_path, original, load, expected, data)
         return
     if mutated == original:
         assert loaded == expected
+
+
+EQUATION = "x = (12 + 3/4) * 2 - 5 / (1 - 0.25)".encode("utf-8")
+
+
+@FUZZ
+@given(data=st.data())
+def test_parse_equation_on_mutated_text(data):
+    text = data.draw(mutations(EQUATION)).decode("latin-1")
+    try:
+        lhs, rhs = eqlang.parse_equation(text)
+    except eqlang.EqLangError:
+        return
+    # a parsed equation renders to text that parses back to it
+    assert eqlang.parse_equation(eqlang.equation_to_infix(lhs, rhs)) == (lhs, rhs)
+
+
+CONFIG = b"""# a small training run
+epochs = 3
+batch-size = 4
+seed = 7
+lr = 0.01
+clip = 2.5
+mode = word
+embed_dim = 8
+hidden = 8
+dropout = 0.2
+max_steps = 30
+patience = 2
+eval_every = 1
+heldout_frac = 0.25
+transformer = mlp
+constant_repr = semantic
+constant_mode = direct
+no_gate = false
+"""
+
+
+def usable(config: trainer.TrainConfig, heldout_frac: float) -> bool:
+    """Every field in the range that training reads it in."""
+    dec, opt = config.decoder, config.optimizer
+    return (min(config.epochs, config.batch_size, config.embed_dim,
+                config.hidden_per_direction, config.patience, config.eval_every,
+                dec.max_steps) >= 1
+            and config.seed >= 0 and 0 <= config.dropout_p < 1 and 0 <= heldout_frac < 1
+            and config.mode in ("word", "char")
+            and config.constant_mode in ("direct", "self_attention")
+            and dec.transformer_mode in ("mlp", "embedding")
+            and dec.constant_repr in ("semantic", "fixed")
+            and np.isfinite(opt.learning_rate) and opt.learning_rate > 0
+            and (opt.gradient_clip_norm is None or opt.gradient_clip_norm > 0))
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_file_on_mutated_bytes(tmp_path, capsys, data):
+    mutated = data.draw(mutations(CONFIG))
+    path = tmp_path / "train.cfg"
+    path.write_bytes(mutated)
+    argv = ["train", "--data", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "out"),
+            "--config", str(path)]
+    try:
+        config, heldout_frac = cli.build_train_config(cli.build_parser().parse_args(argv))
+    except ValueError:
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        return
+    assert usable(config, heldout_frac)

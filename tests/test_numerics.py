@@ -1,5 +1,4 @@
 """Autodiff ops vs finite differences, optimizer, checkpoints, determinism."""
-import itertools
 import struct
 
 import numpy as np
@@ -174,48 +173,56 @@ def test_grads_lstm_cell():
     check(loss_fn, registry, probes=60)
 
 
-def test_grads_lstm_sequence_padded():
+def test_grads_bilstm_padded():
     rng = np.random.default_rng(14)
     h = 3
-    registry = make_registry(x=rng_arr(rng, 3, 4, 2), wx=rng_arr(rng, 4 * h, 2),
-                             wh=rng_arr(rng, 4 * h, h), b=rng_arr(rng, 4 * h))
-    lengths = np.array([4, 2, 1])
-
-    for reverse in (False, True):
+    registry = make_registry(x=rng_arr(rng, 3, 4, 2), **{
+        f"{d}{n}": rng_arr(rng, *shape) for d in "fb"
+        for n, shape in (("wx", (4 * h, 2)), ("wh", (4 * h, h)), ("b", (4 * h,)))})
+    for lengths in (np.array([4, 2, 1]), np.array([4, 4, 4])):
         def loss_fn(tape):
-            args = [nm.param(tape, registry, n) for n in ("x", "wx", "wh", "b")]
-            states, h_last, c_last = nm.lstm_sequence(tape, args[0], lengths, *args[1:],
-                                                      reverse=reverse)
+            weights = [[nm.param(tape, registry, f"{d}{n}") for n in ("wx", "wh", "b")]
+                       for d in "fb"]
+            states, h_last, c_last = nm.bilstm(tape, nm.param(tape, registry, "x"),
+                                               lengths, *weights)
             return xent(tape, states, h_last, c_last)
 
         check(loss_fn, registry, probes=60)
 
 
-def test_lstm_sequence_matches_cell_steps_and_ignores_padding():
+def test_bilstm_matches_cell_steps_and_ignores_padding():
     rng = np.random.default_rng(15)
     h = 3
     x = rng_arr(rng, 2, 4, 2)
     x[1, 2:] = 30.0  # padding of row 1 must not leak into its states
-    weights = [nm.constant(rng_arr(rng, 4 * h, 2)), nm.constant(rng_arr(rng, 4 * h, h)),
-               nm.constant(rng_arr(rng, 4 * h))]
+    weights = [[nm.constant(rng_arr(rng, 4 * h, 2)), nm.constant(rng_arr(rng, 4 * h, h)),
+                nm.constant(rng_arr(rng, 4 * h))] for _ in range(2)]
     # a padded batch of two, and its first row alone, which has no padding
-    for rows, reverse in itertools.product((2, 1), (False, True)):
+    for rows in (2, 1):
         lengths = np.array([4, 2][:rows])
-        states, h_last, c_last = nm.lstm_sequence(None, nm.constant(x[:rows]), lengths,
-                                                  *weights, reverse=reverse)
+        states, h_last, c_last = nm.bilstm(None, nm.constant(x[:rows]), lengths, *weights)
         for row, n in enumerate(lengths):
-            hs, c_ref = [], nm.constant(np.zeros(h))
-            h_ref = nm.constant(np.zeros(h))
-            steps = range(n - 1, -1, -1) if reverse else range(n)
-            for t in steps:
-                h_ref, c_ref = nm.lstm_cell(None, nm.constant(x[row, t]), h_ref, c_ref,
-                                            *weights)
-                hs.append((t, h_ref.value))
-            for t, value in hs:
-                assert np.allclose(states.value[row, t], value, rtol=0, atol=1e-14)
-            assert np.all(states.value[row, n:] == 0.0)
-            assert np.allclose(h_last.value[row], h_ref.value, rtol=0, atol=1e-14)
-            assert np.allclose(c_last.value[row], c_ref.value, rtol=0, atol=1e-14)
+            for half, (reverse, w) in enumerate(zip((False, True), weights)):
+                cols = slice(half * h, (half + 1) * h)
+                h_ref = c_ref = nm.constant(np.zeros(h))
+                for t in (range(n - 1, -1, -1) if reverse else range(n)):
+                    h_ref, c_ref = nm.lstm_cell(None, nm.constant(x[row, t]), h_ref, c_ref, *w)
+                    assert np.allclose(states.value[row, t, cols], h_ref.value,
+                                       rtol=0, atol=1e-14)
+                assert np.all(states.value[row, n:, cols] == 0.0)
+                assert np.allclose(h_last.value[row, cols], h_ref.value, rtol=0, atol=1e-14)
+                assert np.allclose(c_last.value[row, cols], c_ref.value, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 16])
+def test_weight_grad_equals_matmul_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    g = rng.standard_normal((rows, 256))
+    x = rng.standard_normal((rows, 64))
+    want = (g.T @ x).tobytes()
+    assert nm._weight_grad(g, x).tobytes() == want
+    # leading axes are rows
+    assert nm._weight_grad(g.reshape(rows, 1, 256), x.reshape(rows, 1, 64)).tobytes() == want
 
 
 def test_grads_attention():
@@ -301,7 +308,10 @@ def test_grads_fanout_sums_three_consumers():
         a = nm.tanh(tape, x)
         b = nm.gather(tape, x, np.array([4, 0, 1, 2, 3]))
         c = nm.relu(tape, x)
-        return xent(tape, nm.add_n(tape, [a, b, c]))
+        # a's second consumer: its gradient reaches a after add_n's, and
+        # must not leak into the gradients that add_n handed b and c
+        d = nm.tanh(tape, a)
+        return xent(tape, nm.add_n(tape, [a, b, c]), d)
 
     check(loss_fn, registry)
     # the analytic gradient equals the sum of the three single-consumer paths

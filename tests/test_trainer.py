@@ -181,7 +181,7 @@ def test_nan_gradient_stops_training(monkeypatch, synth_prepared):
         leaf = nm.param(tape, model.registry, "enc.one")
 
         def poison():  # recorded first, so it runs last in the backward sweep
-            leaf.grad = np.full_like(leaf.value, np.nan)
+            nm._acc(leaf, np.full_like(leaf.value, np.nan))
         tape.record(poison)
         return original(problems, model, tape=tape, training=training, rng=rng)
 
