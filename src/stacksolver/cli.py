@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -156,61 +157,67 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "epochs": int, "batch_size": int, "seed": int, "lr": float, "clip": float,
-    "mode": str, "embed_dim": int, "hidden": int, "dropout": float,
-    "max_steps": int, "patience": int, "eval_every": int,
-    "heldout_frac": float, "transformer": str, "constant_repr": str,
-    "constant_mode": str, "no_gate": bool, "no_attention": bool, "no_stack": bool,
+def _switched_off(text: str) -> bool:
+    """The value that a ``no_*`` option's text gives the switch it names."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return word not in ("1", "true", "yes")
+
+
+# Every train and cv option, once: its config-file key (the flag is the key
+# spelled with dashes), the field it sets and how its text is parsed. The
+# defaults are the config dataclasses' own; heldout_frac is the one option
+# that no config holds.
+TRAIN_OPTIONS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "epochs": ("epochs", int),
+    "batch_size": ("batch_size", int),
+    "seed": ("seed", int),
+    "lr": ("optimizer.learning_rate", float),
+    "clip": ("optimizer.gradient_clip_norm", float),
+    "mode": ("mode", str),
+    "embed_dim": ("embed_dim", int),
+    "hidden": ("hidden_per_direction", int),
+    "dropout": ("dropout_p", float),
+    "max_steps": ("decoder.max_steps", int),
+    "patience": ("patience", int),
+    "eval_every": ("eval_every", int),
+    "heldout_frac": ("heldout_frac", float),
+    "transformer": ("decoder.transformer_mode", str),
+    "constant_repr": ("decoder.constant_repr", str),
+    "constant_mode": ("constant_mode", str),
+    "no_gate": ("decoder.use_gate", _switched_off),
+    "no_attention": ("decoder.use_attention", _switched_off),
+    "no_stack": ("decoder.use_stack_feature", _switched_off),
 }
 
 
 def build_train_config(args) -> tuple[TrainConfig, float]:
-    merged: dict = {}
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            typ = _CONFIG_KEYS[key]
-            if typ is bool and raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                raise ValueError(f"{key} must be true or false, got {raw!r}")
-            merged[key] = raw.lower() in ("1", "true", "yes") if typ is bool else typ(raw)
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            merged[key] = flag
-    decoder = DecoderConfig(
-        use_gate=not merged.get("no_gate", False),
-        use_attention=not merged.get("no_attention", False),
-        use_stack_feature=not merged.get("no_stack", False),
-        transformer_mode=merged.get("transformer", "mlp"),
-        constant_repr=merged.get("constant_repr", "semantic"),
-        max_steps=merged.get("max_steps", 40),
-    )
-    optimizer = OptimizerConfig(
-        learning_rate=merged.get("lr", 0.001),
-        gradient_clip_norm=merged.get("clip", 5.0),
-    )
-    heldout_frac = merged.get("heldout_frac", 0.0)
+    """The run's config and held-out fraction: the ``--config`` file's values,
+    then the flags given over them. Raises ``ValueError`` for a bad one."""
+    texts = load_config_file(args.config) if args.config else {}
+    unknown = sorted(texts.keys() - TRAIN_OPTIONS.keys())
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    texts.update((key, getattr(args, key)) for key in TRAIN_OPTIONS
+                 if getattr(args, key) is not None)
+    # the parsed values by the config that holds them; "" is TrainConfig itself
+    fields: dict[str, dict] = {"": {}, "optimizer": {}, "decoder": {}}
+    for key, text in texts.items():
+        path, parse = TRAIN_OPTIONS[key]
+        group, _, name = path.rpartition(".")
+        try:
+            fields[group][name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    heldout_frac = fields[""].pop("heldout_frac", 0.0)
     if not 0 <= heldout_frac < 1:
         raise ValueError(f"heldout_frac must be in [0, 1), got {heldout_frac}")
     if getattr(args, "folds", 2) < 2:
         raise ValueError("cross-validation needs at least 2 folds")
-    return TrainConfig(
-        epochs=merged.get("epochs", 50),
-        batch_size=merged.get("batch_size", 32),
-        seed=merged.get("seed", 0),
-        optimizer=optimizer,
-        mode=merged.get("mode", "word"),
-        embed_dim=merged.get("embed_dim", 128),
-        hidden_per_direction=merged.get("hidden", 128),
-        constant_mode=merged.get("constant_mode", "direct"),
-        dropout_p=merged.get("dropout", 0.1),
-        decoder=decoder,
-        patience=merged.get("patience", 10),
-        eval_every=merged.get("eval_every", 1),
-    ), heldout_frac
+    return TrainConfig(optimizer=OptimizerConfig(**fields["optimizer"]),
+                       decoder=DecoderConfig(**fields["decoder"]),
+                       **fields[""]), heldout_frac
 
 
 def write_metrics(path, metrics: trainer.Metrics) -> None:
@@ -270,12 +277,16 @@ def _split_heldout(problems: list[PreparedProblem], frac: float, seed: int):
     return train_part, held_part
 
 
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_train(args) -> int:
     try:
         config, heldout_frac = build_train_config(args)
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     problems, report = _load_any(args.data, config.mode)
     train_part, held_part = _split_heldout(problems, heldout_frac, config.seed)
     result = trainer.train(train_part, config, heldout=held_part)
@@ -303,9 +314,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model_or_exit(args.checkpoint)
-    if model is None:
-        return EXIT_CONFIG
+    model = trainer.load_model(args.checkpoint)
     problems, report = _load_any(args.data, model.mode)
     metrics = trainer.evaluate(model, problems, rejected=report.total_rejected)
     print(f"answer_accuracy={metrics.answer_accuracy}")
@@ -319,8 +328,7 @@ def cmd_cv(args) -> int:
     try:
         config, _ = build_train_config(args)
     except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
     problems, report = _load_any(args.data, config.mode)
     fold_metrics, mean_acc = trainer.cross_validate(problems, config, k=args.folds)
     for fold, metrics in enumerate(fold_metrics):
@@ -338,14 +346,6 @@ def cmd_cv(args) -> int:
         write_manifest(out, "cv", asdict(config), config.seed,
                        args.data, None)
     return EXIT_OK
-
-
-def _load_model_or_exit(checkpoint):
-    path = Path(checkpoint)
-    if not path.exists() or not (path / "meta.json").exists():
-        print(f"error: no model at {checkpoint}", file=sys.stderr)
-        return None
-    return trainer.load_model(path)
 
 
 def _trace_record(i: int, action: eqlang.StackAction, stack, step) -> dict:
@@ -372,9 +372,12 @@ def _trace_record(i: int, action: eqlang.StackAction, stack, step) -> dict:
 
 
 def cmd_solve(args) -> int:
-    model = _load_model_or_exit(args.checkpoint)
-    if model is None:
-        return EXIT_CONFIG
+    if args.max_steps is not None:
+        try:  # the decoder's own rule for a budget, before the checkpoint is read
+            DecoderConfig(max_steps=args.max_steps)
+        except ValueError as exc:
+            return _config_error(exc)
+    model = trainer.load_model(args.checkpoint)
     tokens = corpus.tokenize(args.text, model.mode)
     positions, values = corpus.extract_constants(tokens)
     problem = PreparedProblem(id="cli", tokens=tokens, constant_positions=positions,
@@ -415,28 +418,15 @@ def cmd_solve(args) -> int:
 
 
 def _add_train_flags(sub) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--clip", type=float)
-    sub.add_argument("--mode", choices=("word", "char"))
-    sub.add_argument("--embed-dim", dest="embed_dim", type=int)
-    sub.add_argument("--hidden", type=int, help="recurrent units per direction")
-    sub.add_argument("--dropout", type=float)
-    sub.add_argument("--max-steps", dest="max_steps", type=int)
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--eval-every", dest="eval_every", type=int)
-    sub.add_argument("--heldout-frac", dest="heldout_frac", type=float)
-    sub.add_argument("--no-gate", dest="no_gate", action="store_true", default=False)
-    sub.add_argument("--no-attention", dest="no_attention", action="store_true", default=False)
-    sub.add_argument("--no-stack", dest="no_stack", action="store_true", default=False)
-    sub.add_argument("--transformer", choices=("mlp", "embedding"))
-    sub.add_argument("--constant-repr", dest="constant_repr",
-                     choices=("semantic", "fixed"))
-    sub.add_argument("--constant-mode", dest="constant_mode",
-                     choices=("direct", "self_attention"))
+    sub.add_argument("--config", help="key = value config file; flags override it")
+    for key, (path, parse) in TRAIN_OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _switched_off:
+            # the text a config file would hold, so both go through one parse
+            sub.add_argument(flag, action="store_const", const="true",
+                             help=f"sets {path} to false")
+        else:
+            sub.add_argument(flag, help=f"sets {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -482,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--trace", help="write per-step trace JSON here")
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
+    p.add_argument("--max-steps", type=int, help="sets decoder.max_steps for this decode")
     p.set_defaults(func=cmd_solve)
     return parser
 

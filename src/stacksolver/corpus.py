@@ -286,7 +286,7 @@ class FoldSplit:
         return [pid for pid, f in self.assignments.items() if f == fold]
 
 
-def make_folds(ids: Sequence[str], k: int = 5, seed: int = 0) -> FoldSplit:
+def make_folds(ids: Sequence[str], k: int, seed: int) -> FoldSplit:
     """Deterministic shuffled round-robin assignment; sorts ids first."""
     if k < 2:
         raise ValueError(f"fold count must be at least 2, got {k}")

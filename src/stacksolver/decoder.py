@@ -56,6 +56,8 @@ class DecoderConfig:
             raise ValueError(f"unknown transformer_mode {self.transformer_mode!r}")
         if self.constant_repr not in ("semantic", "fixed"):
             raise ValueError(f"unknown constant_repr {self.constant_repr!r}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.constant_repr == "fixed":
             # placeholder operand vectors carry no semantics to transform
             self.transformer_mode = "embedding"
@@ -109,7 +111,7 @@ def init_params(config: DecoderConfig, rng: np.random.Generator
 
 
 def semantic_transform(op: str, pairs: Node | None, params: Mapping[str, Node],
-                       mode: str = "mlp", *, tape: Tape | None = None) -> Node:
+                       mode: str, *, tape: Tape | None = None) -> Node:
     """Semantic vectors of ``e1 <op> e2`` via the operator's transformer (its
     nodes in ``params``), for rows ``pairs`` = [e1; e2]. The ``embedding``
     transformer ignores its operands and returns the operator's one vector."""
@@ -165,11 +167,6 @@ class ActionDistribution:
     logits: Node
     legal: np.ndarray  # (R, 7) bool
 
-    @property
-    def probs(self) -> np.ndarray:
-        """(R, 7); masked entries are exactly 0."""
-        return nm.masked_softmax(self.logits.value, self.legal)
-
 
 @dataclass
 class OperandDistribution:
@@ -182,10 +179,6 @@ class OperandDistribution:
     def mask(self) -> np.ndarray:
         """(P, C) bool, True on a row's candidates."""
         return np.arange(self.scores.value.shape[1]) < self.count[:, None]
-
-    @property
-    def probs(self) -> np.ndarray:
-        return nm.masked_softmax(self.scores.value, self.mask)
 
 
 @dataclass
@@ -247,15 +240,12 @@ class DecoderRun:
 
     def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
                  registry: ParamRegistry, config: DecoderConfig, *,
-                 tape: Tape | None = None, training: bool = False,
-                 rng: np.random.Generator | None = None):
+                 tape: Tape | None = None, rng: np.random.Generator | None = None):
         self.encoded = encoded
         self.problems = list(problems)
-        self.registry = registry
         self.config = config
         self.tape = tape
-        self.training = training
-        self.rng = rng
+        self.rng = rng  # dropout runs exactly when there is one
         self._p = {name: nm.param(tape, registry, name)
                    for name in registry.shapes if name.startswith("dec.")}
         self.buffer = nm.RowBuffer(tape, config.dim)
@@ -312,7 +302,7 @@ class DecoderRun:
     def advance(self, state: DecoderState) -> DecoderState:
         """Step the decoder recurrence over the previous action's result."""
         x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None]),
-                       self.config.dropout_p, self.training, self.rng)
+                       self.config.dropout_p, self.rng)
         h, c = nm.lstm_cell(self.tape, x, state.h, state.c, self._p["dec.lstm.wx"],
                             self._p["dec.lstm.wh"], self._p["dec.lstm.b"])
         return DecoderState(h, c, state.last, state.unknown, state.depth,
@@ -336,8 +326,7 @@ class DecoderRun:
                 self.tape, state.h, self.encoded.token_matrix,
                 self._p["dec.qattn.v"], self._p["dec.qattn.w"], self._p["dec.qattn.b"],
                 mask=self._token_mask, pre=self._q_pre,
-                rows=slice(0, state.rows), dropout_p=cfg.dropout_p,
-                training=self.training, rng=self.rng)
+                rows=slice(0, state.rows), dropout_p=cfg.dropout_p, rng=self.rng)
             blocks.append(context)
             attn_weights = weights.value
         feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
@@ -352,12 +341,11 @@ class DecoderRun:
 
     def select_action(self, feats: Features, state: DecoderState) -> ActionDistribution:
         cfg = self.config
-        x = nm.dropout(self.tape, feats.action_feats, cfg.dropout_p,
-                       self.training, self.rng)
+        x = nm.dropout(self.tape, feats.action_feats, cfg.dropout_p, self.rng)
         logits = nm.dense_relu_dense(
             self.tape, x, self._p["dec.act.w1"], self._p["dec.act.b1"],
             self._p["dec.act.w2"], self._p["dec.act.b2"],
-            hidden_dropout=cfg.dropout_p, training=self.training, rng=self.rng)
+            hidden_dropout=cfg.dropout_p, rng=self.rng)
         return ActionDistribution(logits, legal_action_mask(state.depth, state.has_unknown))
 
     def action_loss(self, dist: ActionDistribution, targets: np.ndarray) -> Node:
@@ -390,7 +378,7 @@ class DecoderRun:
         scores = nm.attention_scores(
             self.tape, query, self._opd_pre, self._p["dec.opd.v"], w,
             self._p["dec.opd.b"], (rows, slice(0, width)),
-            dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
+            dropout_p=self.config.dropout_p, rng=self.rng)
         return OperandDistribution(scores, count)
 
     def operand_loss(self, dist: OperandDistribution, targets: np.ndarray) -> Node:
@@ -460,7 +448,7 @@ class DecoderRun:
                 self.encoded.token_matrix, self._p["dec.genvar.v"],
                 self._p["dec.genvar.w"], self._p["dec.genvar.b"], mask=self._token_mask,
                 rows=slice(0, state.rows) if every else rows,
-                dropout_p=self.config.dropout_p, training=self.training, rng=self.rng)
+                dropout_p=self.config.dropout_p, rng=self.rng)
             unknown[rows] = last[rows] = self.buffer.append(vec)
             self._candidate_rows[rows, self._candidate_count[rows]] = unknown[rows]
             self._candidate_count[rows] += 1
@@ -488,15 +476,12 @@ class DecoderRun:
 
 
 def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
-                  registry: ParamRegistry, config: DecoderConfig, *,
-                  tape: Tape | None = None,
-                  rng: np.random.Generator | None = None) -> DecodeResult:
+                  registry: ParamRegistry, config: DecoderConfig) -> DecodeResult:
     """Decode with argmax action/operand choices until solvable or out of budget.
 
     The argmax runs over the legal logits and the operand scores; a chosen
     logit or score that is not finite raises ``NonFiniteValue``."""
-    run = DecoderRun(encoded, [problem], registry, config, tape=tape,
-                     training=False, rng=rng)
+    run = DecoderRun(encoded, [problem], registry, config)
     state = run.initial_state()
     actions: list[StackAction] = []
     trace: list[StepTrace] = []

@@ -28,6 +28,10 @@ UNK_ID = 0
 
 FIXED_SLOT_LIMIT = 15
 
+# widest embedding or recurrent layer a config may ask for: at the cap a
+# model has about 41M parameters, and its arena's four float64 buffers take 1.2 GiB
+MAX_WIDTH = 512
+
 
 class EmptyProblem(ValueError):
     pass
@@ -46,10 +50,13 @@ class EncoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.embed_dim <= 0 or self.hidden_per_direction <= 0:
-            raise ValueError("encoder dimensions must be positive")
+        if not (0 < self.embed_dim <= MAX_WIDTH and 0 < self.hidden_per_direction <= MAX_WIDTH):
+            raise ValueError(f"encoder dimensions must be positive and at most {MAX_WIDTH}, "
+                             f"got embed_dim {self.embed_dim}, hidden {self.hidden_per_direction}")
         if self.constant_mode not in ("direct", "self_attention"):
             raise ValueError(f"unknown constant_mode {self.constant_mode!r}")
+        if not 0 <= self.dropout_p < 1:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_p}")
 
     @property
     def dim(self) -> int:
@@ -106,30 +113,20 @@ def init_params(config: EncoderConfig, rng: np.random.Generator, *,
         yield "enc.const_slots", nm.uniform_init(rng, (fixed_slots, d))
 
 
-def external_constant_vectors(registry: ParamRegistry,
-                              tape: Tape | None = None) -> tuple[Node, Node]:
-    """The trainable vectors standing in for the operands 1 and pi."""
-    return nm.param(tape, registry, "enc.one"), nm.param(tape, registry, "enc.pi")
-
-
 def encode(problem: PreparedProblem, vocab: dict[str, int],
            registry: ParamRegistry, config: EncoderConfig, *,
-           constant_repr: str = "semantic", tape: Tape | None = None,
-           training: bool = False,
-           rng: np.random.Generator | None = None) -> EncodedBatch:
-    """Encode one problem: ``encode_batch`` of a batch of one."""
-    return encode_batch([problem], vocab, registry, config,
-                        constant_repr=constant_repr, tape=tape,
-                        training=training, rng=rng)
+           constant_repr: str = "semantic") -> EncodedBatch:
+    """Encode one problem for inference: ``encode_batch`` of a batch of one."""
+    return encode_batch([problem], vocab, registry, config, constant_repr=constant_repr)
 
 
 def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
                  registry: ParamRegistry, config: EncoderConfig, *,
                  constant_repr: str = "semantic", tape: Tape | None = None,
-                 training: bool = False,
                  rng: np.random.Generator | None = None) -> EncodedBatch:
     """Run the bidirectional recurrence over a padded batch and extract the
-    constant vectors of every problem."""
+    constant vectors of every problem; dropout runs exactly when ``rng`` is
+    given."""
     lengths = np.array([len(p.tokens) for p in problems], dtype=np.intp)
     if lengths.size == 0 or lengths.min() == 0:
         raise EmptyProblem("cannot encode a problem with no tokens")
@@ -164,8 +161,7 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
                 nm.param(tape, registry, "enc.selfattn.v"),
                 nm.param(tape, registry, "enc.selfattn.w"),
                 nm.param(tape, registry, "enc.selfattn.b"),
-                mask=mask, rows=owner, dropout_p=config.dropout_p,
-                training=training, rng=rng)
+                mask=mask, rows=owner, dropout_p=config.dropout_p, rng=rng)
             attention_maps = [weights.value[k, :lengths[row]].copy()
                               for k, row in enumerate(owner)]
 
@@ -173,15 +169,13 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
                         nm.param(tape, registry, "enc.init_h.b"))
     final_c = nm.linear(tape, enc_c, nm.param(tape, registry, "enc.init_c.w"),
                         nm.param(tape, registry, "enc.init_c.b"))
-
-    one_vec, pi_vec = external_constant_vectors(registry, tape)
     return EncodedBatch(
         token_matrix=token_matrix,
         token_mask=mask,
         constants=constants,
         n_constants=n_constants,
-        one_vector=one_vec,
-        pi_vector=pi_vec,
+        one_vector=nm.param(tape, registry, "enc.one"),
+        pi_vector=nm.param(tape, registry, "enc.pi"),
         final_h=final_h,
         final_c=final_c,
         self_attention_maps=attention_maps,

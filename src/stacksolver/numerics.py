@@ -22,7 +22,8 @@ stacks. Per-step ops take their weight gradients ``g.T @ x`` from
 it outside BLAS, about 3x slower, and each entry is one product either way.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
-recorded, so closures are never built). Node values must never be mutated
+recorded, so closures are never built), and ops with dropout apply it
+exactly when they are given an ``rng``. Node values must never be mutated
 while a tape that refers to them is still alive.
 """
 from __future__ import annotations
@@ -118,9 +119,6 @@ class ParamRegistry:
     def zero_grads(self) -> None:
         self.flat_grads.fill(0.0)
 
-    def size(self) -> int:
-        return self.flat.size
-
     def copy(self) -> "ParamRegistry":
         """Parameters and Adam state in new buffers; gradients zero."""
         other = ParamRegistry()
@@ -172,8 +170,8 @@ def constant(value) -> Node:
     return Node(np.asarray(value, dtype=np.float64))
 
 
-def uniform_init(rng: np.random.Generator, shape, scale: float = 0.08) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
+def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.uniform(-0.08, 0.08, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +265,9 @@ class RowBuffer:
     every later gather and hands its rows' share to the appended node.
     """
 
-    def __init__(self, tape: Tape | None, dim: int, capacity: int = 16):
+    def __init__(self, tape: Tape | None, dim: int):
         self.tape = tape
-        self.value = np.zeros((capacity, dim))
+        self.value = np.zeros((16, dim))  # at least doubled when an append overflows it
         self.size = 0
         self.grad: np.ndarray | None = None
 
@@ -399,22 +397,20 @@ def softmax_cross_entropy(tape: Tape | None, logits: Node, targets,
     return loss, p.reshape(shape)
 
 
-def _keep_mask(shape, p: float, training: bool,
-               rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted-dropout keep mask, or None when dropout is off."""
-    if not training or p <= 0.0:
+def _keep_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout keep mask, or None when dropout is off: without an
+    rng (inference) or at p == 0."""
+    if rng is None or p <= 0.0:
         return None
-    if not 0.0 <= p < 1.0:
+    if not p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     return rng.random(shape) >= p
 
 
-def dropout(tape: Tape | None, x: Node, p: float, training: bool,
+def dropout(tape: Tape | None, x: Node, p: float,
             rng: np.random.Generator | None) -> Node:
-    """Inverted dropout; identity when not training or p == 0."""
-    keep = _keep_mask(x.value.shape, p, training, rng)
+    """Inverted dropout; identity without an rng or at p == 0."""
+    keep = _keep_mask(x.value.shape, p, rng)
     if keep is None:
         return x
     scale = 1.0 / (1.0 - p)
@@ -667,7 +663,6 @@ def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Nod
 
 def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
                      w: Node, b: Node, rows=slice(None), *, dropout_p: float = 0.0,
-                     training: bool = False,
                      rng: np.random.Generator | None = None) -> Node:
     """Additive scores w_score . tanh(W [u_r; k_rc] + b), one row per query.
 
@@ -680,7 +675,7 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
     if pre_rows.shape[0] != query.value.shape[0]:
         raise ShapeMismatch(f"{query.value.shape[0]} queries for {pre_rows.shape[0]} key rows")
     hidden = np.tanh(pre_rows + (query.value @ w_query.T + b.value)[:, None, :])
-    keep = _keep_mask(hidden.shape, dropout_p, training, rng)
+    keep = _keep_mask(hidden.shape, dropout_p, rng)
     scale = 1.0 if keep is None else 1.0 / (1.0 - dropout_p)
 
     def dropped():  # recomputed in backward rather than kept alive
@@ -729,7 +724,7 @@ def attend(tape: Tape | None, weights: Node, keys: Node, rows=slice(None)) -> No
 
 def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node,
               b: Node, *, mask: np.ndarray | None = None, pre: Node | None = None,
-              rows=slice(None), dropout_p: float = 0.0, training: bool = False,
+              rows=slice(None), dropout_p: float = 0.0,
               rng: np.random.Generator | None = None) -> tuple[Node, Node]:
     """Soft attention read of each query row over its row of ``keys``.
 
@@ -742,18 +737,17 @@ def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node
     if pre is None:
         pre = attention_pre(tape, w, keys, query.value.shape[-1])
     scores = attention_scores(tape, query, pre, w_score, w, b, rows,
-                              dropout_p=dropout_p, training=training, rng=rng)
+                              dropout_p=dropout_p, rng=rng)
     weights = softmax(tape, scores, None if mask is None else mask[rows])
     return attend(tape, weights, keys, rows), weights
 
 
 def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,
                      b2: Node, *, hidden_dropout: float = 0.0,
-                     training: bool = False,
                      rng: np.random.Generator | None = None) -> Node:
     """One-hidden-layer ReLU scorer: W2 relu(W1 x + b1) + b2."""
     hidden = relu(tape, linear(tape, x, w1, b1))
-    hidden = dropout(tape, hidden, hidden_dropout, training, rng)
+    hidden = dropout(tape, hidden, hidden_dropout, rng)
     return linear(tape, hidden, w2, b2)
 
 
@@ -819,13 +813,12 @@ def adam_step(registry: ParamRegistry, config: OptimizerConfig) -> ParamRegistry
 
 
 def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
-               probe_count: int, rng: np.random.Generator,
-               step: float = 1e-5) -> float:
+               probe_count: int, rng: np.random.Generator) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn(tape)`` must build the loss as a Node and be deterministic for
     fixed parameter values (reseed any internal rng per call). Probes that
-    fail at the base step size are re-measured at step/10 and the better of
+    fail at the 1e-5 step are re-measured at a tenth of it and the better of
     the two errors is kept, which discards spurious failures from a central
     difference straddling a ReLU kink.
     """
@@ -846,6 +839,7 @@ def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
         flat[i] = orig
         return (lp - lm) / (2.0 * h)
 
+    step = 1e-5
     worst = 0.0
     for i in rng.integers(0, flat.size, size=probe_count):
         ana = float(analytic[i])

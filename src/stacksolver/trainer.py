@@ -49,19 +49,14 @@ class TrainConfig:
     target_accuracy: float | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.embed_dim < 1 or self.hidden_per_direction < 1:
-            raise ValueError("encoder dimensions must be positive")
-        if not 0 <= self.dropout_p < 1:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_p}")
-        if self.mode not in ("word", "char") or self.constant_mode not in (
-                "direct", "self_attention"):
-            raise ValueError(f"unknown mode {self.mode!r} or constant_mode {self.constant_mode!r}")
-        if self.seed < 0 or min(self.patience, self.eval_every, self.decoder.max_steps) < 1:
-            raise ValueError("seed must be >= 0; patience, eval_every, max_steps >= 1")
+        if self.seed < 0 or min(self.epochs, self.batch_size, self.patience,
+                                self.eval_every) < 1:
+            raise ValueError("seed must be >= 0; epochs, batch_size, patience, eval_every >= 1")
+        if self.mode not in ("word", "char"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # the encoder's own rules (sizes, constant_mode, dropout), before any data is read
+        EncoderConfig(1, self.embed_dim, self.hidden_per_direction, self.constant_mode,
+                      self.dropout_p)
 
 
 @dataclass
@@ -70,7 +65,7 @@ class Model:
     vocab: dict[str, int]
     enc_config: EncoderConfig
     dec_config: DecoderConfig
-    mode: str = "word"
+    mode: str
 
 
 @dataclass
@@ -114,7 +109,7 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
     # the decoder works in the encoder's concatenated dimension
     dec_config = replace(config.decoder, dim=enc_config.dim, dropout_p=config.dropout_p)
     registry = _register_params(enc_config, dec_config, rng)
-    return Model(registry, vocab, enc_config, dec_config, mode=config.mode)
+    return Model(registry, vocab, enc_config, dec_config, config.mode)
 
 
 def _register_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
@@ -126,11 +121,11 @@ def _register_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
 
 
 def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
-                  tape: Tape | None, training: bool = True,
-                  rng: np.random.Generator | None = None
+                  tape: Tape | None, rng: np.random.Generator | None = None
                   ) -> tuple[Node, list[tuple[tuple, tuple]]]:
     """Summed per-step losses of a batch under the gold action sequences,
-    plus each problem's final symbolic (stack, equations).
+    plus each problem's final symbolic (stack, equations). Dropout runs
+    exactly when ``rng`` is given.
 
     The rows run in lockstep, sorted by target length (longest first), so
     the rows still decoding at step t are always the first ones."""
@@ -150,9 +145,8 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
                 operands[r, t] = eqlang.operand_index(action.ref, problem.n_constants)
     encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
                                constant_repr=model.dec_config.constant_repr,
-                               tape=tape, training=training, rng=rng)
-    run = DecoderRun(encoded, rows, model.registry, model.dec_config,
-                     tape=tape, training=training, rng=rng)
+                               tape=tape, rng=rng)
+    run = DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng)
     state = run.initial_state()
     finals: dict[int, tuple[tuple, tuple]] = {}
 
@@ -180,18 +174,16 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
 
 
 def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
-               tape: Tape | None, training: bool = True,
-               rng: np.random.Generator | None = None) -> Node:
+               tape: Tape | None, rng: np.random.Generator | None = None) -> Node:
     """Summed teacher-forced loss of a batch, as one graph on ``tape``."""
-    loss, _ = teacher_force(problems, model, tape=tape, training=training, rng=rng)
+    loss, _ = teacher_force(problems, model, tape=tape, rng=rng)
     return loss
 
 
 def problem_loss(problem: PreparedProblem, model: Model, *, tape: Tape | None,
-                 training: bool = True,
                  rng: np.random.Generator | None = None) -> Node:
     """Teacher-forced loss of one problem: ``batch_loss`` of a batch of one."""
-    return batch_loss([problem], model, tape=tape, training=training, rng=rng)
+    return batch_loss([problem], model, tape=tape, rng=rng)
 
 
 def decode_problem(model: Model, problem: PreparedProblem,
@@ -200,23 +192,20 @@ def decode_problem(model: Model, problem: PreparedProblem,
     if max_steps is not None:
         config = replace(config, max_steps=max_steps)
     encoded = enc.encode(problem, model.vocab, model.registry, model.enc_config,
-                         constant_repr=config.constant_repr, tape=None,
-                         training=False)
+                         constant_repr=config.constant_repr)
     return dec.greedy_decode(encoded, problem, model.registry, config)
 
 
-def evaluate(model: Model, problems: list[PreparedProblem], rejected: int = 0,
-             *, decode_fn=None) -> Metrics:
+def evaluate(model: Model, problems: list[PreparedProblem], rejected: int = 0) -> Metrics:
     """Answer accuracy by solving decoded equations; equation accuracy by
     exact action-sequence match. Rejected problems count in the denominator."""
-    decode = decode_fn or decode_problem
     n_answer = 0
     n_equation = 0
     n_rejected = rejected
     n_served = 0
     for problem in problems:
         try:
-            result = decode(model, problem)
+            result = decode_problem(model, problem)
         except TooManyConstants:
             n_rejected += 1
             continue
@@ -276,7 +265,7 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
             model.registry.zero_grads()
             tape = Tape()
             loss = batch_loss([usable[int(i)] for i in batch], model, tape=tape,
-                              training=True, rng=loop_rng)
+                              rng=loop_rng)
             value = float(loss.value)
             if not math.isfinite(value):
                 raise nm.NonFiniteValue(
@@ -315,7 +304,7 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
 
 
 def cross_validate(problems: list[PreparedProblem], config: TrainConfig,
-                   k: int = 5) -> tuple[list[Metrics], float]:
+                   k: int) -> tuple[list[Metrics], float]:
     """Train k models on k-1 folds each, evaluate on the held-out fold."""
     from .corpus import make_folds
 
@@ -354,16 +343,23 @@ def save_model(directory, model: Model) -> None:
 
 
 def load_model(directory) -> Model:
-    """Load a saved model; raises ``CheckpointError`` when ``meta.json`` is
-    not a model description, or the checkpoint does not hold exactly the
-    parameters that it describes."""
+    """Load a saved model; raises ``CheckpointError`` when there is no
+    ``meta.json``, it is not a model description, or the checkpoint does not
+    hold exactly the parameters that it describes."""
     directory = Path(directory)
+    if not (directory / _META_NAME).exists():
+        raise nm.CheckpointError(f"no model at {directory}")
     try:
         meta = json.loads((directory / _META_NAME).read_text(encoding="utf-8"))
         enc_config = EncoderConfig(**meta["encoder"])
         dec_config = DecoderConfig(**meta["decoder"])
         vocab = {k: int(v) for k, v in meta["vocab"].items()}
-        mode = meta.get("mode", "word")
+        mode = meta["mode"]
+        # sizes that the capped encoder widths and the vocab bound, before any allocation
+        if (enc_config.vocab_size, dec_config.dim) != (len(vocab), enc_config.dim):
+            raise ValueError(f"vocab_size {enc_config.vocab_size} and decoder dim "
+                             f"{dec_config.dim} do not match {len(vocab)} tokens and "
+                             f"width {enc_config.dim}")
         want = _register_params(enc_config, dec_config, np.random.default_rng(0)).shapes
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
@@ -377,10 +373,4 @@ def load_model(directory) -> Model:
                  if have.get(name) != want.get(name)]
         raise nm.CheckpointError(f"{directory / _CKPT_NAME} does not match "
                                  f"{_META_NAME}: " + "; ".join(diffs[:3]))
-    return Model(
-        registry=registry,
-        vocab=vocab,
-        enc_config=enc_config,
-        dec_config=dec_config,
-        mode=mode,
-    )
+    return Model(registry, vocab, enc_config, dec_config, mode)

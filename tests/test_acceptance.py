@@ -164,7 +164,7 @@ def test_criterion_3_gradient_correctness(capsys):
     worst = 0.0
     for k, problem in enumerate(prepared):
         def loss_fn(tape, problem=problem):
-            return trainer.problem_loss(problem, model, tape=tape, training=True,
+            return trainer.problem_loss(problem, model, tape=tape,
                                         rng=np.random.default_rng(404))
         err = nm.grad_check(loss_fn, model.registry, probe_count=200,
                             rng=np.random.default_rng(k))
@@ -232,7 +232,7 @@ def test_criterion_7_ablation_plumbing(capsys):
         expected = expected_param_count(len(vocab), config.embed_dim,
                                         config.hidden_per_direction,
                                         model.dec_config)
-        assert model.registry.size() == expected, name
+        assert model.registry.flat.size == expected, name
     # fully stripped features are bitwise the recurrent state
     config = trainer.TrainConfig(
         embed_dim=16, hidden_per_direction=16,

@@ -151,12 +151,64 @@ def test_default_hyperparameters():
     args = cli.build_parser().parse_args(
         ["train", "--data", "x", "--out", "y"])
     config, heldout_frac = cli.build_train_config(args)
+    # with nothing set, the defaults are the config dataclasses' own
+    assert config == trainer.TrainConfig()
     assert 2 * config.hidden_per_direction == 256
     assert config.optimizer.learning_rate == 0.001
     assert config.dropout_p == 0.1
     assert config.embed_dim == 128
     assert config.decoder.max_steps == 40
     assert heldout_frac == 0.0
+
+
+# a value other than the default for every option of the table
+OPTION_SAMPLES = {
+    "epochs": "3", "batch_size": "4", "seed": "7", "lr": "0.01", "clip": "2.5",
+    "mode": "char", "embed_dim": "8", "hidden": "6", "dropout": "0.2", "max_steps": "30",
+    "patience": "2", "eval_every": "3", "heldout_frac": "0.25", "transformer": "embedding",
+    "constant_repr": "fixed", "constant_mode": "self_attention", "no_gate": "true",
+    "no_attention": "true", "no_stack": "true",
+}
+
+
+def train_config_of(*argv):
+    args = cli.build_parser().parse_args(["train", "--data", "x", "--out", "y", *map(str, argv)])
+    return cli.build_train_config(args)
+
+
+def test_option_samples_cover_the_table():
+    assert OPTION_SAMPLES.keys() == cli.TRAIN_OPTIONS.keys()
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_SAMPLES))
+def test_flag_and_config_line_set_the_same_field(tmp_path, key):
+    text = OPTION_SAMPLES[key]
+    flag = "--" + key.replace("_", "-")
+    from_flag = train_config_of(*([flag] if key.startswith("no_") else [flag, text]))
+    config = tmp_path / "train.cfg"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    from_file = train_config_of("--config", config)
+    assert from_flag == from_file
+    assert from_flag != (trainer.TrainConfig(), 0.0)
+
+
+def test_a_flag_cannot_switch_a_config_file_setting_back_on(tmp_path):
+    config = tmp_path / "train.cfg"
+    config.write_text("no_gate = true\n", encoding="utf-8")
+    train_config, _ = train_config_of("--config", config)
+    assert train_config.decoder.use_gate is False
+    config.write_text("no_gate = false\n", encoding="utf-8")
+    train_config, _ = train_config_of("--config", config, "--no-gate")
+    assert train_config.decoder.use_gate is False
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_falsy_value_still_reaches_validation(tmp_path, source):
+    config = tmp_path / "train.cfg"
+    config.write_text("hidden = 0\n", encoding="utf-8")
+    argv = ["--hidden", "0"] if source == "flag" else ["--config", config]
+    with pytest.raises(ValueError, match="encoder dimensions must be positive"):
+        train_config_of(*argv)
 
 
 def test_bad_config_key_exits_2(tmp_path, synth_file):
@@ -291,9 +343,22 @@ def drop_vocab_size(text):
     return json.dumps(meta)
 
 
+def set_meta(section, key, value):
+    def rewrite(text):
+        meta = json.loads(text)
+        meta[section][key] = value
+        return json.dumps(meta)
+    return rewrite
+
+
 @pytest.mark.parametrize("rewrite, error", [
     (lambda text: '{"vocab": {', "JSONDecodeError"),
     (drop_vocab_size, "vocab_size"),
+    (set_meta("decoder", "max_steps", 0), "max_steps must be at least 1"),
+    # sizes that would otherwise be allocated before the checkpoint is compared
+    (set_meta("decoder", "dim", 10 ** 7), "decoder dim 10000000"),
+    (set_meta("encoder", "vocab_size", 10 ** 12), "vocab_size 1000000000000"),
+    (set_meta("encoder", "hidden_per_direction", 10 ** 6), "at most 512"),
 ])
 def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewrite, error):
     model = copy_model(trained_dir, tmp_path)
@@ -317,6 +382,10 @@ def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewri
     ("train", ["--eval-every", 0], "eval_every"),
     ("cv", ["--patience", 0], "patience"),
     ("train", ["--max-steps", 0], "max_steps"),
+    ("train", ["--hidden", 10 ** 12], "at most 512"),
+    ("train", ["--embed-dim", 513], "at most 512"),
+    ("train", ["--epochs", "3.5"], "epochs: invalid literal"),
+    ("train", ["--mode", "wrd"], "unknown mode"),
 ])
 def test_invalid_config_exits_2_before_reading_data(tmp_path, capsys, command, flags,
                                                     error):
@@ -382,9 +451,20 @@ def test_cv_smoke(tmp_path, synth_file, capsys):
     assert len(report["folds"]) == 2
 
 
-def test_solve_missing_checkpoint(tmp_path):
+def test_solve_missing_checkpoint(tmp_path, capsys):
     assert run_cli("solve", "--checkpoint", tmp_path / "ghost",
                    "--text", "tom has 2 pens") == 2
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_solve_budget_below_one_exits_2_before_reading_the_checkpoint(tmp_path, capsys,
+                                                                      budget):
+    # the checkpoint does not exist, so reading it first would print "error:"
+    assert run_cli("solve", "--checkpoint", tmp_path / "ghost", "--text", "tom has 2 pens",
+                   "--max-steps", budget) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: max_steps must be at least 1, got {budget}\n"
 
 
 def test_solve_empty_text_exits_2(capsys, trained_dir):

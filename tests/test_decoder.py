@@ -22,18 +22,22 @@ from conftest import tiny_model, zeroed
 F = Fraction
 
 
-def make_run(problems, *, seed=0, zero=False, problem_index=0, training=False,
-             rng=None, tape=None, **config_overrides):
+def make_run(problems, *, seed=0, zero=False, problem_index=0, **config_overrides):
     model, _ = tiny_model(problems, seed=seed, **config_overrides)
     if zero:
         zeroed(model)
     problem = problems[problem_index]
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config,
-                             constant_repr=model.dec_config.constant_repr,
-                             tape=tape, training=training, rng=rng)
-    run = DecoderRun(encoded, [problem], model.registry, model.dec_config,
-                     tape=tape, training=training, rng=rng)
+                             constant_repr=model.dec_config.constant_repr)
+    run = DecoderRun(encoded, [problem], model.registry, model.dec_config)
     return model, run
+
+
+def probs(dist):
+    """A distribution's probabilities; masked entries are exactly 0."""
+    if isinstance(dist, decoder.ActionDistribution):
+        return nm.masked_softmax(dist.logits.value, dist.legal)
+    return nm.masked_softmax(dist.scores.value, dist.mask)
 
 
 def simple_problem():
@@ -60,8 +64,8 @@ def test_select_action_depth0_masks_applies():
     _, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
     dist = run.select_action(run.state_features(state), state)
-    assert np.all(dist.probs[0, 2:] == 0.0)
-    assert abs(dist.probs[0].sum() - 1.0) < 1e-12
+    assert np.all(probs(dist)[0, 2:] == 0.0)
+    assert abs(probs(dist)[0].sum() - 1.0) < 1e-12
 
 
 def test_select_action_uniform_when_zero_params():
@@ -76,11 +80,11 @@ def test_select_action_uniform_when_zero_params():
     state = run.advance(state)
     dist = run.select_action(run.state_features(state), state)
     # depth 2 with the unknown generated: six legal actions, uniform 1/6
-    probs = dist.probs[0]
-    legal = probs[probs > 0]
+    p = probs(dist)[0]
+    legal = p[p > 0]
     assert len(legal) == 6
     assert np.allclose(legal, 1 / 6)
-    assert probs[GENVAR] == 0.0
+    assert p[GENVAR] == 0.0
 
 
 def test_distributions_sum_to_one_random_params():
@@ -89,9 +93,9 @@ def test_distributions_sum_to_one_random_params():
     state = run.advance(run.initial_state())
     feats = run.state_features(state)
     dist = run.select_action(feats, state)
-    assert abs(dist.probs[0].sum() - 1.0) < 1e-12
+    assert abs(probs(dist)[0].sum() - 1.0) < 1e-12
     odist = run.select_operand(feats, state)
-    assert abs(odist.probs[0].sum() - 1.0) < 1e-12
+    assert abs(probs(odist)[0].sum() - 1.0) < 1e-12
 
 
 def test_argmax_invariant_under_logit_scaling():
@@ -106,7 +110,7 @@ def test_argmax_invariant_under_logit_scaling():
     run2 = DecoderRun(encoded, [problem], model.registry, model.dec_config)
     state2 = run2.advance(run2.initial_state())
     dist2 = run2.select_action(run2.state_features(state2), state2)
-    assert int(np.argmax(dist.probs[0])) == int(np.argmax(dist2.probs[0]))
+    assert int(np.argmax(probs(dist)[0])) == int(np.argmax(probs(dist2)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +125,7 @@ def test_operand_candidates_before_genvar():
     state = run.advance(run.initial_state())
     odist = run.select_operand(run.state_features(state), state)
     # only the two external constants: x is not yet available
-    assert odist.probs.shape == (1, 2)
+    assert probs(odist).shape == (1, 2)
 
 
 def test_operand_candidates_after_genvar():
@@ -131,7 +135,7 @@ def test_operand_candidates_after_genvar():
     state = run.apply_action(state, [GEN_VAR])
     state = run.advance(state)
     odist = run.select_operand(run.state_features(state), state)
-    assert odist.probs.shape == (1, problem.n_constants + 3)
+    assert probs(odist).shape == (1, problem.n_constants + 3)
 
 
 def test_operand_keys_are_projected_again_after_genvar():
@@ -159,7 +163,7 @@ def test_operand_identical_vectors_get_equal_probability():
     run.buffer.value[second] = run.buffer.value[first]
     state = run.advance(run.initial_state())
     odist = run.select_operand(run.state_features(state), state)
-    assert np.isclose(odist.probs[0, 0], odist.probs[0, 1])
+    assert np.isclose(probs(odist)[0, 0], probs(odist)[0, 1])
 
 
 def test_operand_loss_gradient_matches_fd():
@@ -494,28 +498,28 @@ def test_param_counts_match_formula(flags):
     config = DecoderConfig(**flags)
     model, _ = tiny_model([problem], decoder=config)
     expected = expected_param_count(len(model.vocab), 8, 8, model.dec_config)
-    assert model.registry.size() == expected
+    assert model.registry.flat.size == expected
 
 
 def test_ablation_deltas_are_exact():
     problem = simple_problem()
     base_model, _ = tiny_model([problem])
-    base = base_model.registry.size()
+    base = base_model.registry.flat.size
     d = base_model.dec_config.dim
     f_dim = base_model.dec_config.feature_dim
 
     gateless, _ = tiny_model([problem], decoder=DecoderConfig(use_gate=False))
-    assert base - gateless.registry.size() == 2 * (3 * f_dim + 3)
+    assert base - gateless.registry.flat.size == 2 * (3 * f_dim + 3)
 
     embed_tf, _ = tiny_model([problem],
                              decoder=DecoderConfig(transformer_mode="embedding"))
-    assert base - embed_tf.registry.size() == 4 * (2 * d * d + d + d * d + d) - 4 * d
+    assert base - embed_tf.registry.flat.size == 4 * (2 * d * d + d + d * d + d) - 4 * d
 
     fixed, _ = tiny_model([problem], decoder=DecoderConfig(constant_repr="fixed"))
     # pairs the embedding transformer with added per-slot vectors
     expected_delta = (4 * (2 * d * d + d + d * d + d) - 4 * d
                       - encoder.FIXED_SLOT_LIMIT * d)
-    assert base - fixed.registry.size() == expected_delta
+    assert base - fixed.registry.flat.size == expected_delta
 
 
 def test_config_fixed_forces_embedding_transformer():

@@ -125,8 +125,8 @@ def test_external_vectors_deterministic_and_sized():
     problem = small_problem()
     m1, _ = tiny_model([problem], seed=11)
     m2, _ = tiny_model([problem], seed=11)
-    one1, pi1 = encoder.external_constant_vectors(m1.registry)
-    one2, pi2 = encoder.external_constant_vectors(m2.registry)
+    e1, e2 = encode_with(m1, problem), encode_with(m2, problem)
+    (one1, pi1), (one2, pi2) = (e1.one_vector, e1.pi_vector), (e2.one_vector, e2.pi_vector)
     assert np.array_equal(one1.value, one2.value)
     assert np.array_equal(pi1.value, pi2.value)
     assert one1.value.shape == (m1.enc_config.dim,)

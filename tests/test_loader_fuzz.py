@@ -2,8 +2,8 @@
 
 Each case starts from a small valid input (a file, or an equation's text),
 applies a few byte flips, cuts, insertions and deletions, and loads the
-result. Hypothesis runs derandomized with a bounded number of examples, so
-the suite stays deterministic.
+result; train flags get drawn values instead. Hypothesis runs derandomized
+with a bounded number of examples, so the suite stays deterministic.
 """
 import json
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stacksolver import cli, corpus, eqlang, numerics as nm, trainer
+from stacksolver import cli, corpus, encoder, eqlang, numerics as nm, trainer
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -38,8 +38,8 @@ def seed_registry() -> nm.ParamRegistry:
     rng = np.random.default_rng(3)
     registry = nm.ParamRegistry([("enc.w", rng.standard_normal((3, 2))),
                                  ("dec.b", rng.standard_normal(4))])
-    registry.flat_m[...] = rng.standard_normal(registry.size())
-    registry.flat_v[...] = rng.random(registry.size())
+    registry.flat_m[...] = rng.standard_normal(registry.flat.size)
+    registry.flat_v[...] = rng.random(registry.flat.size)
     registry.adam_t = 9
     return registry
 
@@ -139,6 +139,7 @@ def usable(config: trainer.TrainConfig, heldout_frac: float) -> bool:
     return (min(config.epochs, config.batch_size, config.embed_dim,
                 config.hidden_per_direction, config.patience, config.eval_every,
                 dec.max_steps) >= 1
+            and max(config.embed_dim, config.hidden_per_direction) <= encoder.MAX_WIDTH
             and config.seed >= 0 and 0 <= config.dropout_p < 1 and 0 <= heldout_frac < 1
             and config.mode in ("word", "char")
             and config.constant_mode in ("direct", "self_attention")
@@ -148,14 +149,9 @@ def usable(config: trainer.TrainConfig, heldout_frac: float) -> bool:
             and (opt.gradient_clip_norm is None or opt.gradient_clip_norm > 0))
 
 
-@FUZZ
-@given(data=st.data())
-def test_config_file_on_mutated_bytes(tmp_path, capsys, data):
-    mutated = data.draw(mutations(CONFIG))
-    path = tmp_path / "train.cfg"
-    path.write_bytes(mutated)
-    argv = ["train", "--data", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "out"),
-            "--config", str(path)]
+def assert_usable_or_config_error(argv, capsys):
+    """``argv`` gives a usable config, or ``train`` prints one ``config
+    error:`` line and exits 2 (before reading the absent data file)."""
     try:
         config, heldout_frac = cli.build_train_config(cli.build_parser().parse_args(argv))
     except ValueError:
@@ -165,3 +161,41 @@ def test_config_file_on_mutated_bytes(tmp_path, capsys, data):
         assert err.startswith("config error: ") and err.count("\n") == 1
         return
     assert usable(config, heldout_frac)
+
+
+def train_argv(tmp_path, *options):
+    return ["train", "--data", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "out"),
+            *options]
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_file_on_mutated_bytes(tmp_path, capsys, data):
+    mutated = data.draw(mutations(CONFIG))
+    path = tmp_path / "train.cfg"
+    path.write_bytes(mutated)
+    assert_usable_or_config_error(train_argv(tmp_path, "--config", str(path)), capsys)
+
+
+# option text: numbers around every bound, the words that some field takes,
+# and any short text
+OPTION_TEXT = st.one_of(
+    st.integers(-2, encoder.MAX_WIDTH + 2).map(str),
+    st.integers(-10 ** 13, 10 ** 13).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["word", "char", "direct", "self_attention", "mlp", "embedding",
+                     "semantic", "fixed", "true", "no"]),
+    st.text(max_size=6),
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_flags_with_drawn_values(tmp_path, capsys, data):
+    options = []
+    for key in cli.TRAIN_OPTIONS:
+        flag = "--" + key.replace("_", "-")
+        if not data.draw(st.booleans()):
+            continue
+        options.append(flag if key.startswith("no_") else f"{flag}={data.draw(OPTION_TEXT)}")
+    assert_usable_or_config_error(train_argv(tmp_path, *options), capsys)

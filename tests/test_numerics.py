@@ -87,10 +87,10 @@ def test_grads_structural_ops():
 
 def test_grads_row_buffer():
     rng = np.random.default_rng(13)
-    registry = make_registry(a=rng_arr(rng, 2, 3), b=rng_arr(rng, 3))
+    registry = make_registry(a=rng_arr(rng, 16, 3), b=rng_arr(rng, 3))
 
     def loss_fn(tape):
-        buffer = nm.RowBuffer(tape, 3, capacity=2)
+        buffer = nm.RowBuffer(tape, 3)  # 16 rows, filled by a
         rows_a = buffer.append(nm.tanh(tape, nm.param(tape, registry, "a")))
         pair = buffer.gather(np.array([[rows_a[1], rows_a[0]], [rows_a[1], rows_a[1]]]))
         row_b = buffer.append(nm.param(tape, registry, "b"))  # grows the buffer
@@ -132,7 +132,7 @@ def test_grads_gate_blocks():
                 outs, _ = nm.gate_blocks(tape, x, nm.param(tape, registry, "w"),
                                          nm.param(tape, registry, "wb"), sizes)
                 drop = np.random.default_rng(77)
-                return xent(tape, *(nm.dropout(tape, out, p, True, drop) for out in outs))
+                return xent(tape, *(nm.dropout(tape, out, p, drop) for out in outs))
 
             check(loss_fn, registry, probes=60)
 
@@ -238,8 +238,7 @@ def test_grads_attention():
                                     nm.param(tape, registry, "score"),
                                     nm.param(tape, registry, "w"),
                                     nm.param(tape, registry, "b"), mask=mask,
-                                    dropout_p=0.3, training=True,
-                                    rng=np.random.default_rng(3))
+                                    dropout_p=0.3, rng=np.random.default_rng(3))
         return xent(tape, ctx, weights)
 
     check(loss_fn, registry, probes=60)
@@ -294,7 +293,7 @@ def test_grads_dropout_path():
 
     def loss_fn(tape):
         x = nm.param(tape, registry, "x")
-        return xent(tape, nm.dropout(tape, x, 0.3, True, np.random.default_rng(77)))
+        return xent(tape, nm.dropout(tape, x, 0.3, np.random.default_rng(77)))
 
     check(loss_fn, registry)
 
@@ -414,14 +413,14 @@ def test_softmax_is_distribution():
 
 def test_dropout_identity_cases():
     x = nm.constant(np.ones(8))
-    assert nm.dropout(None, x, 0.0, True, np.random.default_rng(0)) is x
-    assert nm.dropout(None, x, 0.5, False, None) is x
+    assert nm.dropout(None, x, 0.0, np.random.default_rng(0)) is x
+    assert nm.dropout(None, x, 0.5, None) is x
 
 
 def test_dropout_monte_carlo_mean():
     rng = np.random.default_rng(123)
     x = nm.constant(np.ones(100_000))
-    y = nm.dropout(None, x, 0.1, True, rng)
+    y = nm.dropout(None, x, 0.1, rng)
     p = 0.1
     sigma = np.sqrt((p / (1 - p)) / x.value.size)
     assert abs(y.value.mean() - 1.0) < 3 * sigma
@@ -429,7 +428,7 @@ def test_dropout_monte_carlo_mean():
 
 def test_dropout_validates_rate():
     with pytest.raises(ValueError):
-        nm.dropout(None, nm.constant(np.ones(3)), 1.5, True, np.random.default_rng(0))
+        nm.dropout(None, nm.constant(np.ones(3)), 1.5, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +552,7 @@ def test_registry_unique_names_and_frozen_shapes():
     registry = make_registry(w=np.zeros(3))
     with pytest.raises(ValueError, match="duplicate parameter name: w"):
         ParamRegistry([("w", np.zeros(3)), ("w", np.zeros(3))])
-    assert registry.size() == 3
+    assert registry.flat.size == 3
     assert registry.shapes == {"w": (3,)}
 
 
@@ -563,7 +562,7 @@ def test_registry_views_share_the_arena_and_copies_share_nothing():
     buffers = (registry.flat, registry.flat_grads, registry.flat_m, registry.flat_v)
     views = (registry, registry.grads, registry.adam_m, registry.adam_v)
     for table, buf in zip(views, buffers):
-        assert buf.shape == (registry.size(),) and buf.flags.c_contiguous
+        assert buf.shape == (registry.flat.size,) and buf.flags.c_contiguous
         for name in registry.names():
             assert np.shares_memory(table[name], buf), name
     registry["b"][...] = 7.0

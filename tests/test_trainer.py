@@ -36,7 +36,7 @@ def test_problem_loss_uniform_closed_form(synth_prepared):
     model, _ = tiny_model(synth_prepared)
     zeroed(model)
     for problem in synth_prepared[:6]:
-        loss = trainer.problem_loss(problem, model, tape=None, training=False)
+        loss = trainer.problem_loss(problem, model, tape=None)
         assert np.isclose(float(loss.value), expected_uniform_loss(problem),
                           rtol=0, atol=1e-12)
 
@@ -46,7 +46,7 @@ def test_problem_loss_gradcheck(synth_prepared):
 
     def loss_fn(tape):
         return trainer.problem_loss(synth_prepared[0], model, tape=tape,
-                                    training=True, rng=np.random.default_rng(9))
+                                    rng=np.random.default_rng(9))
 
     err = nm.grad_check(loss_fn, model.registry, 40, np.random.default_rng(1))
     assert err < 1e-4
@@ -68,7 +68,7 @@ def test_problem_loss_gradcheck_config_variants(synth_prepared, overrides):
 
     def loss_fn(tape):
         return trainer.problem_loss(synth_prepared[1], model, tape=tape,
-                                    training=True, rng=np.random.default_rng(8))
+                                    rng=np.random.default_rng(8))
 
     err = nm.grad_check(loss_fn, model.registry, 30, np.random.default_rng(2))
     assert err < 1e-4
@@ -98,11 +98,11 @@ def test_batch_loss_is_the_sum_of_problem_losses(synth_prepared, overrides):
         tape.backward(loss)
         return float(loss.value), {n: registry.grads[n].copy() for n in registry.names()}
 
-    # dropout is off outside training, so the two paths do the same arithmetic
+    # dropout is off without an rng, so the two paths do the same arithmetic
     batch_value, batch_grads = loss_and_grads(
-        lambda tape: trainer.batch_loss(batch, model, tape=tape, training=False))
+        lambda tape: trainer.batch_loss(batch, model, tape=tape))
     singles = [loss_and_grads(lambda tape, p=p: trainer.problem_loss(
-        p, model, tape=tape, training=False)) for p in batch]
+        p, model, tape=tape)) for p in batch]
     assert batch_value == pytest.approx(sum(v for v, _ in singles), rel=1e-10, abs=0)
     for name in registry.names():
         summed = sum(grads[name] for _, grads in singles)
@@ -114,8 +114,7 @@ def test_batch_loss_gradcheck_with_dropout(synth_prepared):
     batch = mixed_batch(synth_prepared, 3)
 
     def loss_fn(tape):
-        return trainer.batch_loss(batch, model, tape=tape, training=True,
-                                  rng=np.random.default_rng(11))
+        return trainer.batch_loss(batch, model, tape=tape, rng=np.random.default_rng(11))
 
     err = nm.grad_check(loss_fn, model.registry, 60, np.random.default_rng(3))
     assert err < 1e-4
@@ -133,7 +132,7 @@ def test_char_mode_end_to_end():
     pushes = [a.ref for a in problem.target if isinstance(a, Push)]
     assert pushes.count(eqlang.ConstRef(0)) == 2
     model, _ = tiny_model([problem], seed=3)
-    loss = trainer.problem_loss(problem, model, tape=None, training=False)
+    loss = trainer.problem_loss(problem, model, tape=None)
     assert float(loss.value) > 0
     outcome = eqlang.execute(problem.target, problem.constant_values)
     assert eqlang.answers_equal(eqlang.solve(outcome.equations), problem.gold_answer)
@@ -142,7 +141,7 @@ def test_char_mode_end_to_end():
 def test_teacher_forcing_mirrors_vm(synth_prepared):
     model, _ = tiny_model(synth_prepared, seed=2)
     problems = synth_prepared[:5]
-    _, finals = trainer.teacher_force(problems, model, tape=None, training=False)
+    _, finals = trainer.teacher_force(problems, model, tape=None)
     for problem, (stack, equations) in zip(problems, finals):
         outcome = eqlang.execute(problem.target, problem.constant_values)
         assert list(equations) == outcome.equations
@@ -156,7 +155,7 @@ def test_problem_loss_rejects_malformed_target(synth_prepared):
         constant_values=[eqlang.Fraction(3)],
         target=[Push(eqlang.ConstRef(0))], gold_answer=None)
     with pytest.raises(decoder.IllegalAction):
-        trainer.problem_loss(bad, model, tape=None, training=False)
+        trainer.problem_loss(bad, model, tape=None)
 
 
 def test_train_empty_dataset():
@@ -177,13 +176,13 @@ def test_nan_loss_stops_training_before_any_update(monkeypatch, synth_prepared):
 def test_nan_gradient_stops_training(monkeypatch, synth_prepared):
     original = trainer.batch_loss
 
-    def poisoned_loss(problems, model, *, tape, training, rng):
+    def poisoned_loss(problems, model, *, tape, rng):
         leaf = nm.param(tape, model.registry, "enc.one")
 
         def poison():  # recorded first, so it runs last in the backward sweep
             nm._acc(leaf, np.full_like(leaf.value, np.nan))
         tape.record(poison)
-        return original(problems, model, tape=tape, training=training, rng=rng)
+        return original(problems, model, tape=tape, rng=rng)
 
     monkeypatch.setattr(trainer, "batch_loss", poisoned_loss)
     with pytest.raises(nm.NonFiniteValue, match="epoch 1, batch 1: gradient norm is nan"):
@@ -224,23 +223,25 @@ def timeout_decode(model, problem):
                         status="budget_exceeded", trace=[])
 
 
-def test_evaluate_oracle_is_perfect(synth_prepared):
+def test_evaluate_oracle_is_perfect(monkeypatch, synth_prepared):
     model, _ = tiny_model(synth_prepared)
-    metrics = trainer.evaluate(model, synth_prepared, decode_fn=oracle_decode)
+    monkeypatch.setattr(trainer, "decode_problem", oracle_decode)
+    metrics = trainer.evaluate(model, synth_prepared)
     assert metrics.answer_accuracy == 1.0
     assert metrics.equation_accuracy == 1.0
 
 
-def test_evaluate_timeouts_score_zero(synth_prepared):
+def test_evaluate_timeouts_score_zero(monkeypatch, synth_prepared):
     model, _ = tiny_model(synth_prepared)
-    metrics = trainer.evaluate(model, synth_prepared, decode_fn=timeout_decode)
+    monkeypatch.setattr(trainer, "decode_problem", timeout_decode)
+    metrics = trainer.evaluate(model, synth_prepared)
     assert metrics.answer_accuracy == 0.0
 
 
-def test_evaluate_rejections_in_denominator(synth_prepared):
+def test_evaluate_rejections_in_denominator(monkeypatch, synth_prepared):
     model, _ = tiny_model(synth_prepared)
-    metrics = trainer.evaluate(model, synth_prepared[:3], rejected=1,
-                               decode_fn=oracle_decode)
+    monkeypatch.setattr(trainer, "decode_problem", oracle_decode)
+    metrics = trainer.evaluate(model, synth_prepared[:3], rejected=1)
     assert metrics.n_total == 4
     assert metrics.answer_accuracy == 0.75
 
