@@ -29,7 +29,8 @@ UNK_ID = 0
 FIXED_SLOT_LIMIT = 15
 
 # widest embedding or recurrent layer a config may ask for: at the cap a
-# model has about 41M parameters, and its arena's four float64 buffers take 1.2 GiB
+# model has about 41M parameters, 0.3 GiB of float64; training adds a
+# gradient and two Adam moments of that size, 1.2 GiB in all
 MAX_WIDTH = 512
 
 

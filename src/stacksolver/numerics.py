@@ -7,6 +7,11 @@ gradient is copied, later ones are added to it. Trainable tensors are named
 views into the flat buffers of a ``ParamRegistry``; leaf nodes for
 parameters are memoized per tape, and their gradients are the registry's
 gradient views, so the backward sweep adds into the registry directly.
+A registry holds only its parameters until training needs more: the first
+taped parameter read (or ``zero_grads``) makes the gradient buffer, the
+first ``adam_step`` the two Adam moments, so a model that only decodes
+holds one buffer instead of four. Checkpoints stream between the file and
+these buffers, with no copy of either in between.
 
 Ops act on the last axis and treat any leading axes as rows, so one op call
 serves a whole batch of problems. Whole recurrences and attention reads are
@@ -31,9 +36,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
-from pathlib import Path
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -78,12 +85,16 @@ def _acc(node: Node, g: np.ndarray) -> None:
 
 
 class ParamRegistry:
-    """Every trainable tensor, packed into four contiguous float64 buffers.
+    """Every trainable tensor, packed into contiguous float64 buffers.
 
     ``ParamRegistry(pairs)`` copies the (name, array) pairs into ``flat`` in
-    pair order; ``flat_grads``, ``flat_m`` and ``flat_v`` (the Adam moments)
-    share that layout and start at zero. ``registry[name]``, ``grads[name]``,
+    pair order; ``registry[name]`` is a writable view into it. A model that
+    only decodes holds nothing else. ``flat_grads`` and the Adam moments
+    ``flat_m`` and ``flat_v`` share that layout and are made, zeroed, on
+    their first use (the gradient by ``Tape.param_leaf``, ``zero_grads`` or
+    ``grad_check``, the moments by ``adam_step``); ``grads[name]``,
     ``adam_m[name]`` and ``adam_v[name]`` are writable views into them.
+    ``has(buffer_name)`` tells whether one has been made.
     """
 
     def __init__(self, params: Iterable[tuple[str, np.ndarray | Sequence]] = ()):
@@ -97,15 +108,31 @@ class ParamRegistry:
             np.concatenate([v.ravel() for v in values.values()], out=self.flat)
 
     def _lay_out(self, shapes: dict[str, tuple[int, ...]]) -> None:
-        """Zeroed buffers for ``shapes``, and each name's views into them."""
+        """An uninitialized ``flat`` for ``shapes``, and each name's view into it."""
         self.shapes = shapes
         starts = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
-        spans = list(zip(shapes.items(), starts, starts[1:]))
-        self.flat, self.flat_grads, self.flat_m, self.flat_v = np.zeros((4, starts[-1]))
-        self._params, self.grads, self.adam_m, self.adam_v = (
-            {name: buf[lo:hi].reshape(shape) for (name, shape), lo, hi in spans}
-            for buf in (self.flat, self.flat_grads, self.flat_m, self.flat_v))
+        self._spans = list(zip(shapes.items(), starts, starts[1:]))
+        self.flat = np.empty(starts[-1])
+        self._params = self._views(self.flat)
         self.adam_t = 0
+
+    def _views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: buf[lo:hi].reshape(shape) for (name, shape), lo, hi in self._spans}
+
+    def _zeros(self) -> np.ndarray:
+        return np.zeros(self.flat.size)
+
+    # made on first access, then plain attributes: no check on later reads
+    flat_grads = cached_property(_zeros)
+    flat_m = cached_property(_zeros)
+    flat_v = cached_property(_zeros)
+    grads = cached_property(lambda self: self._views(self.flat_grads))
+    adam_m = cached_property(lambda self: self._views(self.flat_m))
+    adam_v = cached_property(lambda self: self._views(self.flat_v))
+
+    def has(self, buffer: str) -> bool:
+        """Whether ``flat_grads``, ``flat_m`` or ``flat_v`` has been made."""
+        return buffer in vars(self)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -120,12 +147,14 @@ class ParamRegistry:
         self.flat_grads.fill(0.0)
 
     def copy(self) -> "ParamRegistry":
-        """Parameters and Adam state in new buffers; gradients zero."""
+        """Parameters, and the Adam state if this registry has any, in new
+        buffers; the copy has no gradient buffer until its first use."""
         other = ParamRegistry()
         other._lay_out(self.shapes)
         other.flat[...] = self.flat
-        other.flat_m[...] = self.flat_m
-        other.flat_v[...] = self.flat_v
+        for buffer in ("flat_m", "flat_v"):
+            if self.has(buffer):
+                setattr(other, buffer, getattr(self, buffer).copy())
         other.adam_t = self.adam_t
         return other
 
@@ -858,65 +887,95 @@ def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
 
 _CKPT_MAGIC = b"SSCK"
 _CKPT_VERSION = 2
+_CKPT_BUFFERS = ("flat", "flat_m", "flat_v")
+_ZERO_CHUNK = np.zeros(1 << 13)  # 64 KiB of the zeros that stand for absent moments
+
+
+def _le_pieces(registry: ParamRegistry, buffer: str) -> Iterable[np.ndarray]:
+    """A buffer as float64 little-endian arrays, in order: the buffer itself on
+    a little-endian host (no copy), and zeros for moments not yet made."""
+    if not registry.has(buffer):
+        size = registry.flat.size
+        for lo in range(0, size, _ZERO_CHUNK.size):
+            yield _ZERO_CHUNK[:size - lo]
+    else:
+        yield getattr(registry, buffer).astype("<f8", copy=False)
 
 
 def save_checkpoint(path, registry: ParamRegistry) -> None:
     """Magic, version, a name/ndim/shape table, the Adam step count, the
     params, Adam m and Adam v buffers (float64 LE), then a sha256 of every
-    byte before it."""
-    out = bytearray(_CKPT_MAGIC)
-    out += struct.pack("<BI", _CKPT_VERSION, len(registry.shapes))
+    byte before it. The buffers go from the arena to the file as they are;
+    Adam moments not yet made are written as zeros."""
+    header = bytearray(_CKPT_MAGIC)
+    header += struct.pack("<BI", _CKPT_VERSION, len(registry.shapes))
     for name, shape in registry.shapes.items():
         nb = name.encode("utf-8")
-        out += struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
-    out += struct.pack("<Q", registry.adam_t)
-    for buf in (registry.flat, registry.flat_m, registry.flat_v):
-        out += buf.astype("<f8").tobytes()
-    out += hashlib.sha256(out).digest()
-    Path(path).write_bytes(out)
+        header += struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
+    header += struct.pack("<Q", registry.adam_t)
+    digest = hashlib.sha256(header)
+    with open(path, "wb") as f:
+        f.write(header)
+        for buffer in _CKPT_BUFFERS:
+            for piece in _le_pieces(registry, buffer):
+                digest.update(piece)
+                f.write(piece)
+        f.write(digest.digest())
 
 
 def load_checkpoint(path) -> ParamRegistry:
-    data = Path(path).read_bytes()
-    if data[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint archive")
-    if len(data) < 5 or data[4] != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version "
-                              f"{data[4] if len(data) > 4 else None}")
-    off = 5
+    """The registry that ``save_checkpoint`` wrote, with its Adam moments.
 
-    def take(n: int) -> int:
-        """Offset of the next ``n`` bytes, which must all be present."""
-        nonlocal off
-        if off + n > len(data):
-            raise CheckpointError(f"{path}: truncated: needs more than its "
-                                  f"{len(data)} bytes")
-        off += n
-        return off - n
+    The header is read and checked against the file's size before anything
+    is allocated; the buffers are then read straight into the arena."""
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        head = f.read(5)
+        if head[:4] != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint archive")
+        if head[4:] != bytes([_CKPT_VERSION]):
+            raise CheckpointError(f"{path}: unsupported checkpoint version "
+                                  f"{head[4] if len(head) > 4 else None}")
+        digest = hashlib.sha256(head)
 
-    (count,) = struct.unpack_from("<I", data, take(4))
-    shapes: dict[str, tuple[int, ...]] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, take(2))
-        try:
-            name = data[take(nlen):off].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
-        if name in shapes:
-            raise CheckpointError(f"{path}: parameter {name!r} stored twice")
-        ndim = data[take(1)]
-        shapes[name] = struct.unpack_from(f"<{ndim}I", data, take(4 * ndim))
-    (adam_t,) = struct.unpack_from("<Q", data, take(8))
-    size = sum(math.prod(shape) for shape in shapes.values())
-    buffers = take(3 * 8 * size)
-    digest = take(32)
-    if off != len(data):
-        raise CheckpointError(f"{path}: {len(data) - off} bytes after the archive")
-    if hashlib.sha256(memoryview(data)[:digest]).digest() != data[digest:]:
-        raise CheckpointError(f"{path}: sha256 does not match the contents")
-    registry = ParamRegistry()
-    registry._lay_out(shapes)
-    registry.flat[...], registry.flat_m[...], registry.flat_v[...] = np.frombuffer(
-        data, dtype="<f8", count=3 * size, offset=buffers).reshape(3, size)
+        def take(n: int) -> bytes:
+            """The next ``n`` bytes, which must all be present."""
+            data = f.read(n)
+            if len(data) < n:
+                raise CheckpointError(f"{path}: truncated: needs more than its "
+                                      f"{file_size} bytes")
+            digest.update(data)
+            return data
+
+        (count,) = struct.unpack("<I", take(4))
+        shapes: dict[str, tuple[int, ...]] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", take(2))
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
+            if name in shapes:
+                raise CheckpointError(f"{path}: parameter {name!r} stored twice")
+            (ndim,) = take(1)
+            shapes[name] = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        (adam_t,) = struct.unpack("<Q", take(8))
+        size = sum(math.prod(shape) for shape in shapes.values())
+        end = f.tell() + 3 * 8 * size + 32
+        if end > file_size:
+            raise CheckpointError(f"{path}: truncated: needs {end} bytes, has {file_size}")
+        if end < file_size:
+            raise CheckpointError(f"{path}: {file_size - end} bytes after the archive")
+        registry = ParamRegistry()
+        registry._lay_out(shapes)
+        for buffer in _CKPT_BUFFERS:
+            buf = getattr(registry, buffer)  # this makes the moments
+            if f.readinto(buf) != buf.nbytes:
+                raise CheckpointError(f"{path}: truncated while reading")
+            digest.update(buf)
+            if sys.byteorder != "little":
+                buf.byteswap(inplace=True)
+        if f.read(32) != digest.digest():
+            raise CheckpointError(f"{path}: sha256 does not match the contents")
     registry.adam_t = adam_t
     return registry

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,8 +55,10 @@ class TrainConfig:
         if self.mode not in ("word", "char"):
             raise ValueError(f"unknown mode {self.mode!r}")
         # the encoder's own rules (sizes, constant_mode, dropout), before any data is read
-        EncoderConfig(1, self.embed_dim, self.hidden_per_direction, self.constant_mode,
-                      self.dropout_p)
+        encoder = EncoderConfig(1, self.embed_dim, self.hidden_per_direction,
+                                self.constant_mode, self.dropout_p)
+        # the decoder works in the encoder's concatenated width, with its dropout
+        self.decoder = replace(self.decoder, dim=encoder.dim, dropout_p=self.dropout_p)
 
 
 @dataclass
@@ -106,18 +108,16 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
         constant_mode=config.constant_mode,
         dropout_p=config.dropout_p,
     )
-    # the decoder works in the encoder's concatenated dimension
-    dec_config = replace(config.decoder, dim=enc_config.dim, dropout_p=config.dropout_p)
-    registry = _register_params(enc_config, dec_config, rng)
-    return Model(registry, vocab, enc_config, dec_config, config.mode)
+    registry = ParamRegistry(_init_params(enc_config, config.decoder, rng))
+    return Model(registry, vocab, enc_config, config.decoder, config.mode)
 
 
-def _register_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
-                     rng: np.random.Generator) -> ParamRegistry:
+def _init_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
+                 rng: np.random.Generator) -> Iterator[tuple[str, np.ndarray]]:
+    """Every (name, initial value) pair of a model, one array at a time."""
     fixed_slots = enc.FIXED_SLOT_LIMIT if dec_config.constant_repr == "fixed" else 0
-    return ParamRegistry(itertools.chain(
-        enc.init_params(enc_config, rng, fixed_slots=fixed_slots),
-        dec.init_params(dec_config, rng)))
+    return itertools.chain(enc.init_params(enc_config, rng, fixed_slots=fixed_slots),
+                           dec.init_params(dec_config, rng))
 
 
 def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
@@ -360,7 +360,8 @@ def load_model(directory) -> Model:
             raise ValueError(f"vocab_size {enc_config.vocab_size} and decoder dim "
                              f"{dec_config.dim} do not match {len(vocab)} tokens and "
                              f"width {enc_config.dim}")
-        want = _register_params(enc_config, dec_config, np.random.default_rng(0)).shapes
+        want = {name: value.shape for name, value in
+                _init_params(enc_config, dec_config, np.random.default_rng(0))}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
                                  f"{type(exc).__name__}: {exc}") from None

@@ -123,6 +123,19 @@ def test_train_artifacts(trained_dir):
     assert manifest["config"]["epochs"] == 2
 
 
+def test_manifest_records_the_decoder_the_model_uses(tmp_path, synth_file, trained_dir):
+    # trained_dir ran with --hidden 8, so its decoder works in 16 dimensions
+    meta = json.loads((trained_dir / "meta.json").read_text())
+    manifest = json.loads((trained_dir / "manifest.json").read_text())
+    assert meta["decoder"]["dim"] == 16
+    assert manifest["config"]["decoder"] == meta["decoder"]
+    out = tmp_path / "cv"
+    assert run_cli("cv", "--data", synth_file, "--folds", 2, "--out", out, "--epochs", 1,
+                   "--embed-dim", 8, "--hidden", 5, "--dropout", 0.25) == 0
+    decoder = json.loads((out / "manifest.json").read_text())["config"]["decoder"]
+    assert (decoder["dim"], decoder["dropout_p"]) == (10, 0.25)
+
+
 def test_train_accepts_prepared_input(tmp_path, synth_file):
     prepared_path = tmp_path / "prepared.jsonl"
     run_cli("preprocess", synth_file, prepared_path)

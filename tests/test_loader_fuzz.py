@@ -1,11 +1,13 @@
 """Loaders fed mutated bytes raise their typed error and nothing else.
 
-Each case starts from a small valid input (a file, or an equation's text),
-applies a few byte flips, cuts, insertions and deletions, and loads the
-result; train flags get drawn values instead. Hypothesis runs derandomized
+Each case starts from a small valid input (a file, an equation's text, or a
+synthetic problem's text, equation and answer), applies a few byte or
+character flips, cuts, insertions and deletions, and loads the result; train
+flags get drawn values instead. Hypothesis runs derandomized
 with a bounded number of examples, so the suite stays deterministic.
 """
 import json
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +112,49 @@ def test_parse_equation_on_mutated_text(data):
         return
     # a parsed equation renders to text that parses back to it
     assert eqlang.parse_equation(eqlang.equation_to_infix(lhs, rhs)) == (lhs, rhs)
+
+
+@st.composite
+def text_mutations(draw, text: str) -> str:
+    """``mutations`` over characters, inserting any unicode text."""
+    out = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["replace", "cut", "insert", "delete"]))
+        at = draw(st.integers(0, len(out)))
+        if kind == "replace" and at < len(out):
+            out[at] = draw(st.characters())
+        elif kind == "cut":
+            del out[at:]
+        elif kind == "insert":
+            out[at:at] = draw(st.text(min_size=1, max_size=8))
+        elif kind == "delete":
+            del out[at:at + draw(st.integers(1, 8))]
+    return "".join(out)
+
+
+PREPARE_RAWS = corpus.synth_generate(6, seed=6, difficulty=3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_prepare_on_mutated_problems(data):
+    raw = data.draw(st.sampled_from(PREPARE_RAWS))
+    fields = {name: getattr(raw, name) for name in ("text", "equation", "answer")}
+    for name in data.draw(st.sets(st.sampled_from(sorted(fields)), min_size=1)):
+        fields[name] = data.draw(text_mutations(fields[name]))
+    if not fields["text"] or not fields["equation"]:
+        return  # RawProblem itself refuses these
+    mode = data.draw(st.sampled_from(["word", "char"]))
+    start = time.perf_counter()
+    try:
+        prepared = corpus.prepare(corpus.RawProblem(raw.id, **fields), mode)
+    except corpus._REJECTION_CLASSES:
+        prepared = None
+    assert time.perf_counter() - start < 1.0
+    if prepared is not None:
+        # what prepare gives, a prepared file holds and reads back unchanged
+        record = json.loads(json.dumps(cli.prepared_to_record(prepared)))
+        assert cli.prepared_from_record(record) == prepared
 
 
 CONFIG = b"""# a small training run

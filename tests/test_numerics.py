@@ -576,6 +576,44 @@ def test_registry_views_share_the_arena_and_copies_share_nothing():
     assert np.array_equal(other.flat, registry.flat)
 
 
+def test_registry_makes_training_buffers_on_first_use():
+    def made(reg):
+        return [b for b in ("flat_grads", "flat_m", "flat_v") if reg.has(b)]
+
+    registry = make_registry(w=np.ones((2, 3)), b=np.zeros(2))
+    assert made(registry) == []
+    nm.linear(None, nm.constant(np.ones(3)), nm.param(None, registry, "w"),
+              nm.param(None, registry, "b"))
+    assert made(registry) == []
+    assert made(registry.copy()) == []
+    tape = Tape()
+    assert tape.param_leaf(registry, "w").grad is registry.grads["w"]
+    assert made(registry) == ["flat_grads"] and not registry.flat_grads.any()
+    nm.adam_step(registry, OptimizerConfig())
+    assert made(registry) == ["flat_grads", "flat_m", "flat_v"]
+    registry.flat_m[...] = 2.0
+    other = registry.copy()
+    assert made(other) == ["flat_m", "flat_v"]
+    assert np.array_equal(other.adam_m["w"], registry.adam_m["w"])
+    assert not np.shares_memory(other.flat_m, registry.flat_m)
+
+
+def test_checkpoint_writes_absent_moments_as_zeros(tmp_path):
+    rng = np.random.default_rng(12)
+    # more values than one of the zero pieces that stand for absent moments
+    lazy = make_registry(w=rng_arr(rng, 3, 4000), b=rng_arr(rng, 5))
+    eager = lazy.copy()
+    eager.flat_m[...] = 0.0
+    eager.flat_v[...] = 0.0
+    nm.save_checkpoint(tmp_path / "lazy.bin", lazy)
+    nm.save_checkpoint(tmp_path / "eager.bin", eager)
+    assert not lazy.has("flat_m") and not lazy.has("flat_v")
+    assert (tmp_path / "lazy.bin").read_bytes() == (tmp_path / "eager.bin").read_bytes()
+    loaded = nm.load_checkpoint(tmp_path / "lazy.bin")
+    assert np.array_equal(loaded.flat, lazy.flat)
+    assert not loaded.flat_m.any() and not loaded.flat_v.any()
+
+
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
     rng = np.random.default_rng(14)
     registry = make_registry(alpha=rng_arr(rng, 3, 4), beta=rng_arr(rng, 7))

@@ -259,6 +259,14 @@ def test_checkpoint_roundtrip_metrics_identical(tmp_path, synth_prepared):
         assert np.array_equal(result.model.registry[name], loaded.registry[name])
 
 
+@pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
+def test_load_model_expects_the_shapes_that_build_model_registers(synth_prepared, overrides):
+    model, _ = tiny_model(synth_prepared, **overrides)
+    want = {name: value.shape for name, value in trainer._init_params(
+        model.enc_config, model.dec_config, np.random.default_rng(0))}
+    assert list(want.items()) == list(model.registry.shapes.items())
+
+
 def test_cross_validate_smoke(synth_prepared):
     subset = synth_prepared[:8]
     config = tiny_train_config(epochs=2, batch_size=4, seed=3, eval_every=2)
