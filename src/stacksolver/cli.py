@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -128,8 +129,25 @@ def _dataset_hash(path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# the variables that set the BLAS thread count, which decides how its sums
+# are split, and so the last bits of trained weights
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS")
+
+
+def _blas_build() -> dict:
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy before 1.25 only prints its build
+        deps = {}
+    blas = deps.get("blas", {})
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
                    dataset_path, checkpoint: str | None) -> None:
+    """The run's config, seed, data and package, and the numpy build and BLAS
+    threads that a bit-identical rerun needs too."""
     manifest = {
         "command": command,
         "config": config,
@@ -137,6 +155,9 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "dataset_hash": _dataset_hash(dataset_path) if dataset_path else None,
         "checkpoint": checkpoint,
         "version": f"stacksolver-{__version__}",
+        "numpy": np.__version__,
+        "blas": _blas_build(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(

@@ -14,11 +14,17 @@ four binary operators through a per-operator semantic transformer, or close
 an equation. Operators consume the two top elements as ``second <op> top``.
 
 A ``DecoderRun`` steps R rows in lockstep: every problem of a training batch
-under teacher forcing, or the single row of a greedy decode, through the
-same methods. Semantic vectors live in an append-only buffer and each
-semantic stack is a tuple of pointers into it (a "thin stack"), so pushes
-and equals only move pointers, top and second are one gather, and the
-operator transforms run once per operator over the rows that apply it.
+under teacher forcing, or the single row of a greedy decode. Semantic
+vectors live in an append-only buffer and each semantic stack is a tuple of
+pointers into it (a "thin stack"), so pushes and equals only move pointers,
+top and second are one gather, and the operator transforms run once per
+operator over the rows that apply it.
+
+The recurrence (``advance`` and ``apply_action``) reads only the previous
+step's result vector, never the heads' outputs. Greedy decoding must run
+the heads at every step to choose the next action. Teacher forcing knows
+every action in advance, so it steps only the recurrence and then runs the
+heads once over all the recorded states, stacked as one ``TallState``.
 """
 from __future__ import annotations
 
@@ -152,6 +158,41 @@ class DecoderState:
     def has_unknown(self) -> np.ndarray:
         return self.unknown >= 0
 
+    @property
+    def top_two(self) -> np.ndarray:
+        """(R, 2) buffer rows of each row's top and second stack entries
+        (the zero row where absent)."""
+        return np.array([(stack[-1] if stack else ZERO_ROW,
+                          stack[-2] if len(stack) > 1 else ZERO_ROW)
+                         for stack in self.vec_stacks], dtype=np.intp)
+
+    @property
+    def problem(self) -> slice:
+        """The run's problem of each row: row r decodes problem r."""
+        return slice(0, self.rows)
+
+
+@dataclass
+class TallState:
+    """What the heads read of N lockstep states of one run, as the rows of
+    one state: h after each step's ``advance``, the stack tops and depth
+    before its action, and each row's problem in the run.
+
+    Teacher forcing stacks every (row, step) of a batch into one, problem
+    by problem (``DecoderRun.stack_steps``), so the features, both heads and
+    both losses run once over the whole batch; to them it reads like a
+    ``DecoderState`` of N rows.
+    """
+    h: Node                   # (N, d)
+    top_two: np.ndarray       # (N, 2) buffer rows, as DecoderState.top_two
+    depth: np.ndarray         # (N,)
+    has_unknown: np.ndarray   # (N,) bool
+    problem: np.ndarray       # (N,) the run's problem of each row, non-decreasing
+
+    @property
+    def rows(self) -> int:
+        return self.depth.size
+
 
 @dataclass
 class Features:
@@ -229,13 +270,16 @@ def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
 class DecoderRun:
     """One decoding pass (teacher-forced or greedy) over R encoded problems.
 
-    Every method acts on all rows of a state at once; teacher forcing runs a
-    batch's rows in lockstep and greedy decoding runs one row. A state may
-    be narrowed to its first rows (``narrow``), so rows whose targets have
-    ended drop out when the batch is sorted by target length. Work that does
-    not change from step to step is done once per run: the key halves of the
-    attention and of the operand scorer (the latter again after genvar) and
-    the stacking of the two gates' weights.
+    Every method acts on all rows of a state at once. Greedy decoding runs
+    one row through every method at each step. Teacher forcing steps a
+    batch's rows in lockstep through ``advance`` and ``apply_action`` only;
+    ``narrow`` keeps a state's first rows, so rows whose targets have ended
+    drop out when the batch is sorted by target length. ``stack_steps`` then
+    stacks the recorded states into one ``TallState``, and the features, the
+    heads and the losses run once over it. Work that does not change from
+    step to step is done once per run: the key halves of the attention and
+    of the operand scorer (the latter again after genvar) and the stacking
+    of the two gates' weights.
     """
 
     def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
@@ -308,25 +352,40 @@ class DecoderRun:
         return DecoderState(h, c, state.last, state.unknown, state.depth,
                             state.vec_stacks, state.sym_stacks, state.equations)
 
-    def _top_two(self, state: DecoderState) -> np.ndarray:
-        """Buffer rows of each row's top and second stack entries (zero row if absent)."""
-        return np.array([(stack[-1] if stack else ZERO_ROW,
-                           stack[-2] if len(stack) > 1 else ZERO_ROW)
-                          for stack in state.vec_stacks], dtype=np.intp)
+    def stack_steps(self, steps: Sequence[DecoderState]) -> TallState:
+        """Every row of every state in ``steps`` as one ``TallState``, problem
+        by problem and each problem's steps in order.
 
-    def state_features(self, state: DecoderState) -> Features:
+        ``steps`` holds one state per step, each taken after ``advance``,
+        and each holds the first rows of the run, as ``narrow`` leaves them."""
+        counts = np.array([state.rows for state in steps])
+        lengths = (counts[None, :] > np.arange(counts[0])[:, None]).sum(axis=1)
+        problem = np.repeat(np.arange(counts[0]), lengths)
+        # step-major position of each (problem, step) pair
+        step = np.arange(problem.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        order = (np.cumsum(counts) - counts)[step] + problem
+        h = nm.concat(self.tape, [state.h for state in steps], axis=0)
+        if counts[0] > 1:
+            h = nm.gather(self.tape, h, order)
+        return TallState(
+            h=h, top_two=np.concatenate([state.top_two for state in steps])[order],
+            depth=np.concatenate([state.depth for state in steps])[order],
+            has_unknown=np.concatenate([state.has_unknown for state in steps])[order],
+            problem=problem)
+
+    def state_features(self, state: DecoderState | TallState) -> Features:
         """Gated concatenation of recurrent state, stack status, and attention."""
         cfg = self.config
         blocks = [state.h]
         if cfg.use_stack_feature:
-            blocks.append(self.buffer.gather(self._top_two(state)))
+            blocks.append(self.buffer.gather(state.top_two))
         attn_weights = None
         if cfg.use_attention:
             context, weights = nm.attention(
                 self.tape, state.h, self.encoded.token_matrix,
                 self._p["dec.qattn.v"], self._p["dec.qattn.w"], self._p["dec.qattn.b"],
                 mask=self._token_mask, pre=self._q_pre,
-                rows=slice(0, state.rows), dropout_p=cfg.dropout_p, rng=self.rng)
+                rows=state.problem, dropout_p=cfg.dropout_p, rng=self.rng)
             blocks.append(context)
             attn_weights = weights.value
         feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
@@ -339,7 +398,8 @@ class DecoderRun:
 
     # -- stack action selection
 
-    def select_action(self, feats: Features, state: DecoderState) -> ActionDistribution:
+    def select_action(self, feats: Features,
+                      state: DecoderState | TallState) -> ActionDistribution:
         cfg = self.config
         x = nm.dropout(self.tape, feats.action_feats, cfg.dropout_p, self.rng)
         logits = nm.dense_relu_dense(
@@ -359,16 +419,16 @@ class DecoderRun:
 
     # -- operand selection
 
-    def select_operand(self, feats: Features, state: DecoderState,
+    def select_operand(self, feats: Features, state: DecoderState | TallState,
                        rows: np.ndarray | None = None) -> OperandDistribution:
         """Operand scores for ``rows`` of the state (all rows by default)."""
         query = feats.operand_feats
-        if rows is None or rows.size == state.rows:
-            rows = slice(0, state.rows)
-        else:
+        problem = state.problem
+        if rows is not None and rows.size < state.rows:
             query = nm.gather(self.tape, query, rows)
+            problem = rows if isinstance(problem, slice) else problem[rows]
         # each row's candidates [c_1..c_n, 1, pi, (x)], padded to the widest row
-        count = self._candidate_count[rows]
+        count = self._candidate_count[problem]
         width = int(count.max())
         w = self._p["dec.opd.w"]
         if self._opd_pre is None:
@@ -377,7 +437,7 @@ class DecoderRun:
             self._opd_pre = nm.attention_pre(self.tape, w, keys, query.value.shape[-1])
         scores = nm.attention_scores(
             self.tape, query, self._opd_pre, self._p["dec.opd.v"], w,
-            self._p["dec.opd.b"], (rows, slice(0, width)),
+            self._p["dec.opd.b"], (problem, slice(0, width)),
             dropout_p=self.config.dropout_p, rng=self.rng)
         return OperandDistribution(scores, count)
 

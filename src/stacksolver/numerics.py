@@ -25,6 +25,10 @@ stacked gate weights, applies their sigmoids and scales the feature blocks.
 stacks. Per-step ops take their weight gradients ``g.T @ x`` from
 ``_weight_grad``, which hands a one-row product to ``np.dot``: matmul runs
 it outside BLAS, about 3x slower, and each entry is one product either way.
+Attention over rows that name their key rows by an index array (teacher
+forcing's every (problem, step), problem by problem) works per run of one
+index: ``attend`` takes one product per run, and ``_scatter`` sums a run's
+gradient before adding it to that row.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
 recorded, so closures are never built), and ops with dropout apply it
@@ -207,12 +211,45 @@ def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
 # elementwise / structural primitives
 
 
+def _is_basic(idx) -> bool:
+    """Whether ``idx`` is slices only, so that ``x[idx]`` is a view."""
+    return all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,)))
+
+
+def _runs(rows: np.ndarray) -> list[tuple[int, int, int]]:
+    """(index, lo, hi) of each run ``rows[lo:hi]`` of one repeated index."""
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    ends = np.append(starts[1:], rows.size)
+    return list(zip(rows[starts].tolist(), starts.tolist(), ends.tolist()))
+
+
 def _scatter(grad: np.ndarray, idx, g: np.ndarray) -> None:
-    """grad[idx] += g, summing over repeated indices."""
-    if all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,))):
+    """grad[idx] += g, summing over repeated indices.
+
+    A 1-D array of non-negative row indices, alone or followed by slices,
+    is sorted (stably, unless it already is) and each run of one row is
+    summed at once: ``np.add.at`` adds one index at a time, which is slow
+    when each names a block of many entries, and so is ``np.add.reduceat``
+    over the first axis of such blocks."""
+    if _is_basic(idx):
         grad[idx] += g
-    else:
+        return
+    rows, rest = (idx[0], idx[1:]) if isinstance(idx, tuple) else (idx, ())
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"
+            and _is_basic(rest)):
         np.add.at(grad, idx, g)
+        return
+    if rows.size == 0:
+        return
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        rows, g = rows[order], g[order]
+    runs = _runs(rows)
+    if len(runs) == rows.size:  # no index repeats: one fancy add
+        grad[(rows,) + rest] += g
+        return
+    for row, lo, hi in runs:
+        grad[(row,) + rest] += g[lo:hi].sum(axis=0)
 
 
 def add_n(tape: Tape | None, parts: Sequence[Node]) -> Node:
@@ -703,12 +740,20 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
     pre_rows = pre.value[rows]
     if pre_rows.shape[0] != query.value.shape[0]:
         raise ShapeMismatch(f"{query.value.shape[0]} queries for {pre_rows.shape[0]} key rows")
-    hidden = np.tanh(pre_rows + (query.value @ w_query.T + b.value)[:, None, :])
+    # in place wherever the (rows, C, d) arrays are this op's own: each new one costs
+    # more than the arithmetic on it
+    hidden = np.add(pre_rows, (query.value @ w_query.T + b.value)[:, None, :],
+                    out=None if _is_basic(rows) else pre_rows)
+    np.tanh(hidden, out=hidden)
     keep = _keep_mask(hidden.shape, dropout_p, rng)
     scale = 1.0 if keep is None else 1.0 / (1.0 - dropout_p)
 
     def dropped():  # recomputed in backward rather than kept alive
-        return hidden if keep is None else hidden * scale * keep
+        if keep is None:
+            return hidden
+        out = hidden * scale
+        out *= keep
+        return out
 
     n_rows, n_keys, width = hidden.shape
     out = Node((dropped().reshape(-1, width) @ w_score.value).reshape(n_rows, n_keys))
@@ -718,10 +763,13 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
             if g is None:
                 return
             _acc(w_score, g.reshape(-1) @ dropped().reshape(-1, width))
-            d_hidden = g[:, :, None] * w_score.value
+            dz = np.multiply(hidden, hidden)
+            np.subtract(1.0, dz, out=dz)
+            dz *= w_score.value
+            dz *= g[:, :, None]
             if keep is not None:
-                d_hidden = d_hidden * scale * keep
-            dz = d_hidden * (1.0 - hidden * hidden)
+                dz *= keep
+                dz *= scale
             if pre.grad is None:
                 pre.grad = np.zeros_like(pre.value)
             _scatter(pre.grad, rows, dz)
@@ -736,17 +784,34 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
 
 
 def attend(tape: Tape | None, weights: Node, keys: Node, rows=slice(None)) -> Node:
-    """Weighted sums of key vectors: row r is sum_c weights[r, c] keys[rows][r, c]."""
-    out = Node((weights.value[:, None, :] @ keys.value[rows])[:, 0])
+    """Weighted sums of key vectors: row r is sum_c weights[r, c] keys[rows][r, c].
+
+    With an index array, each run of rows that read one key row is one
+    product, so no (rows, C, d) copy of the keys is made."""
+    if isinstance(rows, slice):
+        out = Node((weights.value[:, None, :] @ keys.value[rows])[:, 0])
+        runs = None
+    else:
+        runs = _runs(rows)
+        out = Node(np.empty(weights.value.shape[:1] + keys.value.shape[2:]))
+        for row, lo, hi in runs:
+            np.matmul(weights.value[lo:hi], keys.value[row], out=out.value[lo:hi])
     if tape is not None:
         def back():
             g = out.grad
             if g is None:
                 return
-            _acc(weights, (keys.value[rows] @ g[:, :, None])[:, :, 0])
             if keys.grad is None:
                 keys.grad = np.zeros_like(keys.value)
-            _scatter(keys.grad, rows, weights.value[:, :, None] * g[:, None, :])
+            if runs is None:
+                _acc(weights, (keys.value[rows] @ g[:, :, None])[:, :, 0])
+                keys.grad[rows] += weights.value[:, :, None] * g[:, None, :]
+                return
+            d_weights = np.empty_like(weights.value)
+            for row, lo, hi in runs:
+                np.matmul(g[lo:hi], keys.value[row].T, out=d_weights[lo:hi])
+                keys.grad[row] += weights.value[lo:hi].T @ g[lo:hi]
+            _acc(weights, d_weights)
         tape.record(back)
     return out
 

@@ -1,10 +1,11 @@
 """Teacher-forced training, evaluation, cross-validation, and model persistence.
 
 A training batch is one graph on one tape: the encoder runs the batch as a
-padded BiLSTM and the decoder steps every problem's stacks in lockstep, so
-one backward sweep and one Adam step (on the mean-of-problems loss) are
-taken per batch. Everything is seeded, so a rerun with the same config
-reproduces the loss curve bit for bit.
+padded BiLSTM, the decoder's recurrence steps every problem's stacks in
+lockstep, and its heads and losses then run once over every (problem, step)
+of the batch, so one backward sweep and one Adam step (on the
+mean-of-problems loss) are taken per batch. Everything is seeded, so a
+rerun with the same config reproduces the loss curve bit for bit.
 """
 from __future__ import annotations
 
@@ -123,26 +124,23 @@ def _init_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
 def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
                   tape: Tape | None, rng: np.random.Generator | None = None
                   ) -> tuple[Node, list[tuple[tuple, tuple]]]:
-    """Summed per-step losses of a batch under the gold action sequences,
-    plus each problem's final symbolic (stack, equations). Dropout runs
-    exactly when ``rng`` is given.
+    """Summed action and operand losses of a batch under the gold action
+    sequences, plus each problem's final symbolic (stack, equations).
+    Dropout runs exactly when ``rng`` is given.
 
-    The rows run in lockstep, sorted by target length (longest first), so
-    the rows still decoding at step t are always the first ones."""
+    Two passes over one tape. The decoder's recurrence never reads the
+    heads, so pass 1 steps only ``advance`` and ``apply_action``, with the
+    rows in lockstep and sorted by target length (longest first), so the
+    rows still decoding at step t are always the first ones; it keeps each
+    step's state. Pass 2 stacks every (row, step) of those states into one
+    tall state, problem by problem, and runs the features, both heads and
+    both cross-entropies once over it."""
     for problem in problems:
         if not problem.target or not isinstance(problem.target[0], eqlang.GenVar):
             raise dec.IllegalAction("target must be non-empty and start with GenVar")
     order = sorted(range(len(problems)), key=lambda i: -len(problems[i].target))
     rows = [problems[i] for i in order]
     lengths = np.array([len(p.target) for p in rows])
-    # each row's gold action index and, at pushes, candidate index per step
-    actions = np.full((len(rows), lengths[0]), -1, dtype=np.intp)
-    operands = actions.copy()
-    for r, problem in enumerate(rows):
-        for t, action in enumerate(problem.target):
-            actions[r, t] = kind = eqlang.action_index(action)
-            if kind == PUSH:
-                operands[r, t] = eqlang.operand_index(action.ref, problem.n_constants)
     encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
                                constant_repr=model.dec_config.constant_repr,
                                tape=tape, rng=rng)
@@ -154,23 +152,30 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
         for r in range(first_done, state.rows):
             finals[order[r]] = (state.sym_stacks[r], state.equations[r])
 
-    terms: list[Node] = []
+    steps: list[dec.DecoderState] = []
     for step in range(lengths[0]):
         active = int((lengths > step).sum())
         if active < state.rows:
             keep_finals(active)
             state = run.narrow(state, active)
         state = run.advance(state)
-        feats = run.state_features(state)
-        dist = run.select_action(feats, state)
-        terms.append(run.action_loss(dist, actions[:active, step]))
-        pushes = np.flatnonzero(actions[:active, step] == PUSH)
-        if pushes.size:
-            odist = run.select_operand(feats, state, pushes)
-            terms.append(run.operand_loss(odist, operands[pushes, step]))
+        steps.append(state)
         state = run.apply_action(state, [p.target[step] for p in rows[:active]])
     keep_finals(0)
-    return nm.add_n(tape, terms), [finals[i] for i in range(len(problems))]
+
+    # every (row, step)'s gold action, in the tall state's order
+    gold = [(action, problem) for problem in rows for action in problem.target]
+    actions = np.array([eqlang.action_index(action) for action, _ in gold], dtype=np.intp)
+    pushes = np.flatnonzero(actions == PUSH)
+    tall = run.stack_steps(steps)
+    feats = run.state_features(tall)
+    loss = run.action_loss(run.select_action(feats, tall), actions)
+    if pushes.size:
+        operands = np.array([eqlang.operand_index(gold[i][0].ref, gold[i][1].n_constants)
+                             for i in pushes.tolist()], dtype=np.intp)
+        loss = nm.add_n(tape, [loss, run.operand_loss(
+            run.select_operand(feats, tall, pushes), operands)])
+    return loss, [finals[i] for i in range(len(problems))]
 
 
 def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
@@ -234,7 +239,9 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
     """Seeded epochs of accumulated-gradient Adam; checkpoints the best model.
 
     The held-out split drives early stopping and best-model selection; when
-    absent, the training set itself is scored (overfitting runs).
+    absent, the training set itself is scored (overfitting runs). A model
+    with a parameter that is not finite is never kept as the best: it
+    raises ``NonFiniteValue``.
     """
     if not train_set:
         raise EmptyDataset("empty training set")
@@ -251,7 +258,7 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
     eval_set = heldout if heldout is not None else usable
 
     history: list[EpochStats] = []
-    best_registry = model.registry.copy()
+    best_registry: ParamRegistry | None = None  # the last epoch always evaluates
     best_metrics: Metrics | None = None
     best_epoch = 0
     epochs_since_best = 0
@@ -284,6 +291,8 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
             metrics = evaluate(model, eval_set)
             stats.eval_metrics = metrics
             if best_metrics is None or metrics.answer_accuracy > best_metrics.answer_accuracy:
+                if not np.isfinite(model.registry.flat).all():
+                    raise nm.NonFiniteValue(f"epoch {epoch}: a parameter is not finite")
                 best_metrics = metrics
                 best_registry = model.registry.copy()
                 best_epoch = epoch

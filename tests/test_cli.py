@@ -1,5 +1,6 @@
 """CLI commands end to end: files in, artifacts out, exit codes."""
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,14 @@ def test_train_artifacts(trained_dir):
     assert manifest["dataset_hash"].startswith("sha256:")
     assert manifest["version"].startswith("stacksolver-")
     assert manifest["config"]["epochs"] == 2
+
+
+def test_manifest_records_the_numerics_a_rerun_needs(trained_dir):
+    manifest = json.loads((trained_dir / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    assert set(manifest["blas"]) == {"name", "version", "openblas configuration"}
+    assert manifest["blas_threads"] == {var: os.environ.get(var)
+                                        for var in cli.BLAS_THREAD_VARS}
 
 
 def test_manifest_records_the_decoder_the_model_uses(tmp_path, synth_file, trained_dir):

@@ -242,17 +242,19 @@ def test_grads_attention():
         return xent(tape, ctx, weights)
 
     check(loss_fn, registry, probes=60)
-    # attention reads over chosen key rows, repeated ones included
-    rows = np.array([1, 1, 0])
+    # attention reads over chosen key rows, repeated ones included, next to
+    # each other and apart
+    rows = np.array([1, 1, 0, 1])
     registry = make_registry(**{name: registry[name] for name in registry.names()},
-                             q=rng_arr(rng, 3, 4))
+                             q=rng_arr(rng, 4, 4))
 
     def rows_loss(tape):
         ctx, _ = nm.attention(tape, nm.param(tape, registry, "q"),
                               nm.param(tape, registry, "keys"),
                               nm.param(tape, registry, "score"),
                               nm.param(tape, registry, "w"),
-                              nm.param(tape, registry, "b"), mask=mask, rows=rows)
+                              nm.param(tape, registry, "b"), mask=mask, rows=rows,
+                              dropout_p=0.3, rng=np.random.default_rng(4))
         return xent(tape, ctx)
 
     check(rows_loss, registry, probes=60)
@@ -706,3 +708,23 @@ def test_grad_check_exact_for_linear_model():
 
     err = nm.grad_check(loss_fn, registry, 3, np.random.default_rng(0))
     assert err < 1e-9
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([0, 2, 2, 3, 5, 5, 5]),                 # sorted, with repeats
+    np.array([5, 0, 3, 2, 5, 2, 0]),                 # unsorted, with repeats
+    np.array([4, 1, 0, 5, 3]),                       # unsorted, no repeats
+    np.array([1, 1, 1]),                             # one row, repeated
+    np.array([], dtype=np.intp),
+    (np.array([0, 0, 1, 4, 4]), slice(1, 3)),        # rows, then a slice
+    (np.array([4, 0, 4, 1, 0]), slice(None), slice(0, 2)),
+])
+def test_scatter_matches_add_at(idx):
+    rng = np.random.default_rng(0)
+    base = rng_arr(rng, 6, 3, 4)
+    g = rng_arr(rng, *base[idx].shape)
+    want = base.copy()
+    np.add.at(want, idx, g)
+    got = base.copy()
+    nm._scatter(got, idx, g)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stacksolver import corpus, decoder, eqlang, numerics as nm, trainer
+from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm, trainer
 from stacksolver.decoder import DecodeResult, legal_action_mask
 from stacksolver.eqlang import Push
 
@@ -85,28 +85,75 @@ def mixed_batch(problems, size):
     return batch
 
 
+def loss_and_grads(registry, loss_of):
+    """The value of ``loss_of(tape)`` and a copy of each parameter's gradient."""
+    registry.zero_grads()
+    tape = nm.Tape()
+    loss = loss_of(tape)
+    tape.backward(loss)
+    return float(loss.value), {n: registry.grads[n].copy() for n in registry.names()}
+
+
 @pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
 def test_batch_loss_is_the_sum_of_problem_losses(synth_prepared, overrides):
     model, _ = tiny_model(synth_prepared, seed=6, **overrides)
     registry = model.registry
     batch = mixed_batch(synth_prepared, 6)
 
-    def loss_and_grads(loss_of):
-        registry.zero_grads()
-        tape = nm.Tape()
-        loss = loss_of(tape)
-        tape.backward(loss)
-        return float(loss.value), {n: registry.grads[n].copy() for n in registry.names()}
-
     # dropout is off without an rng, so the two paths do the same arithmetic
     batch_value, batch_grads = loss_and_grads(
-        lambda tape: trainer.batch_loss(batch, model, tape=tape))
-    singles = [loss_and_grads(lambda tape, p=p: trainer.problem_loss(
+        registry, lambda tape: trainer.batch_loss(batch, model, tape=tape))
+    singles = [loss_and_grads(registry, lambda tape, p=p: trainer.problem_loss(
         p, model, tape=tape)) for p in batch]
     assert batch_value == pytest.approx(sum(v for v, _ in singles), rel=1e-10, abs=0)
     for name in registry.names():
         summed = sum(grads[name] for _, grads in singles)
         assert np.abs(batch_grads[name] - summed).max() <= 1e-10 * np.abs(summed).max(), name
+
+
+def stepwise_loss(problems, model, *, tape):
+    """The teacher-forced loss with the heads run at every step of the
+    lockstep loop, on that step's rows: one pass, without dropout."""
+    rows = sorted(problems, key=lambda p: -len(p.target))
+    lengths = np.array([len(p.target) for p in rows])
+    encoded = encoder.encode_batch(rows, model.vocab, model.registry, model.enc_config,
+                                   constant_repr=model.dec_config.constant_repr, tape=tape)
+    run = decoder.DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape)
+    state = run.initial_state()
+    terms = []
+    for step in range(lengths[0]):
+        active = int((lengths > step).sum())
+        if active < state.rows:
+            state = run.narrow(state, active)
+        state = run.advance(state)
+        gold = [p.target[step] for p in rows[:active]]
+        kinds = np.array([eqlang.action_index(a) for a in gold])
+        feats = run.state_features(state)
+        terms.append(run.action_loss(run.select_action(feats, state), kinds))
+        pushes = np.flatnonzero(kinds == eqlang.PUSH)
+        if pushes.size:
+            operands = np.array([eqlang.operand_index(gold[r].ref, rows[r].n_constants)
+                                 for r in pushes])
+            terms.append(run.operand_loss(run.select_operand(feats, state, pushes),
+                                          operands))
+        state = run.apply_action(state, gold)
+    return nm.add_n(tape, terms)
+
+
+@pytest.mark.parametrize("size", [1, 6])
+@pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
+def test_two_pass_loss_matches_the_heads_run_step_by_step(synth_prepared, overrides, size):
+    model, _ = tiny_model(synth_prepared, seed=6, **overrides)
+    registry = model.registry
+    batch = mixed_batch(synth_prepared, 6)[:size]
+    value, grads = loss_and_grads(
+        registry, lambda tape: trainer.batch_loss(batch, model, tape=tape))
+    want_value, want_grads = loss_and_grads(
+        registry, lambda tape: stepwise_loss(batch, model, tape=tape))
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+    for name in registry.names():
+        want = want_grads[name]
+        assert np.abs(grads[name] - want).max() <= 1e-10 * np.abs(want).max(), name
 
 
 def test_batch_loss_gradcheck_with_dropout(synth_prepared):
@@ -148,14 +195,20 @@ def test_teacher_forcing_mirrors_vm(synth_prepared):
         assert list(stack) == outcome.stack
 
 
-def test_problem_loss_rejects_malformed_target(synth_prepared):
+@pytest.mark.parametrize("target", [
+    [Push(eqlang.ConstRef(0))],                                      # no genvar first
+    [eqlang.GEN_VAR, Push(eqlang.ConstRef(0)), eqlang.Apply("+")],   # apply at depth 1
+    [eqlang.GEN_VAR, eqlang.GEN_VAR],                                # a second genvar
+])
+def test_problem_loss_rejects_malformed_target(synth_prepared, target):
     model, _ = tiny_model(synth_prepared)
     bad = corpus.PreparedProblem(
         id="bad", tokens=["a", "3"], constant_positions=[1],
-        constant_values=[eqlang.Fraction(3)],
-        target=[Push(eqlang.ConstRef(0))], gold_answer=None)
+        constant_values=[eqlang.Fraction(3)], target=target, gold_answer=None)
     with pytest.raises(decoder.IllegalAction):
         trainer.problem_loss(bad, model, tape=None)
+    with pytest.raises(decoder.IllegalAction):  # and beside a legal target, on a tape
+        trainer.batch_loss([synth_prepared[0], bad], model, tape=nm.Tape())
 
 
 def test_train_empty_dataset():
@@ -187,6 +240,20 @@ def test_nan_gradient_stops_training(monkeypatch, synth_prepared):
     monkeypatch.setattr(trainer, "batch_loss", poisoned_loss)
     with pytest.raises(nm.NonFiniteValue, match="epoch 1, batch 1: gradient norm is nan"):
         trainer.train(synth_prepared[:8], tiny_train_config())
+
+
+def test_a_non_finite_parameter_is_never_kept_as_the_best(monkeypatch, synth_prepared):
+    original = nm.adam_step
+
+    def poisoned_step(registry, config):
+        original(registry, config)
+        # no problem has an unknown token and a batch of one has no padding
+        # (which reads it too), so neither a loss nor a decode reads it
+        registry["enc.embed"][encoder.UNK_ID] = np.nan
+
+    monkeypatch.setattr(nm, "adam_step", poisoned_step)
+    with pytest.raises(nm.NonFiniteValue, match="epoch 1: a parameter is not finite"):
+        trainer.train(synth_prepared[:8], tiny_train_config(batch_size=1))
 
 
 def test_train_smoke_and_determinism(synth_prepared):
