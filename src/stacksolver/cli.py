@@ -75,28 +75,15 @@ def prepared_from_record(obj: dict) -> PreparedProblem:
 
 def _check_prepared(p: PreparedProblem) -> None:
     """Reject, as ``ValueError``, a problem that training could not run: one
-    constant per token position, and a target that generates x first and
-    once, pushes only the problem's constants and never underflows."""
+    constant per token position, and a target that ``eqlang.check_target``
+    accepts."""
     if len(p.constant_positions) != len(p.constant_values):
         raise ValueError(f"{len(p.constant_positions)} positions for "
                          f"{len(p.constant_values)} values")
     if not all(0 <= i < len(p.tokens) for i in p.constant_positions):
         raise ValueError(f"a position in {p.constant_positions} is outside "
                          f"the {len(p.tokens)} tokens")
-    kinds = [eqlang.action_index(a) for a in p.target]
-    if kinds[:1] != [eqlang.GENVAR]:
-        raise ValueError("the target does not start with genvar")
-    if kinds.count(eqlang.GENVAR) > 1:
-        raise ValueError("the target generates the unknown twice")
-    for action in p.target:
-        if isinstance(action, eqlang.Push) and isinstance(action.ref, eqlang.ConstRef) \
-                and action.ref.index >= p.n_constants:
-            raise ValueError(f"the target pushes {eqlang.operand_name(action.ref)} "
-                             f"of {p.n_constants} values")
-    try:
-        eqlang.execute(p.target, p.constant_values, max_steps=len(p.target))
-    except eqlang.StackUnderflow as exc:
-        raise ValueError(f"the target underflows the stack: {exc}") from None
+    eqlang.check_target(p.target, p.n_constants)
 
 
 def load_prepared(path) -> list[PreparedProblem]:

@@ -3,10 +3,11 @@
 Each decoding step advances a recurrent state over the previous step's
 result vector, extracts gated features (recurrent state, top-two stack
 vectors, attention over the problem), picks a stack action behind a
-legality mask, and applies it to a stack that carries matching symbolic and
-semantic halves. The symbolic half evolves through exactly the same
-transition function as the standalone stack VM, so the two worlds cannot
-drift apart.
+legality mask built from ``eqlang.is_legal``, and applies it to a stack of
+semantic vectors. The matching symbolic stack is a pure function of the
+actions, so a run does not carry it: greedy decoding steps it with
+``eqlang.symbolic_step`` beside the run, and training checks each gold
+target once with ``eqlang.check_target`` before the run sees it.
 
 Actions: generate the unknown variable (first step only), push an operand
 chosen by content-based addressing over candidate vectors, apply one of the
@@ -38,12 +39,8 @@ from . import eqlang
 from . import numerics as nm
 from .corpus import PreparedProblem
 from .encoder import EncodedBatch
-from .eqlang import EQUAL, GENVAR, PUSH, Expr, StackAction
+from .eqlang import EQUAL, GENVAR, PUSH, Expr, IllegalAction, StackAction  # noqa: F401
 from .numerics import Node, ParamRegistry, Tape
-
-
-class IllegalAction(RuntimeError):
-    pass
 
 
 @dataclass
@@ -139,20 +136,22 @@ class DecoderState:
     """R rows decoding in lockstep; row r decodes problem r of the run.
 
     The semantic stacks are a thin stack: each is a tuple of rows of the
-    run's vector buffer, top last, beside the row's symbolic stack.
+    run's vector buffer, top last, so its length is the stack's depth.
     """
     h: Node                  # (R, d)
     c: Node                  # (R, d)
     last: np.ndarray         # (R,) buffer row of the previous step's result
     unknown: np.ndarray      # (R,) buffer row of x, -1 before it is generated
-    depth: np.ndarray        # (R,) stack depth
     vec_stacks: tuple[tuple[int, ...], ...]
-    sym_stacks: tuple[tuple[Expr, ...], ...]
-    equations: tuple[tuple[tuple[Expr, Expr], ...], ...]
 
     @property
     def rows(self) -> int:
         return len(self.vec_stacks)
+
+    @property
+    def depth(self) -> np.ndarray:
+        """(R,) stack depth of each row."""
+        return np.fromiter(map(len, self.vec_stacks), dtype=np.intp, count=self.rows)
 
     @property
     def has_unknown(self) -> np.ndarray:
@@ -255,20 +254,21 @@ class DecodeResult:
     stack_history: list[tuple[Expr, ...]] = field(default_factory=list)
 
 
-# legal actions by (stack depth, capped at 2) and (unknown generated)
-_LEGAL = np.ones((3, 2, len(eqlang.ACTIONS)), dtype=bool)
-_LEGAL[:2, :, PUSH + 1:] = False  # every action after push pops two entries
-_LEGAL[:, 1, GENVAR] = False
+# eqlang's legal actions by (stack depth, capped at 2) and (unknown generated)
+_LEGAL = np.array([[[eqlang.is_legal(kind, depth, has_unknown)
+                     for kind in range(len(eqlang.ACTIONS))]
+                    for has_unknown in (False, True)] for depth in range(3)])
 
 
 def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
-    """Push is always legal; operators need two operands; one unknown only.
-    Takes one row's depth and flag, or arrays of them for (R, 7) masks."""
+    """The (7,) legal actions at one row's depth and unknown flag, or the
+    (R, 7) masks of arrays of them."""
     return _LEGAL[np.minimum(stack_depth, 2), np.asarray(has_unknown, dtype=np.intp)]
 
 
 class DecoderRun:
-    """One decoding pass (teacher-forced or greedy) over R encoded problems.
+    """One decoding pass (teacher-forced or greedy) over R encoded problems,
+    on their semantic stacks only.
 
     Every method acts on all rows of a state at once. Greedy decoding runs
     one row through every method at each step. Teacher forcing steps a
@@ -331,17 +331,15 @@ class DecoderRun:
         return DecoderState(
             h=self.encoded.final_h, c=self.encoded.final_c,
             last=np.full(rows, ZERO_ROW, dtype=np.intp),
-            unknown=np.full(rows, -1, dtype=np.intp), depth=np.zeros(rows, dtype=np.intp),
-            vec_stacks=((),) * rows, sym_stacks=((),) * rows, equations=((),) * rows)
+            unknown=np.full(rows, -1, dtype=np.intp), vec_stacks=((),) * rows)
 
     def narrow(self, state: DecoderState, rows: int) -> DecoderState:
         """The first ``rows`` rows of ``state``."""
         keep = slice(0, rows)
         return DecoderState(
             h=nm.gather(self.tape, state.h, keep), c=nm.gather(self.tape, state.c, keep),
-            last=state.last[keep], unknown=state.unknown[keep], depth=state.depth[keep],
-            vec_stacks=state.vec_stacks[keep], sym_stacks=state.sym_stacks[keep],
-            equations=state.equations[keep])
+            last=state.last[keep], unknown=state.unknown[keep],
+            vec_stacks=state.vec_stacks[keep])
 
     def advance(self, state: DecoderState) -> DecoderState:
         """Step the decoder recurrence over the previous action's result."""
@@ -349,8 +347,7 @@ class DecoderRun:
                        self.config.dropout_p, self.rng)
         h, c = nm.lstm_cell(self.tape, x, state.h, state.c, self._p["dec.lstm.wx"],
                             self._p["dec.lstm.wh"], self._p["dec.lstm.b"])
-        return DecoderState(h, c, state.last, state.unknown, state.depth,
-                            state.vec_stacks, state.sym_stacks, state.equations)
+        return DecoderState(h, c, state.last, state.unknown, state.vec_stacks)
 
     def stack_steps(self, steps: Sequence[DecoderState]) -> TallState:
         """Every row of every state in ``steps`` as one ``TallState``, problem
@@ -410,10 +407,6 @@ class DecoderRun:
 
     def action_loss(self, dist: ActionDistribution, targets: np.ndarray) -> Node:
         """Summed cross-entropy of each row's gold action index."""
-        masked = ~dist.legal[np.arange(targets.size), targets]
-        if masked.any():
-            raise IllegalAction(f"gold action {eqlang.ACTION_NAMES[targets[masked][0]]} "
-                                "is masked at this step")
         loss, _ = nm.softmax_cross_entropy(self.tape, dist.logits, targets, dist.legal)
         return loss
 
@@ -443,10 +436,6 @@ class DecoderRun:
 
     def operand_loss(self, dist: OperandDistribution, targets: np.ndarray) -> Node:
         """Summed cross-entropy of each scored row's gold candidate index."""
-        mask = dist.mask
-        if not ((targets < mask.shape[1]).all()
-                and mask[np.arange(targets.size), targets].all()):
-            raise IllegalAction(f"gold operands {targets.tolist()} not all available")
         loss, _ = nm.softmax_cross_entropy(self.tape, dist.scores, targets, dist.mask)
         return loss
 
@@ -454,51 +443,34 @@ class DecoderRun:
 
     def apply_action(self, state: DecoderState,
                      actions: Sequence[StackAction]) -> DecoderState:
-        """Apply one action per row to the dual stacks; the caller enforced
-        legality. Pushes and equals only move pointers; generating x and
-        applying an operator append new vectors, one op call per kind."""
+        """Apply one legal action per row to the semantic stacks: greedy
+        decoding picks behind the mask, and training checks its targets with
+        ``eqlang.check_target``. Pushes and equals only move pointers;
+        generating x and applying an operator append new vectors, one op
+        call per kind."""
         if len(actions) != state.rows:
             raise ValueError(f"{len(actions)} actions for {state.rows} rows")
         vec_stacks = list(state.vec_stacks)
-        sym_stacks = list(state.sym_stacks)
-        equations = list(state.equations)
         last = state.last.copy()
         unknown = state.unknown.copy()
-        depth = state.depth.copy()
         genvar: list[int] = []
         by_op: dict[str, list[int]] = {}
         for row, action in enumerate(actions):
             stack = vec_stacks[row]
             kind = eqlang.action_index(action)
             if kind == GENVAR:
-                if unknown[row] >= 0:
-                    raise IllegalAction("second unknown generation is masked")
                 genvar.append(row)
-                continue
-            if kind == PUSH:
+            elif kind == PUSH:
                 vec = int(self._candidate_rows[
                     row, eqlang.operand_index(action.ref, self.problems[row].n_constants)])
-                if vec == ZERO_ROW:  # x's slot before x is generated
-                    raise IllegalAction("push of the unknown before it was generated")
-            elif len(stack) < 2:
-                raise IllegalAction(f"{action} with stack depth {len(stack)}")
-            sym = list(sym_stacks[row])
-            eqs = list(equations[row])
-            eqlang.symbolic_step(sym, eqs, action, self.problems[row].constant_values)
-            sym_stacks[row] = tuple(sym)
-            equations[row] = tuple(eqs)
-            if kind == PUSH:
                 vec_stacks[row] = stack + (vec,)
                 last[row] = vec
-                depth[row] += 1
             elif kind == EQUAL:
                 # equal application: the remaining top is the step result, or zero
                 vec_stacks[row] = stack[:-2]
                 last[row] = stack[-3] if len(stack) > 2 else ZERO_ROW
-                depth[row] -= 2
             else:
                 by_op.setdefault(action.op, []).append(row)
-                depth[row] -= 1
 
         if genvar:
             rows = np.array(genvar)
@@ -524,15 +496,8 @@ class DecoderRun:
             for r, vec in zip(op_rows, new):
                 vec_stacks[r] = vec_stacks[r][:-2] + (vec,)
                 last[r] = vec
-        return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown, depth=depth,
-                            vec_stacks=tuple(vec_stacks), sym_stacks=tuple(sym_stacks),
-                            equations=tuple(equations))
-
-    def solvable(self, state: DecoderState) -> list[bool]:
-        """Per row: the last closed equation mentions the unknown."""
-        return [bool(eqs) and (eqlang.has_unknown(eqs[-1][0])
-                               or eqlang.has_unknown(eqs[-1][1]))
-                for eqs in state.equations]
+        return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown,
+                            vec_stacks=tuple(vec_stacks))
 
 
 def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
@@ -540,11 +505,15 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
     """Decode with argmax action/operand choices until solvable or out of budget.
 
     The argmax runs over the legal logits and the operand scores; a chosen
-    logit or score that is not finite raises ``NonFiniteValue``."""
+    logit or score that is not finite raises ``NonFiniteValue``. Each action
+    steps the run's semantic stack and, beside it, the symbolic stack and
+    equations that the result reports."""
     run = DecoderRun(encoded, [problem], registry, config)
     state = run.initial_state()
     actions: list[StackAction] = []
     trace: list[StepTrace] = []
+    stack: list[Expr] = []
+    equations: list[tuple[Expr, Expr]] = []
     history: list[tuple[Expr, ...]] = []
     status = "budget_exceeded"
     for step in range(1, config.max_steps + 1):
@@ -562,25 +531,26 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
             _check_finite(scores[choice], "operand score", step)
             ref = eqlang.operand_at(choice, problem.n_constants)
         action = eqlang.action_at(idx, ref)
+        eqlang.symbolic_step(stack, equations, action, problem.constant_values)
         state = run.apply_action(state, [action])
         actions.append(action)
-        history.append(state.sym_stacks[0])
+        history.append(tuple(stack))
         trace.append(StepTrace(
             action_logits=logits, legal=legal, operand_scores=scores,
             attention=None if feats.attention_weights is None else feats.attention_weights[0],
             gate_action=None if feats.gate_action is None else feats.gate_action[0],
             gate_operand=None if feats.gate_operand is None else feats.gate_operand[0]))
-        # only an equal closes an equation
-        if idx == EQUAL and run.solvable(state)[0]:
+        # only an equal closes an equation; solvable once one mentions x
+        if idx == EQUAL and any(map(eqlang.has_unknown, equations[-1])):
             status = "solved"
             break
     answer = None
     if status == "solved":
         try:
-            answer = eqlang.solve(list(state.equations[0]))
+            answer = eqlang.solve(equations)
         except (eqlang.NonAffine, eqlang.NoUnknown, eqlang.DivisionByZero):
             status = "unsolvable"
-    return DecodeResult(actions=actions, equations=list(state.equations[0]),
+    return DecodeResult(actions=actions, equations=equations,
                         answer=answer, status=status, trace=trace,
                         stack_history=history)
 

@@ -56,6 +56,10 @@ class StackUnderflow(EqLangError):
     pass
 
 
+class IllegalAction(ValueError):
+    """A stack action that the stack machine's rules forbid at its step."""
+
+
 class NonAffine(EqLangError):
     pass
 
@@ -551,8 +555,8 @@ def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
                   action: StackAction, constants: Sequence[Fraction]) -> None:
     """Apply one action to a symbolic stack in place.
 
-    This is the single source of truth for the symbolic transition; the
-    neural decoder mirrors its semantic stack through the same function.
+    This is the one symbolic transition: greedy decoding steps it beside
+    the decoder's semantic stack, and a decode replays through it.
     """
     if isinstance(action, GenVar):
         return
@@ -567,6 +571,34 @@ def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
         stack.append(BinOp(action.op, second, top))
     else:
         equations.append((second, top))
+
+
+def is_legal(kind: int, depth: int, has_unknown: bool) -> bool:
+    """Whether the action at index ``kind`` may run on a stack of ``depth``
+    entries: the unknown is generated once, push is always legal, and every
+    action after push pops two entries."""
+    if kind == GENVAR:
+        return not has_unknown
+    return kind == PUSH or depth >= 2
+
+
+def check_target(target: Sequence[StackAction], n_constants: int) -> None:
+    """Raise ``IllegalAction`` unless ``target`` generates the unknown first,
+    every step is legal at its stack depth, and every push names an operand
+    of a problem with ``n_constants`` constants (x only once generated)."""
+    if not target or not isinstance(target[0], GenVar):
+        raise IllegalAction("the target does not start with genvar")
+    depth = 0
+    for step, action in enumerate(target[1:], 1):  # x exists from here on
+        kind = action_index(action)
+        if not is_legal(kind, depth, True):
+            raise IllegalAction("the target generates the unknown twice" if kind == GENVAR
+                                else f"the target underflows the stack at step {step}")
+        if kind == PUSH and isinstance(action.ref, ConstRef) \
+                and not 0 <= action.ref.index < n_constants:
+            raise IllegalAction(f"the target pushes {operand_name(action.ref)} "
+                                f"of {n_constants} values")
+        depth += 1 if kind == PUSH else -2 if kind == EQUAL else -1
 
 
 @dataclass

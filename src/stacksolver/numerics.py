@@ -623,8 +623,10 @@ def bilstm(tape: Tape | None, x: Node, lengths: np.ndarray,
            fwd: Sequence[Node], bwd: Sequence[Node]) -> tuple[Node, Node, Node]:
     """Both directions of an LSTM over a padded batch, as one op.
 
-    ``x`` is (B, T, k) and row r's tokens are ``x[r, :lengths[r]]``; ``fwd``
-    and ``bwd`` are each direction's (wx, wh, b). Returns the states
+    ``x`` is (B, T, k) and row r's tokens are ``x[r, :lengths[r]]``; the
+    rest of ``x`` is read as zeros, so whatever it holds (even NaN) reaches
+    neither the states nor the gradients. ``fwd`` and ``bwd`` are each
+    direction's (wx, wh, b). Returns the states
     (B, T, 2h), [forward; backward] at each token and zero past each row's
     length, and each row's final (h, c), (B, 2h): the forward direction's
     after its last token beside the backward direction's after its first.
@@ -638,7 +640,10 @@ def bilstm(tape: Tape | None, x: Node, lengths: np.ndarray,
     for w in (fwd, bwd):
         _check_lstm(x_dim, hidden, *w, "bilstm")
     wx, wh, b = (np.stack([f.value, r.value]) for f, r in zip(fwd, bwd))
-    x2 = x.value.reshape(-1, x_dim)
+    real = np.arange(steps)[None, :] < np.asarray(lengths)[:, None]  # (B, T)
+    padded = not real.all()  # a batch of one never is
+    # np.where, not a product: 0 x NaN is NaN
+    x2 = (np.where(real[..., None], x.value, 0.0) if padded else x.value).reshape(-1, x_dim)
 
     def flip(a):
         """(2, B, T, ...) with the backward direction's T axis reversed."""
@@ -651,9 +656,7 @@ def bilstm(tape: Tape | None, x: Node, lengths: np.ndarray,
     # h and c; state s + 1 follows step s, and state 0 is the zero start
     hc = np.zeros((2, steps + 1, 2, n_rows, hidden))
     hs, cs = hc
-    pad = np.arange(steps)[:, None] >= np.asarray(lengths)[None, :]
-    pad = np.stack([pad, pad[::-1]], axis=1)  # (T, 2, B) per step
-    padded = pad.any()  # a batch of one never is
+    pad = np.stack([~real.T, ~real.T[::-1]], axis=1)  # (T, 2, B) padded per step
     wh_t = wh.transpose(0, 2, 1)
     for s in range(steps):
         z = acts[s]
@@ -967,11 +970,11 @@ def _le_pieces(registry: ParamRegistry, buffer: str) -> Iterable[np.ndarray]:
         yield getattr(registry, buffer).astype("<f8", copy=False)
 
 
-def save_checkpoint(path, registry: ParamRegistry) -> None:
+def save_checkpoint(path, registry: ParamRegistry) -> str:
     """Magic, version, a name/ndim/shape table, the Adam step count, the
     params, Adam m and Adam v buffers (float64 LE), then a sha256 of every
-    byte before it. The buffers go from the arena to the file as they are;
-    Adam moments not yet made are written as zeros."""
+    byte before it, which is returned in hex. The buffers go from the arena
+    to the file as they are; Adam moments not yet made are written as zeros."""
     header = bytearray(_CKPT_MAGIC)
     header += struct.pack("<BI", _CKPT_VERSION, len(registry.shapes))
     for name, shape in registry.shapes.items():
@@ -986,10 +989,12 @@ def save_checkpoint(path, registry: ParamRegistry) -> None:
                 digest.update(piece)
                 f.write(piece)
         f.write(digest.digest())
+    return digest.hexdigest()
 
 
-def load_checkpoint(path) -> ParamRegistry:
-    """The registry that ``save_checkpoint`` wrote, with its Adam moments.
+def load_checkpoint(path, *, sha256: str | None = None) -> ParamRegistry:
+    """The registry that ``save_checkpoint`` wrote, with its Adam moments;
+    when ``sha256`` is given, the archive's digest must be that one.
 
     The header is read and checked against the file's size before anything
     is allocated; the buffers are then read straight into the arena."""
@@ -1042,5 +1047,8 @@ def load_checkpoint(path) -> ParamRegistry:
                 buf.byteswap(inplace=True)
         if f.read(32) != digest.digest():
             raise CheckpointError(f"{path}: sha256 does not match the contents")
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise CheckpointError(f"{path}: sha256 {digest.hexdigest()} is not the "
+                              f"{sha256} recorded for it")
     registry.adam_t = adam_t
     return registry

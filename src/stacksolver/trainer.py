@@ -1,17 +1,21 @@
 """Teacher-forced training, evaluation, cross-validation, and model persistence.
 
-A training batch is one graph on one tape: the encoder runs the batch as a
-padded BiLSTM, the decoder's recurrence steps every problem's stacks in
+A training batch is one graph on one tape: each gold target passes
+``eqlang.check_target`` first, the encoder runs the batch as a padded
+BiLSTM, the decoder's recurrence steps every problem's semantic stack in
 lockstep, and its heads and losses then run once over every (problem, step)
 of the batch, so one backward sweep and one Adam step (on the
 mean-of-problems loss) are taken per batch. Everything is seeded, so a
-rerun with the same config reproduces the loss curve bit for bit.
+rerun with the same config reproduces the loss curve bit for bit. A saved
+model's ``meta.json`` records its checkpoint's sha256, so a directory never
+loads a checkpoint and a ``meta.json`` that were not saved together.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -121,12 +125,12 @@ def _init_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
                            dec.init_params(dec_config, rng))
 
 
-def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
-                  tape: Tape | None, rng: np.random.Generator | None = None
-                  ) -> tuple[Node, list[tuple[tuple, tuple]]]:
+def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
+               tape: Tape | None, rng: np.random.Generator | None = None) -> Node:
     """Summed action and operand losses of a batch under the gold action
-    sequences, plus each problem's final symbolic (stack, equations).
-    Dropout runs exactly when ``rng`` is given.
+    sequences, as one graph on ``tape``. Dropout runs exactly when ``rng``
+    is given. A target that ``eqlang.check_target`` rejects raises
+    ``IllegalAction`` before anything runs.
 
     Two passes over one tape. The decoder's recurrence never reads the
     heads, so pass 1 steps only ``advance`` and ``apply_action``, with the
@@ -136,32 +140,22 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
     tall state, problem by problem, and runs the features, both heads and
     both cross-entropies once over it."""
     for problem in problems:
-        if not problem.target or not isinstance(problem.target[0], eqlang.GenVar):
-            raise dec.IllegalAction("target must be non-empty and start with GenVar")
-    order = sorted(range(len(problems)), key=lambda i: -len(problems[i].target))
-    rows = [problems[i] for i in order]
+        eqlang.check_target(problem.target, problem.n_constants)
+    rows = sorted(problems, key=lambda p: -len(p.target))
     lengths = np.array([len(p.target) for p in rows])
     encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
                                constant_repr=model.dec_config.constant_repr,
                                tape=tape, rng=rng)
     run = DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng)
     state = run.initial_state()
-    finals: dict[int, tuple[tuple, tuple]] = {}
-
-    def keep_finals(first_done: int) -> None:
-        for r in range(first_done, state.rows):
-            finals[order[r]] = (state.sym_stacks[r], state.equations[r])
-
     steps: list[dec.DecoderState] = []
     for step in range(lengths[0]):
         active = int((lengths > step).sum())
         if active < state.rows:
-            keep_finals(active)
             state = run.narrow(state, active)
         state = run.advance(state)
         steps.append(state)
         state = run.apply_action(state, [p.target[step] for p in rows[:active]])
-    keep_finals(0)
 
     # every (row, step)'s gold action, in the tall state's order
     gold = [(action, problem) for problem in rows for action in problem.target]
@@ -175,13 +169,6 @@ def teacher_force(problems: Sequence[PreparedProblem], model: Model, *,
                              for i in pushes.tolist()], dtype=np.intp)
         loss = nm.add_n(tape, [loss, run.operand_loss(
             run.select_operand(feats, tall, pushes), operands)])
-    return loss, [finals[i] for i in range(len(problems))]
-
-
-def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
-               tape: Tape | None, rng: np.random.Generator | None = None) -> Node:
-    """Summed teacher-forced loss of a batch, as one graph on ``tape``."""
-    loss, _ = teacher_force(problems, model, tape=tape, rng=rng)
     return loss
 
 
@@ -337,24 +324,33 @@ _CKPT_NAME = "checkpoint.bin"
 
 
 def save_model(directory, model: Model) -> None:
+    """Write the checkpoint, then ``meta.json`` with the checkpoint's sha256.
+    Each is written under a temporary name in ``directory`` and then moved
+    into place, ``meta.json`` last, so a save that fails part of the way
+    leaves the old pair or a pair that ``load_model`` refuses."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    nm.save_checkpoint(directory / _CKPT_NAME, model.registry)
-    meta = {
-        "vocab": model.vocab,
-        "mode": model.mode,
-        "encoder": asdict(model.enc_config),
-        "decoder": asdict(model.dec_config),
-    }
-    (directory / _META_NAME).write_text(
-        json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    paths = [directory / _CKPT_NAME, directory / _META_NAME]
+    temps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        meta = {"vocab": model.vocab, "mode": model.mode,
+                "encoder": asdict(model.enc_config), "decoder": asdict(model.dec_config),
+                "checkpoint_sha256": nm.save_checkpoint(temps[0], model.registry)}
+        temps[1].write_text(
+            json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+            encoding="utf-8")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def load_model(directory) -> Model:
     """Load a saved model; raises ``CheckpointError`` when there is no
-    ``meta.json``, it is not a model description, or the checkpoint does not
-    hold exactly the parameters that it describes."""
+    ``meta.json``, it is not a model description, or the checkpoint is not
+    the one it records or does not hold exactly the parameters that it
+    describes."""
     directory = Path(directory)
     if not (directory / _META_NAME).exists():
         raise nm.CheckpointError(f"no model at {directory}")
@@ -364,6 +360,7 @@ def load_model(directory) -> Model:
         dec_config = DecoderConfig(**meta["decoder"])
         vocab = {k: int(v) for k, v in meta["vocab"].items()}
         mode = meta["mode"]
+        sha256 = meta["checkpoint_sha256"]
         # sizes that the capped encoder widths and the vocab bound, before any allocation
         if (enc_config.vocab_size, dec_config.dim) != (len(vocab), enc_config.dim):
             raise ValueError(f"vocab_size {enc_config.vocab_size} and decoder dim "
@@ -374,7 +371,7 @@ def load_model(directory) -> Model:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
                                  f"{type(exc).__name__}: {exc}") from None
-    registry = nm.load_checkpoint(directory / _CKPT_NAME)
+    registry = nm.load_checkpoint(directory / _CKPT_NAME, sha256=sha256)
     have = registry.shapes
     if have != want:
         diffs = [f"{name}: {have.get(name, 'missing')} in the checkpoint, "

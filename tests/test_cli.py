@@ -348,6 +348,18 @@ def test_checkpoint_not_matching_meta_exits_2(tmp_path, capsys, trained_dir, syn
     assert "dec.gate_opd.b" in err and err.count("\n") == 1
 
 
+def test_checkpoint_of_another_same_shaped_model_exits_2(tmp_path, capsys, trained_dir,
+                                                         synth_file):
+    model = copy_model(trained_dir, tmp_path)
+    other = trainer.load_model(trained_dir)
+    other.registry["dec.act.b2"][0] += 1.0
+    nm.save_checkpoint(model / "checkpoint.bin", other.registry)
+    assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "recorded for it" in err
+
+
 def test_version_1_checkpoint_exits_2(tmp_path, capsys, trained_dir, synth_file):
     model = copy_model(trained_dir, tmp_path)
     ckpt = model / "checkpoint.bin"

@@ -293,14 +293,17 @@ def test_fully_stripped_features_are_h_bitwise():
 
 
 def test_push_mirrors_symbolic_vm():
+    """A push deepens the semantic stack as the VM deepens the symbolic one,
+    with the vector of the constant that the VM pushes."""
     problem = simple_problem()
     _, run = make_run([problem], seed=3)
-    state = run.advance(run.initial_state())
-    state = run.apply_action(state, [GEN_VAR])
-    state = run.advance(state)
-    state = run.apply_action(state, [Push(ConstRef(1))])
-    assert state.depth[0] == 1
-    assert state.sym_stacks[0][0] == eqlang.Const(problem.constant_values[1])
+    actions = [GEN_VAR, Push(ConstRef(1))]
+    state = run.initial_state()
+    for action in actions:
+        state = run.apply_action(run.advance(state), [action])
+    outcome = eqlang.execute(actions, problem.constant_values)
+    assert outcome.stack == [eqlang.Const(problem.constant_values[1])]
+    assert state.depth.tolist() == [len(outcome.stack)]
     # the semantic stack points at constant 1's vector, the step's result too
     row = run._candidate_rows[0, 1]
     assert state.vec_stacks[0] == (row,) and state.last[0] == row
@@ -308,17 +311,18 @@ def test_push_mirrors_symbolic_vm():
 
 
 def test_teacher_forced_fig1_solves(fig1_prepared):
+    """The gold target passes the target check, its semantic stack keeps the
+    VM's depth at every step, and the VM's one equation solves to 10."""
     model, run = make_run([fig1_prepared], seed=19)
-    state = run.initial_state()
-    for gold in fig1_prepared.target:
-        state = run.advance(state)
-        state = run.apply_action(state, [gold])
-    assert len(state.equations[0]) == 1
-    assert eqlang.solve(list(state.equations[0])) == 10
-    # step-for-step symbolic mirror against the standalone VM
+    eqlang.check_target(fig1_prepared.target, fig1_prepared.n_constants)
     outcome = eqlang.execute(fig1_prepared.target, fig1_prepared.constant_values)
-    assert list(state.equations[0]) == outcome.equations
-    assert list(state.sym_stacks[0]) == outcome.stack
+    state = run.initial_state()
+    for gold, stack in zip(fig1_prepared.target, outcome.stack_history, strict=True):
+        state = run.apply_action(run.advance(state), [gold])
+        assert state.depth.tolist() == [len(stack)]
+    assert state.vec_stacks == ((),) and outcome.stack == []
+    assert len(outcome.equations) == 1
+    assert eqlang.solve(outcome.equations) == 10
 
 
 def test_equal_on_two_element_stack_leaves_zero_result():
@@ -337,22 +341,27 @@ def test_equal_on_two_element_stack_leaves_zero_result():
 
 
 def test_illegal_actions_raise():
+    """An operator on a short stack and a second genvar are masked, and a
+    target that takes either is rejected."""
     problem = simple_problem()
-    _, run = make_run([problem], seed=3)
-    state = run.advance(run.initial_state())
-    with pytest.raises(decoder.IllegalAction):
-        run.apply_action(state, [Apply("+")])
-    state = run.apply_action(state, [GEN_VAR])
-    with pytest.raises(decoder.IllegalAction):
-        run.apply_action(state, [GEN_VAR])
+    assert not legal_action_mask(1, True)[action_index(Apply("+"))]
+    assert not legal_action_mask(2, True)[GENVAR]
+    for target in ([GEN_VAR, Apply("+")], [GEN_VAR, Push(ConstRef(0)), Apply("+")],
+                   [GEN_VAR, GEN_VAR]):
+        with pytest.raises(decoder.IllegalAction):
+            eqlang.check_target(target, problem.n_constants)
 
 
 def test_push_unknown_before_genvar_is_illegal():
+    """Before genvar x is no push candidate, and a target that pushes it
+    first is rejected."""
     problem = simple_problem()
     _, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
-    with pytest.raises(decoder.IllegalAction):
-        run.apply_action(state, [Push(UNKNOWN_REF)])
+    odist = run.select_operand(run.state_features(state), state)
+    assert odist.count.tolist() == [problem.n_constants + 2]
+    with pytest.raises(decoder.IllegalAction, match="does not start with genvar"):
+        eqlang.check_target([Push(UNKNOWN_REF), GEN_VAR], problem.n_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +414,15 @@ def test_greedy_trace_records_every_step():
 
 def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
     """At every step of a greedy decode, the chosen action and operand are the
-    argmax of the trace's probabilities, and ``state.depth`` is the stack's
-    length."""
+    argmax of the trace's probabilities, and the semantic stack is as deep
+    as the symbolic stack recorded for that step."""
     problems = [simple_problem()]
     run_apply = DecoderRun.apply_action
     depths = []
 
     def apply_action(run, state, actions):
         state = run_apply(run, state, actions)
-        depths.append((state.depth.copy(), [len(s) for s in state.vec_stacks],
-                       [len(s) for s in state.sym_stacks]))
+        depths.append(state.depth.tolist())
         return state
 
     monkeypatch.setattr(DecoderRun, "apply_action", apply_action)
@@ -427,15 +435,15 @@ def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
         depths.clear()
         result = greedy_decode(encoded, problems[0], model.registry, model.dec_config)
         assert len(depths) == len(result.actions)
-        for action, step, (depth, vec_lengths, sym_lengths) in zip(
-                result.actions, result.trace, depths):
+        for action, step, depth, stack in zip(
+                result.actions, result.trace, depths, result.stack_history):
             probs = step.action_probs
             assert int(np.argmax(probs)) == action_index(action)
             assert probs[action_index(action)] > 0
             if isinstance(action, Push):
                 choice = eqlang.operand_index(action.ref, problems[0].n_constants)
                 assert int(np.argmax(step.operand_probs)) == choice
-            assert depth.tolist() == vec_lengths == sym_lengths
+            assert depth == [len(stack)]
 
 
 @pytest.mark.parametrize("name, index", [

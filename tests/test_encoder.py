@@ -150,3 +150,20 @@ def test_build_vocab_reserves_unk():
     assert vocab[encoder.UNK_TOKEN] == encoder.UNK_ID == 0
     assert list(vocab) == [encoder.UNK_TOKEN, "b", "a", "c"]
 
+
+
+def test_padding_never_reads_the_unknown_token_embedding(synth_prepared):
+    """Padded positions feed zeros to the BiLSTM: with the unknown-token row
+    NaN, a padded batch with no unknown token keeps its loss and every
+    gradient entry finite."""
+    model, _ = tiny_model(synth_prepared)
+    batch = synth_prepared[:4]
+    assert len({len(p.tokens) for p in batch}) > 1
+    assert all(tok in model.vocab for p in batch for tok in p.tokens)
+    model.registry["enc.embed"][encoder.UNK_ID] = np.nan
+    model.registry.zero_grads()
+    tape = nm.Tape()
+    loss = trainer.batch_loss(batch, model, tape=tape, rng=np.random.default_rng(0))
+    tape.backward(loss)
+    assert np.isfinite(float(loss.value))
+    assert np.isfinite(model.registry.flat_grads).all()

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stacksolver import eqlang
+from stacksolver.decoder import legal_action_mask
 from stacksolver.eqlang import (
     APPLY_EQUAL,
     Apply,
@@ -13,6 +15,7 @@ from stacksolver.eqlang import (
     ConstRef,
     GEN_VAR,
     ONE_REF,
+    PI_REF,
     Push,
     UNKNOWN,
     UNKNOWN_REF,
@@ -316,6 +319,56 @@ def test_depth_law_random_sequences():
         assert depths[-1] == counts["push"] - counts["apply"] - 2 * counts["equal"]
         assert min(depths) >= 0
         assert len(outcome.equations) == counts["equal"]
+
+
+def obeys_the_rules(target, n_constants) -> bool:
+    """The stack rules spelled out one by one: genvar first, every step
+    allowed by the decoder's mask at the running depth and unknown flag, and
+    every push naming an available operand (x only once generated)."""
+    if not target or target[0] != GEN_VAR:
+        return False
+    depth, has_unknown = 0, False
+    for action in target:
+        kind = eqlang.action_index(action)
+        if not legal_action_mask(depth, has_unknown)[kind]:
+            return False
+        if kind == eqlang.GENVAR:
+            has_unknown = True
+        elif kind == eqlang.PUSH:
+            ref = action.ref
+            if isinstance(ref, ConstRef) and ref.index >= n_constants:
+                return False
+            if ref == UNKNOWN_REF and not has_unknown:
+                return False
+            depth += 1
+        else:
+            depth -= 2 if kind == eqlang.EQUAL else 1
+    return True
+
+
+PUSHES = st.sampled_from(
+    [Push(ref) for ref in (ONE_REF, PI_REF, UNKNOWN_REF, *map(ConstRef, range(4)))])
+# every action, two thirds of them pushes, so that many sequences are legal
+ANY_ACTION = st.one_of(PUSHES, PUSHES,
+                       st.sampled_from([GEN_VAR, APPLY_EQUAL, *map(Apply, eqlang.OPS)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([[], [GEN_VAR]]), st.lists(ANY_ACTION, max_size=10),
+       st.integers(0, 4))
+def test_check_target_accepts_exactly_the_sequences_that_obey_the_rules(
+        prefix, body, n_constants):
+    target = prefix + body
+    try:
+        eqlang.check_target(target, n_constants)
+    except eqlang.IllegalAction:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == obeys_the_rules(target, n_constants)
+    if accepted:  # never underflows the VM
+        constants = [F(k + 2) for k in range(n_constants)]
+        eqlang.execute(target, constants, max_steps=len(target))
 
 
 def test_illegal_prefix_underflows():

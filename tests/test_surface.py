@@ -14,6 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "stacksolver"
 ALLOWED = {
     "trainer.problem_loss": "the benchmark harness wraps and times it",
     "numerics.grad_check": "the gradient gate of the tests and acceptance criterion 3",
+    "eqlang.execute": "the reference VM that the tests and the benchmark's checks "
+                      "replay decodes through",
 }
 
 

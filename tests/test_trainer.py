@@ -1,5 +1,6 @@
 """Training loop, loss assembly, evaluation metrics, cross-validation."""
 import math
+import os
 
 import numpy as np
 import pytest
@@ -185,14 +186,31 @@ def test_char_mode_end_to_end():
     assert eqlang.answers_equal(eqlang.solve(outcome.equations), problem.gold_answer)
 
 
-def test_teacher_forcing_mirrors_vm(synth_prepared):
+def test_teacher_forcing_mirrors_vm(monkeypatch, synth_prepared):
+    """At every lockstep step of ``batch_loss`` on a mixed batch, each row's
+    pointer stack is as deep as the VM's stack after the same gold actions."""
     model, _ = tiny_model(synth_prepared, seed=2)
-    problems = synth_prepared[:5]
-    _, finals = trainer.teacher_force(problems, model, tape=None)
-    for problem, (stack, equations) in zip(problems, finals):
-        outcome = eqlang.execute(problem.target, problem.constant_values)
-        assert list(equations) == outcome.equations
-        assert list(stack) == outcome.stack
+    batch = mixed_batch(synth_prepared, 6)
+    run_apply = decoder.DecoderRun.apply_action
+    steps = []
+
+    def apply_action(run, state, actions):
+        state = run_apply(run, state, actions)
+        steps.append([(problem, len(stack))
+                      for problem, stack in zip(run.problems, state.vec_stacks)])
+        return state
+
+    monkeypatch.setattr(decoder.DecoderRun, "apply_action", apply_action)
+    trainer.batch_loss(batch, model, tape=nm.Tape())
+    assert len(steps) == max(len(p.target) for p in batch)
+    seen = 0
+    for step, rows in enumerate(steps):
+        assert [len(p.target) > step for p, _ in rows] == [True] * len(rows)
+        for problem, depth in rows:
+            history = eqlang.execute(problem.target, problem.constant_values).stack_history
+            assert depth == len(history[step])
+        seen += len(rows)
+    assert seen == sum(len(p.target) for p in batch)
 
 
 @pytest.mark.parametrize("target", [
@@ -247,13 +265,13 @@ def test_a_non_finite_parameter_is_never_kept_as_the_best(monkeypatch, synth_pre
 
     def poisoned_step(registry, config):
         original(registry, config)
-        # no problem has an unknown token and a batch of one has no padding
-        # (which reads it too), so neither a loss nor a decode reads it
+        # no problem has an unknown token and padding reads zeros, so neither
+        # a loss nor a decode reads it
         registry["enc.embed"][encoder.UNK_ID] = np.nan
 
     monkeypatch.setattr(nm, "adam_step", poisoned_step)
     with pytest.raises(nm.NonFiniteValue, match="epoch 1: a parameter is not finite"):
-        trainer.train(synth_prepared[:8], tiny_train_config(batch_size=1))
+        trainer.train(synth_prepared[:8], tiny_train_config(batch_size=4))
 
 
 def test_train_smoke_and_determinism(synth_prepared):
@@ -324,6 +342,39 @@ def test_checkpoint_roundtrip_metrics_identical(tmp_path, synth_prepared):
     assert before == after
     for name in result.model.registry.names():
         assert np.array_equal(result.model.registry[name], loaded.registry[name])
+
+
+@pytest.mark.parametrize("failing_call", [0, 1, 2])
+def test_a_save_that_fails_part_way_never_leaves_a_mixed_pair(
+        tmp_path, monkeypatch, synth_prepared, failing_call):
+    """A save that fails writing the checkpoint (call 0) or moving either
+    file into place (calls 1 and 2) leaves a directory that loads the old
+    model or raises ``CheckpointError``, and no temporary file."""
+    old, _ = tiny_model(synth_prepared, seed=1)
+    new, _ = tiny_model(synth_prepared, seed=2)
+    trainer.save_model(tmp_path, old)
+    calls = []
+
+    def failing(real):
+        def call(*args, **kwargs):
+            calls.append(real)
+            if len(calls) - 1 == failing_call:
+                raise OSError("no space left on device")
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(nm, "save_checkpoint", failing(nm.save_checkpoint))
+    monkeypatch.setattr(os, "replace", failing(os.replace))
+    with pytest.raises(OSError, match="no space left"):
+        trainer.save_model(tmp_path, new)
+    monkeypatch.undo()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["checkpoint.bin", "meta.json"]
+    try:
+        loaded = trainer.load_model(tmp_path)
+    except nm.CheckpointError as exc:
+        assert failing_call == 2 and "recorded for it" in str(exc)
+    else:
+        assert np.array_equal(loaded.registry.flat, old.registry.flat)
 
 
 @pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
