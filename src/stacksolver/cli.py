@@ -56,6 +56,8 @@ def prepared_to_record(p: PreparedProblem) -> dict:
 
 
 def prepared_from_record(obj: dict) -> PreparedProblem:
+    if not isinstance(obj["id"], str):  # ids are sorted together into folds
+        raise ValueError("id is not a string")
     for key in ("tokens", "positions", "values", "target"):
         if not isinstance(obj[key], list):  # a string would load as its characters
             raise ValueError(f"{key} is not a list")

@@ -278,9 +278,7 @@ def prepare_dataset(raws: Sequence[RawProblem], mode: str = "word"
 
 @dataclass
 class FoldSplit:
-    k: int
     assignments: dict[str, int]
-    seed: int
 
     def fold_ids(self, fold: int) -> list[str]:
         return [pid for pid, f in self.assignments.items() if f == fold]
@@ -294,7 +292,7 @@ def make_folds(ids: Sequence[str], k: int, seed: int) -> FoldSplit:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ordered))
     assignments = {ordered[int(p)]: j % k for j, p in enumerate(perm)}
-    return FoldSplit(k=k, assignments=assignments, seed=seed)
+    return FoldSplit(assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +311,7 @@ def _fmt(v: Fraction) -> str:
     return eqlang.format_rational(v)
 
 
-def _d1_templates(rng, pick):
+def _d1_templates(pick):
     a, b = pick(_INT_POOL + _DEC_POOL), pick(_INT_POOL)
     name = pick(_NAMES)
     other = pick([n for n in _NAMES if n != name])
@@ -342,7 +340,7 @@ def _d1_templates(rng, pick):
     return text, eq
 
 
-def _d2_templates(rng, pick):
+def _d2_templates(pick):
     name = pick(_NAMES)
     other = pick([n for n in _NAMES if n != name])
     item = pick(_ITEMS)
@@ -380,7 +378,7 @@ def _d2_templates(rng, pick):
     return text, eq
 
 
-def _d3_templates(rng, pick):
+def _d3_templates(pick):
     # every shape uses the external constant 1, which the pools never mention
     name = pick(_NAMES)
     item = pick(_ITEMS)
@@ -436,7 +434,7 @@ def synth_generate(count: int, seed: int, difficulty: int = 2) -> list[RawProble
         if attempts > count * 200:
             raise RuntimeError("synthetic template space exhausted")
         tier = int(rng.integers(1, difficulty + 1))
-        text, eq = _TIERS[tier](rng, pick)
+        text, eq = _TIERS[tier](pick)
         if (text, eq) in seen:
             continue
         seen.add((text, eq))

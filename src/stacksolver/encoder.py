@@ -3,10 +3,10 @@
 Each constant mentioned in the text gets a semantic vector. In ``direct``
 mode that is simply the recurrent state at the constant's token position;
 the ``self_attention`` mode instead attends from that position over the
-whole sequence and keeps the weight rows for export. The external operands
-1 and pi, which equations may need but text never mentions, live as two
-dedicated trainable vectors. A ``fixed`` constant representation (an
-ablation) replaces text-derived vectors with per-slot trainable vectors.
+whole sequence. The external operands 1 and pi, which equations may need
+but text never mentions, live as two dedicated trainable vectors. A
+``fixed`` constant representation (an ablation) replaces text-derived
+vectors with per-slot trainable vectors.
 
 ``encode_batch`` runs a whole batch at once as a padded, masked BiLSTM and
 gathers every problem's constant vectors through flat index arrays;
@@ -76,7 +76,6 @@ class EncodedBatch:
     pi_vector: Node
     final_h: Node               # (B, d)
     final_c: Node
-    self_attention_maps: list[np.ndarray] | None  # per constant, over its problem's tokens
 
 
 def build_vocab(token_lists) -> dict[str, int]:
@@ -148,7 +147,6 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
           for direction in ("fwd", "bwd")))
 
     owner = np.repeat(np.arange(len(problems)), n_constants)
-    attention_maps = None
     if constant_repr == "fixed":
         slots = np.concatenate([np.arange(n) for n in n_constants])
         constants = nm.gather(tape, nm.param(tape, registry, "enc.const_slots"), slots)
@@ -157,14 +155,12 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
                              dtype=np.intp)
         constants = nm.gather(tape, token_matrix, (owner, positions))
         if config.constant_mode == "self_attention":
-            constants, weights = nm.attention(
+            constants, _ = nm.attention(
                 tape, constants, token_matrix,
                 nm.param(tape, registry, "enc.selfattn.v"),
                 nm.param(tape, registry, "enc.selfattn.w"),
                 nm.param(tape, registry, "enc.selfattn.b"),
                 mask=mask, rows=owner, dropout_p=config.dropout_p, rng=rng)
-            attention_maps = [weights.value[k, :lengths[row]].copy()
-                              for k, row in enumerate(owner)]
 
     final_h = nm.linear(tape, enc_h, nm.param(tape, registry, "enc.init_h.w"),
                         nm.param(tape, registry, "enc.init_h.b"))
@@ -179,5 +175,4 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
         pi_vector=nm.param(tape, registry, "enc.pi"),
         final_h=final_h,
         final_c=final_c,
-        self_attention_maps=attention_maps,
     )

@@ -10,8 +10,9 @@ gradient views, so the backward sweep adds into the registry directly.
 A registry holds only its parameters until training needs more: the first
 taped parameter read (or ``zero_grads``) makes the gradient buffer, the
 first ``adam_step`` the two Adam moments, so a model that only decodes
-holds one buffer instead of four. Checkpoints stream between the file and
-these buffers, with no copy of either in between.
+holds one buffer instead of four. A checkpoint holds the parameters and
+nothing else, since nothing trains on from a saved model; it streams
+between the file and the arena, with no copy of either in between.
 
 Ops act on the last axis and treat any leading axes as rows, so one op call
 serves a whole batch of problems. Whole recurrences and attention reads are
@@ -67,7 +68,7 @@ class NonFiniteValue(ArithmeticError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint is not a v2 archive, is cut short, padded or altered, or
+    """A checkpoint is not a v3 archive, is cut short, padded or altered, or
     does not hold the parameters that its model description registers."""
 
 
@@ -98,7 +99,7 @@ class ParamRegistry:
     their first use (the gradient by ``Tape.param_leaf``, ``zero_grads`` or
     ``grad_check``, the moments by ``adam_step``); ``grads[name]``,
     ``adam_m[name]`` and ``adam_v[name]`` are writable views into them.
-    ``has(buffer_name)`` tells whether one has been made.
+    ``copy`` and ``load_checkpoint`` give the parameters alone.
     """
 
     def __init__(self, params: Iterable[tuple[str, np.ndarray | Sequence]] = ()):
@@ -134,10 +135,6 @@ class ParamRegistry:
     adam_m = cached_property(lambda self: self._views(self.flat_m))
     adam_v = cached_property(lambda self: self._views(self.flat_v))
 
-    def has(self, buffer: str) -> bool:
-        """Whether ``flat_grads``, ``flat_m`` or ``flat_v`` has been made."""
-        return buffer in vars(self)
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
@@ -151,16 +148,9 @@ class ParamRegistry:
         self.flat_grads.fill(0.0)
 
     def copy(self) -> "ParamRegistry":
-        """Parameters, and the Adam state if this registry has any, in new
-        buffers; the copy has no gradient buffer until its first use."""
-        other = ParamRegistry()
-        other._lay_out(self.shapes)
-        other.flat[...] = self.flat
-        for buffer in ("flat_m", "flat_v"):
-            if self.has(buffer):
-                setattr(other, buffer, getattr(self, buffer).copy())
-        other.adam_t = self.adam_t
-        return other
+        """The parameters alone, in one new buffer: no gradient, no Adam
+        moments and an Adam step count of 0, as a loaded checkpoint has."""
+        return ParamRegistry(self._params.items())
 
 
 class Tape:
@@ -954,50 +944,34 @@ def grad_check(loss_fn: Callable[[Tape | None], Node], registry: ParamRegistry,
 # checkpoint archive
 
 _CKPT_MAGIC = b"SSCK"
-_CKPT_VERSION = 2
-_CKPT_BUFFERS = ("flat", "flat_m", "flat_v")
-_ZERO_CHUNK = np.zeros(1 << 13)  # 64 KiB of the zeros that stand for absent moments
-
-
-def _le_pieces(registry: ParamRegistry, buffer: str) -> Iterable[np.ndarray]:
-    """A buffer as float64 little-endian arrays, in order: the buffer itself on
-    a little-endian host (no copy), and zeros for moments not yet made."""
-    if not registry.has(buffer):
-        size = registry.flat.size
-        for lo in range(0, size, _ZERO_CHUNK.size):
-            yield _ZERO_CHUNK[:size - lo]
-    else:
-        yield getattr(registry, buffer).astype("<f8", copy=False)
+_CKPT_VERSION = 3
 
 
 def save_checkpoint(path, registry: ParamRegistry) -> str:
-    """Magic, version, a name/ndim/shape table, the Adam step count, the
-    params, Adam m and Adam v buffers (float64 LE), then a sha256 of every
-    byte before it, which is returned in hex. The buffers go from the arena
-    to the file as they are; Adam moments not yet made are written as zeros."""
+    """Magic, version, a name/ndim/shape table, the parameters (float64 LE),
+    then a sha256 of every byte before it, which is returned in hex. The
+    parameters go from the arena to the file as they are."""
     header = bytearray(_CKPT_MAGIC)
     header += struct.pack("<BI", _CKPT_VERSION, len(registry.shapes))
     for name, shape in registry.shapes.items():
         nb = name.encode("utf-8")
         header += struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
-    header += struct.pack("<Q", registry.adam_t)
+    flat = registry.flat.astype("<f8", copy=False)  # no copy on a little-endian host
     digest = hashlib.sha256(header)
+    digest.update(flat)
     with open(path, "wb") as f:
         f.write(header)
-        for buffer in _CKPT_BUFFERS:
-            for piece in _le_pieces(registry, buffer):
-                digest.update(piece)
-                f.write(piece)
+        f.write(flat)
         f.write(digest.digest())
     return digest.hexdigest()
 
 
 def load_checkpoint(path, *, sha256: str | None = None) -> ParamRegistry:
-    """The registry that ``save_checkpoint`` wrote, with its Adam moments;
-    when ``sha256`` is given, the archive's digest must be that one.
+    """The parameters that ``save_checkpoint`` wrote, as a registry; when
+    ``sha256`` is given, the archive's digest must be that one.
 
     The header is read and checked against the file's size before anything
-    is allocated; the buffers are then read straight into the arena."""
+    is allocated; the parameters are then read straight into the arena."""
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         head = f.read(5)
@@ -1029,26 +1003,22 @@ def load_checkpoint(path, *, sha256: str | None = None) -> ParamRegistry:
                 raise CheckpointError(f"{path}: parameter {name!r} stored twice")
             (ndim,) = take(1)
             shapes[name] = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        (adam_t,) = struct.unpack("<Q", take(8))
         size = sum(math.prod(shape) for shape in shapes.values())
-        end = f.tell() + 3 * 8 * size + 32
+        end = f.tell() + 8 * size + 32
         if end > file_size:
             raise CheckpointError(f"{path}: truncated: needs {end} bytes, has {file_size}")
         if end < file_size:
             raise CheckpointError(f"{path}: {file_size - end} bytes after the archive")
         registry = ParamRegistry()
         registry._lay_out(shapes)
-        for buffer in _CKPT_BUFFERS:
-            buf = getattr(registry, buffer)  # this makes the moments
-            if f.readinto(buf) != buf.nbytes:
-                raise CheckpointError(f"{path}: truncated while reading")
-            digest.update(buf)
-            if sys.byteorder != "little":
-                buf.byteswap(inplace=True)
+        if f.readinto(registry.flat) != registry.flat.nbytes:
+            raise CheckpointError(f"{path}: truncated while reading")
+        digest.update(registry.flat)
+        if sys.byteorder != "little":
+            registry.flat.byteswap(inplace=True)
         if f.read(32) != digest.digest():
             raise CheckpointError(f"{path}: sha256 does not match the contents")
     if sha256 is not None and digest.hexdigest() != sha256:
         raise CheckpointError(f"{path}: sha256 {digest.hexdigest()} is not the "
                               f"{sha256} recorded for it")
-    registry.adam_t = adam_t
     return registry

@@ -228,7 +228,8 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
     The held-out split drives early stopping and best-model selection; when
     absent, the training set itself is scored (overfitting runs). A model
     with a parameter that is not finite is never kept as the best: it
-    raises ``NonFiniteValue``.
+    raises ``NonFiniteValue``. The model returned holds the best epoch's
+    parameters alone, with no gradient or Adam state, as a loaded one does.
     """
     if not train_set:
         raise EmptyDataset("empty training set")
@@ -301,10 +302,16 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
 
 def cross_validate(problems: list[PreparedProblem], config: TrainConfig,
                    k: int) -> tuple[list[Metrics], float]:
-    """Train k models on k-1 folds each, evaluate on the held-out fold."""
+    """Train k models on k-1 folds each, evaluate on the held-out fold.
+
+    Raises ``EmptyDataset`` before any training when some fold would be
+    empty: folds are dealt by id, so that needs k distinct ids."""
     from .corpus import make_folds
 
     split = make_folds([p.id for p in problems], k=k, seed=config.seed)
+    if len(split.assignments) < k:
+        raise EmptyDataset(f"{k} folds need at least {k} problems with distinct ids, "
+                           f"got {len(split.assignments)}")
     fold_metrics: list[Metrics] = []
     for fold in range(k):
         held_ids = set(split.fold_ids(fold))

@@ -291,6 +291,7 @@ def test_prepared_line_helper_is_well_formed():
     (prepared_line(tokens="x is 4 and 2"), "tokens is not a list"),
     (prepared_line(values="42"), "values is not a list"),
     (prepared_line(tokens=["x", "is", 4, "and", 2]), "a token is not a string"),
+    (prepared_line(id=5), "id is not a string"),
 ])
 def test_malformed_prepared_line_exits_2(tmp_path, capsys, trained_dir, fig1_prepared,
                                          bad_line, error):
@@ -361,14 +362,16 @@ def test_checkpoint_of_another_same_shaped_model_exits_2(tmp_path, capsys, train
 
 
 def test_version_1_checkpoint_exits_2(tmp_path, capsys, trained_dir, synth_file):
+    """And a version 2 one: a model saved in an earlier format must be retrained."""
     model = copy_model(trained_dir, tmp_path)
     ckpt = model / "checkpoint.bin"
     data = ckpt.read_bytes()
-    ckpt.write_bytes(data[:4] + bytes([1]) + data[5:])
-    assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "unsupported checkpoint version 1" in err
+    for version in (1, 2):
+        ckpt.write_bytes(data[:4] + bytes([version]) + data[5:])
+        assert run_cli("eval", "--checkpoint", model, "--data", synth_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"unsupported checkpoint version {version}" in err
 
 
 def drop_vocab_size(text):
@@ -483,6 +486,22 @@ def test_cv_smoke(tmp_path, synth_file, capsys):
     assert "mean_answer_accuracy=" in printed
     report = json.loads((out / "cv.json").read_text())
     assert len(report["folds"]) == 2
+
+
+def test_cv_with_more_folds_than_problems_exits_2_before_training(tmp_path, capsys,
+                                                                  monkeypatch, synth_file):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained a fold")
+    monkeypatch.setattr(trainer, "train", no_training)
+    one_id = tmp_path / "one_id.jsonl"
+    one_id.write_text("".join(json.dumps({**json.loads(line), "id": "a"}) + "\n"
+                              for line in synth_file.read_text().splitlines()))
+    for data, folds, distinct in ((synth_file, 20, 16), (one_id, 2, 1)):
+        assert run_cli("cv", "--data", data, "--folds", folds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (f"{folds} folds need at least {folds} problems with distinct ids, "
+                f"got {distinct}") in err
 
 
 def test_solve_missing_checkpoint(tmp_path, capsys):

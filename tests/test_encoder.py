@@ -80,16 +80,6 @@ def test_oov_tokens_hit_unk_row():
     assert encoded.token_matrix.value.shape[:2] == (1, 2)
 
 
-def test_self_attention_rows_are_distributions():
-    problem = small_problem()
-    model, _ = tiny_model([problem], seed=7, constant_mode="self_attention")
-    encoded = encode_with(model, problem)
-    assert encoded.self_attention_maps is not None
-    for row in encoded.self_attention_maps:
-        assert abs(row.sum() - 1.0) < 1e-12
-        assert np.all(row >= 0)
-
-
 def test_self_attention_uniform_gives_mean():
     problem = small_problem()
     model, _ = tiny_model([problem], constant_mode="self_attention")

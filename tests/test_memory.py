@@ -2,9 +2,11 @@
 
 A model that only decodes holds its parameters and nothing else: the
 gradient buffer and the Adam moments are made when training first needs
-them, and checkpoints stream between the file and the arena. ``tracemalloc``
-counts numpy's buffers, so every bound is in A, the size of one float64
-buffer over all the parameters, at d=128 (about 0.6M parameters).
+them. A checkpoint holds the parameters alone, and streams between the file
+and the arena, so a loaded model and the best model that training returns
+hold one buffer each. ``tracemalloc`` counts numpy's buffers, so every bound
+is in A, the size of one float64 buffer over all the parameters, at d=128
+(about 0.6M parameters).
 """
 import struct
 import tracemalloc
@@ -46,7 +48,7 @@ def build(problems):
 
 
 def training_buffers(registry):
-    return [b for b in ("flat_grads", "flat_m", "flat_v") if registry.has(b)]
+    return [b for b in ("flat_grads", "flat_m", "flat_v") if b in vars(registry)]
 
 
 def test_build_model_holds_only_the_parameters(problems):
@@ -58,11 +60,19 @@ def test_build_model_holds_only_the_parameters(problems):
     assert training_buffers(model.registry) == []
 
 
-def test_load_model_peaks_at_the_three_stored_buffers(tmp_path, problems):
+def test_load_model_peaks_at_the_stored_parameters(tmp_path, problems):
     trainer.save_model(tmp_path, build(problems))
     model, peak, _ = traced(lambda: trainer.load_model(tmp_path))
-    assert peak <= 3.1 * model.registry.flat.nbytes
-    assert training_buffers(model.registry) == ["flat_m", "flat_v"]
+    assert peak <= 1.1 * model.registry.flat.nbytes
+    assert training_buffers(model.registry) == []
+    assert model.registry.adam_t == 0
+
+
+def test_trained_model_holds_only_the_parameters(problems):
+    config = trainer.TrainConfig(embed_dim=8, hidden_per_direction=8, epochs=1,
+                                 batch_size=8)
+    registry = trainer.train(problems[:8], config).model.registry
+    assert training_buffers(registry) == []
 
 
 def test_save_checkpoint_streams_the_arena(tmp_path, problems):
@@ -79,7 +89,7 @@ def test_decoding_makes_no_training_buffer(tmp_path, problems):
     built = build(problems)
     trainer.save_model(tmp_path, built)
     loaded = trainer.load_model(tmp_path)
-    for model, made in ((built, []), (loaded, ["flat_m", "flat_v"])):
+    for model in (built, loaded):
         def decode_all():
             for problem in problems[:3]:
                 encoded = encoder.encode(problem, model.vocab, model.registry,
@@ -87,15 +97,17 @@ def test_decoding_makes_no_training_buffer(tmp_path, problems):
                 decoder.greedy_decode(encoded, problem, model.registry, model.dec_config)
         _, peak, _ = traced(decode_all)
         assert peak < model.registry.flat.nbytes
-        assert training_buffers(model.registry) == made
+        assert training_buffers(model.registry) == []
 
 
 @pytest.mark.parametrize("shape", [(10 ** 8,), (2 ** 32 - 1, 2 ** 32 - 1)])
 def test_forged_size_is_rejected_before_any_allocation(tmp_path, shape):
     """A header that declares more parameters than the file holds."""
     path = tmp_path / "forged.bin"
-    path.write_bytes(b"SSCK" + struct.pack(f"<BIH1sB{len(shape)}I", 2, 1, 1, b"w",
-                                           len(shape), *shape)
-                     + struct.pack("<Q", 0) + bytes(64))
-    _, peak, _ = traced(lambda: pytest.raises(nm.CheckpointError, nm.load_checkpoint, path))
+    path.write_bytes(b"SSCK" + struct.pack(f"<BIH1sB{len(shape)}I", 3, 1, 1, b"w",
+                                           len(shape), *shape) + bytes(64))
+    def load():
+        with pytest.raises(nm.CheckpointError, match=r"truncated: needs \d+ bytes, has \d+"):
+            nm.load_checkpoint(path)
+    _, peak, _ = traced(load)
     assert peak < MiB
