@@ -26,19 +26,20 @@ step's result vector, never the heads' outputs. Greedy decoding must run
 the heads at every step to choose the next action. Teacher forcing knows
 every action in advance, so it steps only the recurrence and then runs the
 heads once over all the recorded states, stacked as one ``TallState``.
+``param_shapes`` is the one place that names the decoder's parameters.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import eqlang
 from . import numerics as nm
 from .corpus import PreparedProblem
-from .encoder import EncodedBatch
+from .encoder import EncodedBatch, check_integers
 from .eqlang import EQUAL, GENVAR, PUSH, Expr, IllegalAction, StackAction  # noqa: F401
 from .numerics import Node, ParamRegistry, Tape
 
@@ -55,6 +56,7 @@ class DecoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        check_integers(dim=self.dim, max_steps=self.max_steps)
         if self.transformer_mode not in ("mlp", "embedding"):
             raise ValueError(f"unknown transformer_mode {self.transformer_mode!r}")
         if self.constant_repr not in ("semantic", "fixed"):
@@ -75,42 +77,27 @@ class DecoderConfig:
         return d + (2 * d if self.use_stack_feature else 0) + (d if self.use_attention else 0)
 
 
-def init_params(config: DecoderConfig, rng: np.random.Generator
-                ) -> Iterator[tuple[str, np.ndarray]]:
-    d = config.dim
-    f_dim = config.feature_dim
-    nb = config.block_count
-    yield "dec.lstm.wx", nm.uniform_init(rng, (4 * d, d))
-    yield "dec.lstm.wh", nm.uniform_init(rng, (4 * d, d))
-    b = nm.uniform_init(rng, (4 * d,))
-    b[d:2 * d] = 1.0
-    yield "dec.lstm.b", b
+def param_shapes(config: DecoderConfig) -> dict[str, tuple[int, ...]]:
+    """Each decoder parameter's shape, in the order that a new model draws them."""
+    d, f_dim, nb = config.dim, config.feature_dim, config.block_count
+    n_actions = len(eqlang.ACTIONS)
+    shapes = {"dec.lstm.wx": (4 * d, d), "dec.lstm.wh": (4 * d, d), "dec.lstm.b": (4 * d,)}
     if config.use_attention:
-        yield "dec.qattn.v", nm.uniform_init(rng, (d,))
-        yield "dec.qattn.w", nm.uniform_init(rng, (d, 2 * d))
-        yield "dec.qattn.b", nm.uniform_init(rng, (d,))
-    yield "dec.genvar.v", nm.uniform_init(rng, (d,))
-    yield "dec.genvar.w", nm.uniform_init(rng, (d, 2 * d))
-    yield "dec.genvar.b", nm.uniform_init(rng, (d,))
+        shapes |= {"dec.qattn.v": (d,), "dec.qattn.w": (d, 2 * d), "dec.qattn.b": (d,)}
+    shapes |= {"dec.genvar.v": (d,), "dec.genvar.w": (d, 2 * d), "dec.genvar.b": (d,)}
     if config.use_gate:
         for which in ("sa", "opd"):
-            yield f"dec.gate_{which}.w", nm.uniform_init(rng, (nb, f_dim))
-            yield f"dec.gate_{which}.b", nm.uniform_init(rng, (nb,))
-    yield "dec.act.w1", nm.uniform_init(rng, (d, f_dim))
-    yield "dec.act.b1", nm.uniform_init(rng, (d,))
-    yield "dec.act.w2", nm.uniform_init(rng, (len(eqlang.ACTIONS), d))
-    yield "dec.act.b2", nm.uniform_init(rng, (len(eqlang.ACTIONS),))
-    yield "dec.opd.v", nm.uniform_init(rng, (d,))
-    yield "dec.opd.w", nm.uniform_init(rng, (d, f_dim + d))
-    yield "dec.opd.b", nm.uniform_init(rng, (d,))
+            shapes |= {f"dec.gate_{which}.w": (nb, f_dim), f"dec.gate_{which}.b": (nb,)}
+    shapes |= {"dec.act.w1": (d, f_dim), "dec.act.b1": (d,), "dec.act.w2": (n_actions, d),
+               "dec.act.b2": (n_actions,), "dec.opd.v": (d,), "dec.opd.w": (d, f_dim + d),
+               "dec.opd.b": (d,)}
     for op in eqlang.OPS:
         if config.transformer_mode == "mlp":
-            yield f"dec.tf.{op}.w", nm.uniform_init(rng, (d, 2 * d))
-            yield f"dec.tf.{op}.b", nm.uniform_init(rng, (d,))
-            yield f"dec.tf.{op}.u", nm.uniform_init(rng, (d, d))
-            yield f"dec.tf.{op}.c", nm.uniform_init(rng, (d,))
+            shapes |= {f"dec.tf.{op}.w": (d, 2 * d), f"dec.tf.{op}.b": (d,),
+                       f"dec.tf.{op}.u": (d, d), f"dec.tf.{op}.c": (d,)}
         else:
-            yield f"dec.tf.{op}.vec", nm.uniform_init(rng, (d,))
+            shapes[f"dec.tf.{op}.vec"] = (d,)
+    return shapes
 
 
 def semantic_transform(op: str, pairs: Node | None, params: Mapping[str, Node],

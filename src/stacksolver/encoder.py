@@ -10,12 +10,13 @@ vectors with per-slot trainable vectors.
 
 ``encode_batch`` runs a whole batch at once as a padded, masked BiLSTM and
 gathers every problem's constant vectors through flat index arrays;
-``encode`` is its one-problem case.
+``encode`` is its one-problem case. ``param_shapes`` is the one place that
+names the encoder's parameters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +43,14 @@ class TooManyConstants(ValueError):
     pass
 
 
+def check_integers(**settings) -> None:
+    """Raise ``ValueError`` for a setting that is not an integer; a bool or
+    a float is not one, whatever its value."""
+    for name, value in settings.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class EncoderConfig:
     vocab_size: int
@@ -51,6 +60,8 @@ class EncoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        check_integers(vocab_size=self.vocab_size, embed_dim=self.embed_dim,
+                       hidden_per_direction=self.hidden_per_direction)
         if not (0 < self.embed_dim <= MAX_WIDTH and 0 < self.hidden_per_direction <= MAX_WIDTH):
             raise ValueError(f"encoder dimensions must be positive and at most {MAX_WIDTH}, "
                              f"got embed_dim {self.embed_dim}, hidden {self.hidden_per_direction}")
@@ -88,29 +99,22 @@ def build_vocab(token_lists) -> dict[str, int]:
     return vocab
 
 
-def init_params(config: EncoderConfig, rng: np.random.Generator, *,
-                fixed_slots: int = 0) -> Iterator[tuple[str, np.ndarray]]:
-    h = config.hidden_per_direction
-    d = config.dim
-    yield "enc.embed", nm.uniform_init(rng, (config.vocab_size, config.embed_dim))
+def param_shapes(config: EncoderConfig, fixed_slots: int) -> dict[str, tuple[int, ...]]:
+    """Each encoder parameter's shape, in the order that a new model draws
+    them; ``fixed_slots`` trainable constant vectors unless it is 0."""
+    h, d, e = config.hidden_per_direction, config.dim, config.embed_dim
+    shapes = {"enc.embed": (config.vocab_size, e)}
     for direction in ("fwd", "bwd"):
-        yield f"enc.{direction}.wx", nm.uniform_init(rng, (4 * h, config.embed_dim))
-        yield f"enc.{direction}.wh", nm.uniform_init(rng, (4 * h, h))
-        b = nm.uniform_init(rng, (4 * h,))
-        b[h:2 * h] = 1.0  # forget gate starts open
-        yield f"enc.{direction}.b", b
-    yield "enc.init_h.w", nm.uniform_init(rng, (d, d))
-    yield "enc.init_h.b", nm.uniform_init(rng, (d,))
-    yield "enc.init_c.w", nm.uniform_init(rng, (d, d))
-    yield "enc.init_c.b", nm.uniform_init(rng, (d,))
-    yield "enc.one", nm.uniform_init(rng, (d,))
-    yield "enc.pi", nm.uniform_init(rng, (d,))
+        shapes |= {f"enc.{direction}.wx": (4 * h, e), f"enc.{direction}.wh": (4 * h, h),
+                   f"enc.{direction}.b": (4 * h,)}
+    shapes |= {"enc.init_h.w": (d, d), "enc.init_h.b": (d,), "enc.init_c.w": (d, d),
+               "enc.init_c.b": (d,), "enc.one": (d,), "enc.pi": (d,)}
     if config.constant_mode == "self_attention":
-        yield "enc.selfattn.v", nm.uniform_init(rng, (d,))
-        yield "enc.selfattn.w", nm.uniform_init(rng, (d, 2 * d))
-        yield "enc.selfattn.b", nm.uniform_init(rng, (d,))
+        shapes |= {"enc.selfattn.v": (d,), "enc.selfattn.w": (d, 2 * d),
+                   "enc.selfattn.b": (d,)}
     if fixed_slots:
-        yield "enc.const_slots", nm.uniform_init(rng, (fixed_slots, d))
+        shapes["enc.const_slots"] = (fixed_slots, d)
+    return shapes
 
 
 def encode(problem: PreparedProblem, vocab: dict[str, int],

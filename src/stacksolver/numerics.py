@@ -4,9 +4,10 @@ Everything runs in float64. A ``Tape`` records one backward closure per
 executed op, in execution order; ``Tape.backward`` replays them reversed,
 accumulating gradients additively so fan-out just works: a node's first
 gradient is copied, later ones are added to it. Trainable tensors are named
-views into the flat buffers of a ``ParamRegistry``; leaf nodes for
-parameters are memoized per tape, and their gradients are the registry's
-gradient views, so the backward sweep adds into the registry directly.
+views into the flat buffers of a ``ParamRegistry``, built zeroed from a
+{name: shape} table: a new model draws into it, a checkpoint reads into it.
+Leaf nodes for parameters are memoized per tape, and their gradients are the
+registry's gradient views, so the backward sweep adds into it directly.
 A registry holds only its parameters until training needs more: the first
 taped parameter read (or ``zero_grads``) makes the gradient buffer, the
 first ``adam_step`` the two Adam moments, so a model that only decodes
@@ -46,7 +47,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,32 +93,22 @@ def _acc(node: Node, g: np.ndarray) -> None:
 class ParamRegistry:
     """Every trainable tensor, packed into contiguous float64 buffers.
 
-    ``ParamRegistry(pairs)`` copies the (name, array) pairs into ``flat`` in
-    pair order; ``registry[name]`` is a writable view into it. A model that
-    only decodes holds nothing else. ``flat_grads`` and the Adam moments
-    ``flat_m`` and ``flat_v`` share that layout and are made, zeroed, on
-    their first use (the gradient by ``Tape.param_leaf``, ``zero_grads`` or
-    ``grad_check``, the moments by ``adam_step``); ``grads[name]``,
-    ``adam_m[name]`` and ``adam_v[name]`` are writable views into them.
-    ``copy`` and ``load_checkpoint`` give the parameters alone.
+    ``ParamRegistry(shapes)`` lays out a zeroed ``flat`` over the {name:
+    shape} table in its order; ``registry[name]`` is a writable view into
+    it. A model that only decodes holds nothing else. ``flat_grads`` and the
+    Adam moments ``flat_m`` and ``flat_v`` share that layout and are made,
+    zeroed, on their first use (the gradient by ``Tape.param_leaf``,
+    ``zero_grads`` or ``grad_check``, the moments by ``adam_step``);
+    ``grads[name]``, ``adam_m[name]`` and ``adam_v[name]`` are writable
+    views into them. ``copy`` and ``load_checkpoint`` give the parameters
+    alone.
     """
 
-    def __init__(self, params: Iterable[tuple[str, np.ndarray | Sequence]] = ()):
-        values: dict[str, np.ndarray] = {}
-        for name, value in params:
-            if name in values:
-                raise ValueError(f"duplicate parameter name: {name}")
-            values[name] = np.asarray(value, dtype=np.float64)
-        self._lay_out({name: v.shape for name, v in values.items()})
-        if values:
-            np.concatenate([v.ravel() for v in values.values()], out=self.flat)
-
-    def _lay_out(self, shapes: dict[str, tuple[int, ...]]) -> None:
-        """An uninitialized ``flat`` for ``shapes``, and each name's view into it."""
-        self.shapes = shapes
-        starts = list(itertools.accumulate(map(math.prod, shapes.values()), initial=0))
-        self._spans = list(zip(shapes.items(), starts, starts[1:]))
-        self.flat = np.empty(starts[-1])
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        self.shapes = dict(shapes)
+        starts = list(itertools.accumulate(map(math.prod, self.shapes.values()), initial=0))
+        self._spans = list(zip(self.shapes.items(), starts, starts[1:]))
+        self.flat = np.zeros(starts[-1])
         self._params = self._views(self.flat)
         self.adam_t = 0
 
@@ -138,9 +129,6 @@ class ParamRegistry:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.shapes
-
     def names(self) -> list[str]:
         return list(self.shapes)
 
@@ -150,7 +138,9 @@ class ParamRegistry:
     def copy(self) -> "ParamRegistry":
         """The parameters alone, in one new buffer: no gradient, no Adam
         moments and an Adam step count of 0, as a loaded checkpoint has."""
-        return ParamRegistry(self._params.items())
+        other = ParamRegistry(self.shapes)
+        other.flat[...] = self.flat
+        return other
 
 
 class Tape:
@@ -193,8 +183,13 @@ def constant(value) -> Node:
     return Node(np.asarray(value, dtype=np.float64))
 
 
-def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-0.08, 0.08, size=shape)
+def uniform_init(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` in place with what ``rng.uniform(low, high, out.shape)``
+    returns, bit for bit (``low + (high - low) * u``), with no temporary."""
+    low, high = -0.08, 0.08
+    rng.random(out=out)
+    out *= high - low
+    out += low
 
 
 # ---------------------------------------------------------------------------
@@ -1009,8 +1004,7 @@ def load_checkpoint(path, *, sha256: str | None = None) -> ParamRegistry:
             raise CheckpointError(f"{path}: truncated: needs {end} bytes, has {file_size}")
         if end < file_size:
             raise CheckpointError(f"{path}: {file_size - end} bytes after the archive")
-        registry = ParamRegistry()
-        registry._lay_out(shapes)
+        registry = ParamRegistry(shapes)
         if f.readinto(registry.flat) != registry.flat.nbytes:
             raise CheckpointError(f"{path}: truncated while reading")
         digest.update(registry.flat)

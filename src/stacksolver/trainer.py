@@ -12,13 +12,12 @@ loads a checkpoint and a ``meta.json`` that were not saved together.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,6 +105,9 @@ class TrainResult:
 
 def build_model(vocab: dict[str, int], config: TrainConfig,
                 rng: np.random.Generator) -> Model:
+    """A new model over ``vocab``: one draw over the arena, which holds the
+    parameters of ``param_shapes`` in table order, so each gets the values
+    of a draw of its own; then each LSTM's forget gate bias is set to 1."""
     enc_config = EncoderConfig(
         vocab_size=len(vocab),
         embed_dim=config.embed_dim,
@@ -113,16 +115,19 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
         constant_mode=config.constant_mode,
         dropout_p=config.dropout_p,
     )
-    registry = ParamRegistry(_init_params(enc_config, config.decoder, rng))
+    registry = ParamRegistry(param_shapes(enc_config, config.decoder))
+    nm.uniform_init(rng, registry.flat)
+    for name in ("enc.fwd.b", "enc.bwd.b", "dec.lstm.b"):
+        hidden = registry[name].size // 4
+        registry[name][hidden:2 * hidden] = 1.0  # forget gate starts open
     return Model(registry, vocab, enc_config, config.decoder, config.mode)
 
 
-def _init_params(enc_config: EncoderConfig, dec_config: DecoderConfig,
-                 rng: np.random.Generator) -> Iterator[tuple[str, np.ndarray]]:
-    """Every (name, initial value) pair of a model, one array at a time."""
+def param_shapes(enc_config: EncoderConfig,
+                 dec_config: DecoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape: the encoder's table, then the decoder's."""
     fixed_slots = enc.FIXED_SLOT_LIMIT if dec_config.constant_repr == "fixed" else 0
-    return itertools.chain(enc.init_params(enc_config, rng, fixed_slots=fixed_slots),
-                           dec.init_params(dec_config, rng))
+    return enc.param_shapes(enc_config, fixed_slots) | dec.param_shapes(dec_config)
 
 
 def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
@@ -355,9 +360,11 @@ def save_model(directory, model: Model) -> None:
 
 def load_model(directory) -> Model:
     """Load a saved model; raises ``CheckpointError`` when there is no
-    ``meta.json``, it is not a model description, or the checkpoint is not
-    the one it records or does not hold exactly the parameters that it
-    describes."""
+    ``meta.json``, it is not a model description (a setting out of range or
+    not an integer, an unknown mode, or vocab ids other than 0..n-1 with
+    ``<unk>`` at 0), or the checkpoint is not the one it records or does not
+    hold exactly the parameters of ``param_shapes``, which follow from the
+    configs alone: nothing is drawn at random."""
     directory = Path(directory)
     if not (directory / _META_NAME).exists():
         raise nm.CheckpointError(f"no model at {directory}")
@@ -365,16 +372,22 @@ def load_model(directory) -> Model:
         meta = json.loads((directory / _META_NAME).read_text(encoding="utf-8"))
         enc_config = EncoderConfig(**meta["encoder"])
         dec_config = DecoderConfig(**meta["decoder"])
-        vocab = {k: int(v) for k, v in meta["vocab"].items()}
+        vocab = meta["vocab"]
         mode = meta["mode"]
         sha256 = meta["checkpoint_sha256"]
+        if mode not in ("word", "char"):
+            raise ValueError(f"unknown mode {mode!r}")
+        ids = list(vocab.values())
+        if (vocab.get(enc.UNK_TOKEN) != enc.UNK_ID
+                or not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids)))):
+            raise ValueError(f"vocab ids must be 0..{len(ids) - 1} with "
+                             f"{enc.UNK_TOKEN} at {enc.UNK_ID}")
         # sizes that the capped encoder widths and the vocab bound, before any allocation
         if (enc_config.vocab_size, dec_config.dim) != (len(vocab), enc_config.dim):
             raise ValueError(f"vocab_size {enc_config.vocab_size} and decoder dim "
                              f"{dec_config.dim} do not match {len(vocab)} tokens and "
                              f"width {enc_config.dim}")
-        want = {name: value.shape for name, value in
-                _init_params(enc_config, dec_config, np.random.default_rng(0))}
+        want = param_shapes(enc_config, dec_config)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
                                  f"{type(exc).__name__}: {exc}") from None

@@ -388,6 +388,23 @@ def set_meta(section, key, value):
     return rewrite
 
 
+def float_widths(text):
+    """The saved widths as floats of the same value: a shape table that
+    compared them to the checkpoint's would see no difference."""
+    meta = json.loads(text)
+    meta["encoder"]["hidden_per_direction"] = float(meta["encoder"]["hidden_per_direction"])
+    meta["decoder"]["dim"] = float(meta["decoder"]["dim"])
+    return json.dumps(meta)
+
+
+def set_last_vocab_id(value):
+    def rewrite(text):
+        meta = json.loads(text)
+        meta["vocab"][list(meta["vocab"])[-1]] = value
+        return json.dumps(meta)
+    return rewrite
+
+
 @pytest.mark.parametrize("rewrite, error", [
     (lambda text: '{"vocab": {', "JSONDecodeError"),
     (drop_vocab_size, "vocab_size"),
@@ -396,6 +413,13 @@ def set_meta(section, key, value):
     (set_meta("decoder", "dim", 10 ** 7), "decoder dim 10000000"),
     (set_meta("encoder", "vocab_size", 10 ** 12), "vocab_size 1000000000000"),
     (set_meta("encoder", "hidden_per_direction", 10 ** 6), "at most 512"),
+    (set_meta("decoder", "max_steps", 40.5), "max_steps must be an integer, got 40.5"),
+    (float_widths, "hidden_per_direction must be an integer, got 8.0"),
+    (set_meta("encoder", "embed_dim", True), "embed_dim must be an integer, got True"),
+    # ids that would index past the embedding, or wrap round to its last row
+    (set_last_vocab_id(999), "vocab ids must be 0.."),
+    (set_last_vocab_id(-1), "with <unk> at 0"),
+    (lambda text: json.dumps({**json.loads(text), "mode": "xyz"}), "unknown mode 'xyz'"),
 ])
 def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewrite, error):
     model = copy_model(trained_dir, tmp_path)
@@ -613,6 +637,6 @@ def test_ablation_flags_reach_decoder(tmp_path, synth_file):
     assert meta["decoder"]["use_stack_feature"] is False
     assert meta["decoder"]["transformer_mode"] == "embedding"
     loaded = trainer.load_model(out)
-    assert "dec.gate_sa.w" not in loaded.registry
-    assert "dec.qattn.w" not in loaded.registry
-    assert "dec.tf.+.vec" in loaded.registry
+    assert "dec.gate_sa.w" not in loaded.registry.shapes
+    assert "dec.qattn.w" not in loaded.registry.shapes
+    assert "dec.tf.+.vec" in loaded.registry.shapes

@@ -170,13 +170,10 @@ def test_operand_loss_gradient_matches_fd():
     problem = simple_problem()
     rng = np.random.default_rng(3)
     d = 6
-    registry = nm.ParamRegistry([
-        ("cands", rng.standard_normal((1, 3, d)) * 0.3),
-        ("query", rng.standard_normal((1, d)) * 0.3),
-        ("v", rng.standard_normal(d) * 0.3),
-        ("w", rng.standard_normal((d, 2 * d)) * 0.3),
-        ("b", rng.standard_normal(d) * 0.3),
-    ])
+    registry = nm.ParamRegistry({"cands": (1, 3, d), "query": (1, d), "v": (d,),
+                                 "w": (d, 2 * d), "b": (d,)})
+    for name, shape in registry.shapes.items():
+        registry[name][...] = rng.standard_normal(shape) * 0.3
 
     def loss_fn(tape):
         w = nm.param(tape, registry, "w")

@@ -38,8 +38,9 @@ def mutations(draw, data: bytes) -> bytes:
 
 def seed_registry() -> nm.ParamRegistry:
     rng = np.random.default_rng(3)
-    return nm.ParamRegistry([("enc.w", rng.standard_normal((3, 2))),
-                             ("dec.b", rng.standard_normal(4))])
+    registry = nm.ParamRegistry({"enc.w": (3, 2), "dec.b": (4,)})
+    registry.flat[...] = rng.standard_normal(registry.flat.size)
+    return registry
 
 
 def registry_state(registry):

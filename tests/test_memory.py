@@ -55,7 +55,7 @@ def test_build_model_holds_only_the_parameters(problems):
     model, peak, resident = traced(lambda: build(problems))
     arena = model.registry.flat.nbytes
     assert arena > 4 * MiB
-    assert peak <= 2.1 * arena
+    assert peak <= 1.2 * arena
     assert resident <= 1.05 * arena
     assert training_buffers(model.registry) == []
 

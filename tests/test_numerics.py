@@ -9,7 +9,11 @@ from stacksolver.numerics import OptimizerConfig, ParamRegistry, Tape
 
 
 def make_registry(**tensors) -> ParamRegistry:
-    return ParamRegistry(tensors.items())
+    values = {name: np.asarray(value, dtype=np.float64) for name, value in tensors.items()}
+    registry = ParamRegistry({name: value.shape for name, value in values.items()})
+    for name, value in values.items():
+        registry[name][...] = value
+    return registry
 
 
 def check(loss_fn, registry, probes=40, seed=0, tol=1e-6):
@@ -552,8 +556,6 @@ def test_adam_non_finite_gradient_updates_nothing(clip, bad):
 
 def test_registry_unique_names_and_frozen_shapes():
     registry = make_registry(w=np.zeros(3))
-    with pytest.raises(ValueError, match="duplicate parameter name: w"):
-        ParamRegistry([("w", np.zeros(3)), ("w", np.zeros(3))])
     assert registry.flat.size == 3
     assert registry.shapes == {"w": (3,)}
 
@@ -673,13 +675,23 @@ def test_checkpoint_version_1_is_rejected(tmp_path):
 def test_forward_determinism_same_seed():
     def build():
         rng = np.random.default_rng(55)
-        registry = make_registry(w=nm.uniform_init(rng, (6, 6)),
-                                 v=nm.uniform_init(rng, (6,)),
-                                 b=nm.uniform_init(rng, (6,)))
+        registry = ParamRegistry({"w": (6, 6), "v": (6,), "b": (6,)})
+        for name in registry.names():
+            nm.uniform_init(rng, registry[name])
         y = nm.linear(None, nm.param(None, registry, "v"),
                       nm.param(None, registry, "w"), nm.param(None, registry, "b"))
         return nm.tanh(None, y).value
     assert np.array_equal(build(), build())
+
+
+def test_uniform_init_draws_what_rng_uniform_draws():
+    """One draw over an arena gives each parameter, in table order, the
+    values that ``rng.uniform`` gives it as a new array, bit for bit."""
+    registry = ParamRegistry({"w": (7, 5), "b": (3,), "s": (2, 1, 4)})
+    nm.uniform_init(np.random.default_rng(21), registry.flat)
+    reference = np.random.default_rng(21)
+    for name, shape in registry.shapes.items():
+        assert registry[name].tobytes() == reference.uniform(-0.08, 0.08, shape).tobytes()
 
 
 def test_grad_check_exact_for_linear_model():

@@ -380,9 +380,20 @@ def test_a_save_that_fails_part_way_never_leaves_a_mixed_pair(
 @pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
 def test_load_model_expects_the_shapes_that_build_model_registers(synth_prepared, overrides):
     model, _ = tiny_model(synth_prepared, **overrides)
-    want = {name: value.shape for name, value in trainer._init_params(
-        model.enc_config, model.dec_config, np.random.default_rng(0))}
+    want = trainer.param_shapes(model.enc_config, model.dec_config)
     assert list(want.items()) == list(model.registry.shapes.items())
+
+
+def test_load_model_draws_no_values(tmp_path, monkeypatch, synth_prepared):
+    model, _ = tiny_model(synth_prepared)
+    trainer.save_model(tmp_path, model)
+
+    def no_draw(rng, out):
+        raise AssertionError(f"load_model drew values of shape {out.shape}")
+
+    monkeypatch.setattr(nm, "uniform_init", no_draw)
+    loaded = trainer.load_model(tmp_path)
+    assert loaded.registry.flat.tobytes() == model.registry.flat.tobytes()
 
 
 def test_cross_validate_smoke(synth_prepared):
