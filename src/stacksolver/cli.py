@@ -63,10 +63,12 @@ def prepared_from_record(obj: dict) -> PreparedProblem:
             raise ValueError(f"{key} is not a list")
     if not all(isinstance(token, str) for token in obj["tokens"]):
         raise ValueError("a token is not a string")
+    if not all(type(i) is int for i in obj["positions"]):  # a bool is not one
+        raise ValueError("a position is not an integer")
     problem = PreparedProblem(
         id=obj["id"],
         tokens=list(obj["tokens"]),
-        constant_positions=[int(i) for i in obj["positions"]],
+        constant_positions=list(obj["positions"]),
         constant_values=[_fraction(v) for v in obj["values"]],
         target=[eqlang.action_from_wire(a) for a in obj["target"]],
         gold_answer=_fraction(obj["answer"]) if obj.get("answer") not in (None, "None") else None,
@@ -76,9 +78,11 @@ def prepared_from_record(obj: dict) -> PreparedProblem:
 
 
 def _check_prepared(p: PreparedProblem) -> None:
-    """Reject, as ``ValueError``, a problem that training could not run: one
-    constant per token position, and a target that ``eqlang.check_target``
-    accepts."""
+    """Reject, as ``ValueError``, a problem that training could not run: at
+    least one token, one constant per token position, and a target that
+    ``eqlang.check_target`` accepts."""
+    if not p.tokens:
+        raise ValueError("no tokens")
     if len(p.constant_positions) != len(p.constant_values):
         raise ValueError(f"{len(p.constant_positions)} positions for "
                          f"{len(p.constant_values)} values")
@@ -194,7 +198,6 @@ TRAIN_OPTIONS: dict[str, tuple[str, Callable[[str], object]]] = {
     "eval_every": ("eval_every", int),
     "heldout_frac": ("heldout_frac", float),
     "transformer": ("decoder.transformer_mode", str),
-    "constant_repr": ("decoder.constant_repr", str),
     "constant_mode": ("constant_mode", str),
     "no_gate": ("decoder.use_gate", _switched_off),
     "no_attention": ("decoder.use_attention", _switched_off),

@@ -68,8 +68,8 @@ class PreparedProblem:
 def _record_to_problem(obj, index: int) -> RawProblem:
     if not isinstance(obj, dict):
         raise FormatError("record is not an object", index)
-    text = obj.get("segmented_text") or obj.get("original_text")
-    if not text:
+    text = str(obj.get("segmented_text") or obj.get("original_text") or "")
+    if not text.split():  # a text with no tokens is as good as none
         raise FormatError("missing segmented_text/original_text", index)
     equation = obj.get("equation")
     if not equation:
@@ -77,7 +77,7 @@ def _record_to_problem(obj, index: int) -> RawProblem:
     if "ans" not in obj:
         raise FormatError("missing ans", index)
     pid = str(obj.get("id", index))
-    return RawProblem(id=pid, text=str(text), equation=str(equation), answer=str(obj["ans"]))
+    return RawProblem(id=pid, text=text, equation=str(equation), answer=str(obj["ans"]))
 
 
 def read_text(path) -> str:

@@ -27,6 +27,10 @@ the heads at every step to choose the next action. Teacher forcing knows
 every action in advance, so it steps only the recurrence and then runs the
 heads once over all the recorded states, stacked as one ``TallState``.
 ``param_shapes`` is the one place that names the decoder's parameters.
+The decoder works in the encoder's width and at the encoder's dropout
+rate, so ``DecoderConfig`` holds neither: ``param_shapes`` takes the width,
+a ``DecoderRun`` reads it from the encoded batch and takes the rate from
+its caller.
 """
 from __future__ import annotations
 
@@ -46,40 +50,26 @@ from .numerics import Node, ParamRegistry, Tape
 
 @dataclass
 class DecoderConfig:
-    dim: int = 256
     use_gate: bool = True
     use_attention: bool = True
     use_stack_feature: bool = True
     transformer_mode: str = "mlp"  # or "embedding"
-    constant_repr: str = "semantic"  # or "fixed"
     max_steps: int = 40
-    dropout_p: float = 0.1
 
     def __post_init__(self):
-        check_integers(dim=self.dim, max_steps=self.max_steps)
+        check_integers(max_steps=self.max_steps)
         if self.transformer_mode not in ("mlp", "embedding"):
             raise ValueError(f"unknown transformer_mode {self.transformer_mode!r}")
-        if self.constant_repr not in ("semantic", "fixed"):
-            raise ValueError(f"unknown constant_repr {self.constant_repr!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
-        if self.constant_repr == "fixed":
-            # placeholder operand vectors carry no semantics to transform
-            self.transformer_mode = "embedding"
-
-    @property
-    def block_count(self) -> int:
-        return 1 + int(self.use_stack_feature) + int(self.use_attention)
-
-    @property
-    def feature_dim(self) -> int:
-        d = self.dim
-        return d + (2 * d if self.use_stack_feature else 0) + (d if self.use_attention else 0)
 
 
-def param_shapes(config: DecoderConfig) -> dict[str, tuple[int, ...]]:
-    """Each decoder parameter's shape, in the order that a new model draws them."""
-    d, f_dim, nb = config.dim, config.feature_dim, config.block_count
+def param_shapes(config: DecoderConfig, dim: int) -> dict[str, tuple[int, ...]]:
+    """Each decoder parameter's shape, in the order that a new model draws
+    them, for operand vectors of the encoder's width ``dim``."""
+    d = dim
+    nb = 1 + config.use_stack_feature + config.use_attention  # feature blocks
+    f_dim = d * (1 + 2 * config.use_stack_feature + config.use_attention)
     n_actions = len(eqlang.ACTIONS)
     shapes = {"dec.lstm.wx": (4 * d, d), "dec.lstm.wh": (4 * d, d), "dec.lstm.b": (4 * d,)}
     if config.use_attention:
@@ -271,16 +261,19 @@ class DecoderRun:
 
     def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
                  registry: ParamRegistry, config: DecoderConfig, *,
-                 tape: Tape | None = None, rng: np.random.Generator | None = None):
+                 tape: Tape | None = None, rng: np.random.Generator | None = None,
+                 dropout_p: float = 0.0):
         self.encoded = encoded
         self.problems = list(problems)
         self.config = config
         self.tape = tape
-        self.rng = rng  # dropout runs exactly when there is one
+        self.rng = rng  # dropout runs exactly when there is one, at dropout_p
+        self.dropout_p = dropout_p
         self._p = {name: nm.param(tape, registry, name)
                    for name in registry.shapes if name.startswith("dec.")}
-        self.buffer = nm.RowBuffer(tape, config.dim)
-        self.buffer.append(nm.constant(np.zeros(config.dim)))
+        dim = encoded.final_h.value.shape[-1]  # the encoder's width
+        self.buffer = nm.RowBuffer(tape, dim)
+        self.buffer.append(nm.constant(np.zeros(dim)))
         self.buffer.append(encoded.one_vector)
         self.buffer.append(encoded.pi_vector)
         n_constants = encoded.n_constants
@@ -300,7 +293,7 @@ class DecoderRun:
         if config.use_attention:
             # key half of the attention hidden layer, shared across steps
             self._q_pre = nm.attention_pre(tape, self._p["dec.qattn.w"],
-                                           encoded.token_matrix, config.dim)
+                                           encoded.token_matrix, dim)
         else:
             self._q_pre = None
         # key half of the operand scorer over every row's candidates; projected
@@ -331,7 +324,7 @@ class DecoderRun:
     def advance(self, state: DecoderState) -> DecoderState:
         """Step the decoder recurrence over the previous action's result."""
         x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None]),
-                       self.config.dropout_p, self.rng)
+                       self.dropout_p, self.rng)
         h, c = nm.lstm_cell(self.tape, x, state.h, state.c, self._p["dec.lstm.wx"],
                             self._p["dec.lstm.wh"], self._p["dec.lstm.b"])
         return DecoderState(h, c, state.last, state.unknown, state.vec_stacks)
@@ -369,7 +362,7 @@ class DecoderRun:
                 self.tape, state.h, self.encoded.token_matrix,
                 self._p["dec.qattn.v"], self._p["dec.qattn.w"], self._p["dec.qattn.b"],
                 mask=self._token_mask, pre=self._q_pre,
-                rows=state.problem, dropout_p=cfg.dropout_p, rng=self.rng)
+                rows=state.problem, dropout_p=self.dropout_p, rng=self.rng)
             blocks.append(context)
             attn_weights = weights.value
         feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
@@ -384,12 +377,11 @@ class DecoderRun:
 
     def select_action(self, feats: Features,
                       state: DecoderState | TallState) -> ActionDistribution:
-        cfg = self.config
-        x = nm.dropout(self.tape, feats.action_feats, cfg.dropout_p, self.rng)
+        x = nm.dropout(self.tape, feats.action_feats, self.dropout_p, self.rng)
         logits = nm.dense_relu_dense(
             self.tape, x, self._p["dec.act.w1"], self._p["dec.act.b1"],
             self._p["dec.act.w2"], self._p["dec.act.b2"],
-            hidden_dropout=cfg.dropout_p, rng=self.rng)
+            hidden_dropout=self.dropout_p, rng=self.rng)
         return ActionDistribution(logits, legal_action_mask(state.depth, state.has_unknown))
 
     def action_loss(self, dist: ActionDistribution, targets: np.ndarray) -> Node:
@@ -418,7 +410,7 @@ class DecoderRun:
         scores = nm.attention_scores(
             self.tape, query, self._opd_pre, self._p["dec.opd.v"], w,
             self._p["dec.opd.b"], (problem, slice(0, width)),
-            dropout_p=self.config.dropout_p, rng=self.rng)
+            dropout_p=self.dropout_p, rng=self.rng)
         return OperandDistribution(scores, count)
 
     def operand_loss(self, dist: OperandDistribution, targets: np.ndarray) -> Node:
@@ -467,7 +459,7 @@ class DecoderRun:
                 self.encoded.token_matrix, self._p["dec.genvar.v"],
                 self._p["dec.genvar.w"], self._p["dec.genvar.b"], mask=self._token_mask,
                 rows=slice(0, state.rows) if every else rows,
-                dropout_p=self.config.dropout_p, rng=self.rng)
+                dropout_p=self.dropout_p, rng=self.rng)
             unknown[rows] = last[rows] = self.buffer.append(vec)
             self._candidate_rows[rows, self._candidate_count[rows]] = unknown[rows]
             self._candidate_count[rows] += 1

@@ -1,12 +1,13 @@
 """Problem encoder: token embeddings, a bidirectional LSTM, constant vectors.
 
-Each constant mentioned in the text gets a semantic vector. In ``direct``
-mode that is simply the recurrent state at the constant's token position;
-the ``self_attention`` mode instead attends from that position over the
-whole sequence. The external operands 1 and pi, which equations may need
-but text never mentions, live as two dedicated trainable vectors. A
-``fixed`` constant representation (an ablation) replaces text-derived
-vectors with per-slot trainable vectors.
+Each constant mentioned in the text gets a vector, and ``constant_mode``
+says where it comes from. In ``direct`` mode it is simply the recurrent
+state at the constant's token position; the ``self_attention`` mode instead
+attends from that position over the whole sequence; the ``fixed`` mode (an
+ablation) ignores the text and gives the i-th constant the i-th of
+``FIXED_SLOT_LIMIT`` trainable slot vectors. The external operands 1 and
+pi, which equations may need but text never mentions, live as two
+dedicated trainable vectors.
 
 ``encode_batch`` runs a whole batch at once as a padded, masked BiLSTM and
 gathers every problem's constant vectors through flat index arrays;
@@ -53,19 +54,17 @@ def check_integers(**settings) -> None:
 
 @dataclass
 class EncoderConfig:
-    vocab_size: int
     embed_dim: int = 128
     hidden_per_direction: int = 128
-    constant_mode: str = "direct"  # or "self_attention"
-    dropout_p: float = 0.1
+    constant_mode: str = "direct"  # or "self_attention" or "fixed"
+    dropout_p: float = 0.1  # the encoder's and the decoder's
 
     def __post_init__(self):
-        check_integers(vocab_size=self.vocab_size, embed_dim=self.embed_dim,
-                       hidden_per_direction=self.hidden_per_direction)
+        check_integers(embed_dim=self.embed_dim, hidden_per_direction=self.hidden_per_direction)
         if not (0 < self.embed_dim <= MAX_WIDTH and 0 < self.hidden_per_direction <= MAX_WIDTH):
             raise ValueError(f"encoder dimensions must be positive and at most {MAX_WIDTH}, "
                              f"got embed_dim {self.embed_dim}, hidden {self.hidden_per_direction}")
-        if self.constant_mode not in ("direct", "self_attention"):
+        if self.constant_mode not in ("direct", "self_attention", "fixed"):
             raise ValueError(f"unknown constant_mode {self.constant_mode!r}")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_p}")
@@ -99,11 +98,10 @@ def build_vocab(token_lists) -> dict[str, int]:
     return vocab
 
 
-def param_shapes(config: EncoderConfig, fixed_slots: int) -> dict[str, tuple[int, ...]]:
-    """Each encoder parameter's shape, in the order that a new model draws
-    them; ``fixed_slots`` trainable constant vectors unless it is 0."""
+def param_shapes(config: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Each encoder parameter's shape, in the order that a new model draws them."""
     h, d, e = config.hidden_per_direction, config.dim, config.embed_dim
-    shapes = {"enc.embed": (config.vocab_size, e)}
+    shapes = {"enc.embed": (vocab_size, e)}
     for direction in ("fwd", "bwd"):
         shapes |= {f"enc.{direction}.wx": (4 * h, e), f"enc.{direction}.wh": (4 * h, h),
                    f"enc.{direction}.b": (4 * h,)}
@@ -112,21 +110,20 @@ def param_shapes(config: EncoderConfig, fixed_slots: int) -> dict[str, tuple[int
     if config.constant_mode == "self_attention":
         shapes |= {"enc.selfattn.v": (d,), "enc.selfattn.w": (d, 2 * d),
                    "enc.selfattn.b": (d,)}
-    if fixed_slots:
-        shapes["enc.const_slots"] = (fixed_slots, d)
+    if config.constant_mode == "fixed":
+        shapes["enc.const_slots"] = (FIXED_SLOT_LIMIT, d)
     return shapes
 
 
 def encode(problem: PreparedProblem, vocab: dict[str, int],
-           registry: ParamRegistry, config: EncoderConfig, *,
-           constant_repr: str = "semantic") -> EncodedBatch:
+           registry: ParamRegistry, config: EncoderConfig) -> EncodedBatch:
     """Encode one problem for inference: ``encode_batch`` of a batch of one."""
-    return encode_batch([problem], vocab, registry, config, constant_repr=constant_repr)
+    return encode_batch([problem], vocab, registry, config)
 
 
 def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
                  registry: ParamRegistry, config: EncoderConfig, *,
-                 constant_repr: str = "semantic", tape: Tape | None = None,
+                 tape: Tape | None = None,
                  rng: np.random.Generator | None = None) -> EncodedBatch:
     """Run the bidirectional recurrence over a padded batch and extract the
     constant vectors of every problem; dropout runs exactly when ``rng`` is
@@ -135,7 +132,7 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
     if lengths.size == 0 or lengths.min() == 0:
         raise EmptyProblem("cannot encode a problem with no tokens")
     n_constants = np.array([p.n_constants for p in problems], dtype=np.intp)
-    if constant_repr == "fixed" and n_constants.max() > FIXED_SLOT_LIMIT:
+    if config.constant_mode == "fixed" and n_constants.max() > FIXED_SLOT_LIMIT:
         raise TooManyConstants(
             f"{n_constants.max()} constants exceed the {FIXED_SLOT_LIMIT} fixed slots")
 
@@ -151,7 +148,7 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
           for direction in ("fwd", "bwd")))
 
     owner = np.repeat(np.arange(len(problems)), n_constants)
-    if constant_repr == "fixed":
+    if config.constant_mode == "fixed":
         slots = np.concatenate([np.arange(n) for n in n_constants])
         constants = nm.gather(tape, nm.param(tape, registry, "enc.const_slots"), slots)
     else:

@@ -7,8 +7,9 @@ lockstep, and its heads and losses then run once over every (problem, step)
 of the batch, so one backward sweep and one Adam step (on the
 mean-of-problems loss) are taken per batch. Everything is seeded, so a
 rerun with the same config reproduces the loss curve bit for bit. A saved
-model's ``meta.json`` records its checkpoint's sha256, so a directory never
-loads a checkpoint and a ``meta.json`` that were not saved together.
+model's ``meta.json`` states each setting once, under the config that holds
+it, and records its checkpoint's sha256, so a directory never loads a
+checkpoint and a ``meta.json`` that were not saved together.
 """
 from __future__ import annotations
 
@@ -58,11 +59,17 @@ class TrainConfig:
             raise ValueError("seed must be >= 0; epochs, batch_size, patience, eval_every >= 1")
         if self.mode not in ("word", "char"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        # the encoder's own rules (sizes, constant_mode, dropout), before any data is read
-        encoder = EncoderConfig(1, self.embed_dim, self.hidden_per_direction,
-                                self.constant_mode, self.dropout_p)
-        # the decoder works in the encoder's concatenated width, with its dropout
-        self.decoder = replace(self.decoder, dim=encoder.dim, dropout_p=self.dropout_p)
+        # building the encoder's config checks its own rules (sizes,
+        # constant_mode, dropout) before any data is read
+        if self.encoder.constant_mode == "fixed":
+            # fixed slot vectors carry no semantics to transform
+            self.decoder = replace(self.decoder, transformer_mode="embedding")
+
+    @property
+    def encoder(self) -> EncoderConfig:
+        """The encoder's settings, which the fields above hold."""
+        return EncoderConfig(self.embed_dim, self.hidden_per_direction,
+                             self.constant_mode, self.dropout_p)
 
 
 @dataclass
@@ -108,14 +115,8 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
     """A new model over ``vocab``: one draw over the arena, which holds the
     parameters of ``param_shapes`` in table order, so each gets the values
     of a draw of its own; then each LSTM's forget gate bias is set to 1."""
-    enc_config = EncoderConfig(
-        vocab_size=len(vocab),
-        embed_dim=config.embed_dim,
-        hidden_per_direction=config.hidden_per_direction,
-        constant_mode=config.constant_mode,
-        dropout_p=config.dropout_p,
-    )
-    registry = ParamRegistry(param_shapes(enc_config, config.decoder))
+    enc_config = config.encoder
+    registry = ParamRegistry(param_shapes(enc_config, config.decoder, len(vocab)))
     nm.uniform_init(rng, registry.flat)
     for name in ("enc.fwd.b", "enc.bwd.b", "dec.lstm.b"):
         hidden = registry[name].size // 4
@@ -123,11 +124,11 @@ def build_model(vocab: dict[str, int], config: TrainConfig,
     return Model(registry, vocab, enc_config, config.decoder, config.mode)
 
 
-def param_shapes(enc_config: EncoderConfig,
-                 dec_config: DecoderConfig) -> dict[str, tuple[int, ...]]:
+def param_shapes(enc_config: EncoderConfig, dec_config: DecoderConfig,
+                 vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape: the encoder's table, then the decoder's."""
-    fixed_slots = enc.FIXED_SLOT_LIMIT if dec_config.constant_repr == "fixed" else 0
-    return enc.param_shapes(enc_config, fixed_slots) | dec.param_shapes(dec_config)
+    return (enc.param_shapes(enc_config, vocab_size)
+            | dec.param_shapes(dec_config, enc_config.dim))
 
 
 def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
@@ -149,9 +150,9 @@ def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
     rows = sorted(problems, key=lambda p: -len(p.target))
     lengths = np.array([len(p.target) for p in rows])
     encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
-                               constant_repr=model.dec_config.constant_repr,
                                tape=tape, rng=rng)
-    run = DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng)
+    run = DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng,
+                     dropout_p=model.enc_config.dropout_p)
     state = run.initial_state()
     steps: list[dec.DecoderState] = []
     for step in range(lengths[0]):
@@ -188,8 +189,7 @@ def decode_problem(model: Model, problem: PreparedProblem,
     config = model.dec_config
     if max_steps is not None:
         config = replace(config, max_steps=max_steps)
-    encoded = enc.encode(problem, model.vocab, model.registry, model.enc_config,
-                         constant_repr=config.constant_repr)
+    encoded = enc.encode(problem, model.vocab, model.registry, model.enc_config)
     return dec.greedy_decode(encoded, problem, model.registry, config)
 
 
@@ -240,7 +240,7 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
         raise EmptyDataset("empty training set")
     init_rng = np.random.default_rng(config.seed)
     loop_rng = np.random.default_rng(config.seed + 1)
-    if config.decoder.constant_repr == "fixed":
+    if config.constant_mode == "fixed":
         usable = [p for p in train_set if p.n_constants <= enc.FIXED_SLOT_LIMIT]
         if not usable:
             raise EmptyDataset("no problem fits the fixed constant slots")
@@ -361,10 +361,12 @@ def save_model(directory, model: Model) -> None:
 def load_model(directory) -> Model:
     """Load a saved model; raises ``CheckpointError`` when there is no
     ``meta.json``, it is not a model description (a setting out of range or
-    not an integer, an unknown mode, or vocab ids other than 0..n-1 with
-    ``<unk>`` at 0), or the checkpoint is not the one it records or does not
-    hold exactly the parameters of ``param_shapes``, which follow from the
-    configs alone: nothing is drawn at random."""
+    not an integer, a setting that the configs do not have, as in the
+    ``meta.json`` of an older version, an unknown mode, or vocab ids other
+    than 0..n-1 with ``<unk>`` at 0), or the checkpoint is not the one it
+    records or does not hold exactly the parameters of ``param_shapes``,
+    which follow from the configs and the vocab alone: nothing is drawn at
+    random."""
     directory = Path(directory)
     if not (directory / _META_NAME).exists():
         raise nm.CheckpointError(f"no model at {directory}")
@@ -382,12 +384,7 @@ def load_model(directory) -> Model:
                 or not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids)))):
             raise ValueError(f"vocab ids must be 0..{len(ids) - 1} with "
                              f"{enc.UNK_TOKEN} at {enc.UNK_ID}")
-        # sizes that the capped encoder widths and the vocab bound, before any allocation
-        if (enc_config.vocab_size, dec_config.dim) != (len(vocab), enc_config.dim):
-            raise ValueError(f"vocab_size {enc_config.vocab_size} and decoder dim "
-                             f"{dec_config.dim} do not match {len(vocab)} tokens and "
-                             f"width {enc_config.dim}")
-        want = param_shapes(enc_config, dec_config)
+        want = param_shapes(enc_config, dec_config, len(vocab))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
                                  f"{type(exc).__name__}: {exc}") from None

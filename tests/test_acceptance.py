@@ -217,21 +217,19 @@ def test_criterion_7_ablation_plumbing(capsys):
     problems = prepare_synth(4, seed=31, difficulty=1)
     vocab = encoder.build_vocab(p.tokens for p in problems)
     variants = {
-        "baseline": {},
-        "-gate": {"use_gate": False},
-        "-attention": {"use_attention": False},
-        "-stack": {"use_stack_feature": False},
-        "-transformer": {"transformer_mode": "embedding"},
-        "-semantics": {"constant_repr": "fixed"},
-        "stripped": {"use_gate": False, "use_attention": False,
-                     "use_stack_feature": False},
+        "baseline": trainer.TrainConfig(),
+        "-gate": trainer.TrainConfig(decoder=DecoderConfig(use_gate=False)),
+        "-attention": trainer.TrainConfig(decoder=DecoderConfig(use_attention=False)),
+        "-stack": trainer.TrainConfig(decoder=DecoderConfig(use_stack_feature=False)),
+        "-transformer": trainer.TrainConfig(
+            decoder=DecoderConfig(transformer_mode="embedding")),
+        "-semantics": trainer.TrainConfig(constant_mode="fixed"),
+        "stripped": trainer.TrainConfig(decoder=DecoderConfig(
+            use_gate=False, use_attention=False, use_stack_feature=False)),
     }
-    for name, flags in variants.items():
-        config = trainer.TrainConfig(decoder=DecoderConfig(**flags))
+    for name, config in variants.items():
         model = trainer.build_model(vocab, config, np.random.default_rng(1))
-        expected = expected_param_count(len(vocab), config.embed_dim,
-                                        config.hidden_per_direction,
-                                        model.dec_config)
+        expected = expected_param_count(len(vocab), model.enc_config, model.dec_config)
         assert model.registry.flat.size == expected, name
     # fully stripped features are bitwise the recurrent state
     config = trainer.TrainConfig(

@@ -68,6 +68,20 @@ def test_preprocess_format_error_exit_code(tmp_path):
     assert run_cli("preprocess", data, tmp_path / "out.jsonl") == 2
 
 
+def test_preprocess_rejects_a_text_with_no_tokens(tmp_path, capsys):
+    """A text of whitespace is a missing one: no problem with no tokens is
+    ever prepared, so no training or evaluation meets one."""
+    data = tmp_path / "blank.jsonl"
+    corpus.write_dataset(data, [corpus.RawProblem(id="fine", text="tom has 2 pens",
+                                                  equation="x=2", answer="2"),
+                                corpus.RawProblem(id="blank", text=" \t ",
+                                                  equation="x=1", answer="1")])
+    assert run_cli("preprocess", data, tmp_path / "out.jsonl") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "missing segmented_text/original_text" in err
+
+
 LONG_NUMBER = "7" * 5000
 
 
@@ -133,16 +147,22 @@ def test_manifest_records_the_numerics_a_rerun_needs(trained_dir):
 
 
 def test_manifest_records_the_decoder_the_model_uses(tmp_path, synth_file, trained_dir):
-    # trained_dir ran with --hidden 8, so its decoder works in 16 dimensions
+    # meta.json states each setting once, with the value the run's config holds
     meta = json.loads((trained_dir / "meta.json").read_text())
-    manifest = json.loads((trained_dir / "manifest.json").read_text())
-    assert meta["decoder"]["dim"] == 16
-    assert manifest["config"]["decoder"] == meta["decoder"]
+    config = json.loads((trained_dir / "manifest.json").read_text())["config"]
+    assert config["decoder"] == meta["decoder"]
+    assert meta["encoder"] == {key: config[key] for key in
+                               ("embed_dim", "hidden_per_direction", "constant_mode",
+                                "dropout_p")}
+    assert not meta["encoder"].keys() & meta["decoder"].keys()
+    # fixed constants decode with the embedding transformer, whatever was asked
     out = tmp_path / "cv"
     assert run_cli("cv", "--data", synth_file, "--folds", 2, "--out", out, "--epochs", 1,
-                   "--embed-dim", 8, "--hidden", 5, "--dropout", 0.25) == 0
-    decoder = json.loads((out / "manifest.json").read_text())["config"]["decoder"]
-    assert (decoder["dim"], decoder["dropout_p"]) == (10, 0.25)
+                   "--embed-dim", 8, "--hidden", 5, "--dropout", 0.25,
+                   "--constant-mode", "fixed", "--transformer", "mlp") == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["dropout_p"], config["constant_mode"]) == (0.25, "fixed")
+    assert config["decoder"]["transformer_mode"] == "embedding"
 
 
 def test_train_accepts_prepared_input(tmp_path, synth_file):
@@ -188,7 +208,7 @@ OPTION_SAMPLES = {
     "epochs": "3", "batch_size": "4", "seed": "7", "lr": "0.01", "clip": "2.5",
     "mode": "char", "embed_dim": "8", "hidden": "6", "dropout": "0.2", "max_steps": "30",
     "patience": "2", "eval_every": "3", "heldout_frac": "0.25", "transformer": "embedding",
-    "constant_repr": "fixed", "constant_mode": "self_attention", "no_gate": "true",
+    "constant_mode": "self_attention", "no_gate": "true",
     "no_attention": "true", "no_stack": "true",
 }
 
@@ -240,6 +260,20 @@ def test_bad_config_key_exits_2(tmp_path, synth_file):
                    "--config", config) == 2
 
 
+def test_constant_repr_is_not_an_option(tmp_path, capsys, synth_file):
+    """Fixed constants are ``constant_mode = fixed``; the old second setting
+    for them is refused as a flag and as a config line."""
+    argv = ["train", "--data", synth_file, "--out", tmp_path / "m"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--constant-repr", "fixed")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --constant-repr" in capsys.readouterr().err
+    config = tmp_path / "old.cfg"
+    config.write_text("constant_repr = fixed\n", encoding="utf-8")
+    assert run_cli(*argv, "--config", config) == 2
+    assert "unknown config key 'constant_repr'" in capsys.readouterr().err
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -275,7 +309,7 @@ def test_prepared_line_helper_is_well_formed():
     ('{"target": [1], "id": "a", "tokens": [], "positions": [], "values": []}',
      "AttributeError"),
     ('{"target": [], "id": "a", "tokens": [], "positions": [1e400], "values": []}',
-     "OverflowError"),
+     "a position is not an integer"),
     ('{"target": [], "id": "a", "tokens": [], "positions": [], "values": [],'
      ' "answer": "1e1000000"}', "ValueError: bad number '1e1000000'"),
     (prepared_line(target=["push:c0", "genvar", "push:x", "equal"]),
@@ -288,6 +322,11 @@ def test_prepared_line_helper_is_well_formed():
     (prepared_line(target=["genvar", "push:x", "equal"]), "underflows the stack"),
     (prepared_line(positions=[2]), "1 positions for 2 values"),
     (prepared_line(positions=[2, 5]), "outside the 5 tokens"),
+    (prepared_line(positions=[2.9, 4]), "a position is not an integer"),
+    (prepared_line(positions=[2, True]), "a position is not an integer"),
+    (prepared_line(positions=["2", "4"]), "a position is not an integer"),
+    (prepared_line(tokens=[], positions=[], values=[], answer="1",
+                   target=["genvar", "push:x", "push:1", "equal"]), "no tokens"),
     (prepared_line(tokens="x is 4 and 2"), "tokens is not a list"),
     (prepared_line(values="42"), "values is not a list"),
     (prepared_line(tokens=["x", "is", 4, "and", 2]), "a token is not a string"),
@@ -374,12 +413,6 @@ def test_version_1_checkpoint_exits_2(tmp_path, capsys, trained_dir, synth_file)
         assert f"unsupported checkpoint version {version}" in err
 
 
-def drop_vocab_size(text):
-    meta = json.loads(text)
-    del meta["encoder"]["vocab_size"]
-    return json.dumps(meta)
-
-
 def set_meta(section, key, value):
     def rewrite(text):
         meta = json.loads(text)
@@ -389,12 +422,24 @@ def set_meta(section, key, value):
 
 
 def float_widths(text):
-    """The saved widths as floats of the same value: a shape table that
-    compared them to the checkpoint's would see no difference."""
+    """The saved width as a float of the same value: a shape table that
+    compared it to the checkpoint's would see no difference."""
     meta = json.loads(text)
     meta["encoder"]["hidden_per_direction"] = float(meta["encoder"]["hidden_per_direction"])
-    meta["decoder"]["dim"] = float(meta["decoder"]["dim"])
     return json.dumps(meta)
+
+
+def parent_format(section, key):
+    """The meta.json of an older version, which also stated ``key`` in
+    ``section``: a copy of the encoder's width, vocab size or dropout rate,
+    or the decoder's second setting for fixed constants."""
+    def rewrite(text):
+        meta = json.loads(text)
+        meta[section][key] = {"dim": 2 * meta["encoder"]["hidden_per_direction"],
+                              "constant_repr": "semantic",
+                              "vocab_size": len(meta["vocab"])}[key]
+        return json.dumps(meta)
+    return rewrite
 
 
 def set_last_vocab_id(value):
@@ -407,11 +452,12 @@ def set_last_vocab_id(value):
 
 @pytest.mark.parametrize("rewrite, error", [
     (lambda text: '{"vocab": {', "JSONDecodeError"),
-    (drop_vocab_size, "vocab_size"),
     (set_meta("decoder", "max_steps", 0), "max_steps must be at least 1"),
-    # sizes that would otherwise be allocated before the checkpoint is compared
-    (set_meta("decoder", "dim", 10 ** 7), "decoder dim 10000000"),
-    (set_meta("encoder", "vocab_size", 10 ** 12), "vocab_size 1000000000000"),
+    # a model saved before each setting was stated once must be retrained
+    (parent_format("decoder", "dim"), "unexpected keyword argument 'dim'"),
+    (parent_format("decoder", "constant_repr"), "unexpected keyword argument 'constant_repr'"),
+    (parent_format("encoder", "vocab_size"), "unexpected keyword argument 'vocab_size'"),
+    # a size that would otherwise be allocated before the checkpoint is compared
     (set_meta("encoder", "hidden_per_direction", 10 ** 6), "at most 512"),
     (set_meta("decoder", "max_steps", 40.5), "max_steps must be an integer, got 40.5"),
     (float_widths, "hidden_per_direction must be an integer, got 8.0"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm
+from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm, trainer
 from stacksolver.decoder import (
     DecoderConfig,
     DecoderRun,
@@ -13,6 +13,7 @@ from stacksolver.decoder import (
     legal_action_mask,
     semantic_transform,
 )
+from stacksolver.encoder import EncoderConfig
 from stacksolver.eqlang import (
     ACTIONS, GENVAR, PUSH, Apply, ConstRef, GEN_VAR, Push, UNKNOWN_REF, action_index,
 )
@@ -27,8 +28,7 @@ def make_run(problems, *, seed=0, zero=False, problem_index=0, **config_override
     if zero:
         zeroed(model)
     problem = problems[problem_index]
-    encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config,
-                             constant_repr=model.dec_config.constant_repr)
+    encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
     run = DecoderRun(encoded, [problem], model.registry, model.dec_config)
     return model, run
 
@@ -195,7 +195,7 @@ def test_operand_loss_gradient_matches_fd():
 def test_transform_zero_params_gives_zero():
     problem = simple_problem()
     model, run = make_run([problem], zero=True)
-    d = model.dec_config.dim
+    d = model.enc_config.dim
     out = semantic_transform("+", nm.constant(np.ones(2 * d)), run._p, "mlp")
     assert np.array_equal(out.value, np.zeros(d))
 
@@ -204,7 +204,7 @@ def test_transform_embedding_mode_ignores_inputs():
     problem = simple_problem()
     model, run = make_run([problem], seed=6,
                           decoder=DecoderConfig(transformer_mode="embedding"))
-    d = model.dec_config.dim
+    d = model.enc_config.dim
     rng = np.random.default_rng(0)
     a = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)), run._p, "embedding")
     b = semantic_transform("*", nm.constant(rng.standard_normal(2 * d)), run._p, "embedding")
@@ -215,7 +215,7 @@ def test_transform_embedding_mode_ignores_inputs():
 def test_transform_operators_differ():
     problem = simple_problem()
     model, run = make_run([problem], seed=14)
-    d = model.dec_config.dim
+    d = model.enc_config.dim
     pair = nm.constant(np.concatenate([np.full(d, 0.3), np.full(d, -0.2)]))
     outputs = [semantic_transform(op, pair, run._p, "mlp").value
                for op in eqlang.OPS]
@@ -233,7 +233,7 @@ def test_empty_stack_feature_is_zero_padded():
     model, run = make_run([problem], seed=4, decoder=DecoderConfig(use_gate=False))
     state = run.advance(run.initial_state())
     feats = run.state_features(state)
-    d = model.dec_config.dim
+    d = model.enc_config.dim
     # layout: [h; s; q] with s the zero-padded top-2 block
     assert np.array_equal(feats.action_feats.value[0, d:3 * d], np.zeros(2 * d))
 
@@ -334,7 +334,7 @@ def test_equal_on_two_element_stack_leaves_zero_result():
     state = run.apply_action(state, [eqlang.APPLY_EQUAL])
     assert state.depth[0] == 0
     assert np.array_equal(run.buffer.value[state.last[0]],
-                          np.zeros(model.dec_config.dim))
+                          np.zeros(model.enc_config.dim))
 
 
 def test_illegal_actions_raise():
@@ -460,9 +460,10 @@ def test_greedy_raises_on_a_nan_parameter(name, index):
 # parameter accounting
 
 
-def expected_param_count(vocab_size, embed_dim, hidden, config: DecoderConfig,
-                         constant_mode="direct") -> int:
+def expected_param_count(vocab_size, enc_config: EncoderConfig,
+                         config: DecoderConfig) -> int:
     """Independent arithmetic for the registry size under any flag setting."""
+    embed_dim, hidden = enc_config.embed_dim, enc_config.hidden_per_direction
     d = 2 * hidden
     blocks = 1 + int(config.use_stack_feature) + int(config.use_attention)
     f_dim = d * (1 + 2 * int(config.use_stack_feature) + int(config.use_attention))
@@ -470,9 +471,9 @@ def expected_param_count(vocab_size, embed_dim, hidden, config: DecoderConfig,
     total += 2 * (4 * hidden * embed_dim + 4 * hidden * hidden + 4 * hidden)
     total += 2 * (d * d + d)                            # decoder init projections
     total += 2 * d                                      # external constants
-    if constant_mode == "self_attention":
+    if enc_config.constant_mode == "self_attention":
         total += d + d * 2 * d + d
-    if config.constant_repr == "fixed":
+    if enc_config.constant_mode == "fixed":
         total += encoder.FIXED_SLOT_LIMIT * d
     total += 4 * d * d + 4 * d * d + 4 * d              # decoder LSTM
     if config.use_attention:
@@ -491,18 +492,18 @@ def expected_param_count(vocab_size, embed_dim, hidden, config: DecoderConfig,
 
 @pytest.mark.parametrize("flags", [
     {},
-    {"use_gate": False},
-    {"use_attention": False},
-    {"use_stack_feature": False},
-    {"use_gate": False, "use_attention": False, "use_stack_feature": False},
-    {"transformer_mode": "embedding"},
-    {"constant_repr": "fixed"},
+    {"decoder": DecoderConfig(use_gate=False)},
+    {"decoder": DecoderConfig(use_attention=False)},
+    {"decoder": DecoderConfig(use_stack_feature=False)},
+    {"decoder": DecoderConfig(use_gate=False, use_attention=False, use_stack_feature=False)},
+    {"decoder": DecoderConfig(transformer_mode="embedding")},
+    {"constant_mode": "fixed"},
+    {"constant_mode": "self_attention"},
 ])
 def test_param_counts_match_formula(flags):
     problem = simple_problem()
-    config = DecoderConfig(**flags)
-    model, _ = tiny_model([problem], decoder=config)
-    expected = expected_param_count(len(model.vocab), 8, 8, model.dec_config)
+    model, _ = tiny_model([problem], **flags)
+    expected = expected_param_count(len(model.vocab), model.enc_config, model.dec_config)
     assert model.registry.flat.size == expected
 
 
@@ -510,8 +511,8 @@ def test_ablation_deltas_are_exact():
     problem = simple_problem()
     base_model, _ = tiny_model([problem])
     base = base_model.registry.flat.size
-    d = base_model.dec_config.dim
-    f_dim = base_model.dec_config.feature_dim
+    d = base_model.enc_config.dim
+    f_dim = 4 * d  # the state, the two stack tops and the attention context
 
     gateless, _ = tiny_model([problem], decoder=DecoderConfig(use_gate=False))
     assert base - gateless.registry.flat.size == 2 * (3 * f_dim + 3)
@@ -520,15 +521,20 @@ def test_ablation_deltas_are_exact():
                              decoder=DecoderConfig(transformer_mode="embedding"))
     assert base - embed_tf.registry.flat.size == 4 * (2 * d * d + d + d * d + d) - 4 * d
 
-    fixed, _ = tiny_model([problem], decoder=DecoderConfig(constant_repr="fixed"))
-    # pairs the embedding transformer with added per-slot vectors
+    attending, _ = tiny_model([problem], constant_mode="self_attention")
+    assert attending.registry.flat.size - base == d + 2 * d * d + d
+
+    fixed, _ = tiny_model([problem], constant_mode="fixed")
+    # pairs the embedding transformer with added per-slot vectors, and
+    # registers no self-attention that nothing would read
     expected_delta = (4 * (2 * d * d + d + d * d + d) - 4 * d
                       - encoder.FIXED_SLOT_LIMIT * d)
     assert base - fixed.registry.flat.size == expected_delta
+    assert not [name for name in fixed.registry.names() if name.startswith("enc.selfattn.")]
 
 
 def test_config_fixed_forces_embedding_transformer():
-    config = DecoderConfig(constant_repr="fixed")
-    assert config.transformer_mode == "embedding"
+    config = trainer.TrainConfig(constant_mode="fixed", decoder=DecoderConfig())
+    assert config.decoder.transformer_mode == "embedding"
     with pytest.raises(ValueError):
         DecoderConfig(transformer_mode="telekinesis")

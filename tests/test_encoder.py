@@ -13,17 +13,17 @@ def small_problem(text="tom has 3 apples and 5 pens now ."):
     return corpus.prepare(raw)
 
 
-def encode_with(model, problem, **kw):
-    return encoder.encode(problem, model.vocab, model.registry, model.enc_config, **kw)
+def encode_with(model, problem):
+    return encoder.encode(problem, model.vocab, model.registry, model.enc_config)
 
 
 def test_config_dim_is_twice_hidden():
-    config = EncoderConfig(vocab_size=10, hidden_per_direction=32)
+    config = EncoderConfig(hidden_per_direction=32)
     assert config.dim == 64
     with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, embed_dim=0)
+        EncoderConfig(embed_dim=0)
     with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, constant_mode="telepathy")
+        EncoderConfig(constant_mode="telepathy")
 
 
 def test_zero_params_give_zero_vectors():
@@ -94,10 +94,9 @@ def test_self_attention_uniform_gives_mean():
 def test_fixed_repr_ignores_text():
     p1 = small_problem("tom has 3 apples and 5 pens now .")
     p2 = small_problem("jane buys 3 books for 5 dollars each .")
-    model, _ = tiny_model([p1, p2], seed=5,
-                          decoder=trainer.DecoderConfig(constant_repr="fixed"))
-    e1 = encode_with(model, p1, constant_repr="fixed")
-    e2 = encode_with(model, p2, constant_repr="fixed")
+    model, _ = tiny_model([p1, p2], seed=5, constant_mode="fixed")
+    e1 = encode_with(model, p1)
+    e2 = encode_with(model, p2)
     assert np.array_equal(e1.constants.value, e2.constants.value)
 
 
@@ -106,9 +105,9 @@ def test_fixed_repr_slot_limit():
     raw = corpus.RawProblem(id="many", text=text, equation="x=2", answer="2")
     problem = corpus.prepare(raw)
     assert problem.n_constants > encoder.FIXED_SLOT_LIMIT
-    model, _ = tiny_model([problem], decoder=trainer.DecoderConfig(constant_repr="fixed"))
+    model, _ = tiny_model([problem], constant_mode="fixed")
     with pytest.raises(encoder.TooManyConstants):
-        encode_with(model, problem, constant_repr="fixed")
+        encode_with(model, problem)
 
 
 def test_external_vectors_deterministic_and_sized():

@@ -168,7 +168,6 @@ patience = 2
 eval_every = 1
 heldout_frac = 0.25
 transformer = mlp
-constant_repr = semantic
 constant_mode = direct
 no_gate = false
 """
@@ -183,9 +182,8 @@ def usable(config: trainer.TrainConfig, heldout_frac: float) -> bool:
             and max(config.embed_dim, config.hidden_per_direction) <= encoder.MAX_WIDTH
             and config.seed >= 0 and 0 <= config.dropout_p < 1 and 0 <= heldout_frac < 1
             and config.mode in ("word", "char")
-            and config.constant_mode in ("direct", "self_attention")
+            and config.constant_mode in ("direct", "self_attention", "fixed")
             and dec.transformer_mode in ("mlp", "embedding")
-            and dec.constant_repr in ("semantic", "fixed")
             and np.isfinite(opt.learning_rate) and opt.learning_rate > 0
             and (opt.gradient_clip_norm is None or opt.gradient_clip_norm > 0))
 

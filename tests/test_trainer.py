@@ -59,7 +59,7 @@ CONFIG_VARIANTS = [
     dict(decoder=decoder.DecoderConfig(use_attention=False)),
     dict(decoder=decoder.DecoderConfig(use_stack_feature=False)),
     dict(decoder=decoder.DecoderConfig(transformer_mode="embedding")),
-    dict(decoder=decoder.DecoderConfig(constant_repr="fixed")),
+    dict(constant_mode="fixed"),
 ]
 
 
@@ -118,7 +118,7 @@ def stepwise_loss(problems, model, *, tape):
     rows = sorted(problems, key=lambda p: -len(p.target))
     lengths = np.array([len(p.target) for p in rows])
     encoded = encoder.encode_batch(rows, model.vocab, model.registry, model.enc_config,
-                                   constant_repr=model.dec_config.constant_repr, tape=tape)
+                                   tape=tape)
     run = decoder.DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape)
     state = run.initial_state()
     terms = []
@@ -380,7 +380,7 @@ def test_a_save_that_fails_part_way_never_leaves_a_mixed_pair(
 @pytest.mark.parametrize("overrides", [{}] + CONFIG_VARIANTS)
 def test_load_model_expects_the_shapes_that_build_model_registers(synth_prepared, overrides):
     model, _ = tiny_model(synth_prepared, **overrides)
-    want = trainer.param_shapes(model.enc_config, model.dec_config)
+    want = trainer.param_shapes(model.enc_config, model.dec_config, len(model.vocab))
     assert list(want.items()) == list(model.registry.shapes.items())
 
 
@@ -429,8 +429,7 @@ def test_fixed_repr_training_filters_large_problems(synth_prepared):
     raw = corpus.RawProblem(id="wide", text=text, equation="x=2", answer="2")
     wide = corpus.prepare(raw)
     config = tiny_train_config(
-        epochs=1, batch_size=2, eval_every=1,
-        decoder=decoder.DecoderConfig(constant_repr="fixed"))
+        epochs=1, batch_size=2, eval_every=1, constant_mode="fixed")
     result = trainer.train(synth_prepared[:4] + [wide], config)
     metrics = trainer.evaluate(result.model, synth_prepared[:4] + [wide])
     assert metrics.n_rejected == 1
