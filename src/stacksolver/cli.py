@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, corpus, eqlang, trainer
 from .corpus import FormatError, PreparedProblem
 from .decoder import DecoderConfig
-from .encoder import EmptyProblem
+from .encoder import EmptyProblem, TooManyConstants
 from .numerics import CheckpointError, NonFiniteValue, OptimizerConfig
 from .trainer import TrainConfig
 
@@ -495,7 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError, EmptyProblem, trainer.EmptyDataset,
+    except (FormatError, OSError, EmptyProblem, TooManyConstants, trainer.EmptyDataset,
             NonFiniteValue, CheckpointError, eqlang.LiteralTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,8 +24,9 @@ operator over the rows that apply it.
 The recurrence (``advance`` and ``apply_action``) reads only the previous
 step's result vector, never the heads' outputs. Greedy decoding must run
 the heads at every step to choose the next action. Teacher forcing knows
-every action in advance, so it steps only the recurrence and then runs the
-heads once over all the recorded states, stacked as one ``TallState``.
+every action in advance: it steps the stacks alone after step 0's genvar,
+the one action that reads h, runs the LSTM over the later steps as one op,
+and then the heads once over all the states, stacked as one ``TallState``.
 ``param_shapes`` is the one place that names the decoder's parameters.
 The decoder works in the encoder's width and at the encoder's dropout
 rate, so ``DecoderConfig`` holds neither: ``param_shapes`` takes the width,
@@ -115,8 +116,8 @@ class DecoderState:
     The semantic stacks are a thin stack: each is a tuple of rows of the
     run's vector buffer, top last, so its length is the stack's depth.
     """
-    h: Node                  # (R, d)
-    c: Node                  # (R, d)
+    h: Node | None           # (R, d); None past teacher forcing's step 0
+    c: Node | None           # (R, d)
     last: np.ndarray         # (R,) buffer row of the previous step's result
     unknown: np.ndarray      # (R,) buffer row of x, -1 before it is generated
     vec_stacks: tuple[tuple[int, ...], ...]
@@ -151,7 +152,7 @@ class DecoderState:
 @dataclass
 class TallState:
     """What the heads read of N lockstep states of one run, as the rows of
-    one state: h after each step's ``advance``, the stack tops and depth
+    one state: h after each step's LSTM step, the stack tops and depth
     before its action, and each row's problem in the run.
 
     Teacher forcing stacks every (row, step) of a batch into one, problem
@@ -248,15 +249,14 @@ class DecoderRun:
     on their semantic stacks only.
 
     Every method acts on all rows of a state at once. Greedy decoding runs
-    one row through every method at each step. Teacher forcing steps a
-    batch's rows in lockstep through ``advance`` and ``apply_action`` only;
-    ``narrow`` keeps a state's first rows, so rows whose targets have ended
-    drop out when the batch is sorted by target length. ``stack_steps`` then
-    stacks the recorded states into one ``TallState``, and the features, the
-    heads and the losses run once over it. Work that does not change from
-    step to step is done once per run: the key halves of the attention and
-    of the operand scorer (the latter again after genvar) and the stacking
-    of the two gates' weights.
+    one row through every method at each step. Teacher forcing runs
+    ``advance`` at step 0 only and ``apply_action`` at every step, on the
+    step's first rows (a batch sorted by target length drops its ended rows
+    so); ``stack_steps`` then runs the LSTM and stacks the states into one
+    ``TallState`` for the features, the heads and the losses. Work that does
+    not change from step to step is done once per run: the key halves of the
+    attention and of the operand scorer (the latter again after genvar) and
+    the stacking of the two gates' weights.
     """
 
     def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
@@ -313,14 +313,6 @@ class DecoderRun:
             last=np.full(rows, ZERO_ROW, dtype=np.intp),
             unknown=np.full(rows, -1, dtype=np.intp), vec_stacks=((),) * rows)
 
-    def narrow(self, state: DecoderState, rows: int) -> DecoderState:
-        """The first ``rows`` rows of ``state``."""
-        keep = slice(0, rows)
-        return DecoderState(
-            h=nm.gather(self.tape, state.h, keep), c=nm.gather(self.tape, state.c, keep),
-            last=state.last[keep], unknown=state.unknown[keep],
-            vec_stacks=state.vec_stacks[keep])
-
     def advance(self, state: DecoderState) -> DecoderState:
         """Step the decoder recurrence over the previous action's result."""
         x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None]),
@@ -333,22 +325,29 @@ class DecoderRun:
         """Every row of every state in ``steps`` as one ``TallState``, problem
         by problem and each problem's steps in order.
 
-        ``steps`` holds one state per step, each taken after ``advance``,
-        and each holds the first rows of the run, as ``narrow`` leaves them."""
-        counts = np.array([state.rows for state in steps])
-        lengths = (counts[None, :] > np.arange(counts[0])[:, None]).sum(axis=1)
-        problem = np.repeat(np.arange(counts[0]), lengths)
-        # step-major position of each (problem, step) pair
-        step = np.arange(problem.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        order = (np.cumsum(counts) - counts)[step] + problem
-        h = nm.concat(self.tape, [state.h for state in steps], axis=0)
-        if counts[0] > 1:
-            h = nm.gather(self.tape, h, order)
-        return TallState(
-            h=h, top_two=np.concatenate([state.top_two for state in steps])[order],
-            depth=np.concatenate([state.depth for state in steps])[order],
-            has_unknown=np.concatenate([state.has_unknown for state in steps])[order],
-            problem=problem)
+        ``steps`` holds each step's state before its action, on the first
+        rows of the run: step 0's after ``advance``, the later ones with the
+        stacks alone. Their h is one ``nm.lstm`` from step 0's (h, c) over
+        each later step's input, the previous step's result vector."""
+        first = steps[0]
+        real = np.arange(first.rows)[:, None] < [state.rows for state in steps]  # (R, T)
+
+        def grid(field: str) -> np.ndarray:  # (R, T, ...), 0 (the zero row) past a row's steps
+            parts = [getattr(state, field) for state in steps]
+            out = np.zeros(real.shape[::-1] + parts[0].shape[1:], dtype=parts[0].dtype)
+            out[real.T] = np.concatenate(parts)
+            return out.swapaxes(0, 1)
+
+        inputs = nm.dropout(self.tape, self.buffer.gather(grid("last")[:, 1:, None]),
+                            self.dropout_p, self.rng)
+        later, _, _ = nm.lstm(self.tape, inputs, real.sum(axis=1) - 1,
+                              [[self._p[f"dec.lstm.{n}"] for n in ("wx", "wh", "b")]],
+                              (False,), (first.h, first.c))
+        h = nm.concat(self.tape, [nm.gather(self.tape, first.h, (slice(None), None)), later],
+                      axis=1)
+        pairs = np.nonzero(real)
+        return TallState(nm.gather(self.tape, h, pairs), grid("top_two")[real],
+                         grid("depth")[real], grid("has_unknown")[real], pairs[0])
 
     def state_features(self, state: DecoderState | TallState) -> Features:
         """Gated concatenation of recurrent state, stack status, and attention."""

@@ -142,10 +142,10 @@ def encode_batch(problems: Sequence[PreparedProblem], vocab: dict[str, int],
     mask = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     embeds = nm.gather(tape, nm.param(tape, registry, "enc.embed"), ids)
 
-    token_matrix, enc_h, enc_c = nm.bilstm(
+    token_matrix, enc_h, enc_c = nm.lstm(
         tape, embeds, lengths,
-        *([nm.param(tape, registry, f"enc.{direction}.{name}") for name in ("wx", "wh", "b")]
-          for direction in ("fwd", "bwd")))
+        [[nm.param(tape, registry, f"enc.{direction}.{name}") for name in ("wx", "wh", "b")]
+         for direction in ("fwd", "bwd")], reverse=(False, True))
 
     owner = np.repeat(np.arange(len(problems)), n_constants)
     if config.constant_mode == "fixed":

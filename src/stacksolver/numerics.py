@@ -18,9 +18,9 @@ between the file and the arena, with no copy of either in between.
 Ops act on the last axis and treat any leading axes as rows, so one op call
 serves a whole batch of problems. Whole recurrences and attention reads are
 fused ops with a single backward closure each, which keeps only what that
-closure needs (dropout masks are kept as booleans). ``bilstm`` steps both
-encoder directions at once, time-major: one stacked product per step, and
-each gate's block of both directions contiguous. ``gate_blocks`` computes
+closure needs (dropout masks are kept as booleans). ``lstm`` steps k
+streams at once, time-major: one stacked product per step, and each gate's
+block of every stream contiguous. ``gate_blocks`` computes
 every group of feature gates (the decoder has two) with one product over the
 stacked gate weights, applies their sigmoids and scales the feature blocks.
 ``RowBuffer`` is the append-only vector store behind the decoder's pointer
@@ -293,7 +293,7 @@ def concat(tape: Tape | None, parts: Sequence[Node], axis: int = -1) -> Node:
 
 
 def gather(tape: Tape | None, x: Node, idx) -> Node:
-    """``x[idx]`` for an index array, a tuple of index arrays or a slice."""
+    """``x[idx]`` for index arrays, slices or new axes."""
     out = Node(x.value[idx])
     if tape is not None:
         def back():
@@ -604,85 +604,84 @@ def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
     return hn, cn
 
 
-def bilstm(tape: Tape | None, x: Node, lengths: np.ndarray,
-           fwd: Sequence[Node], bwd: Sequence[Node]) -> tuple[Node, Node, Node]:
-    """Both directions of an LSTM over a padded batch, as one op.
+def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequence[Node]],
+         reverse: Sequence[bool], initial: Sequence[Node] = ()) -> tuple[Node, Node, Node]:
+    """k LSTM streams over one padded batch, as one op.
 
-    ``x`` is (B, T, k) and row r's tokens are ``x[r, :lengths[r]]``; the
-    rest of ``x`` is read as zeros, so whatever it holds (even NaN) reaches
-    neither the states nor the gradients. ``fwd`` and ``bwd`` are each
-    direction's (wx, wh, b). Returns the states
-    (B, T, 2h), [forward; backward] at each token and zero past each row's
-    length, and each row's final (h, c), (B, 2h): the forward direction's
-    after its last token beside the backward direction's after its first.
-    Step s runs the forward direction at token s and the backward one at
-    token T-1-s; a padded step leaves the zero state, so the backward
-    direction starts at each row's last token. Input projections and weight
-    gradients are one product per direction over the tokens in row order.
+    ``x`` is (B, T, in), and row r's steps are ``x[r, :lengths[r]]``: the
+    rest is read as zeros, so whatever it holds (even NaN) reaches neither
+    the states nor the gradients. Stream j has its own (wx, wh, b),
+    ``streams[j]``, runs from a row's last step back if ``reverse[j]``, and
+    starts from ``initial`` (h, c) or zero; a padded step carries the state
+    over. Returns the states (B, T, k*h), zero past each row's length, and
+    the final (h, c), (B, k*h); these and ``initial`` hold the streams side
+    by side. Input projections and weight gradients are one product per stream.
     """
     n_rows, steps, x_dim = x.value.shape
-    hidden = fwd[1].value.shape[1]
-    for w in (fwd, bwd):
-        _check_lstm(x_dim, hidden, *w, "bilstm")
-    wx, wh, b = (np.stack([f.value, r.value]) for f, r in zip(fwd, bwd))
+    k, hidden = len(streams), streams[0][1].value.shape[1]
+    for w in streams:
+        _check_lstm(x_dim, hidden, *w, "lstm")
+    wx, wh, b = (np.stack([w.value for w in ws]) for ws in zip(*streams))
     real = np.arange(steps)[None, :] < np.asarray(lengths)[:, None]  # (B, T)
     padded = not real.all()  # a batch of one never is
     # np.where, not a product: 0 x NaN is NaN
     x2 = (np.where(real[..., None], x.value, 0.0) if padded else x.value).reshape(-1, x_dim)
 
-    def flip(a):
-        """(2, B, T, ...) with the backward direction's T axis reversed."""
-        return np.stack([a[0], a[1, :, ::-1]])
+    def flip(a):  # (k, B, T, ...) with each reversed stream's T axis reversed
+        return np.stack([a[j, :, ::-1] if rev else a[j] for j, rev in enumerate(reverse)])
+
+    def by_stream(a):  # (B, k*h) as (k, B, h)
+        return a.reshape(n_rows, k, hidden).transpose(1, 0, 2)
 
     xz = np.matmul(x2, wx.transpose(0, 2, 1)) + b[:, None]
-    # (T, 4, 2, B, h): the gate logits of each step
+    # (T, 4, k, B, h): the gate logits of each step
     acts = np.ascontiguousarray(
-        flip(xz.reshape(2, n_rows, steps, 4, hidden)).transpose(2, 3, 0, 1, 4))
-    # h and c; state s + 1 follows step s, and state 0 is the zero start
-    hc = np.zeros((2, steps + 1, 2, n_rows, hidden))
+        flip(xz.reshape(k, n_rows, steps, 4, hidden)).transpose(2, 3, 0, 1, 4))
+    # h and c; state s + 1 follows step s, and state 0 is the start
+    hc = np.zeros((2, steps + 1, k, n_rows, hidden))
+    if initial:
+        hc[:, 0] = [by_stream(v.value) for v in initial]
     hs, cs = hc
-    pad = np.stack([~real.T, ~real.T[::-1]], axis=1)  # (T, 2, B) padded per step
+    pad = flip(np.broadcast_to(~real, (k, n_rows, steps))).transpose(2, 0, 1)  # (T, k, B)
     wh_t = wh.transpose(0, 2, 1)
     for s in range(steps):
         z = acts[s]
-        z += np.matmul(hs[s], wh_t).reshape(2, n_rows, 4, hidden).transpose(2, 0, 1, 3)
+        z += np.matmul(hs[s], wh_t).reshape(k, n_rows, 4, hidden).transpose(2, 0, 1, 3)
         _lstm_gates(z, cs[s], z, cs[s + 1], hs[s + 1])
         if padded:
-            hc[:, s + 1, pad[s]] = 0.0
-    # [forward; backward] per token: each direction's (B, T, h) in token order
-    out = Node(np.concatenate(flip(hs[1:].transpose(1, 2, 0, 3)), axis=-1))
-    last = np.asarray(lengths) - 1  # the forward direction's last step per row
-    rows = np.arange(n_rows)
-    h_last, c_last = map(Node, np.concatenate([hc[:, last + 1, 0, rows], hc[:, steps, 1]],
-                                              axis=-1))
+            hc[:, s + 1, pad[s]] = hc[:, s, pad[s]]
+    states = flip(hs[1:].transpose(1, 2, 0, 3))  # (k, B, T, h) in step order
+    states[:, ~real] = 0.0
+    out = Node(np.concatenate(states, axis=-1))
+    h_last, c_last = (Node(np.concatenate(v[steps], axis=-1)) for v in (hs, cs))
     if tape is not None:
         def back():
             if out.grad is None and h_last.grad is None and c_last.grad is None:
                 return
-            # the [forward; backward] halves of the states' gradient, per step
             g = np.zeros_like(out.value) if out.grad is None else out.grad
-            g = g.reshape(n_rows, steps, 2, -1).transpose(2, 0, 1, 3)
-            dh_out = flip(g).transpose(2, 0, 1, 3)
-            dc_out = np.zeros_like(dh_out)
-            for d_out, final in ((dh_out, h_last), (dc_out, c_last)):
-                if final.grad is not None:
-                    d_out[last, 0, rows] += final.grad[:, :hidden]
-                    d_out[steps - 1, 1] += final.grad[:, hidden:]
+            # (T, k, B, h): each stream's share of the states' gradient, per step
+            dh_out = flip(g.reshape(n_rows, steps, k, hidden).transpose(2, 0, 1, 3)
+                          ).transpose(2, 0, 1, 3)
+            dh_out[pad] = 0.0
+            dh, dc = (np.zeros((k, n_rows, hidden)) if v.grad is None
+                      else by_stream(v.grad).copy() for v in (h_last, c_last))
             dz = np.empty_like(acts)
-            dh, dc = np.zeros((2, 2, n_rows, hidden))
             for s in range(steps - 1, -1, -1):
                 dh += dh_out[s]
-                dc += dc_out[s]
-                if padded:
-                    dh[pad[s]] = 0.0
-                    dc[pad[s]] = 0.0
-                dc = _lstm_gates_back(dh, dc, acts[s], cs[s], cs[s + 1], dz[s])
-                dh = np.matmul(dz[s].transpose(1, 2, 0, 3).reshape(2, n_rows, -1), wh)
-            # per direction, rows in token order
-            dz = flip(dz.transpose(2, 3, 0, 1, 4)).reshape(2, -1, 4 * hidden)
-            h_prev = flip(hs[:steps].transpose(1, 2, 0, 3)).reshape(2, -1, hidden)
+                dc_prev = _lstm_gates_back(dh, dc, acts[s], cs[s], cs[s + 1], dz[s])
+                dh_prev = np.matmul(dz[s].transpose(1, 2, 0, 3).reshape(k, n_rows, -1), wh)
+                if padded:  # the gradient passes a carried state unchanged
+                    dz[s][:, pad[s]] = 0.0
+                    dh_prev[pad[s]] = dh[pad[s]]
+                    dc_prev[pad[s]] = dc[pad[s]]
+                dh, dc = dh_prev, dc_prev
+            for v, d in zip(initial, (dh, dc)):
+                _acc(v, d.transpose(1, 0, 2).reshape(n_rows, -1))
+            # per stream, rows in step order
+            dz = flip(dz.transpose(2, 3, 0, 1, 4)).reshape(k, -1, 4 * hidden)
+            h_prev = flip(hs[:steps].transpose(1, 2, 0, 3)).reshape(k, -1, hidden)
             grads = (dz.transpose(0, 2, 1) @ x2, dz.transpose(0, 2, 1) @ h_prev, dz.sum(axis=1))
-            for w, w_grads in zip((fwd, bwd), zip(*grads)):
+            for w, w_grads in zip(streams, zip(*grads)):
                 for node, g in zip(w, w_grads):
                     _acc(node, g)
             for g in np.matmul(dz, wx):

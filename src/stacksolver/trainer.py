@@ -2,14 +2,14 @@
 
 A training batch is one graph on one tape: each gold target passes
 ``eqlang.check_target`` first, the encoder runs the batch as a padded
-BiLSTM, the decoder's recurrence steps every problem's semantic stack in
-lockstep, and its heads and losses then run once over every (problem, step)
-of the batch, so one backward sweep and one Adam step (on the
-mean-of-problems loss) are taken per batch. Everything is seeded, so a
-rerun with the same config reproduces the loss curve bit for bit. A saved
-model's ``meta.json`` states each setting once, under the config that holds
-it, and records its checkpoint's sha256, so a directory never loads a
-checkpoint and a ``meta.json`` that were not saved together.
+BiLSTM, the decoder steps every problem's semantic stack in lockstep and
+then runs its LSTM over every step at once, and its heads and losses run
+once over every (problem, step) of the batch, so one backward sweep and one
+Adam step (on the mean-of-problems loss) are taken per batch. Everything is
+seeded, so a rerun with the same config reproduces the loss curve bit for
+bit. A saved model's ``meta.json`` states each setting once, under the
+config that holds it, and records its checkpoint's sha256, so a directory
+never loads a checkpoint and a ``meta.json`` that were not saved together.
 """
 from __future__ import annotations
 
@@ -139,12 +139,13 @@ def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
     ``IllegalAction`` before anything runs.
 
     Two passes over one tape. The decoder's recurrence never reads the
-    heads, so pass 1 steps only ``advance`` and ``apply_action``, with the
-    rows in lockstep and sorted by target length (longest first), so the
-    rows still decoding at step t are always the first ones; it keeps each
-    step's state. Pass 2 stacks every (row, step) of those states into one
-    tall state, problem by problem, and runs the features, both heads and
-    both cross-entropies once over it."""
+    heads, so pass 1 runs it alone: step 0's ``advance`` and genvar, then
+    every later step's ``apply_action`` on the stacks alone, in lockstep
+    and sorted by target length (longest first), so the rows still decoding
+    at step t are always the first ones. ``stack_steps`` runs the LSTM over
+    all the steps at once and stacks every (row, step) into one tall state,
+    problem by problem. Pass 2 runs the features, both heads and both
+    cross-entropies once over it."""
     for problem in problems:
         eqlang.check_target(problem.target, problem.n_constants)
     rows = sorted(problems, key=lambda p: -len(p.target))
@@ -153,15 +154,13 @@ def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
                                tape=tape, rng=rng)
     run = DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng,
                      dropout_p=model.enc_config.dropout_p)
-    state = run.initial_state()
-    steps: list[dec.DecoderState] = []
+    steps = [run.advance(run.initial_state())]  # genvar, always step 0, reads its h
     for step in range(lengths[0]):
         active = int((lengths > step).sum())
-        if active < state.rows:
-            state = run.narrow(state, active)
-        state = run.advance(state)
-        steps.append(state)
-        state = run.apply_action(state, [p.target[step] for p in rows[:active]])
+        if step:  # later steps carry the stacks alone: stack_steps runs their LSTM
+            steps.append(dec.DecoderState(None, None, state.last[:active],
+                                          state.unknown[:active], state.vec_stacks[:active]))
+        state = run.apply_action(steps[-1], [p.target[step] for p in rows[:active]])
 
     # every (row, step)'s gold action, in the tall state's order
     gold = [(action, problem) for problem in rows for action in problem.target]

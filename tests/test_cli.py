@@ -595,6 +595,17 @@ def test_solve_empty_text_exits_2(capsys, trained_dir):
     assert_one_error_line(capsys)
 
 
+def test_solve_more_numbers_than_fixed_slots_exits_2(tmp_path, capsys, synth_file):
+    model = tmp_path / "fixed"
+    assert run_cli("train", "--data", synth_file, "--out", model, "--epochs", 1,
+                   "--batch-size", 8, "--embed-dim", 8, "--hidden", 8,
+                   "--constant-mode", "fixed") == 0
+    capsys.readouterr()
+    text = " ".join(map(str, range(2, 19))) + " done"  # 17 numbers, 15 slots
+    assert run_cli("solve", "--checkpoint", model, "--text", text) == 2
+    assert_one_error_line(capsys)
+
+
 def test_solve_with_a_nan_parameter_exits_2(tmp_path, capsys, trained_dir):
     model = trainer.load_model(trained_dir)
     model.registry["dec.lstm.wx"][0, 0] = np.nan

@@ -177,39 +177,57 @@ def test_grads_lstm_cell():
     check(loss_fn, registry, probes=60)
 
 
-def test_grads_bilstm_padded():
+# the encoder's two directions from a zero state, and the decoder's one
+# forward stream from a given (h, c)
+STREAMS = [pytest.param((False, True), False, id="bidirectional"),
+           pytest.param((False,), True, id="forward-from-a-state")]
+
+
+@pytest.mark.parametrize("reverse, initial", STREAMS)
+def test_grads_lstm_padded(reverse, initial):
     rng = np.random.default_rng(14)
     h = 3
-    registry = make_registry(x=rng_arr(rng, 3, 4, 2), **{
-        f"{d}{n}": rng_arr(rng, *shape) for d in "fb"
+    k = len(reverse)
+    tensors = dict(x=rng_arr(rng, 3, 4, 2), **{
+        f"{j}{n}": rng_arr(rng, *shape) for j in range(k)
         for n, shape in (("wx", (4 * h, 2)), ("wh", (4 * h, h)), ("b", (4 * h,)))})
+    if initial:
+        tensors |= dict(h0=rng_arr(rng, 3, k * h), c0=rng_arr(rng, 3, k * h))
+    registry = make_registry(**tensors)
     for lengths in (np.array([4, 2, 1]), np.array([4, 4, 4])):
         def loss_fn(tape):
-            weights = [[nm.param(tape, registry, f"{d}{n}") for n in ("wx", "wh", "b")]
-                       for d in "fb"]
-            states, h_last, c_last = nm.bilstm(tape, nm.param(tape, registry, "x"),
-                                               lengths, *weights)
+            weights = [[nm.param(tape, registry, f"{j}{n}") for n in ("wx", "wh", "b")]
+                       for j in range(k)]
+            start = [nm.param(tape, registry, n) for n in ("h0", "c0")] if initial else ()
+            states, h_last, c_last = nm.lstm(tape, nm.param(tape, registry, "x"), lengths,
+                                             weights, reverse, start)
             return xent(tape, states, h_last, c_last)
 
         check(loss_fn, registry, probes=60)
 
 
-def test_bilstm_matches_cell_steps_and_ignores_padding():
+@pytest.mark.parametrize("reverse, initial", STREAMS)
+def test_lstm_matches_cell_steps_and_ignores_padding(reverse, initial):
     rng = np.random.default_rng(15)
     h = 3
+    k = len(reverse)
     x = rng_arr(rng, 2, 4, 2)
     x[1, 2:] = 30.0  # padding of row 1 must not leak into its states
     weights = [[nm.constant(rng_arr(rng, 4 * h, 2)), nm.constant(rng_arr(rng, 4 * h, h)),
-                nm.constant(rng_arr(rng, 4 * h))] for _ in range(2)]
-    # a padded batch of two, and its first row alone, which has no padding
-    for rows in (2, 1):
-        lengths = np.array([4, 2][:rows])
-        states, h_last, c_last = nm.bilstm(None, nm.constant(x[:rows]), lengths, *weights)
+                nm.constant(rng_arr(rng, 4 * h))] for _ in reverse]
+    start = [rng_arr(rng, 2, k * h) if initial else np.zeros((2, k * h)) for _ in "hc"]
+    # a padded batch of two, its first row alone, which has no padding, and a
+    # row with no steps, which keeps its start
+    for lengths in ([4, 2], [4], [2, 0]):
+        rows = len(lengths)
+        states, h_last, c_last = nm.lstm(
+            None, nm.constant(x[:rows]), np.array(lengths), weights, reverse,
+            [nm.constant(v[:rows]) for v in start] if initial else ())
         for row, n in enumerate(lengths):
-            for half, (reverse, w) in enumerate(zip((False, True), weights)):
-                cols = slice(half * h, (half + 1) * h)
-                h_ref = c_ref = nm.constant(np.zeros(h))
-                for t in (range(n - 1, -1, -1) if reverse else range(n)):
+            for j, (rev, w) in enumerate(zip(reverse, weights)):
+                cols = slice(j * h, (j + 1) * h)
+                h_ref, c_ref = (nm.constant(v[row, cols]) for v in start)
+                for t in (range(n - 1, -1, -1) if rev else range(n)):
                     h_ref, c_ref = nm.lstm_cell(None, nm.constant(x[row, t]), h_ref, c_ref, *w)
                     assert np.allclose(states.value[row, t, cols], h_ref.value,
                                        rtol=0, atol=1e-14)

@@ -124,8 +124,11 @@ def stepwise_loss(problems, model, *, tape):
     terms = []
     for step in range(lengths[0]):
         active = int((lengths > step).sum())
-        if active < state.rows:
-            state = run.narrow(state, active)
+        if active < state.rows:  # the rows whose targets have not ended
+            keep = slice(0, active)
+            state = decoder.DecoderState(
+                nm.gather(tape, state.h, keep), nm.gather(tape, state.c, keep),
+                state.last[keep], state.unknown[keep], state.vec_stacks[keep])
         state = run.advance(state)
         gold = [p.target[step] for p in rows[:active]]
         kinds = np.array([eqlang.action_index(a) for a in gold])
