@@ -6,7 +6,7 @@ vectors, attention over the problem), picks a stack action behind a
 legality mask built from ``eqlang.is_legal``, and applies it to a stack of
 semantic vectors. The matching symbolic stack is a pure function of the
 actions, so a run does not carry it: greedy decoding steps it with
-``eqlang.symbolic_step`` beside the run, and training checks each gold
+``eqlang.symbolic_step`` beside the semantic one, and training checks each gold
 target once with ``eqlang.check_target`` before the run sees it.
 
 Actions: generate the unknown variable (first step only), push an operand
@@ -14,12 +14,16 @@ chosen by content-based addressing over candidate vectors, apply one of the
 four binary operators through a per-operator semantic transformer, or close
 an equation. Operators consume the two top elements as ``second <op> top``.
 
-A ``DecoderRun`` steps R rows in lockstep: every problem of a training batch
-under teacher forcing, or the single row of a greedy decode. Semantic
-vectors live in an append-only buffer and each semantic stack is a tuple of
-pointers into it (a "thin stack"), so pushes and equals only move pointers,
-top and second are one gather, and the operator transforms run once per
-operator over the rows that apply it.
+A ``DecoderRun`` steps the R rows of a training batch in lockstep under
+teacher forcing. Semantic vectors live in an append-only buffer and each
+semantic stack is a tuple of pointers into it (a "thin stack"), so pushes
+and equals only move pointers, top and second are one gather, and the
+operator transforms run once per operator over the rows that apply it.
+``_stack_step`` is the one statement of how an action moves a row's
+pointers. Greedy decoding runs its single row in a loop on plain arrays,
+with no graph nodes: it calls the forward functions of the ops that a run
+records and ``_stack_step``, so it shares every formula with ``DecoderRun``
+and its decodes are a one-row run's bit for bit.
 
 The recurrence (``advance`` and ``apply_action``) reads only the previous
 step's result vector, never the heads' outputs. Greedy decoding must run
@@ -101,8 +105,7 @@ def semantic_transform(op: str, pairs: Node | None, params: Mapping[str, Node],
 
     if mode == "embedding":
         return p("vec")
-    hidden = nm.relu(tape, nm.linear(tape, pairs, p("w"), p("b")))
-    return nm.tanh(tape, nm.linear(tape, hidden, p("u"), p("c")))
+    return nm.tanh(tape, nm.dense_relu_dense(tape, pairs, p("w"), p("b"), p("u"), p("c")))
 
 
 # rows of every run's vector buffer that exist before the first step
@@ -232,10 +235,27 @@ class DecodeResult:
     stack_history: list[tuple[Expr, ...]] = field(default_factory=list)
 
 
-# eqlang's legal actions by (stack depth, capped at 2) and (unknown generated)
+# eqlang's legal actions by (stack depth, capped at 2) and (unknown generated);
+# read-only, since greedy traces hold views of it
 _LEGAL = np.array([[[eqlang.is_legal(kind, depth, has_unknown)
                      for kind in range(len(eqlang.ACTIONS))]
                     for has_unknown in (False, True)] for depth in range(3)])
+_LEGAL.flags.writeable = False
+
+
+def _stack_step(stack: tuple[int, ...], kind: int, vec: int) -> tuple[tuple[int, ...], int]:
+    """One action of index ``kind`` on a thin stack: the stack after it and
+    the step's result row. ``vec`` is the row that the action pushes (a
+    push's operand) or appends (x at genvar, an operator's new vector);
+    an equal reads none."""
+    if kind == PUSH:
+        return stack + (vec,), vec
+    if kind == EQUAL:
+        # equal application: the remaining top is the step result, or zero
+        return stack[:-2], stack[-3] if len(stack) > 2 else ZERO_ROW
+    if kind == GENVAR:
+        return stack, vec
+    return stack[:-2] + (vec,), vec
 
 
 def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
@@ -245,11 +265,10 @@ def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
 
 
 class DecoderRun:
-    """One decoding pass (teacher-forced or greedy) over R encoded problems,
-    on their semantic stacks only.
+    """One teacher-forced decoding pass over R encoded problems, on their
+    semantic stacks only.
 
-    Every method acts on all rows of a state at once. Greedy decoding runs
-    one row through every method at each step. Teacher forcing runs
+    Every method acts on all rows of a state at once. Teacher forcing runs
     ``advance`` at step 0 only and ``apply_action`` at every step, on the
     step's first rows (a batch sorted by target length drops its ended rows
     so); ``stack_steps`` then runs the LSTM and stacks the states into one
@@ -421,45 +440,36 @@ class DecoderRun:
 
     def apply_action(self, state: DecoderState,
                      actions: Sequence[StackAction]) -> DecoderState:
-        """Apply one legal action per row to the semantic stacks: greedy
-        decoding picks behind the mask, and training checks its targets with
-        ``eqlang.check_target``. Pushes and equals only move pointers;
-        generating x and applying an operator append new vectors, one op
-        call per kind."""
+        """Apply one legal action per row to the semantic stacks: training
+        checks its targets with ``eqlang.check_target``. Generating x and
+        applying an operator append new vectors, one op call per kind; then
+        ``_stack_step`` moves each row's pointers."""
         if len(actions) != state.rows:
             raise ValueError(f"{len(actions)} actions for {state.rows} rows")
-        vec_stacks = list(state.vec_stacks)
-        last = state.last.copy()
+        kinds = [eqlang.action_index(action) for action in actions]
+        vec = np.full(state.rows, ZERO_ROW, dtype=np.intp)  # each row's pushed or new row
         unknown = state.unknown.copy()
         genvar: list[int] = []
         by_op: dict[str, list[int]] = {}
-        for row, action in enumerate(actions):
-            stack = vec_stacks[row]
-            kind = eqlang.action_index(action)
+        for row, (kind, action) in enumerate(zip(kinds, actions)):
             if kind == GENVAR:
                 genvar.append(row)
             elif kind == PUSH:
-                vec = int(self._candidate_rows[
-                    row, eqlang.operand_index(action.ref, self.problems[row].n_constants)])
-                vec_stacks[row] = stack + (vec,)
-                last[row] = vec
-            elif kind == EQUAL:
-                # equal application: the remaining top is the step result, or zero
-                vec_stacks[row] = stack[:-2]
-                last[row] = stack[-3] if len(stack) > 2 else ZERO_ROW
-            else:
+                vec[row] = self._candidate_rows[
+                    row, eqlang.operand_index(action.ref, self.problems[row].n_constants)]
+            elif kind != EQUAL:
                 by_op.setdefault(action.op, []).append(row)
 
         if genvar:
             rows = np.array(genvar)
             every = rows.size == state.rows
-            vec, _ = nm.attention(
+            x, _ = nm.attention(
                 self.tape, state.h if every else nm.gather(self.tape, state.h, rows),
                 self.encoded.token_matrix, self._p["dec.genvar.v"],
                 self._p["dec.genvar.w"], self._p["dec.genvar.b"], mask=self._token_mask,
                 rows=slice(0, state.rows) if every else rows,
                 dropout_p=self.dropout_p, rng=self.rng)
-            unknown[rows] = last[rows] = self.buffer.append(vec)
+            unknown[rows] = vec[rows] = self.buffer.append(x)
             self._candidate_rows[rows, self._candidate_count[rows]] = unknown[rows]
             self._candidate_count[rows] += 1
             self._opd_pre = None  # x's key is new
@@ -467,13 +477,15 @@ class DecoderRun:
             pairs = None
             if self.config.transformer_mode == "mlp":
                 pairs = self.buffer.gather(
-                    np.array([vec_stacks[r][-2:] for r in op_rows], dtype=np.intp))
+                    np.array([state.vec_stacks[r][-2:] for r in op_rows], dtype=np.intp))
             new = self.buffer.append(semantic_transform(
                 op, pairs, self._p, self.config.transformer_mode, tape=self.tape))
-            new = new.tolist() * (len(op_rows) // len(new))  # embedding: one vector
-            for r, vec in zip(op_rows, new):
-                vec_stacks[r] = vec_stacks[r][:-2] + (vec,)
-                last[r] = vec
+            vec[op_rows] = new  # embedding: one vector for every row
+        last = state.last.copy()
+        vec_stacks = []
+        for row, (stack, kind) in enumerate(zip(state.vec_stacks, kinds)):
+            stack, last[row] = _stack_step(stack, kind, int(vec[row]))
+            vec_stacks.append(stack)
         return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown,
                             vec_stacks=tuple(vec_stacks))
 
@@ -484,42 +496,126 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
 
     The argmax runs over the legal logits and the operand scores; a chosen
     logit or score that is not finite raises ``NonFiniteValue``. Each action
-    steps the run's semantic stack and, beside it, the symbolic stack and
-    equations that the result reports."""
-    run = DecoderRun(encoded, [problem], registry, config)
-    state = run.initial_state()
+    steps the semantic stack and, beside it, the symbolic stack and
+    equations that the result reports. A division by the constant 0 is
+    legal for the mask, but no expression holds it: the decode ends
+    ``unsolvable`` before that action.
+
+    One row needs no tape and no batching, so the loop runs on plain arrays:
+    each step calls the forward functions of the ops that a ``DecoderRun``
+    records, on operands of the shapes that a one-row run gives them, and
+    ``_stack_step`` for the transition, so its decodes are the run's bit for
+    bit. Once per run it binds the parameters and the work that does not
+    change from step to step, as a run does.
+    """
+    def params(layer: str, *names: str) -> list[np.ndarray]:
+        return [registry[f"dec.{layer}.{name}"] for name in names]
+
+    lstm = params("lstm", "wx", "wh", "b")
+    head = params("act", "w1", "b1", "w2", "b2")
+    opd = params("opd", "w", "b", "v")
+    genvar = params("genvar", "w", "b", "v")
+    keys = encoded.token_matrix.value  # (1, T, d)
+    dim = keys.shape[-1]
+    n = problem.n_constants
+    # the run's vector buffer: the zero row, 1, pi and the constants, then a
+    # row for each step that appends a vector (at most one per step)
+    size = PI_ROW + 1 + n
+    buffer = np.zeros((size + config.max_steps, dim))
+    buffer[ONE_ROW], buffer[PI_ROW] = encoded.one_vector.value, encoded.pi_vector.value
+    buffer[PI_ROW + 1:size] = encoded.constants.value
+    # the operand candidates [c_1..c_n, 1, pi, x] as buffer rows; x's slot
+    # holds the zero row until genvar
+    candidates = np.array([*range(PI_ROW + 1, size), ONE_ROW, PI_ROW, ZERO_ROW],
+                          dtype=np.intp)
+    count = n + 2
+    sizes = [dim] + [2 * dim] * config.use_stack_feature + [dim] * config.use_attention
+    transforms = {op: params(f"tf.{op}", "w", "b", "u", "c")
+                  for op in eqlang.OPS if config.transformer_mode == "mlp"}
+    if config.use_attention:
+        attn = params("qattn", "w", "b", "v")
+        q_pre = nm._attention_pre(attn[0], keys, dim)
+    if config.use_gate:
+        gate_w, gate_b = map(np.concatenate, zip(params("gate_sa", "w", "b"),
+                                                 params("gate_opd", "w", "b")))
+    opd_pre = None  # the operand keys' half, projected at a push, again after genvar
+
+    def read(query, pre, w, b, v):
+        """``nm.attention``'s read of the problem: the context and the weights."""
+        weights = nm.masked_softmax(nm._attention_scores(query, pre, w, b, v)[1])
+        return nm._attend(weights, keys), weights
+
+    h, c = encoded.final_h.value, encoded.final_c.value
+    stack: tuple[int, ...] = ()
+    last, unknown = ZERO_ROW, -1
     actions: list[StackAction] = []
     trace: list[StepTrace] = []
-    stack: list[Expr] = []
+    symbolic: list[Expr] = []
     equations: list[tuple[Expr, Expr]] = []
     history: list[tuple[Expr, ...]] = []
     status = "budget_exceeded"
     for step in range(1, config.max_steps + 1):
-        state = run.advance(state)
-        feats = run.state_features(state)
-        dist = run.select_action(feats, state)
-        logits, legal = dist.logits.value[0], dist.legal[0]
-        idx = int(np.where(legal, logits, -np.inf).argmax())
-        _check_finite(logits[idx], "action logit", step)
+        h, c, _ = nm._lstm_cell(buffer[last:last + 1], h, c, *lstm)
+        blocks = [h]
+        if config.use_stack_feature:  # the top two vectors, the zero row where absent
+            top = stack[-1] if stack else ZERO_ROW
+            second = stack[-2] if len(stack) > 1 else ZERO_ROW
+            blocks += [buffer[top:top + 1], buffer[second:second + 1]]
+        weights = None
+        if config.use_attention:
+            context, weights = read(h, q_pre, *attn)
+            blocks.append(context)
+        feats = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+        gates = None
+        if config.use_gate:
+            (action_feats, operand_feats), gates, _ = nm._gate_blocks(feats, gate_w, gate_b,
+                                                                      sizes)
+        else:
+            action_feats = operand_feats = feats
+        logits = nm._dense_relu_dense(action_feats, *head)[2][0]
+        legal = _LEGAL[min(len(stack), 2), int(unknown >= 0)]
+        kind = int(np.where(legal, logits, -np.inf).argmax())
+        _check_finite(logits[kind], "action logit", step)
         scores = ref = None
-        if idx == PUSH:
-            # one row: every column of the scores is a candidate
-            scores = run.select_operand(feats, state).scores.value[0]
+        vec = ZERO_ROW
+        if kind == PUSH:
+            if opd_pre is None:
+                opd_pre = nm._attention_pre(opd[0], buffer[candidates][None],
+                                            operand_feats.shape[-1])
+            scores = nm._attention_scores(operand_feats, opd_pre[:, :count], *opd)[1][0]
             choice = int(scores.argmax())
             _check_finite(scores[choice], "operand score", step)
-            ref = eqlang.operand_at(choice, problem.n_constants)
-        action = eqlang.action_at(idx, ref)
-        eqlang.symbolic_step(stack, equations, action, problem.constant_values)
-        state = run.apply_action(state, [action])
+            ref = eqlang.operand_at(choice, n)
+            vec = int(candidates[choice])
+        action = eqlang.action_at(kind, ref)
+        try:
+            eqlang.symbolic_step(symbolic, equations, action, problem.constant_values)
+        except eqlang.ZeroDivisor:
+            status = "unsolvable"  # the mask allows it, but no expression holds it
+            break
+        if kind == GENVAR:
+            buffer[size] = read(h, nm._attention_pre(genvar[0], keys, dim), *genvar)[0]
+            candidates[count] = unknown = size
+            count += 1
+            opd_pre = None  # x's key is new
+        elif kind != PUSH and kind != EQUAL:
+            if config.transformer_mode == "mlp":
+                pairs = buffer[list(stack[-2:])].reshape(1, -1)
+                buffer[size] = np.tanh(nm._dense_relu_dense(pairs, *transforms[action.op])[2])
+            else:
+                buffer[size] = registry[f"dec.tf.{action.op}.vec"]
+        if kind != PUSH and kind != EQUAL:  # genvar and the operators append a vector
+            vec, size = size, size + 1
+        stack, last = _stack_step(stack, kind, vec)
         actions.append(action)
-        history.append(tuple(stack))
+        history.append(tuple(symbolic))
         trace.append(StepTrace(
             action_logits=logits, legal=legal, operand_scores=scores,
-            attention=None if feats.attention_weights is None else feats.attention_weights[0],
-            gate_action=None if feats.gate_action is None else feats.gate_action[0],
-            gate_operand=None if feats.gate_operand is None else feats.gate_operand[0]))
+            attention=None if weights is None else weights[0],
+            gate_action=None if gates is None else gates[0, 0],
+            gate_operand=None if gates is None else gates[1, 0]))
         # only an equal closes an equation; solvable once one mentions x
-        if idx == EQUAL and any(map(eqlang.has_unknown, equations[-1])):
+        if kind == EQUAL and any(map(eqlang.has_unknown, equations[-1])):
             status = "solved"
             break
     answer = None

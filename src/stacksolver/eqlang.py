@@ -72,6 +72,10 @@ class DivisionByZero(EqLangError):
     pass
 
 
+class ZeroDivisor(ValueError):
+    """An operator whose divisor is the constant 0: no expression holds it."""
+
+
 # ---------------------------------------------------------------------------
 # expression trees
 
@@ -96,7 +100,7 @@ class BinOp:
         if self.op not in OPS:
             raise ValueError(f"unknown operator {self.op!r}")
         if self.op == "/" and isinstance(self.right, Const) and self.right.value == 0:
-            raise ValueError("division by a structurally zero constant")
+            raise ZeroDivisor("division by a structurally zero constant")
 
 
 Expr = Union[Const, Unknown, BinOp]

@@ -16,9 +16,14 @@ nothing else, since nothing trains on from a saved model; it streams
 between the file and the arena, with no copy of either in between.
 
 Ops act on the last axis and treat any leading axes as rows, so one op call
-serves a whole batch of problems. Whole recurrences and attention reads are
-fused ops with a single backward closure each, which keeps only what that
-closure needs (dropout masks are kept as booleans). ``lstm`` steps k
+serves a whole batch of problems. Whole recurrences, attention reads and
+the two-layer scorer are fused ops with a single backward closure each,
+which keeps only what that closure needs (dropout masks are kept as
+booleans). An op's forward that greedy decoding also runs is a private
+array function (``_linear``, ``_lstm_cell``, ``_attention_pre``,
+``_attention_scores``, ``_attend``, ``_gate_blocks``,
+``_dense_relu_dense``): the op calls it on its nodes' values, and the
+greedy loop on plain arrays, so each formula is written once. ``lstm`` steps k
 streams at once, time-major: one stacked product per step, and each gate's
 block of every stream contiguous. ``gate_blocks`` computes
 every group of feature gates (the decoder has two) with one product over the
@@ -203,6 +208,8 @@ def _is_basic(idx) -> bool:
 
 def _runs(rows: np.ndarray) -> list[tuple[int, int, int]]:
     """(index, lo, hi) of each run ``rows[lo:hi]`` of one repeated index."""
+    if rows.size == 0:  # a problem with no constants to attend from
+        return []
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
     ends = np.append(starts[1:], rows.size)
     return list(zip(rows[starts].tolist(), starts.tolist(), ends.tolist()))
@@ -260,17 +267,6 @@ def tanh(tape: Tape | None, x: Node) -> Node:
             if out.grad is None:
                 return
             _acc(x, (1.0 - out.value * out.value) * out.grad)
-        tape.record(back)
-    return out
-
-
-def relu(tape: Tape | None, x: Node) -> Node:
-    out = Node(np.maximum(x.value, 0.0))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _acc(x, (x.value > 0.0) * out.grad)
         tape.record(back)
     return out
 
@@ -368,14 +364,19 @@ def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g2.T @ x2
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ W.T + b: the forward of ``linear``."""
+    y = np.dot(x, w.T)
+    y += b
+    return y
+
+
 def linear(tape: Tape | None, x: Node, w: Node, b: Node) -> Node:
     """x @ W.T + b for a (n, k) matrix W, over the last axis of x."""
     if (w.value.ndim != 2 or x.value.shape[-1] != w.value.shape[1]
             or b.value.shape != w.value.shape[:1]):
         raise ShapeMismatch(f"linear: {x.value.shape} @ {w.value.shape}.T + {b.value.shape}")
-    y = np.dot(x.value, w.value.T)
-    y += b.value
-    out = Node(y)
+    out = Node(_linear(x.value, w.value, b.value))
     if tape is not None:
         def back():
             g = out.grad
@@ -396,8 +397,10 @@ def masked_softmax(z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis; entries where ``mask`` is False get exactly 0."""
     if mask is not None:
         z = np.where(mask, z, -np.inf)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    # the ufuncs' reduce: what max and sum call, without their Python wrappers
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -458,6 +461,16 @@ def _keep_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray |
     return rng.random(shape) >= p
 
 
+def _dropped(x: np.ndarray, keep: np.ndarray | None, p: float) -> np.ndarray:
+    """``x`` with inverted dropout at rate ``p`` by the keep mask, or ``x``
+    itself without one."""
+    if keep is None:
+        return x
+    out = x * (1.0 / (1.0 - p))
+    out *= keep  # in place: a (rows, C, d) temporary costs more than the product
+    return out
+
+
 def dropout(tape: Tape | None, x: Node, p: float,
             rng: np.random.Generator | None) -> Node:
     """Inverted dropout; identity without an rng or at p == 0."""
@@ -465,7 +478,7 @@ def dropout(tape: Tape | None, x: Node, p: float,
     if keep is None:
         return x
     scale = 1.0 / (1.0 - p)
-    out = Node(x.value * scale * keep)
+    out = Node(_dropped(x.value, keep, p))
     if tape is not None:
         def back():
             if out.grad is None:
@@ -473,6 +486,20 @@ def dropout(tape: Tape | None, x: Node, p: float,
             _acc(x, out.grad * scale * keep)
         tape.record(back)
     return out
+
+
+def _gate_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                 sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``gate_blocks``: the gated copies (G, ..., k), the
+    gates (G, ..., K) and each gate repeated over its block (G, ..., k)."""
+    n_blocks = len(sizes)
+    groups = w.shape[0] // n_blocks
+    z = np.matmul(x, w.reshape(groups, n_blocks, -1).transpose(0, 2, 1))  # (G, ..., K)
+    z += b.reshape((groups,) + (1,) * (x.ndim - 1) + (n_blocks,))
+    e = np.exp(-np.abs(z))  # a sigmoid stable on both sides of 0
+    gates = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    scale = gates.repeat(sizes, axis=-1)
+    return x * scale, gates, scale
 
 
 def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
@@ -495,14 +522,8 @@ def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
             or b.value.shape != w.value.shape[:1]):
         raise ShapeMismatch(f"gate_blocks: x{x.value.shape}, blocks {list(sizes)}, "
                             f"w{w.value.shape} b{b.value.shape}")
-    lead = x.value.shape[:-1]
+    gated, gates, scale = _gate_blocks(x.value, w.value, b.value, sizes)
     w3 = w.value.reshape(groups, n_blocks, -1)
-    z = np.matmul(x.value, w3.transpose(0, 2, 1))  # (G, ..., K)
-    z += b.value.reshape((groups,) + (1,) * len(lead) + (n_blocks,))
-    e = np.exp(-np.abs(z))  # a sigmoid stable on both sides of 0
-    gates = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    scale = gates.repeat(sizes, axis=-1)
-    gated = x.value * scale
     outs = [Node(g) for g in gated]
     if tape is not None:
         def back():
@@ -571,6 +592,19 @@ def _check_lstm(x_dim: int, hidden: int, wx: Node, wh: Node, b: Node, what: str)
                             f"wh{wh.value.shape} b{b.value.shape}")
 
 
+def _lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wx: np.ndarray,
+               wh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``lstm_cell``: (h', c') and the gate activations, (..., 4h)."""
+    acts = np.dot(x, wx.T)
+    acts += np.dot(h, wh.T)
+    acts += b
+    hn = np.empty_like(h)
+    cn = np.empty_like(c)
+    gates = _by_gate(acts)
+    _lstm_gates(gates, c, gates, cn, hn)
+    return hn, cn, acts
+
+
 def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
               wx: Node, wh: Node, b: Node) -> tuple[Node, Node]:
     """One LSTM step (gates i, f, o, g) for one row or a batch of rows; returns (h', c')."""
@@ -578,14 +612,12 @@ def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
     _check_lstm(x.value.shape[-1], hidden, wx, wh, b, "lstm_cell")
     if c.value.shape != h.value.shape or x.value.shape[:-1] != h.value.shape[:-1]:
         raise ShapeMismatch(f"lstm_cell: x{x.value.shape} h{h.value.shape} c{c.value.shape}")
-    acts = np.dot(x.value, wx.value.T) + np.dot(h.value, wh.value.T) + b.value
-    cn_val = np.empty_like(c.value)
-    hn_val = np.empty_like(h.value)
-    gates = _by_gate(acts)
-    _lstm_gates(gates, c.value, gates, cn_val, hn_val)
+    hn_val, cn_val, acts = _lstm_cell(x.value, h.value, c.value, wx.value, wh.value, b.value)
     hn = Node(hn_val)
     cn = Node(cn_val)
     if tape is not None:
+        gates = _by_gate(acts)
+
         def back():
             if hn.grad is None and cn.grad is None:
                 return
@@ -694,13 +726,18 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
 # attention
 
 
+def _attention_pre(w: np.ndarray, keys: np.ndarray, query_dim: int) -> np.ndarray:
+    """The forward of ``attention_pre``."""
+    return keys @ w[:, query_dim:].T  # `@` reads the view in place, np.dot would copy it
+
+
 def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Node:
     """Key half of the attention hidden layer, keys @ W[:, query_dim:].T;
     computed once and reused by every query over the same keys."""
-    w_keys = w.value[:, query_dim:]  # a view: `@` reads it in place, np.dot would copy
+    w_keys = w.value[:, query_dim:]
     if keys.value.shape[-1] != w_keys.shape[1]:
         raise ShapeMismatch(f"attention_pre: keys {keys.value.shape} for W {w.value.shape}")
-    out = Node(keys.value @ w_keys.T)
+    out = Node(_attention_pre(w.value, keys.value, query_dim))
     if tape is not None:
         def back():
             g = out.grad
@@ -712,6 +749,23 @@ def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Nod
             _acc(keys, g @ w_keys)
         tape.record(back)
     return out
+
+
+def _attention_scores(query: np.ndarray, pre_rows: np.ndarray, w: np.ndarray,
+                      b: np.ndarray, w_score: np.ndarray, keep: np.ndarray | None = None,
+                      dropout_p: float = 0.0, *,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of ``attention_scores`` over the key rows ``pre_rows``,
+    (R, C, d): the hidden layer tanh(W [u_r; k_rc] + b), written into
+    ``out`` when given, and the scores (R, C) of its dropped copy."""
+    w_query = w[:, :query.shape[-1]]
+    u = query @ w_query.T
+    u += b
+    hidden = np.add(pre_rows, u[:, None, :], out=out)
+    np.tanh(hidden, out=hidden)
+    n_rows, n_keys, width = hidden.shape
+    scores = _dropped(hidden, keep, dropout_p).reshape(-1, width) @ w_score
+    return hidden, scores.reshape(n_rows, n_keys)
 
 
 def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
@@ -727,36 +781,28 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
     pre_rows = pre.value[rows]
     if pre_rows.shape[0] != query.value.shape[0]:
         raise ShapeMismatch(f"{query.value.shape[0]} queries for {pre_rows.shape[0]} key rows")
+    keep = _keep_mask(pre_rows.shape, dropout_p, rng)
     # in place wherever the (rows, C, d) arrays are this op's own: each new one costs
     # more than the arithmetic on it
-    hidden = np.add(pre_rows, (query.value @ w_query.T + b.value)[:, None, :],
-                    out=None if _is_basic(rows) else pre_rows)
-    np.tanh(hidden, out=hidden)
-    keep = _keep_mask(hidden.shape, dropout_p, rng)
-    scale = 1.0 if keep is None else 1.0 / (1.0 - dropout_p)
-
-    def dropped():  # recomputed in backward rather than kept alive
-        if keep is None:
-            return hidden
-        out = hidden * scale
-        out *= keep
-        return out
-
-    n_rows, n_keys, width = hidden.shape
-    out = Node((dropped().reshape(-1, width) @ w_score.value).reshape(n_rows, n_keys))
+    hidden, scores = _attention_scores(query.value, pre_rows, w.value, b.value,
+                                       w_score.value, keep, dropout_p,
+                                       out=None if _is_basic(rows) else pre_rows)
+    width = hidden.shape[-1]
+    out = Node(scores)
     if tape is not None:
         def back():
             g = out.grad
             if g is None:
                 return
-            _acc(w_score, g.reshape(-1) @ dropped().reshape(-1, width))
+            # the dropped hidden layer is recomputed rather than kept alive
+            _acc(w_score, g.reshape(-1) @ _dropped(hidden, keep, dropout_p).reshape(-1, width))
             dz = np.multiply(hidden, hidden)
             np.subtract(1.0, dz, out=dz)
             dz *= w_score.value
             dz *= g[:, :, None]
             if keep is not None:
                 dz *= keep
-                dz *= scale
+                dz *= 1.0 / (1.0 - dropout_p)
             if pre.grad is None:
                 pre.grad = np.zeros_like(pre.value)
             _scatter(pre.grad, rows, dz)
@@ -770,13 +816,19 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
     return out
 
 
+def _attend(weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row r is sum_c weights[r, c] keys[r, c]: the forward of ``attend``
+    over a slice of key rows."""
+    return (weights[:, None, :] @ keys)[:, 0]
+
+
 def attend(tape: Tape | None, weights: Node, keys: Node, rows=slice(None)) -> Node:
     """Weighted sums of key vectors: row r is sum_c weights[r, c] keys[rows][r, c].
 
     With an index array, each run of rows that read one key row is one
     product, so no (rows, C, d) copy of the keys is made."""
     if isinstance(rows, slice):
-        out = Node((weights.value[:, None, :] @ keys.value[rows])[:, 0])
+        out = Node(_attend(weights.value, keys.value[rows]))
         runs = None
     else:
         runs = _runs(rows)
@@ -823,13 +875,43 @@ def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node
     return attend(tape, weights, keys, rows), weights
 
 
+def _dense_relu_dense(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                      b2: np.ndarray, keep: np.ndarray | None = None,
+                      dropout_p: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``dense_relu_dense``: W1 x + b1, the hidden layer (its
+    ReLU, dropped by ``keep``) and the output."""
+    pre = _linear(x, w1, b1)
+    hidden = _dropped(np.maximum(pre, 0.0), keep, dropout_p)
+    return pre, hidden, _linear(hidden, w2, b2)
+
+
 def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,
                      b2: Node, *, hidden_dropout: float = 0.0,
                      rng: np.random.Generator | None = None) -> Node:
-    """One-hidden-layer ReLU scorer: W2 relu(W1 x + b1) + b2."""
-    hidden = relu(tape, linear(tape, x, w1, b1))
-    hidden = dropout(tape, hidden, hidden_dropout, rng)
-    return linear(tape, hidden, w2, b2)
+    """One-hidden-layer ReLU scorer, W2 relu(W1 x + b1) + b2, as one op;
+    dropout acts on the hidden layer."""
+    for w, b, k in ((w1, b1, x.value.shape[-1]), (w2, b2, w1.value.shape[0])):
+        if w.value.ndim != 2 or w.value.shape[1] != k or b.value.shape != w.value.shape[:1]:
+            raise ShapeMismatch(f"dense_relu_dense: x{x.value.shape}, w1{w1.value.shape} "
+                                f"b1{b1.value.shape}, w2{w2.value.shape} b2{b2.value.shape}")
+    keep = _keep_mask(x.value.shape[:-1] + w1.value.shape[:1], hidden_dropout, rng)
+    pre, hidden, y = _dense_relu_dense(x.value, w1.value, b1.value, w2.value, b2.value,
+                                       keep, hidden_dropout)
+    out = Node(y)
+    if tape is not None:
+        def back():
+            g = out.grad
+            if g is None:
+                return
+            _acc(w2, _weight_grad(g, hidden))
+            _acc(b2, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            # through the dropout and the ReLU
+            g = (pre > 0.0) * _dropped(g @ w2.value, keep, hidden_dropout)
+            _acc(w1, _weight_grad(g, x.value))
+            _acc(b1, g.reshape(-1, g.shape[-1]).sum(axis=0))
+            _acc(x, g @ w1.value)
+        tape.record(back)
+    return out
 
 
 # ---------------------------------------------------------------------------

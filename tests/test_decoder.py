@@ -337,6 +337,19 @@ def test_equal_on_two_element_stack_leaves_zero_result():
                           np.zeros(model.enc_config.dim))
 
 
+def test_stack_step_moves_the_pointers():
+    """Each action kind on a thin stack of rows 7, 8, 9 (top last): the stack
+    after it and the step's result row."""
+    step = decoder._stack_step
+    stack = (7, 8, 9)
+    assert step(stack, PUSH, 4) == ((7, 8, 9, 4), 4)
+    assert step(stack, GENVAR, 12) == (stack, 12)
+    assert step(stack, action_index(Apply("-")), 12) == ((7, 12), 12)
+    # equal pops two; the entry left on top is the result, the zero row on empty
+    assert step(stack, eqlang.EQUAL, 0) == ((7,), 7)
+    assert step((8, 9), eqlang.EQUAL, 0) == ((), decoder.ZERO_ROW)
+
+
 def test_illegal_actions_raise():
     """An operator on a short stack and a second genvar are masked, and a
     target that takes either is rejected."""
@@ -412,7 +425,9 @@ def test_greedy_trace_records_every_step():
 def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
     """At every step of a greedy decode, the chosen action and operand are the
     argmax of the trace's probabilities, and the semantic stack is as deep
-    as the symbolic stack recorded for that step."""
+    as the symbolic stack recorded for that step. The semantic stack is the
+    reference loop's ``DecoderRun``, which ``greedy_decode`` equals bit for
+    bit (``test_greedy_decode_equals_the_run_loop_bitwise``)."""
     problems = [simple_problem()]
     run_apply = DecoderRun.apply_action
     depths = []
@@ -430,7 +445,8 @@ def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
         encoded = encoder.encode(problems[0], model.vocab, model.registry,
                                  model.enc_config)
         depths.clear()
-        result = greedy_decode(encoded, problems[0], model.registry, model.dec_config)
+        result = reference_greedy_decode(encoded, problems[0], model.registry,
+                                         model.dec_config)
         assert len(depths) == len(result.actions)
         for action, step, depth, stack in zip(
                 result.actions, result.trace, depths, result.stack_history):
@@ -441,6 +457,161 @@ def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
                 choice = eqlang.operand_index(action.ref, problems[0].n_constants)
                 assert int(np.argmax(step.operand_probs)) == choice
             assert depth == [len(stack)]
+
+
+def reference_greedy_decode(encoded, problem, registry, config):
+    """Greedy decoding as a one-row ``DecoderRun``, step by step through its
+    ops: the reference that ``greedy_decode`` must equal bit for bit."""
+    run = DecoderRun(encoded, [problem], registry, config)
+    state = run.initial_state()
+    actions, trace, stack, equations, history = [], [], [], [], []
+    status = "budget_exceeded"
+    for step in range(1, config.max_steps + 1):
+        state = run.advance(state)
+        feats = run.state_features(state)
+        dist = run.select_action(feats, state)
+        logits, legal = dist.logits.value[0], dist.legal[0]
+        idx = int(np.where(legal, logits, -np.inf).argmax())
+        decoder._check_finite(logits[idx], "action logit", step)
+        scores = ref = None
+        if idx == PUSH:
+            scores = run.select_operand(feats, state).scores.value[0]
+            choice = int(scores.argmax())
+            decoder._check_finite(scores[choice], "operand score", step)
+            ref = eqlang.operand_at(choice, problem.n_constants)
+        action = eqlang.action_at(idx, ref)
+        try:
+            eqlang.symbolic_step(stack, equations, action, problem.constant_values)
+        except eqlang.ZeroDivisor:
+            status = "unsolvable"
+            break
+        state = run.apply_action(state, [action])
+        actions.append(action)
+        history.append(tuple(stack))
+        trace.append(decoder.StepTrace(
+            action_logits=logits, legal=legal, operand_scores=scores,
+            attention=None if feats.attention_weights is None else feats.attention_weights[0],
+            gate_action=None if feats.gate_action is None else feats.gate_action[0],
+            gate_operand=None if feats.gate_operand is None else feats.gate_operand[0]))
+        if idx == eqlang.EQUAL and any(map(eqlang.has_unknown, equations[-1])):
+            status = "solved"
+            break
+    answer = None
+    if status == "solved":
+        try:
+            answer = eqlang.solve(equations)
+        except (eqlang.NonAffine, eqlang.NoUnknown, eqlang.DivisionByZero):
+            status = "unsolvable"
+    return decoder.DecodeResult(actions=actions, equations=equations, answer=answer,
+                                status=status, trace=trace, stack_history=history)
+
+
+TRACE_ARRAYS = ("action_logits", "legal", "operand_scores", "attention", "gate_action",
+                "gate_operand")
+
+
+def assert_same_decode(got, want):
+    assert got.actions == want.actions
+    assert got.equations == want.equations
+    assert got.stack_history == want.stack_history
+    assert (got.status, got.answer) == (want.status, want.answer)
+    assert len(got.trace) == len(want.trace)
+    for step, (mine, theirs) in enumerate(zip(got.trace, want.trace)):
+        for name in TRACE_ARRAYS:
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert (a is None) == (b is None), (step, name)
+            if a is not None:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                    (step, name)
+
+
+@pytest.fixture(scope="module")
+def fuzz_problems():
+    raws = corpus.synth_generate(6, seed=17, difficulty=3)
+    prepared, report = corpus.prepare_dataset(raws)
+    assert report.total_rejected == 0
+    return prepared + [simple_problem()]
+
+
+@pytest.mark.parametrize("flags", [
+    {},
+    {"decoder": DecoderConfig(use_gate=False)},
+    {"decoder": DecoderConfig(use_attention=False)},
+    {"decoder": DecoderConfig(use_stack_feature=False)},
+    {"decoder": DecoderConfig(use_gate=False, use_attention=False, use_stack_feature=False)},
+    {"decoder": DecoderConfig(transformer_mode="embedding")},
+    {"constant_mode": "self_attention"},
+    {"constant_mode": "fixed"},
+    {"embed_dim": 32, "hidden_per_direction": 32},  # the fuzz benchmark's width
+], ids=["default", "no-gate", "no-attention", "no-stack", "stripped", "embedding",
+        "self-attention", "fixed", "d64"])
+def test_greedy_decode_equals_the_run_loop_bitwise(flags, fuzz_problems):
+    """Random models scaled 1-30x, as the decode fuzz scales them: every
+    decode of the plain-array loop is the one-row run's, bit for bit, in
+    its actions, stacks, equations, status, answer and every trace array."""
+    kinds = set()
+    for seed in range(8):
+        model, _ = tiny_model(fuzz_problems, seed=seed, **flags)
+        scale = 1.0 + 29.0 * seed / 7
+        model.registry.flat[...] *= scale
+        for problem in fuzz_problems:
+            encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+            got = greedy_decode(encoded, problem, model.registry, model.dec_config)
+            want = reference_greedy_decode(encoded, problem, model.registry,
+                                           model.dec_config)
+            assert_same_decode(got, want)
+            kinds |= {action_index(action) for action in got.actions}
+    assert kinds == set(range(len(ACTIONS)))  # every step kind ran
+
+
+@pytest.mark.parametrize("name, index", [
+    ("dec.lstm.wx", (0, 0)), ("dec.act.b2", (GENVAR,)), ("dec.opd.v", (0,)),
+    ("dec.tf.+.w", (0, 0)), ("dec.genvar.w", (0, 0)),
+])
+def test_greedy_decode_raises_where_the_run_loop_does(name, index, fuzz_problems):
+    """A NaN parameter raises ``NonFiniteValue`` at the same step, with the
+    same message, in the plain-array loop and the one-row run."""
+    raised = []
+    for seed in range(8):
+        model, _ = tiny_model(fuzz_problems, seed=seed)
+        model.registry.flat[...] *= 1.0 + 3.0 * seed
+        model.registry[name][index] = np.nan
+        for problem in fuzz_problems:
+            encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+            outcomes = []
+            for decode in (greedy_decode, reference_greedy_decode):
+                try:
+                    outcomes.append(decode(encoded, problem, model.registry, model.dec_config))
+                except nm.NonFiniteValue as exc:
+                    outcomes.append(str(exc))
+            if isinstance(outcomes[1], str):
+                assert outcomes[0] == outcomes[1]
+                raised.append(outcomes[1])
+            else:
+                assert_same_decode(*outcomes)
+    assert raised
+
+
+def test_dividing_by_a_zero_constant_ends_the_decode_unsolvable():
+    """With every decoder weight 0 the logits are the output bias and every
+    operand scores alike: the decode pushes the constant 0 twice and then
+    takes a division, which the mask allows but no expression holds. The
+    decode ends unsolvable before it, as the one-row run's does."""
+    problem = corpus.PreparedProblem(id="z", tokens=["tom", "has", "0", "pens"],
+                                     constant_positions=[2], constant_values=[F(0)],
+                                     target=[], gold_answer=None)
+    model, _ = tiny_model([problem], seed=3)
+    for name in model.registry.names():
+        if name.startswith("dec."):
+            model.registry[name][...] = 0.0
+    bias = model.registry["dec.act.b2"]
+    bias[PUSH], bias[GENVAR], bias[action_index(Apply("/"))] = 3.0, 1.0, 5.0
+    encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+    result = greedy_decode(encoded, problem, model.registry, model.dec_config)
+    assert result.actions == [Push(ConstRef(0))] * 2
+    assert (result.status, result.answer, result.equations) == ("unsolvable", None, [])
+    assert_same_decode(result, reference_greedy_decode(encoded, problem, model.registry,
+                                                       model.dec_config))
 
 
 @pytest.mark.parametrize("name, index", [

@@ -3,8 +3,9 @@
 Each case starts from a small valid input (a file, an equation's text, or a
 synthetic problem's text, equation and answer), applies a few byte or
 character flips, cuts, insertions and deletions, and loads the result; train
-flags get drawn values instead. Hypothesis runs derandomized
-with a bounded number of examples, so the suite stays deterministic.
+flags and ``solve --text`` get drawn values instead. Hypothesis runs
+derandomized with a bounded number of examples, so the suite stays
+deterministic.
 """
 import json
 import time
@@ -238,3 +239,55 @@ def test_train_flags_with_drawn_values(tmp_path, capsys, data):
             continue
         options.append(flag if key.startswith("no_") else f"{flag}={data.draw(OPTION_TEXT)}")
     assert_usable_or_config_error(train_argv(tmp_path, *options), capsys)
+
+
+# problem text for ``solve --text``: numbers in every form that the tokenizer
+# reads (digits, decimals, fractions, percents), words, and any unicode text
+NUMBER = st.one_of(
+    st.integers(0, 10 ** 12).map(str),
+    st.builds("{}.{}".format, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+    st.builds("{}/{}".format, st.integers(0, 999), st.integers(0, 999)),
+    st.builds("{}%".format, st.integers(0, 500)),
+    st.builds("{}.{}%".format, st.integers(0, 99), st.integers(0, 99)),
+)
+WORD = st.one_of(st.sampled_from(["tom", "has", "apples", "and", "pens", "how", "many",
+                                  "in", "total", "?", ".", "$", "each", "-", "+"]),
+                 st.text(min_size=1, max_size=6))
+SOLVE_TEXT = st.one_of(
+    st.lists(st.one_of(NUMBER, WORD), max_size=30).map(" ".join),
+    st.sampled_from(["", " ", "\t\n"]),
+    st.lists(NUMBER, min_size=encoder.FIXED_SLOT_LIMIT + 1, max_size=24).map(" ".join),
+    st.text(max_size=40),
+)
+
+
+@pytest.fixture(scope="module")
+def solve_models(tmp_path_factory):
+    """A tiny untrained model of each constant mode, saved as ``train`` saves
+    one; its parameters are scaled 25x, as the decode fuzz scales them, so
+    decodes end solved, unsolvable or out of budget."""
+    vocab = encoder.build_vocab(p.tokens for p in PROBLEMS)
+    models = {}
+    for mode in ("direct", "self_attention", "fixed"):
+        config = trainer.TrainConfig(embed_dim=8, hidden_per_direction=8, constant_mode=mode)
+        model = trainer.build_model(vocab, config, np.random.default_rng(1))
+        model.registry.flat[...] *= 25.0
+        models[mode] = tmp_path_factory.mktemp(mode) / "model"
+        trainer.save_model(models[mode], model)
+    return models
+
+
+@pytest.mark.parametrize("mode", ["direct", "self_attention", "fixed"])
+@FUZZ
+@given(text=SOLVE_TEXT)
+def test_solve_on_drawn_text(capsys, solve_models, mode, text):
+    """Any text solves (exit 0), runs out of budget (exit 3) or is refused
+    with one ``error:`` line (exit 2); nothing raises."""
+    capsys.readouterr()
+    code = cli.main(["solve", "--checkpoint", str(solve_models[mode]), f"--text={text}"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

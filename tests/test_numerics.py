@@ -45,7 +45,7 @@ def test_grads_elementwise_ops():
     def loss_fn(tape):
         a = nm.param(tape, registry, "a")
         b = nm.param(tape, registry, "b")
-        y = nm.add_n(tape, [nm.tanh(tape, a), nm.tanh(tape, b), nm.relu(tape, a)])
+        y = nm.add_n(tape, [nm.tanh(tape, a), nm.tanh(tape, b), a])
         return xent(tape, y)
 
     check(loss_fn, registry)
@@ -282,7 +282,7 @@ def test_grads_attention():
     check(rows_loss, registry, probes=60)
 
 
-def test_grads_dense_relu_dense():
+def check_dense_relu_dense(hidden_dropout):
     rng = np.random.default_rng(8)
     registry = make_registry(x=rng_arr(rng, 4), w1=rng_arr(rng, 6, 4),
                              b1=rng_arr(rng, 6), w2=rng_arr(rng, 3, 6),
@@ -290,11 +290,22 @@ def test_grads_dense_relu_dense():
 
     def loss_fn(tape):
         args = [nm.param(tape, registry, n) for n in ("x", "w1", "b1", "w2", "b2")]
-        y = nm.dense_relu_dense(tape, *args)
+        y = nm.dense_relu_dense(tape, *args, hidden_dropout=hidden_dropout,
+                                rng=np.random.default_rng(5))
         loss, _ = nm.softmax_cross_entropy(tape, y, 1)
         return loss
 
     check(loss_fn, registry, tol=1e-4)
+
+
+def test_grads_dense_relu_dense():
+    check_dense_relu_dense(0.0)
+
+
+def test_grads_dense_relu_dense_with_hidden_dropout():
+    """The fused op's one closure carries the gradient through the dropped
+    hidden layer as well as through the ReLU."""
+    check_dense_relu_dense(0.4)
 
 
 def test_grads_cross_entropy_is_softmax_minus_onehot():
@@ -330,7 +341,7 @@ def test_grads_fanout_sums_three_consumers():
         x = nm.param(tape, registry, "x")
         a = nm.tanh(tape, x)
         b = nm.gather(tape, x, np.array([4, 0, 1, 2, 3]))
-        c = nm.relu(tape, x)
+        c = nm.dropout(tape, x, 0.5, np.random.default_rng(3))
         # a's second consumer: its gradient reaches a after add_n's, and
         # must not leak into the gradients that add_n handed b and c
         d = nm.tanh(tape, a)
