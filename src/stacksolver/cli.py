@@ -395,7 +395,7 @@ def cmd_solve(args) -> int:
     positions, values = corpus.extract_constants(tokens)
     problem = PreparedProblem(id="cli", tokens=tokens, constant_positions=positions,
                               constant_values=values, target=[], gold_answer=None)
-    result = trainer.decode_problem(model, problem, max_steps=args.max_steps)
+    result = trainer.decode_problem(model, problem, max_steps=args.max_steps, trace=True)
     steps = [_trace_record(i, action, stack, step) for i, (action, stack, step)
              in enumerate(zip(result.actions, result.stack_history, result.trace))]
     for rec in steps:

@@ -21,9 +21,11 @@ and equals only move pointers, top and second are one gather, and the
 operator transforms run once per operator over the rows that apply it.
 ``_stack_step`` is the one statement of how an action moves a row's
 pointers. Greedy decoding runs its single row in a loop on plain arrays,
-with no graph nodes: it calls the forward functions of the ops that a run
-records and ``_stack_step``, so it shares every formula with ``DecoderRun``
-and its decodes are a one-row run's bit for bit.
+with no graph nodes: the forward functions of the ops that a run records
+write each step into a workspace made once per decode, and ``_stack_step``
+moves the pointers, so it shares every formula with ``DecoderRun`` and its
+decodes are a one-row run's bit for bit. It copies a step's readouts into
+a ``StepTrace`` only when asked.
 
 The recurrence (``advance`` and ``apply_action``) reads only the previous
 step's result vector, never the heads' outputs. Greedy decoding must run
@@ -67,6 +69,9 @@ class DecoderConfig:
             raise ValueError(f"unknown transformer_mode {self.transformer_mode!r}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if self.max_steps > eqlang.MAX_ACTIONS:  # a decode holds a vector row per step
+            raise ValueError(f"max_steps must be at most {eqlang.MAX_ACTIONS}, "
+                             f"got {self.max_steps}")
 
 
 def param_shapes(config: DecoderConfig, dim: int) -> dict[str, tuple[int, ...]]:
@@ -235,12 +240,13 @@ class DecodeResult:
     stack_history: list[tuple[Expr, ...]] = field(default_factory=list)
 
 
-# eqlang's legal actions by (stack depth, capped at 2) and (unknown generated);
-# read-only, since greedy traces hold views of it
+# eqlang's legal actions by (stack depth, capped at 2) and (unknown generated),
+# as masks (read-only: every run shares them) and as indices
 _LEGAL = np.array([[[eqlang.is_legal(kind, depth, has_unknown)
                      for kind in range(len(eqlang.ACTIONS))]
                     for has_unknown in (False, True)] for depth in range(3)])
 _LEGAL.flags.writeable = False
+_LEGAL_KINDS = [[np.flatnonzero(legal) for legal in by_depth] for by_depth in _LEGAL]
 
 
 def _stack_step(stack: tuple[int, ...], kind: int, vec: int) -> tuple[tuple[int, ...], int]:
@@ -491,7 +497,8 @@ class DecoderRun:
 
 
 def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
-                  registry: ParamRegistry, config: DecoderConfig) -> DecodeResult:
+                  registry: ParamRegistry, config: DecoderConfig, *,
+                  trace: bool = False) -> DecodeResult:
     """Decode with argmax action/operand choices until solvable or out of budget.
 
     The argmax runs over the legal logits and the operand scores; a chosen
@@ -499,21 +506,26 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
     steps the semantic stack and, beside it, the symbolic stack and
     equations that the result reports. A division by the constant 0 is
     legal for the mask, but no expression holds it: the decode ends
-    ``unsolvable`` before that action.
+    ``unsolvable`` before that action. With ``trace`` the result holds a
+    ``StepTrace`` of copies for each step; without it, none.
 
     One row needs no tape and no batching, so the loop runs on plain arrays:
     each step calls the forward functions of the ops that a ``DecoderRun``
     records, on operands of the shapes that a one-row run gives them, and
     ``_stack_step`` for the transition, so its decodes are the run's bit for
-    bit. Once per run it binds the parameters and the work that does not
-    change from step to step, as a run does.
+    bit. Once per decode it binds the parameters and their query halves,
+    does the work that does not change from step to step, and allocates a
+    workspace for every array a step writes: the feature row [h, top,
+    second, context] (h and c are the LSTM's state in place), the gate
+    logits, the attention and operand hidden layers and scores, the gates
+    and the action head's layers. The forward functions write into it.
     """
     def params(layer: str, *names: str) -> list[np.ndarray]:
         return [registry[f"dec.{layer}.{name}"] for name in names]
 
     lstm = params("lstm", "wx", "wh", "b")
     head = params("act", "w1", "b1", "w2", "b2")
-    opd = params("opd", "w", "b", "v")
+    opd_w, opd_b, opd_v = params("opd", "w", "b", "v")
     genvar = params("genvar", "w", "b", "v")
     keys = encoded.token_matrix.value  # (1, T, d)
     dim = keys.shape[-1]
@@ -532,57 +544,65 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
     sizes = [dim] + [2 * dim] * config.use_stack_feature + [dim] * config.use_attention
     transforms = {op: params(f"tf.{op}", "w", "b", "u", "c")
                   for op in eqlang.OPS if config.transformer_mode == "mlp"}
+    # the workspace: every array that a step writes, made once
+    feats = np.zeros((1, sum(sizes)))  # [h, top, second, context]
+    h, context = feats[:, :dim], feats[:, -dim:]
+    top, second = feats[0, dim:2 * dim], feats[0, 2 * dim:3 * dim]
+    h[...] = encoded.final_h.value
+    c = encoded.final_c.value.copy()
+    cell = (h, c, np.empty((1, 4 * dim)), np.empty((1, 4 * dim)))
+    action_feats = operand_feats = feats
     if config.use_attention:
-        attn = params("qattn", "w", "b", "v")
-        q_pre = nm._attention_pre(attn[0], keys, dim)
+        attn_w, *attn = params("qattn", "w", "b", "v")
+        attn = (attn_w[:, :dim], *attn)  # W's query half, sliced once
+        q_pre = nm._attention_pre(attn_w, keys, dim)
+        attn_out = (np.empty(keys.shape), np.empty(keys.shape[:2]))
+        weights = attn_out[1]
     if config.use_gate:
         gate_w, gate_b = map(np.concatenate, zip(params("gate_sa", "w", "b"),
                                                  params("gate_opd", "w", "b")))
+        gate_w = (gate_w.reshape(2, len(sizes), -1).transpose(0, 2, 1),
+                  gate_b.reshape(2, 1, len(sizes)))  # as ``nm.gate_blocks`` views them
+        gate_out = (np.empty((2,) + feats.shape), np.empty((2, 1, len(sizes))),
+                    np.empty((2, 1, len(sizes))))
+        (action_feats, operand_feats), gates = gate_out[:2]
+    head_out = (np.empty((1, dim)), np.empty((1, dim)), np.empty((1, len(eqlang.ACTIONS))))
+    logits = head_out[2][0]
+    opd_q = opd_w[:, :feats.shape[-1]]  # the operand scorer's query half
+    opd_out = (np.empty((1, n + 3, dim)), np.empty((1, n + 3)))
     opd_pre = None  # the operand keys' half, projected at a push, again after genvar
 
-    def read(query, pre, w, b, v):
-        """``nm.attention``'s read of the problem: the context and the weights."""
-        weights = nm.masked_softmax(nm._attention_scores(query, pre, w, b, v)[1])
-        return nm._attend(weights, keys), weights
-
-    h, c = encoded.final_h.value, encoded.final_c.value
     stack: tuple[int, ...] = ()
     last, unknown = ZERO_ROW, -1
     actions: list[StackAction] = []
-    trace: list[StepTrace] = []
+    steps: list[StepTrace] = []
     symbolic: list[Expr] = []
     equations: list[tuple[Expr, Expr]] = []
     history: list[tuple[Expr, ...]] = []
     status = "budget_exceeded"
     for step in range(1, config.max_steps + 1):
-        h, c, _ = nm._lstm_cell(buffer[last:last + 1], h, c, *lstm)
-        blocks = [h]
+        nm._lstm_cell(buffer[last:last + 1], h, c, *lstm, out=cell)
         if config.use_stack_feature:  # the top two vectors, the zero row where absent
-            top = stack[-1] if stack else ZERO_ROW
-            second = stack[-2] if len(stack) > 1 else ZERO_ROW
-            blocks += [buffer[top:top + 1], buffer[second:second + 1]]
-        weights = None
-        if config.use_attention:
-            context, weights = read(h, q_pre, *attn)
-            blocks.append(context)
-        feats = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
-        gates = None
+            top[:] = buffer[stack[-1] if stack else ZERO_ROW]
+            second[:] = buffer[stack[-2] if len(stack) > 1 else ZERO_ROW]
+        if config.use_attention:  # ``nm.attention``'s read of the problem
+            nm._attention_scores(h, q_pre, *attn, out=attn_out)
+            nm._attend(nm.masked_softmax(weights, out=weights), keys, out=context)
         if config.use_gate:
-            (action_feats, operand_feats), gates, _ = nm._gate_blocks(feats, gate_w, gate_b,
-                                                                      sizes)
-        else:
-            action_feats = operand_feats = feats
-        logits = nm._dense_relu_dense(action_feats, *head)[2][0]
-        legal = _LEGAL[min(len(stack), 2), int(unknown >= 0)]
-        kind = int(np.where(legal, logits, -np.inf).argmax())
+            nm._gate_blocks(feats, *gate_w, sizes, out=gate_out)
+        nm._dense_relu_dense(action_feats, *head, out=head_out)
+        depth, known = min(len(stack), 2), int(unknown >= 0)
+        kinds = _LEGAL_KINDS[depth][known]
+        kind = int(kinds[logits[kinds].argmax()])
         _check_finite(logits[kind], "action logit", step)
         scores = ref = None
         vec = ZERO_ROW
         if kind == PUSH:
-            if opd_pre is None:
-                opd_pre = nm._attention_pre(opd[0], buffer[candidates][None],
-                                            operand_feats.shape[-1])
-            scores = nm._attention_scores(operand_feats, opd_pre[:, :count], *opd)[1][0]
+            if opd_pre is None:  # and the views of the workspace for this many candidates
+                opd_pre = nm._attention_pre(opd_w, buffer[candidates][None], feats.shape[-1])
+                opd_args = (opd_pre[:, :count], opd_q, opd_b, opd_v)
+                opd_now = (opd_out[0][:, :count], opd_out[1][:, :count])
+            scores = nm._attention_scores(operand_feats, *opd_args, out=opd_now)[1][0]
             choice = int(scores.argmax())
             _check_finite(scores[choice], "operand score", step)
             ref = eqlang.operand_at(choice, n)
@@ -593,27 +613,32 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
         except eqlang.ZeroDivisor:
             status = "unsolvable"  # the mask allows it, but no expression holds it
             break
-        if kind == GENVAR:
-            buffer[size] = read(h, nm._attention_pre(genvar[0], keys, dim), *genvar)[0]
-            candidates[count] = unknown = size
-            count += 1
-            opd_pre = None  # x's key is new
-        elif kind != PUSH and kind != EQUAL:
-            if config.transformer_mode == "mlp":
-                pairs = buffer[list(stack[-2:])].reshape(1, -1)
-                buffer[size] = np.tanh(nm._dense_relu_dense(pairs, *transforms[action.op])[2])
-            else:
-                buffer[size] = registry[f"dec.tf.{action.op}.vec"]
         if kind != PUSH and kind != EQUAL:  # genvar and the operators append a vector
+            new = buffer[size:size + 1]
+            if kind == GENVAR:  # x: the genvar attention's read of the problem
+                x_scores = nm._attention_scores(h, nm._attention_pre(genvar[0], keys, dim),
+                                                genvar[0][:, :dim], *genvar[1:])[1]
+                nm._attend(nm.masked_softmax(x_scores), keys, out=new)
+                candidates[count] = unknown = size
+                count += 1
+                opd_pre = None  # x's key is new
+            elif config.transformer_mode == "mlp":
+                pairs = buffer[list(stack[-2:])].reshape(1, -1)
+                nm._dense_relu_dense(pairs, *transforms[action.op], out=(*head_out[:2], new))
+                np.tanh(new, new)
+            else:
+                new[:] = registry[f"dec.tf.{action.op}.vec"]
             vec, size = size, size + 1
         stack, last = _stack_step(stack, kind, vec)
         actions.append(action)
         history.append(tuple(symbolic))
-        trace.append(StepTrace(
-            action_logits=logits, legal=legal, operand_scores=scores,
-            attention=None if weights is None else weights[0],
-            gate_action=None if gates is None else gates[0, 0],
-            gate_operand=None if gates is None else gates[1, 0]))
+        if trace:
+            steps.append(StepTrace(
+                action_logits=logits.copy(), legal=_LEGAL[depth, known].copy(),
+                operand_scores=None if scores is None else scores.copy(),
+                attention=weights[0].copy() if config.use_attention else None,
+                gate_action=gates[0, 0].copy() if config.use_gate else None,
+                gate_operand=gates[1, 0].copy() if config.use_gate else None))
         # only an equal closes an equation; solvable once one mentions x
         if kind == EQUAL and any(map(eqlang.has_unknown, equations[-1])):
             status = "solved"
@@ -625,7 +650,7 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
         except (eqlang.NonAffine, eqlang.NoUnknown, eqlang.DivisionByZero):
             status = "unsolvable"
     return DecodeResult(actions=actions, equations=equations,
-                        answer=answer, status=status, trace=trace,
+                        answer=answer, status=status, trace=steps,
                         stack_history=history)
 
 

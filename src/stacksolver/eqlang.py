@@ -25,6 +25,9 @@ PI_VALUE = Fraction(3.141592653589793)
 PI_LITERAL = Fraction("3.14")
 
 MAX_TREE_DEPTH = 64
+# the most actions a gold target or a decode may take: a target has at most
+# one action per equation token and a genvar, and a longer equation is rejected
+MAX_ACTIONS = 1000
 # digits one numeric literal may have; longer ones are rejected before any
 # arithmetic (Python refuses to convert past 4300 digits)
 MAX_LITERAL_DIGITS = 100
@@ -474,6 +477,9 @@ class _Parser:
 def parse_equation(text: str) -> tuple[Expr, Expr]:
     """Parse ``lhs=rhs`` into a pair of expression trees."""
     tokens = _lex(text)
+    if len(tokens) >= MAX_ACTIONS:
+        raise EquationSyntaxError(f"equation of more than {MAX_ACTIONS - 1} tokens",
+                                  tokens[MAX_ACTIONS - 1].pos)
     split = [k for k, t in enumerate(tokens) if t.kind == "eq"]
     if len(split) != 1:
         pos = tokens[split[1]].pos if len(split) > 1 else (tokens[-1].pos if tokens else 0)

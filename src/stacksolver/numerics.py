@@ -23,7 +23,8 @@ booleans). An op's forward that greedy decoding also runs is a private
 array function (``_linear``, ``_lstm_cell``, ``_attention_pre``,
 ``_attention_scores``, ``_attend``, ``_gate_blocks``,
 ``_dense_relu_dense``): the op calls it on its nodes' values, and the
-greedy loop on plain arrays, so each formula is written once. ``lstm`` steps k
+greedy loop on plain arrays, writing into its workspace through the
+functions' ``out`` buffers, so each formula is written once. ``lstm`` steps k
 streams at once, time-major: one stacked product per step, and each gate's
 block of every stream contiguous. ``gate_blocks`` computes
 every group of feature gates (the decoder has two) with one product over the
@@ -364,9 +365,10 @@ def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g2.T @ x2
 
 
-def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ W.T + b: the forward of ``linear``."""
-    y = np.dot(x, w.T)
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """x @ W.T + b: the forward of ``linear``, into ``out`` when given."""
+    y = np.dot(x, w.T, out)
     y += b
     return y
 
@@ -393,14 +395,16 @@ def linear(tape: Tape | None, x: Node, w: Node, b: Node) -> Node:
 # probability ops
 
 
-def masked_softmax(z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis; entries where ``mask`` is False get exactly 0."""
+def masked_softmax(z: np.ndarray, mask: np.ndarray | None = None, *,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis; entries where ``mask`` is False get exactly 0.
+    Written into ``out`` when given, which may be ``z``."""
     if mask is not None:
         z = np.where(mask, z, -np.inf)
-    # the ufuncs' reduce: what max and sum call, without their Python wrappers
-    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    # the ufuncs' reduce (last axis, keepdims): what max and sum call, unwrapped
+    e = np.subtract(z, np.maximum.reduce(z, -1, None, None, True), out)
+    np.exp(e, e)
+    e /= np.add.reduce(e, -1, None, None, True)
     return e
 
 
@@ -488,18 +492,19 @@ def dropout(tape: Tape | None, x: Node, p: float,
     return out
 
 
-def _gate_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                 sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward of ``gate_blocks``: the gated copies (G, ..., k), the
-    gates (G, ..., K) and each gate repeated over its block (G, ..., k)."""
-    n_blocks = len(sizes)
-    groups = w.shape[0] // n_blocks
-    z = np.matmul(x, w.reshape(groups, n_blocks, -1).transpose(0, 2, 1))  # (G, ..., K)
-    z += b.reshape((groups,) + (1,) * (x.ndim - 1) + (n_blocks,))
+def _gate_blocks(x: np.ndarray, w: np.ndarray, b: np.ndarray, sizes: Sequence[int], *,
+                 out: Sequence[np.ndarray | None] = (None,) * 3
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``gate_blocks`` for ``w`` and ``b`` viewed as (G, k, K)
+    and (G, ..., K): the gated copies (G, ..., k), the gates (G, ..., K) and
+    each gate repeated over its block (G, ..., k). ``out`` holds buffers for
+    the gated copies, the gates and the gate logits."""
+    z = np.matmul(x, w, out[2])
+    z += b
     e = np.exp(-np.abs(z))  # a sigmoid stable on both sides of 0
-    gates = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    gates = np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out[1])
     scale = gates.repeat(sizes, axis=-1)
-    return x * scale, gates, scale
+    return np.multiply(x, scale, out[0]), gates, scale
 
 
 def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
@@ -522,8 +527,10 @@ def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
             or b.value.shape != w.value.shape[:1]):
         raise ShapeMismatch(f"gate_blocks: x{x.value.shape}, blocks {list(sizes)}, "
                             f"w{w.value.shape} b{b.value.shape}")
-    gated, gates, scale = _gate_blocks(x.value, w.value, b.value, sizes)
     w3 = w.value.reshape(groups, n_blocks, -1)
+    gated, gates, scale = _gate_blocks(
+        x.value, w3.transpose(0, 2, 1),
+        b.value.reshape((groups,) + (1,) * (x.value.ndim - 1) + (n_blocks,)), sizes)
     outs = [Node(g) for g in gated]
     if tape is not None:
         def back():
@@ -548,19 +555,20 @@ def gate_blocks(tape: Tape | None, x: Node, w: Node, b: Node,
 # recurrences
 
 
-def _lstm_gates(z: np.ndarray, c_prev: np.ndarray, acts: np.ndarray,
-                c: np.ndarray, h: np.ndarray) -> None:
-    """Gate activations, new cell and new hidden state from gate logits z
-    ([i f o g] on the first axis), into ``acts`` (may be ``z``), ``c``, ``h``."""
+def _lstm_gates(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray) -> None:
+    """Gate activations in place of the gate logits z ([i f o g] on the first
+    axis), then the new cell and hidden state into ``c`` (may be ``c_prev``)
+    and ``h``, which holds the temporaries until then."""
     # logistic 1 / (1 + exp(-z)) of i, f, o; an overflowing exp gives exactly 0
-    sig = np.negative(z[:3], out=acts[:3])
-    np.exp(sig, out=sig)
+    sig = z[:3]
+    np.negative(sig, sig)
+    np.exp(sig, sig)
     sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    g = np.tanh(z[3], out=acts[3])
-    np.multiply(acts[1], c_prev, out=c)
-    c += acts[0] * g
-    np.multiply(acts[2], np.tanh(c), out=h)
+    np.divide(1.0, sig, sig)
+    g = np.tanh(z[3], z[3])
+    np.multiply(z[1], c_prev, c)
+    c += np.multiply(z[0], g, h)
+    np.multiply(z[2], np.tanh(c, h), h)
 
 
 def _lstm_gates_back(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray,
@@ -593,15 +601,16 @@ def _check_lstm(x_dim: int, hidden: int, wx: Node, wh: Node, b: Node, what: str)
 
 
 def _lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wx: np.ndarray,
-               wh: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward of ``lstm_cell``: (h', c') and the gate activations, (..., 4h)."""
-    acts = np.dot(x, wx.T)
-    acts += np.dot(h, wh.T)
+               wh: np.ndarray, b: np.ndarray, *, out: Sequence[np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward of ``lstm_cell``: (h', c') and the gate activations, (..., 4h).
+    ``out`` holds buffers for h', c' (these may be h and c), the gate
+    activations and h's product with W_h."""
+    hn, cn, acts, hw = out or (np.empty_like(h), np.empty_like(c), None, None)
+    acts = np.dot(x, wx.T, acts)
+    acts += np.dot(h, wh.T, hw)
     acts += b
-    hn = np.empty_like(h)
-    cn = np.empty_like(c)
-    gates = _by_gate(acts)
-    _lstm_gates(gates, c, gates, cn, hn)
+    _lstm_gates(_by_gate(acts), c, cn, hn)
     return hn, cn, acts
 
 
@@ -679,7 +688,7 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
     for s in range(steps):
         z = acts[s]
         z += np.matmul(hs[s], wh_t).reshape(k, n_rows, 4, hidden).transpose(2, 0, 1, 3)
-        _lstm_gates(z, cs[s], z, cs[s + 1], hs[s + 1])
+        _lstm_gates(z, cs[s], cs[s + 1], hs[s + 1])
         if padded:
             hc[:, s + 1, pad[s]] = hc[:, s, pad[s]]
     states = flip(hs[1:].transpose(1, 2, 0, 3))  # (k, B, T, h) in step order
@@ -751,20 +760,21 @@ def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Nod
     return out
 
 
-def _attention_scores(query: np.ndarray, pre_rows: np.ndarray, w: np.ndarray,
+def _attention_scores(query: np.ndarray, pre_rows: np.ndarray, w_query: np.ndarray,
                       b: np.ndarray, w_score: np.ndarray, keep: np.ndarray | None = None,
-                      dropout_p: float = 0.0, *,
-                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      dropout_p: float = 0.0, *, out: Sequence[np.ndarray | None] = (None, None)
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """The forward of ``attention_scores`` over the key rows ``pre_rows``,
-    (R, C, d): the hidden layer tanh(W [u_r; k_rc] + b), written into
-    ``out`` when given, and the scores (R, C) of its dropped copy."""
-    w_query = w[:, :query.shape[-1]]
+    (R, C, d), with ``w_query`` the query half of W: the hidden layer
+    tanh(W [u_r; k_rc] + b) and the scores (R, C) of its dropped copy, each
+    written into its buffer in ``out`` where one is given."""
     u = query @ w_query.T
     u += b
-    hidden = np.add(pre_rows, u[:, None, :], out=out)
-    np.tanh(hidden, out=hidden)
+    hidden = np.add(pre_rows, u[:, None, :], out[0])
+    np.tanh(hidden, hidden)
     n_rows, n_keys, width = hidden.shape
-    scores = _dropped(hidden, keep, dropout_p).reshape(-1, width) @ w_score
+    scores = np.matmul(_dropped(hidden, keep, dropout_p).reshape(-1, width), w_score,
+                       None if out[1] is None else out[1].reshape(-1))
     return hidden, scores.reshape(n_rows, n_keys)
 
 
@@ -784,9 +794,9 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
     keep = _keep_mask(pre_rows.shape, dropout_p, rng)
     # in place wherever the (rows, C, d) arrays are this op's own: each new one costs
     # more than the arithmetic on it
-    hidden, scores = _attention_scores(query.value, pre_rows, w.value, b.value,
+    hidden, scores = _attention_scores(query.value, pre_rows, w_query, b.value,
                                        w_score.value, keep, dropout_p,
-                                       out=None if _is_basic(rows) else pre_rows)
+                                       out=(None if _is_basic(rows) else pre_rows, None))
     width = hidden.shape[-1]
     out = Node(scores)
     if tape is not None:
@@ -816,10 +826,11 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
     return out
 
 
-def _attend(weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _attend(weights: np.ndarray, keys: np.ndarray, *,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Row r is sum_c weights[r, c] keys[r, c]: the forward of ``attend``
-    over a slice of key rows."""
-    return (weights[:, None, :] @ keys)[:, 0]
+    over a slice of key rows, into ``out`` when given."""
+    return np.matmul(weights[:, None, :], keys, None if out is None else out[:, None])[:, 0]
 
 
 def attend(tape: Tape | None, weights: Node, keys: Node, rows=slice(None)) -> Node:
@@ -876,13 +887,15 @@ def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node
 
 
 def _dense_relu_dense(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-                      b2: np.ndarray, keep: np.ndarray | None = None,
-                      dropout_p: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      b2: np.ndarray, keep: np.ndarray | None = None, dropout_p: float = 0.0,
+                      *, out: Sequence[np.ndarray | None] = (None,) * 3
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward of ``dense_relu_dense``: W1 x + b1, the hidden layer (its
-    ReLU, dropped by ``keep``) and the output."""
-    pre = _linear(x, w1, b1)
-    hidden = _dropped(np.maximum(pre, 0.0), keep, dropout_p)
-    return pre, hidden, _linear(hidden, w2, b2)
+    ReLU, dropped by ``keep``) and the output, each into its buffer in ``out``
+    where one is given."""
+    pre = _linear(x, w1, b1, out=out[0])
+    hidden = _dropped(np.maximum(pre, 0.0, out=out[1]), keep, dropout_p)
+    return pre, hidden, _linear(hidden, w2, b2, out=out[2])
 
 
 def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,

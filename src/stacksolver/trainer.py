@@ -183,13 +183,13 @@ def problem_loss(problem: PreparedProblem, model: Model, *, tape: Tape | None,
     return batch_loss([problem], model, tape=tape, rng=rng)
 
 
-def decode_problem(model: Model, problem: PreparedProblem,
-                   max_steps: int | None = None) -> DecodeResult:
+def decode_problem(model: Model, problem: PreparedProblem, max_steps: int | None = None,
+                   *, trace: bool = False) -> DecodeResult:
     config = model.dec_config
     if max_steps is not None:
         config = replace(config, max_steps=max_steps)
     encoded = enc.encode(problem, model.vocab, model.registry, model.enc_config)
-    return dec.greedy_decode(encoded, problem, model.registry, config)
+    return dec.greedy_decode(encoded, problem, model.registry, config, trace=trace)
 
 
 def evaluate(model: Model, problems: list[PreparedProblem], rejected: int = 0) -> Metrics:

@@ -460,6 +460,8 @@ def set_last_vocab_id(value):
     # a size that would otherwise be allocated before the checkpoint is compared
     (set_meta("encoder", "hidden_per_direction", 10 ** 6), "at most 512"),
     (set_meta("decoder", "max_steps", 40.5), "max_steps must be an integer, got 40.5"),
+    # a budget whose vector buffer could not be allocated
+    (set_meta("decoder", "max_steps", 10 ** 9), "max_steps must be at most 1000"),
     (float_widths, "hidden_per_direction must be an integer, got 8.0"),
     (set_meta("encoder", "embed_dim", True), "embed_dim must be an integer, got True"),
     # ids that would index past the embedding, or wrap round to its last row
@@ -489,6 +491,7 @@ def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewri
     ("train", ["--eval-every", 0], "eval_every"),
     ("cv", ["--patience", 0], "patience"),
     ("train", ["--max-steps", 0], "max_steps"),
+    ("train", ["--max-steps", 10 ** 9], "max_steps must be at most 1000, got 1000000000"),
     ("train", ["--hidden", 10 ** 12], "at most 512"),
     ("train", ["--embed-dim", 513], "at most 512"),
     ("train", ["--epochs", "3.5"], "epochs: invalid literal"),
@@ -506,7 +509,8 @@ def test_invalid_config_exits_2_before_reading_data(tmp_path, capsys, command, f
 
 @pytest.mark.parametrize("line", [
     "mode = wrd", "constant_mode = dirct", "seed = -1", "eval_every = 0", "patience = 0",
-    "max_steps = 0", "no_gate = maybe", "epochs = 1e3", "lr = nan", "heldout_frac = nan",
+    "max_steps = 0", "max_steps = 1000000000", "no_gate = maybe", "epochs = 1e3", "lr = nan",
+    "heldout_frac = nan",
 ])
 def test_invalid_config_file_value_exits_2(tmp_path, capsys, line):
     config = tmp_path / "train.cfg"
@@ -588,6 +592,21 @@ def test_solve_budget_below_one_exits_2_before_reading_the_checkpoint(tmp_path, 
                    "--max-steps", budget) == 2
     err = capsys.readouterr().err
     assert err == f"config error: max_steps must be at least 1, got {budget}\n"
+
+
+def test_solve_budget_above_the_cap_exits_2_before_reading_the_checkpoint(tmp_path, capsys):
+    # a decode would allocate a vector row per step of its budget
+    assert run_cli("solve", "--checkpoint", tmp_path / "ghost", "--text", "tom has 2 pens",
+                   "--max-steps", 10 ** 9) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: max_steps must be at most 1000, got 1000000000\n"
+
+
+def test_solve_largest_budget_decodes(capsys, trained_dir):
+    """The cap itself is a budget that decodes: exit 0 (solved) or 3 (out of budget)."""
+    assert run_cli("solve", "--checkpoint", trained_dir, "--text", "tom has 2 pens",
+                   "--max-steps", 1000) in (0, 3)
+    assert "answer: " in capsys.readouterr().out
 
 
 def test_solve_empty_text_exits_2(capsys, trained_dir):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stacksolver import corpus, eqlang
+from stacksolver.decoder import DecoderConfig
 from stacksolver.eqlang import ConstRef, Push
 
 F = Fraction
@@ -209,6 +210,21 @@ def test_prepare_bad_equation_rejection():
     raw = corpus.RawProblem(id="r", text="a 4 b", equation="x=((", answer="2")
     with pytest.raises(eqlang.EquationSyntaxError):
         corpus.prepare(raw)
+
+
+def test_longest_target_fits_the_largest_decode_budget():
+    """An equation of MAX_ACTIONS - 1 tokens gives a target of MAX_ACTIONS
+    actions, which a decode budget may still cover; one more token is a
+    syntax error."""
+    def sum_of_ones(n):  # x = 1 + ... + 1: 2n + 1 tokens
+        return corpus.RawProblem(id="r", text="tom has 1 pen", answer=str(n),
+                                 equation="x=" + "+".join(["1"] * n))
+    longest = corpus.prepare(sum_of_ones((eqlang.MAX_ACTIONS - 2) // 2))
+    assert len(longest.target) == eqlang.MAX_ACTIONS
+    DecoderConfig(max_steps=len(longest.target))
+    _, report = corpus.prepare_dataset([sum_of_ones(eqlang.MAX_ACTIONS // 2)])
+    assert report.counts["syntax_error"] == 1
+    assert f"more than {eqlang.MAX_ACTIONS - 1} tokens" in report.rejected[0]["detail"]
 
 
 def test_prepare_dataset_reports_counts():

@@ -1,6 +1,7 @@
 """Decoder: legality masks, selectors, transformers, the dual-stack mirror."""
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -383,7 +384,7 @@ def test_greedy_budget_one_step():
     model, _ = tiny_model([problem], seed=3)
     config = replace(model.dec_config, max_steps=1)
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
-    result = greedy_decode(encoded, problem, model.registry, config)
+    result = greedy_decode(encoded, problem, model.registry, config, trace=True)
     assert result.status == "budget_exceeded"
     assert result.answer is None
     assert len(result.trace) == 1
@@ -410,7 +411,7 @@ def test_greedy_trace_records_every_step():
     problem = simple_problem()
     model, _ = tiny_model([problem], seed=23)
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
-    result = greedy_decode(encoded, problem, model.registry, model.dec_config)
+    result = greedy_decode(encoded, problem, model.registry, model.dec_config, trace=True)
     assert len(result.trace) == len(result.actions) == len(result.stack_history)
     for action, step in zip(result.actions, result.trace):
         assert step.action_probs.shape == (len(ACTIONS),)
@@ -533,7 +534,8 @@ def fuzz_problems():
     return prepared + [simple_problem()]
 
 
-@pytest.mark.parametrize("flags", [
+# every decoder config, each constant mode and the decode fuzz benchmark's width
+FUZZ_CONFIGS = pytest.mark.parametrize("flags", [
     {},
     {"decoder": DecoderConfig(use_gate=False)},
     {"decoder": DecoderConfig(use_attention=False)},
@@ -542,9 +544,20 @@ def fuzz_problems():
     {"decoder": DecoderConfig(transformer_mode="embedding")},
     {"constant_mode": "self_attention"},
     {"constant_mode": "fixed"},
-    {"embed_dim": 32, "hidden_per_direction": 32},  # the fuzz benchmark's width
+    {"embed_dim": 32, "hidden_per_direction": 32},
 ], ids=["default", "no-gate", "no-attention", "no-stack", "stripped", "embedding",
         "self-attention", "fixed", "d64"])
+
+
+def fuzz_models(fuzz_problems, flags):
+    """Random models scaled 1-30x, as the decode fuzz scales them."""
+    for seed in range(8):
+        model, _ = tiny_model(fuzz_problems, seed=seed, **flags)
+        model.registry.flat[...] *= 1.0 + 29.0 * seed / 7
+        yield model
+
+
+@FUZZ_CONFIGS
 def test_greedy_decode_equals_the_run_loop_bitwise(flags, fuzz_problems):
     """Random models scaled 1-30x, as the decode fuzz scales them: every
     decode of the plain-array loop is the one-row run's, bit for bit, in
@@ -556,12 +569,44 @@ def test_greedy_decode_equals_the_run_loop_bitwise(flags, fuzz_problems):
         model.registry.flat[...] *= scale
         for problem in fuzz_problems:
             encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
-            got = greedy_decode(encoded, problem, model.registry, model.dec_config)
+            got = greedy_decode(encoded, problem, model.registry, model.dec_config, trace=True)
             want = reference_greedy_decode(encoded, problem, model.registry,
                                            model.dec_config)
             assert_same_decode(got, want)
             kinds |= {action_index(action) for action in got.actions}
     assert kinds == set(range(len(ACTIONS)))  # every step kind ran
+
+
+@FUZZ_CONFIGS
+def test_untraced_decode_is_the_traced_decode(flags, fuzz_problems):
+    """A decode without traces takes the same steps to the same end, and
+    holds no ``StepTrace``."""
+    for model in fuzz_models(fuzz_problems, flags):
+        for problem in fuzz_problems:
+            encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+            traced, untraced = (greedy_decode(encoded, problem, model.registry,
+                                              model.dec_config, trace=trace)
+                                for trace in (True, False))
+            assert len(traced.trace) == len(traced.actions) and untraced.trace == []
+            assert_same_decode(untraced, replace(traced, trace=[]))
+
+
+@FUZZ_CONFIGS
+def test_step_traces_own_their_arrays(flags, fuzz_problems):
+    """No two arrays of a decode's traces share memory, so none is a view of
+    the decode's workspace, and a later decode leaves a trace's bytes as they were."""
+    model = next(fuzz_models(fuzz_problems, flags))
+    traces = []
+    for problem in fuzz_problems:
+        encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+        result = greedy_decode(encoded, problem, model.registry, model.dec_config, trace=True)
+        arrays = [getattr(step, name) for step in result.trace for name in TRACE_ARRAYS
+                  if getattr(step, name) is not None]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        traces.append((arrays, [a.tobytes() for a in arrays]))
+    for arrays, saved in traces:
+        assert [a.tobytes() for a in arrays] == saved
 
 
 @pytest.mark.parametrize("name, index", [
@@ -579,7 +624,7 @@ def test_greedy_decode_raises_where_the_run_loop_does(name, index, fuzz_problems
         for problem in fuzz_problems:
             encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
             outcomes = []
-            for decode in (greedy_decode, reference_greedy_decode):
+            for decode in (partial(greedy_decode, trace=True), reference_greedy_decode):
                 try:
                     outcomes.append(decode(encoded, problem, model.registry, model.dec_config))
                 except nm.NonFiniteValue as exc:
@@ -607,11 +652,28 @@ def test_dividing_by_a_zero_constant_ends_the_decode_unsolvable():
     bias = model.registry["dec.act.b2"]
     bias[PUSH], bias[GENVAR], bias[action_index(Apply("/"))] = 3.0, 1.0, 5.0
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
-    result = greedy_decode(encoded, problem, model.registry, model.dec_config)
+    result = greedy_decode(encoded, problem, model.registry, model.dec_config, trace=True)
     assert result.actions == [Push(ConstRef(0))] * 2
     assert (result.status, result.answer, result.equations) == ("unsolvable", None, [])
     assert_same_decode(result, reference_greedy_decode(encoded, problem, model.registry,
                                                        model.dec_config))
+
+
+def test_greedy_takes_no_illegal_action_when_every_legal_logit_is_minus_inf():
+    """After genvar only a push is legal here, and its logit is -inf while
+    genvar's is 0: the decode raises ``NonFiniteValue`` on the chosen -inf
+    rather than take a second genvar."""
+    problem = simple_problem()
+    model, _ = tiny_model([problem], seed=3)
+    for name in model.registry.names():
+        if name.startswith("dec."):
+            model.registry[name][...] = 0.0
+    bias = model.registry["dec.act.b2"]
+    bias[...] = -np.inf
+    bias[GENVAR] = 0.0
+    encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
+    with pytest.raises(nm.NonFiniteValue, match="decode step 2: the chosen action logit is -inf"):
+        greedy_decode(encoded, problem, model.registry, model.dec_config)
 
 
 @pytest.mark.parametrize("name, index", [

@@ -754,3 +754,71 @@ def test_scatter_matches_add_at(idx):
     got = base.copy()
     nm._scatter(got, idx, g)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the array functions' out= buffers
+
+
+def same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_array_functions_write_the_same_bits_into_out(rows, nan, seed):
+    """Every array function that greedy decoding runs on its workspace gives
+    byte for byte what it gives without ``out``, also into views of a wider
+    row as the workspace passes them, and with a NaN in its input."""
+    rng = np.random.default_rng([seed, rows, nan])
+    d, k, n_keys = (int(v) for v in rng.integers(2, 40, size=3))
+    x = rng_arr(rng, rows, k)
+    if nan:
+        x[0, int(rng.integers(k))] = np.nan
+
+    def wide(shape, width):  # a buffer that is the last columns of wider rows
+        return np.full(shape[:-1] + (shape[-1] + width,), 7.0)[..., width:]
+
+    w, b = rng_arr(rng, d, k), rng_arr(rng, d)
+    assert same_bits([nm._linear(x, w, b, out=np.zeros((rows + 2, d))[2:])],
+                     [nm._linear(x, w, b)])
+    z = rng_arr(rng, rows, n_keys)
+    z[:, 0] = np.nan if nan else z[:, 0]
+    want = nm.masked_softmax(z)
+    assert same_bits([nm.masked_softmax(z, out=np.empty_like(z))], [want])
+    assert same_bits([nm.masked_softmax(z, out=z)], [want])
+
+    h, c = rng_arr(rng, rows, d), rng_arr(rng, rows, d)
+    lstm = (rng_arr(rng, 4 * d, k), rng_arr(rng, 4 * d, d), rng_arr(rng, 4 * d))
+    want = nm._lstm_cell(x, h, c, *lstm)
+    h_in_row = wide(h.shape, 5)
+    h_in_row[...] = h
+    c_copy = c.copy()  # h and c stepped in place, as greedy decoding steps them
+    got = nm._lstm_cell(x, h_in_row, c_copy, *lstm, out=(
+        h_in_row, c_copy, np.empty((rows, 4 * d)), np.empty((rows, 4 * d))))
+    assert same_bits(got, want) and got[0] is h_in_row and got[1] is c_copy
+
+    w_attn = rng_arr(rng, d, k + d)
+    keys = rng_arr(rng, rows, n_keys, d)
+    pre = nm._attention_pre(w_attn, keys, k)
+    args = (x, pre, w_attn[:, :k], rng_arr(rng, d), rng_arr(rng, d))
+    want = nm._attention_scores(*args)
+    got = nm._attention_scores(*args, out=(np.empty(pre.shape), np.empty((rows, n_keys))))
+    assert same_bits(got, want)
+    weights = nm.masked_softmax(want[1])
+    assert same_bits([nm._attend(weights, keys, out=wide((rows, d), 4))],
+                     [nm._attend(weights, keys)])
+
+    sizes = [int(s) for s in rng.multinomial(k - 3, [1 / 3] * 3) + 1]
+    gate_w, gate_b = rng_arr(rng, 6, k), rng_arr(rng, 6)
+    views = (gate_w.reshape(2, 3, -1).transpose(0, 2, 1), gate_b.reshape(2, 1, 3))
+    want = nm._gate_blocks(x, *views, sizes)
+    got = nm._gate_blocks(x, *views, sizes, out=(np.empty((2, rows, k)), np.empty((2, rows, 3)),
+                                                 np.empty((2, rows, 3))))
+    assert same_bits(got, want)
+
+    head = (rng_arr(rng, d, k), rng_arr(rng, d), rng_arr(rng, 7, d), rng_arr(rng, 7))
+    got = nm._dense_relu_dense(x, *head, out=(np.empty((rows, d)), np.empty((rows, d)),
+                                               np.zeros((rows + 2, 7))[2:]))
+    assert same_bits(got, nm._dense_relu_dense(x, *head))
