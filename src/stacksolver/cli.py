@@ -243,7 +243,10 @@ def write_metrics(path, metrics: trainer.Metrics) -> None:
 
 
 def cmd_synth(args) -> int:
-    problems = corpus.synth_generate(args.count, args.seed, args.difficulty)
+    try:
+        problems = corpus.synth_generate(args.count, args.seed, args.difficulty)
+    except ValueError as exc:
+        return _config_error(exc)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus.write_dataset(out, problems)

@@ -418,7 +418,9 @@ def synth_generate(count: int, seed: int, difficulty: int = 2) -> list[RawProble
     survives prepare() with zero rejections by construction.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ValueError(f"count must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if difficulty not in (1, 2, 3):
         raise ValueError("difficulty must be 1, 2, or 3")
     rng = np.random.default_rng(seed)

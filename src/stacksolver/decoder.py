@@ -278,10 +278,9 @@ class DecoderRun:
     ``advance`` at step 0 only and ``apply_action`` at every step, on the
     step's first rows (a batch sorted by target length drops its ended rows
     so); ``stack_steps`` then runs the LSTM and stacks the states into one
-    ``TallState`` for the features, the heads and the losses. Work that does
-    not change from step to step is done once per run: the key halves of the
-    attention and of the operand scorer (the latter again after genvar) and
-    the stacking of the two gates' weights.
+    ``TallState`` for the features, the heads and the losses. So each
+    attention read and the operand scorer run once per run, each projecting
+    its own key half, and the two gates' weights are stacked once per run.
     """
 
     def __init__(self, encoded: EncodedBatch, problems: Sequence[PreparedProblem],
@@ -315,15 +314,6 @@ class DecoderRun:
             dtype=np.intp)
         # an unpadded batch (every greedy decode) needs no attention mask
         self._token_mask = None if encoded.token_mask.all() else encoded.token_mask
-        if config.use_attention:
-            # key half of the attention hidden layer, shared across steps
-            self._q_pre = nm.attention_pre(tape, self._p["dec.qattn.w"],
-                                           encoded.token_matrix, dim)
-        else:
-            self._q_pre = None
-        # key half of the operand scorer over every row's candidates; projected
-        # at the first push and again once genvar has filled x's slot
-        self._opd_pre: Node | None = None
         if config.use_gate:
             # both gates' weights, stacked once: one gate op per step
             self._gate_w = nm.concat(tape, [self._p["dec.gate_sa.w"],
@@ -385,8 +375,8 @@ class DecoderRun:
             context, weights = nm.attention(
                 self.tape, state.h, self.encoded.token_matrix,
                 self._p["dec.qattn.v"], self._p["dec.qattn.w"], self._p["dec.qattn.b"],
-                mask=self._token_mask, pre=self._q_pre,
-                rows=state.problem, dropout_p=self.dropout_p, rng=self.rng)
+                mask=self._token_mask, rows=state.problem, dropout_p=self.dropout_p,
+                rng=self.rng)
             blocks.append(context)
             attn_weights = weights.value
         feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
@@ -420,20 +410,16 @@ class DecoderRun:
         """Operand scores for ``rows`` of the state (all rows by default)."""
         query = feats.operand_feats
         problem = state.problem
-        if rows is not None and rows.size < state.rows:
+        if rows is not None and rows.size < state.rows:  # only a TallState is given rows
             query = nm.gather(self.tape, query, rows)
-            problem = rows if isinstance(problem, slice) else problem[rows]
-        # each row's candidates [c_1..c_n, 1, pi, (x)], padded to the widest row
+            problem = problem[rows]
+        # each row's candidates [c_1..c_n, 1, pi, (x)], padded to the widest row;
+        # a copy, since genvar fills x's slot in place
         count = self._candidate_count[problem]
-        width = int(count.max())
-        w = self._p["dec.opd.w"]
-        if self._opd_pre is None:
-            # a copy: genvar later fills x's slot in place
-            keys = self.buffer.gather(self._candidate_rows[:, :, None].copy())
-            self._opd_pre = nm.attention_pre(self.tape, w, keys, query.value.shape[-1])
+        keys = self.buffer.gather(self._candidate_rows[:, :, None].copy())
         scores = nm.attention_scores(
-            self.tape, query, self._opd_pre, self._p["dec.opd.v"], w,
-            self._p["dec.opd.b"], (problem, slice(0, width)),
+            self.tape, query, keys, self._p["dec.opd.v"], self._p["dec.opd.w"],
+            self._p["dec.opd.b"], (problem, slice(0, int(count.max()))),
             dropout_p=self.dropout_p, rng=self.rng)
         return OperandDistribution(scores, count)
 
@@ -466,19 +452,17 @@ class DecoderRun:
             elif kind != EQUAL:
                 by_op.setdefault(action.op, []).append(row)
 
-        if genvar:
-            rows = np.array(genvar)
-            every = rows.size == state.rows
+        if genvar:  # step 0, the one step at which eqlang allows it, of every row
+            if len(genvar) < state.rows:
+                raise ValueError("genvar must be every row's action at once")
             x, _ = nm.attention(
-                self.tape, state.h if every else nm.gather(self.tape, state.h, rows),
-                self.encoded.token_matrix, self._p["dec.genvar.v"],
+                self.tape, state.h, self.encoded.token_matrix, self._p["dec.genvar.v"],
                 self._p["dec.genvar.w"], self._p["dec.genvar.b"], mask=self._token_mask,
-                rows=slice(0, state.rows) if every else rows,
-                dropout_p=self.dropout_p, rng=self.rng)
+                rows=slice(0, state.rows), dropout_p=self.dropout_p, rng=self.rng)
+            rows = np.arange(state.rows)
             unknown[rows] = vec[rows] = self.buffer.append(x)
             self._candidate_rows[rows, self._candidate_count[rows]] = unknown[rows]
             self._candidate_count[rows] += 1
-            self._opd_pre = None  # x's key is new
         for op, op_rows in by_op.items():
             pairs = None
             if self.config.transformer_mode == "mlp":

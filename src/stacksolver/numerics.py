@@ -16,15 +16,20 @@ nothing else, since nothing trains on from a saved model; it streams
 between the file and the arena, with no copy of either in between.
 
 Ops act on the last axis and treat any leading axes as rows, so one op call
-serves a whole batch of problems. Whole recurrences, attention reads and
+serves a whole batch of problems. Whole recurrences, attention scores and
 the two-layer scorer are fused ops with a single backward closure each,
 which keeps only what that closure needs (dropout masks are kept as
-booleans). An op's forward that greedy decoding also runs is a private
-array function (``_linear``, ``_lstm_cell``, ``_attention_pre``,
-``_attention_scores``, ``_attend``, ``_gate_blocks``,
-``_dense_relu_dense``): the op calls it on its nodes' values, and the
-greedy loop on plain arrays, writing into its workspace through the
-functions' ``out`` buffers, so each formula is written once. ``lstm`` steps k
+booleans). An attention read records two closures: ``attention_scores``,
+which projects its own key half of the hidden layer, and the masked
+softmax with the weighted sum. An op's forward that greedy decoding also
+runs is a private array function (``_linear``, ``_lstm_cell``,
+``_attention_pre``, ``_attention_scores``, ``_attend``, ``masked_softmax``,
+``_gate_blocks``, ``_dense_relu_dense``): the op calls it on its nodes'
+values, and the greedy loop on plain arrays, writing into its workspace
+through the functions' ``out`` buffers, so each formula is written once.
+The key half is one of them because greedy decoding projects it once per
+decode and reuses it at every step; teacher forcing reads each attention
+once per run, so the op has no key half to share. ``lstm`` steps k
 streams at once, time-major: one stacked product per step, and each gate's
 block of every stream contiguous. ``gate_blocks`` computes
 every group of feature gates (the decoder has two) with one product over the
@@ -35,7 +40,7 @@ stacks. Per-step ops take their weight gradients ``g.T @ x`` from
 it outside BLAS, about 3x slower, and each entry is one product either way.
 Attention over rows that name their key rows by an index array (teacher
 forcing's every (problem, step), problem by problem) works per run of one
-index: ``attend`` takes one product per run, and ``_scatter`` sums a run's
+index: ``attention`` takes one product per run, and ``_scatter`` sums a run's
 gradient before adding it to that row.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
@@ -408,19 +413,6 @@ def masked_softmax(z: np.ndarray, mask: np.ndarray | None = None, *,
     return e
 
 
-def softmax(tape: Tape | None, x: Node, mask: np.ndarray | None = None) -> Node:
-    p = masked_softmax(x.value, mask)
-    out = Node(p)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            g = out.grad
-            _acc(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
-        tape.record(back)
-    return out
-
-
 def softmax_cross_entropy(tape: Tape | None, logits: Node, targets,
                           mask: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
     """Stabilized -log softmax(logits)[target], summed over rows; also returns
@@ -736,35 +728,16 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
 
 
 def _attention_pre(w: np.ndarray, keys: np.ndarray, query_dim: int) -> np.ndarray:
-    """The forward of ``attention_pre``."""
+    """Key half of the attention hidden layer, keys @ W[:, query_dim:].T:
+    greedy decoding projects it once per decode and reuses it at every step."""
     return keys @ w[:, query_dim:].T  # `@` reads the view in place, np.dot would copy it
-
-
-def attention_pre(tape: Tape | None, w: Node, keys: Node, query_dim: int) -> Node:
-    """Key half of the attention hidden layer, keys @ W[:, query_dim:].T;
-    computed once and reused by every query over the same keys."""
-    w_keys = w.value[:, query_dim:]
-    if keys.value.shape[-1] != w_keys.shape[1]:
-        raise ShapeMismatch(f"attention_pre: keys {keys.value.shape} for W {w.value.shape}")
-    out = Node(_attention_pre(w.value, keys.value, query_dim))
-    if tape is not None:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            if w.grad is None:
-                w.grad = np.zeros_like(w.value)
-            w.grad[:, query_dim:] += _weight_grad(g, keys.value)
-            _acc(keys, g @ w_keys)
-        tape.record(back)
-    return out
 
 
 def _attention_scores(query: np.ndarray, pre_rows: np.ndarray, w_query: np.ndarray,
                       b: np.ndarray, w_score: np.ndarray, keep: np.ndarray | None = None,
                       dropout_p: float = 0.0, *, out: Sequence[np.ndarray | None] = (None, None)
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The forward of ``attention_scores`` over the key rows ``pre_rows``,
+    """The forward of ``attention_scores`` over the key halves ``pre_rows``,
     (R, C, d), with ``w_query`` the query half of W: the hidden layer
     tanh(W [u_r; k_rc] + b) and the scores (R, C) of its dropped copy, each
     written into its buffer in ``out`` where one is given."""
@@ -778,25 +751,27 @@ def _attention_scores(query: np.ndarray, pre_rows: np.ndarray, w_query: np.ndarr
     return hidden, scores.reshape(n_rows, n_keys)
 
 
-def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
+def attention_scores(tape: Tape | None, query: Node, keys: Node, w_score: Node,
                      w: Node, b: Node, rows=slice(None), *, dropout_p: float = 0.0,
                      rng: np.random.Generator | None = None) -> Node:
     """Additive scores w_score . tanh(W [u_r; k_rc] + b), one row per query.
 
-    ``pre`` is ``attention_pre`` of the keys, (B, C, d); query row r scores
-    the keys of ``pre[rows][r]``. Dropout acts on the hidden layer.
+    ``keys`` is (B, C, dk); query row r scores the keys of ``keys[rows][r]``.
+    Dropout acts on the hidden layer.
     """
     query_dim = query.value.shape[-1]
-    w_query = w.value[:, :query_dim]
-    pre_rows = pre.value[rows]
+    w_query, w_keys = w.value[:, :query_dim], w.value[:, query_dim:]
+    if keys.value.shape[-1] != w_keys.shape[1]:
+        raise ShapeMismatch(f"attention_scores: keys {keys.value.shape} for W {w.value.shape}")
+    pre = _attention_pre(w.value, keys.value, query_dim)
+    pre_rows = pre[rows]
     if pre_rows.shape[0] != query.value.shape[0]:
         raise ShapeMismatch(f"{query.value.shape[0]} queries for {pre_rows.shape[0]} key rows")
     keep = _keep_mask(pre_rows.shape, dropout_p, rng)
-    # in place wherever the (rows, C, d) arrays are this op's own: each new one costs
-    # more than the arithmetic on it
+    # the hidden layer goes over the key half, which is this op's own: each new
+    # (rows, C, d) array costs more than the arithmetic on it
     hidden, scores = _attention_scores(query.value, pre_rows, w_query, b.value,
-                                       w_score.value, keep, dropout_p,
-                                       out=(None if _is_basic(rows) else pre_rows, None))
+                                       w_score.value, keep, dropout_p, out=(pre_rows, None))
     width = hidden.shape[-1]
     out = Node(scores)
     if tape is not None:
@@ -813,77 +788,76 @@ def attention_scores(tape: Tape | None, query: Node, pre: Node, w_score: Node,
             if keep is not None:
                 dz *= keep
                 dz *= 1.0 / (1.0 - dropout_p)
-            if pre.grad is None:
-                pre.grad = np.zeros_like(pre.value)
-            _scatter(pre.grad, rows, dz)
+            d_pre = np.zeros(pre.shape)
+            _scatter(d_pre, rows, dz)
             da = dz.sum(axis=1)
             if w.grad is None:
                 w.grad = np.zeros_like(w.value)
             w.grad[:, :query_dim] += _weight_grad(da, query.value)
             _acc(b, da.sum(axis=0))
             _acc(query, da @ w_query)
+            w.grad[:, query_dim:] += _weight_grad(d_pre, keys.value)
+            _acc(keys, d_pre @ w_keys)
         tape.record(back)
     return out
 
 
 def _attend(weights: np.ndarray, keys: np.ndarray, *,
             out: np.ndarray | None = None) -> np.ndarray:
-    """Row r is sum_c weights[r, c] keys[r, c]: the forward of ``attend``
-    over a slice of key rows, into ``out`` when given."""
+    """Row r is sum_c weights[r, c] keys[r, c]: the weighted sum of
+    ``attention`` over a slice of key rows, into ``out`` when given."""
     return np.matmul(weights[:, None, :], keys, None if out is None else out[:, None])[:, 0]
 
 
-def attend(tape: Tape | None, weights: Node, keys: Node, rows=slice(None)) -> Node:
-    """Weighted sums of key vectors: row r is sum_c weights[r, c] keys[rows][r, c].
-
-    With an index array, each run of rows that read one key row is one
-    product, so no (rows, C, d) copy of the keys is made."""
-    if isinstance(rows, slice):
-        out = Node(_attend(weights.value, keys.value[rows]))
-        runs = None
-    else:
-        runs = _runs(rows)
-        out = Node(np.empty(weights.value.shape[:1] + keys.value.shape[2:]))
-        for row, lo, hi in runs:
-            np.matmul(weights.value[lo:hi], keys.value[row], out=out.value[lo:hi])
-    if tape is not None:
-        def back():
-            g = out.grad
-            if g is None:
-                return
-            if keys.grad is None:
-                keys.grad = np.zeros_like(keys.value)
-            if runs is None:
-                _acc(weights, (keys.value[rows] @ g[:, :, None])[:, :, 0])
-                keys.grad[rows] += weights.value[:, :, None] * g[:, None, :]
-                return
-            d_weights = np.empty_like(weights.value)
-            for row, lo, hi in runs:
-                np.matmul(g[lo:hi], keys.value[row].T, out=d_weights[lo:hi])
-                keys.grad[row] += weights.value[lo:hi].T @ g[lo:hi]
-            _acc(weights, d_weights)
-        tape.record(back)
-    return out
-
-
 def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node,
-              b: Node, *, mask: np.ndarray | None = None, pre: Node | None = None,
-              rows=slice(None), dropout_p: float = 0.0,
+              b: Node, *, mask: np.ndarray | None = None, rows=slice(None),
+              dropout_p: float = 0.0,
               rng: np.random.Generator | None = None) -> tuple[Node, Node]:
     """Soft attention read of each query row over its row of ``keys``.
 
     ``keys`` is (B, C, dk) with ``mask`` (B, C) marking real entries; query
     row r reads ``keys[rows][r]``. Masked entries get exactly 0 weight.
-    Returns (context vectors, weight distributions).
+    Returns (context vectors, weight distributions): ``attention_scores``,
+    then one op for the masked softmax and the weighted sum. With an index
+    array, each run of rows that read one key row is one product, so no
+    (rows, C, d) copy of the keys is made.
     """
     if keys.value.shape[1] == 0:
         raise EmptyCandidates("attention over zero candidates")
-    if pre is None:
-        pre = attention_pre(tape, w, keys, query.value.shape[-1])
-    scores = attention_scores(tape, query, pre, w_score, w, b, rows,
+    scores = attention_scores(tape, query, keys, w_score, w, b, rows,
                               dropout_p=dropout_p, rng=rng)
-    weights = softmax(tape, scores, None if mask is None else mask[rows])
-    return attend(tape, weights, keys, rows), weights
+    p = masked_softmax(scores.value, None if mask is None else mask[rows])
+    weights = Node(p)
+    if isinstance(rows, slice):
+        context = Node(_attend(p, keys.value[rows]))
+        runs = None
+    else:
+        runs = _runs(rows)
+        context = Node(np.empty(p.shape[:1] + keys.value.shape[2:]))
+        for row, lo, hi in runs:
+            np.matmul(p[lo:hi], keys.value[row], out=context.value[lo:hi])
+    if tape is not None:
+        def back():
+            g = context.grad
+            if g is None and weights.grad is None:
+                return
+            if g is not None:
+                if keys.grad is None:
+                    keys.grad = np.zeros_like(keys.value)
+                if runs is None:
+                    _acc(weights, (keys.value[rows] @ g[:, :, None])[:, :, 0])
+                    keys.grad[rows] += p[:, :, None] * g[:, None, :]
+                else:
+                    d_weights = np.empty_like(p)
+                    for row, lo, hi in runs:
+                        np.matmul(g[lo:hi], keys.value[row].T, out=d_weights[lo:hi])
+                        keys.grad[row] += p[lo:hi].T @ g[lo:hi]
+                    _acc(weights, d_weights)
+            # through the softmax
+            g = weights.grad
+            _acc(scores, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+        tape.record(back)
+    return context, weights
 
 
 def _dense_relu_dense(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
@@ -931,22 +905,21 @@ def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,
 # optimizer
 
 
+# Adam's moment decay rates and the denominator's epsilon (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     gradient_clip_norm: float | None = 5.0
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must be in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
             raise ValueError("gradient_clip_norm must be positive or None")
 
@@ -963,22 +936,22 @@ def adam_step(registry: ParamRegistry, config: OptimizerConfig) -> ParamRegistry
         raise NonFiniteValue(f"gradient norm is {norm}")
     registry.adam_t += 1
     t = registry.adam_t
-    bc1 = 1.0 - config.beta1 ** t
-    bc2 = 1.0 - config.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     # every intermediate goes through these two rows: an arena-sized temporary
     # per operation would cost more than the arithmetic
     step, scratch = np.empty((2, g.size))
     if config.gradient_clip_norm is not None and norm > config.gradient_clip_norm:
         g = np.multiply(g, config.gradient_clip_norm / norm, out=step)
     m, v = registry.flat_m, registry.flat_v
-    m *= config.beta1
-    m += np.multiply(g, 1.0 - config.beta1, out=scratch)
-    v *= config.beta2
-    v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - config.beta2, out=scratch)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - ADAM_BETA2, out=scratch)
     # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
     np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
     np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
-    scratch += config.epsilon
+    scratch += ADAM_EPSILON
     step /= scratch
     registry.flat -= step
     return registry

@@ -507,6 +507,20 @@ def test_invalid_config_exits_2_before_reading_data(tmp_path, capsys, command, f
     assert error in err
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--count", 0], "count must be at least 1, got 0"),
+    (["--count", -3], "count must be at least 1, got -3"),
+    (["--seed", -1], "seed must be >= 0, got -1"),
+])
+def test_invalid_synth_flag_exits_2_before_writing(tmp_path, capsys, flags, error):
+    out = tmp_path / "out" / "data.jsonl"
+    assert run_cli("synth", out, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert error in err
+    assert not out.parent.exists()  # no dataset, no manifest
+
+
 @pytest.mark.parametrize("line", [
     "mode = wrd", "constant_mode = dirct", "seed = -1", "eval_every = 0", "patience = 0",
     "max_steps = 0", "max_steps = 1000000000", "no_gate = maybe", "epochs = 1e3", "lr = nan",

@@ -140,8 +140,8 @@ def test_operand_candidates_after_genvar():
 
 
 def test_operand_keys_are_projected_again_after_genvar():
-    """A push scored before genvar projects the candidates' keys; once x is
-    generated, its key must be projected too: the scores equal a run's that
+    """Scoring a push before genvar leaves no trace in the scores after it:
+    x's key is projected with the others, and the scores equal a run's that
     never scored before genvar."""
     problem = simple_problem()
     _, early = make_run([problem], seed=5)
@@ -177,11 +177,8 @@ def test_operand_loss_gradient_matches_fd():
         registry[name][...] = rng.standard_normal(shape) * 0.3
 
     def loss_fn(tape):
-        w = nm.param(tape, registry, "w")
-        pre = nm.attention_pre(tape, w, nm.param(tape, registry, "cands"), d)
-        scores = nm.attention_scores(tape, nm.param(tape, registry, "query"),
-                                     pre, nm.param(tape, registry, "v"), w,
-                                     nm.param(tape, registry, "b"))
+        scores = nm.attention_scores(tape, *(nm.param(tape, registry, name)
+                                             for name in ("query", "cands", "v", "w", "b")))
         loss, _ = nm.softmax_cross_entropy(tape, scores, [1])
         return loss
 
@@ -306,6 +303,18 @@ def test_push_mirrors_symbolic_vm():
     row = run._candidate_rows[0, 1]
     assert state.vec_stacks[0] == (row,) and state.last[0] == row
     assert np.array_equal(run.buffer.value[row], run.encoded.constants.value[1])
+
+
+def test_genvar_on_some_rows_only_is_rejected():
+    """Genvar is every row's step 0, the one step at which eqlang allows it,
+    so a run generates x for all rows at once and refuses it for some."""
+    problems = [simple_problem()] * 2
+    model, _ = tiny_model(problems, seed=3)
+    encoded = encoder.encode_batch(problems, model.vocab, model.registry, model.enc_config)
+    run = DecoderRun(encoded, problems, model.registry, model.dec_config)
+    state = run.advance(run.initial_state())
+    with pytest.raises(ValueError, match="every row"):
+        run.apply_action(state, [GEN_VAR, Push(ConstRef(0))])
 
 
 def test_teacher_forced_fig1_solves(fig1_prepared):

@@ -138,7 +138,10 @@ def stepwise_loss(problems, model, *, tape):
         if pushes.size:
             operands = np.array([eqlang.operand_index(gold[r].ref, rows[r].n_constants)
                                  for r in pushes])
-            terms.append(run.operand_loss(run.select_operand(feats, state, pushes),
+            # the step's rows as a tall state's: select_operand takes rows of those alone
+            tall = decoder.TallState(state.h, state.top_two, state.depth, state.has_unknown,
+                                     np.arange(state.rows))
+            terms.append(run.operand_loss(run.select_operand(feats, tall, pushes),
                                           operands))
         state = run.apply_action(state, gold)
     return nm.add_n(tape, terms)
