@@ -152,9 +152,9 @@ class DecoderState:
                          for stack in self.vec_stacks], dtype=np.intp)
 
     @property
-    def problem(self) -> slice:
+    def problem(self) -> np.ndarray:
         """The run's problem of each row: row r decodes problem r."""
-        return slice(0, self.rows)
+        return np.arange(self.rows)
 
 
 @dataclass
@@ -295,6 +295,7 @@ class DecoderRun:
         self.dropout_p = dropout_p
         self._p = {name: nm.param(tape, registry, name)
                    for name in registry.shapes if name.startswith("dec.")}
+        self._lstm = [[self._p[f"dec.lstm.{n}"] for n in ("wx", "wh", "b")]]  # one stream
         dim = encoded.final_h.value.shape[-1]  # the encoder's width
         self.buffer = nm.RowBuffer(tape, dim)
         self.buffer.append(nm.constant(np.zeros(dim)))
@@ -329,11 +330,12 @@ class DecoderRun:
             unknown=np.full(rows, -1, dtype=np.intp), vec_stacks=((),) * rows)
 
     def advance(self, state: DecoderState) -> DecoderState:
-        """Step the decoder recurrence over the previous action's result."""
-        x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None]),
+        """Step the decoder recurrence over the previous action's result: one
+        step of ``nm.lstm`` from the state's (h, c)."""
+        x = nm.dropout(self.tape, self.buffer.gather(state.last[:, None, None]),
                        self.dropout_p, self.rng)
-        h, c = nm.lstm_cell(self.tape, x, state.h, state.c, self._p["dec.lstm.wx"],
-                            self._p["dec.lstm.wh"], self._p["dec.lstm.b"])
+        _, h, c = nm.lstm(self.tape, x, np.ones(state.rows, dtype=np.intp), self._lstm,
+                          (False,), (state.h, state.c))
         return DecoderState(h, c, state.last, state.unknown, state.vec_stacks)
 
     def stack_steps(self, steps: Sequence[DecoderState]) -> TallState:
@@ -355,9 +357,8 @@ class DecoderRun:
 
         inputs = nm.dropout(self.tape, self.buffer.gather(grid("last")[:, 1:, None]),
                             self.dropout_p, self.rng)
-        later, _, _ = nm.lstm(self.tape, inputs, real.sum(axis=1) - 1,
-                              [[self._p[f"dec.lstm.{n}"] for n in ("wx", "wh", "b")]],
-                              (False,), (first.h, first.c))
+        later, _, _ = nm.lstm(self.tape, inputs, real.sum(axis=1) - 1, self._lstm, (False,),
+                              (first.h, first.c))
         h = nm.concat(self.tape, [nm.gather(self.tape, first.h, (slice(None), None)), later],
                       axis=1)
         pairs = np.nonzero(real)
@@ -375,8 +376,7 @@ class DecoderRun:
             context, weights = nm.attention(
                 self.tape, state.h, self.encoded.token_matrix,
                 self._p["dec.qattn.v"], self._p["dec.qattn.w"], self._p["dec.qattn.b"],
-                mask=self._token_mask, rows=state.problem, dropout_p=self.dropout_p,
-                rng=self.rng)
+                state.problem, mask=self._token_mask, dropout_p=self.dropout_p, rng=self.rng)
             blocks.append(context)
             attn_weights = weights.value
         feats = blocks[0] if len(blocks) == 1 else nm.concat(self.tape, blocks)
@@ -400,8 +400,7 @@ class DecoderRun:
 
     def action_loss(self, dist: ActionDistribution, targets: np.ndarray) -> Node:
         """Summed cross-entropy of each row's gold action index."""
-        loss, _ = nm.softmax_cross_entropy(self.tape, dist.logits, targets, dist.legal)
-        return loss
+        return nm.softmax_cross_entropy(self.tape, dist.logits, targets, dist.legal)
 
     # -- operand selection
 
@@ -410,7 +409,7 @@ class DecoderRun:
         """Operand scores for ``rows`` of the state (all rows by default)."""
         query = feats.operand_feats
         problem = state.problem
-        if rows is not None and rows.size < state.rows:  # only a TallState is given rows
+        if rows is not None and rows.size < state.rows:
             query = nm.gather(self.tape, query, rows)
             problem = problem[rows]
         # each row's candidates [c_1..c_n, 1, pi, (x)], padded to the widest row;
@@ -425,8 +424,7 @@ class DecoderRun:
 
     def operand_loss(self, dist: OperandDistribution, targets: np.ndarray) -> Node:
         """Summed cross-entropy of each scored row's gold candidate index."""
-        loss, _ = nm.softmax_cross_entropy(self.tape, dist.scores, targets, dist.mask)
-        return loss
+        return nm.softmax_cross_entropy(self.tape, dist.scores, targets, dist.mask)
 
     # -- state transition
 
@@ -455,11 +453,11 @@ class DecoderRun:
         if genvar:  # step 0, the one step at which eqlang allows it, of every row
             if len(genvar) < state.rows:
                 raise ValueError("genvar must be every row's action at once")
+            rows = state.problem
             x, _ = nm.attention(
                 self.tape, state.h, self.encoded.token_matrix, self._p["dec.genvar.v"],
-                self._p["dec.genvar.w"], self._p["dec.genvar.b"], mask=self._token_mask,
-                rows=slice(0, state.rows), dropout_p=self.dropout_p, rng=self.rng)
-            rows = np.arange(state.rows)
+                self._p["dec.genvar.w"], self._p["dec.genvar.b"], rows,
+                mask=self._token_mask, dropout_p=self.dropout_p, rng=self.rng)
             unknown[rows] = vec[rows] = self.buffer.append(x)
             self._candidate_rows[rows, self._candidate_count[rows]] = unknown[rows]
             self._candidate_count[rows] += 1
@@ -571,7 +569,7 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
             second[:] = buffer[stack[-2] if len(stack) > 1 else ZERO_ROW]
         if config.use_attention:  # ``nm.attention``'s read of the problem
             nm._attention_scores(h, q_pre, *attn, out=attn_out)
-            nm._attend(nm.masked_softmax(weights, out=weights), keys, out=context)
+            np.matmul(nm.masked_softmax(weights, out=weights), keys[0], out=context)
         if config.use_gate:
             nm._gate_blocks(feats, *gate_w, sizes, out=gate_out)
         nm._dense_relu_dense(action_feats, *head, out=head_out)
@@ -602,7 +600,7 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
             if kind == GENVAR:  # x: the genvar attention's read of the problem
                 x_scores = nm._attention_scores(h, nm._attention_pre(genvar[0], keys, dim),
                                                 genvar[0][:, :dim], *genvar[1:])[1]
-                nm._attend(nm.masked_softmax(x_scores), keys, out=new)
+                np.matmul(nm.masked_softmax(x_scores), keys[0], out=new)
                 candidates[count] = unknown = size
                 count += 1
                 opd_pre = None  # x's key is new

@@ -676,10 +676,10 @@ def solve(equations: Sequence[tuple[Expr, Expr]]) -> Fraction:
 
 
 def answers_equal(a, b) -> bool:
-    """True when a matches the gold answer b within a relative 1e-4."""
-    a = float(a)
-    b = float(b)
-    return abs(a - b) <= 1e-4 * max(1.0, abs(b))
+    """True when a matches the gold answer b within a relative 1e-4, compared
+    exactly, so an answer beyond float range is just wrong."""
+    a, b = Fraction(a), Fraction(b)
+    return abs(a - b) <= Fraction(1, 10**4) * max(1, abs(b))
 
 
 # ---------------------------------------------------------------------------

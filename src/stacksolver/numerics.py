@@ -23,25 +23,28 @@ booleans). An attention read records two closures: ``attention_scores``,
 which projects its own key half of the hidden layer, and the masked
 softmax with the weighted sum. An op's forward that greedy decoding also
 runs is a private array function (``_linear``, ``_lstm_cell``,
-``_attention_pre``, ``_attention_scores``, ``_attend``, ``masked_softmax``,
+``_attention_pre``, ``_attention_scores``, ``masked_softmax``,
 ``_gate_blocks``, ``_dense_relu_dense``): the op calls it on its nodes'
 values, and the greedy loop on plain arrays, writing into its workspace
 through the functions' ``out`` buffers, so each formula is written once.
 The key half is one of them because greedy decoding projects it once per
 decode and reuses it at every step; teacher forcing reads each attention
-once per run, so the op has no key half to share. ``lstm`` steps k
-streams at once, time-major: one stacked product per step, and each gate's
-block of every stream contiguous. ``gate_blocks`` computes
-every group of feature gates (the decoder has two) with one product over the
-stacked gate weights, applies their sigmoids and scales the feature blocks.
+once per run, so the op has no key half to share. ``lstm`` is the one
+recurrence op: it steps k streams at once, time-major, with one stacked
+product per step and each gate's block of every stream contiguous;
+``_lstm_cell`` is one step of one stream in its order of sums.
+``gate_blocks`` computes every group of feature gates (the decoder has two)
+with one product over the stacked gate weights, applies their sigmoids and
+scales the feature blocks.
 ``RowBuffer`` is the append-only vector store behind the decoder's pointer
 stacks. Per-step ops take their weight gradients ``g.T @ x`` from
 ``_weight_grad``, which hands a one-row product to ``np.dot``: matmul runs
 it outside BLAS, about 3x slower, and each entry is one product either way.
-Attention over rows that name their key rows by an index array (teacher
-forcing's every (problem, step), problem by problem) works per run of one
-index: ``attention`` takes one product per run, and ``_scatter`` sums a run's
-gradient before adding it to that row.
+An attention read names the key row of each query row by an index array
+(a decode's every step, teacher forcing's every (problem, step), problem by
+problem) and works per run of one index: ``attention`` takes one product
+per run, and ``_scatter`` sums a run's gradient before adding it to that
+row.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
 recorded, so closures are never built), and ops with dropout apply it
@@ -228,10 +231,7 @@ def _scatter(grad: np.ndarray, idx, g: np.ndarray) -> None:
     is sorted (stably, unless it already is) and each run of one row is
     summed at once: ``np.add.at`` adds one index at a time, which is slow
     when each names a block of many entries, and so is ``np.add.reduceat``
-    over the first axis of such blocks."""
-    if _is_basic(idx):
-        grad[idx] += g
-        return
+    over the first axis of such blocks. Any other index goes to ``np.add.at``."""
     rows, rest = (idx[0], idx[1:]) if isinstance(idx, tuple) else (idx, ())
     if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"
             and _is_basic(rest)):
@@ -414,10 +414,10 @@ def masked_softmax(z: np.ndarray, mask: np.ndarray | None = None, *,
 
 
 def softmax_cross_entropy(tape: Tape | None, logits: Node, targets,
-                          mask: np.ndarray | None = None) -> tuple[Node, np.ndarray]:
-    """Stabilized -log softmax(logits)[target], summed over rows; also returns
-    the probabilities. Entries where ``mask`` is False are left out of the
-    softmax. ``targets`` holds one index per row (an int for one row)."""
+                          mask: np.ndarray | None = None) -> Node:
+    """Stabilized -log softmax(logits)[target], summed over rows. Entries
+    where ``mask`` is False are left out of the softmax. ``targets`` holds
+    one index per row (an int for one row)."""
     shape = logits.value.shape
     n = shape[-1]
     z = logits.value.reshape(-1, n)
@@ -444,7 +444,7 @@ def softmax_cross_entropy(tape: Tape | None, logits: Node, targets,
             g[rows, t] -= 1.0
             _acc(logits, (g * loss.grad).reshape(shape))
         tape.record(back)
-    return loss, p.reshape(shape)
+    return loss
 
 
 def _keep_mask(shape, p: float, rng: np.random.Generator | None) -> np.ndarray | None:
@@ -585,56 +585,19 @@ def _by_gate(z: np.ndarray) -> np.ndarray:
     return z.reshape(z.shape[:-1] + (4, -1)).transpose((z.ndim - 1, *range(z.ndim - 1), z.ndim))
 
 
-def _check_lstm(x_dim: int, hidden: int, wx: Node, wh: Node, b: Node, what: str) -> None:
-    if (wx.value.shape != (4 * hidden, x_dim) or wh.value.shape != (4 * hidden, hidden)
-            or b.value.shape != (4 * hidden,)):
-        raise ShapeMismatch(f"{what}: input {x_dim}, hidden {hidden}, wx{wx.value.shape} "
-                            f"wh{wh.value.shape} b{b.value.shape}")
-
-
 def _lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wx: np.ndarray,
                wh: np.ndarray, b: np.ndarray, *, out: Sequence[np.ndarray] | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forward of ``lstm_cell``: (h', c') and the gate activations, (..., 4h).
-    ``out`` holds buffers for h', c' (these may be h and c), the gate
-    activations and h's product with W_h."""
+    """One step of one ``lstm`` stream from (h, c) over rows x, summing as it
+    does, (x W_x^T + b) + h W_h^T: (h', c') and the gate activations,
+    (..., 4h). ``out`` holds buffers for h', c' (these may be h and c), the
+    gate activations and h's product with W_h."""
     hn, cn, acts, hw = out or (np.empty_like(h), np.empty_like(c), None, None)
     acts = np.dot(x, wx.T, acts)
-    acts += np.dot(h, wh.T, hw)
     acts += b
+    acts += np.dot(h, wh.T, hw)
     _lstm_gates(_by_gate(acts), c, cn, hn)
     return hn, cn, acts
-
-
-def lstm_cell(tape: Tape | None, x: Node, h: Node, c: Node,
-              wx: Node, wh: Node, b: Node) -> tuple[Node, Node]:
-    """One LSTM step (gates i, f, o, g) for one row or a batch of rows; returns (h', c')."""
-    hidden = h.value.shape[-1]
-    _check_lstm(x.value.shape[-1], hidden, wx, wh, b, "lstm_cell")
-    if c.value.shape != h.value.shape or x.value.shape[:-1] != h.value.shape[:-1]:
-        raise ShapeMismatch(f"lstm_cell: x{x.value.shape} h{h.value.shape} c{c.value.shape}")
-    hn_val, cn_val, acts = _lstm_cell(x.value, h.value, c.value, wx.value, wh.value, b.value)
-    hn = Node(hn_val)
-    cn = Node(cn_val)
-    if tape is not None:
-        gates = _by_gate(acts)
-
-        def back():
-            if hn.grad is None and cn.grad is None:
-                return
-            zero = np.zeros_like(cn_val)
-            dz = np.empty_like(acts)
-            dc_prev = _lstm_gates_back(
-                zero if hn.grad is None else hn.grad,
-                zero if cn.grad is None else cn.grad, gates, c.value, cn_val, _by_gate(dz))
-            _acc(wx, _weight_grad(dz, x.value))
-            _acc(wh, _weight_grad(dz, h.value))
-            _acc(b, dz.reshape(-1, dz.shape[-1]).sum(axis=0))
-            _acc(x, dz @ wx.value)
-            _acc(h, dz @ wh.value)
-            _acc(c, dc_prev)
-        tape.record(back)
-    return hn, cn
 
 
 def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequence[Node]],
@@ -653,14 +616,24 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
     n_rows, steps, x_dim = x.value.shape
     k, hidden = len(streams), streams[0][1].value.shape[1]
     for w in streams:
-        _check_lstm(x_dim, hidden, *w, "lstm")
-    wx, wh, b = (np.stack([w.value for w in ws]) for ws in zip(*streams))
+        if [v.value.shape for v in w] != [(4 * hidden, x_dim), (4 * hidden, hidden),
+                                          (4 * hidden,)]:
+            raise ShapeMismatch(f"lstm: input {x_dim}, hidden {hidden}, (wx, wh, b) of "
+                                f"shapes {[v.value.shape for v in w]}")
+    if initial and any(v.value.shape != (n_rows, k * hidden) for v in initial):
+        raise ShapeMismatch(f"lstm: x{x.value.shape}, {k} streams of {hidden}, initial "
+                            f"{[v.value.shape for v in initial]}")
+    # (k, ...) weights: views of one stream's, copies of several
+    wx, wh, b = (ws[0].value[None] if k == 1 else np.stack([w.value for w in ws])
+                 for ws in zip(*streams))
     real = np.arange(steps)[None, :] < np.asarray(lengths)[:, None]  # (B, T)
     padded = not real.all()  # a batch of one never is
     # np.where, not a product: 0 x NaN is NaN
     x2 = (np.where(real[..., None], x.value, 0.0) if padded else x.value).reshape(-1, x_dim)
 
     def flip(a):  # (k, B, T, ...) with each reversed stream's T axis reversed
+        if not any(reverse):
+            return a
         return np.stack([a[j, :, ::-1] if rev else a[j] for j, rev in enumerate(reverse)])
 
     def by_stream(a):  # (B, k*h) as (k, B, h)
@@ -672,10 +645,11 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
         flip(xz.reshape(k, n_rows, steps, 4, hidden)).transpose(2, 3, 0, 1, 4))
     # h and c; state s + 1 follows step s, and state 0 is the start
     hc = np.zeros((2, steps + 1, k, n_rows, hidden))
-    if initial:
-        hc[:, 0] = [by_stream(v.value) for v in initial]
     hs, cs = hc
-    pad = flip(np.broadcast_to(~real, (k, n_rows, steps))).transpose(2, 0, 1)  # (T, k, B)
+    for state, v in zip((hs[0], cs[0]), initial):
+        state[...] = by_stream(v.value)
+    if padded:
+        pad = flip(np.broadcast_to(~real, (k, n_rows, steps))).transpose(2, 0, 1)  # (T, k, B)
     wh_t = wh.transpose(0, 2, 1)
     for s in range(steps):
         z = acts[s]
@@ -683,9 +657,10 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
         _lstm_gates(z, cs[s], cs[s + 1], hs[s + 1])
         if padded:
             hc[:, s + 1, pad[s]] = hc[:, s, pad[s]]
-    states = flip(hs[1:].transpose(1, 2, 0, 3))  # (k, B, T, h) in step order
-    states[:, ~real] = 0.0
-    out = Node(np.concatenate(states, axis=-1))
+    # (k, B, T, h) in step order, side by side
+    out = Node(np.concatenate(flip(hs[1:].transpose(1, 2, 0, 3)), axis=-1))
+    if padded:
+        out.value[~real] = 0.0
     h_last, c_last = (Node(np.concatenate(v[steps], axis=-1)) for v in (hs, cs))
     if tape is not None:
         def back():
@@ -695,7 +670,8 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
             # (T, k, B, h): each stream's share of the states' gradient, per step
             dh_out = flip(g.reshape(n_rows, steps, k, hidden).transpose(2, 0, 1, 3)
                           ).transpose(2, 0, 1, 3)
-            dh_out[pad] = 0.0
+            if padded:
+                dh_out = np.where(pad[..., None], 0.0, dh_out)
             dh, dc = (np.zeros((k, n_rows, hidden)) if v.grad is None
                       else by_stream(v.grad).copy() for v in (h_last, c_last))
             dz = np.empty_like(acts)
@@ -713,9 +689,9 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
             # per stream, rows in step order
             dz = flip(dz.transpose(2, 3, 0, 1, 4)).reshape(k, -1, 4 * hidden)
             h_prev = flip(hs[:steps].transpose(1, 2, 0, 3)).reshape(k, -1, hidden)
-            grads = (dz.transpose(0, 2, 1) @ x2, dz.transpose(0, 2, 1) @ h_prev, dz.sum(axis=1))
-            for w, w_grads in zip(streams, zip(*grads)):
-                for node, g in zip(w, w_grads):
+            for w, dz_j, h_j in zip(streams, dz, h_prev):
+                for node, g in zip(w, (_weight_grad(dz_j, x2), _weight_grad(dz_j, h_j),
+                                       dz_j.sum(axis=0))):
                     _acc(node, g)
             for g in np.matmul(dz, wx):
                 _acc(x, g.reshape(x.value.shape))
@@ -752,12 +728,13 @@ def _attention_scores(query: np.ndarray, pre_rows: np.ndarray, w_query: np.ndarr
 
 
 def attention_scores(tape: Tape | None, query: Node, keys: Node, w_score: Node,
-                     w: Node, b: Node, rows=slice(None), *, dropout_p: float = 0.0,
+                     w: Node, b: Node, rows, *, dropout_p: float = 0.0,
                      rng: np.random.Generator | None = None) -> Node:
     """Additive scores w_score . tanh(W [u_r; k_rc] + b), one row per query.
 
-    ``keys`` is (B, C, dk); query row r scores the keys of ``keys[rows][r]``.
-    Dropout acts on the hidden layer.
+    ``keys`` is (B, C, dk); query row r scores the keys of ``keys[rows][r]``,
+    where ``rows`` is an index array of key rows, alone or followed by a
+    slice of their keys. Dropout acts on the hidden layer.
     """
     query_dim = query.value.shape[-1]
     w_query, w_keys = w.value[:, :query_dim], w.value[:, query_dim:]
@@ -768,8 +745,8 @@ def attention_scores(tape: Tape | None, query: Node, keys: Node, w_score: Node,
     if pre_rows.shape[0] != query.value.shape[0]:
         raise ShapeMismatch(f"{query.value.shape[0]} queries for {pre_rows.shape[0]} key rows")
     keep = _keep_mask(pre_rows.shape, dropout_p, rng)
-    # the hidden layer goes over the key half, which is this op's own: each new
-    # (rows, C, d) array costs more than the arithmetic on it
+    # the hidden layer goes over the rows' key half, which is this op's own:
+    # each new (rows, C, d) array costs more than the arithmetic on it
     hidden, scores = _attention_scores(query.value, pre_rows, w_query, b.value,
                                        w_score.value, keep, dropout_p, out=(pre_rows, None))
     width = hidden.shape[-1]
@@ -802,25 +779,18 @@ def attention_scores(tape: Tape | None, query: Node, keys: Node, w_score: Node,
     return out
 
 
-def _attend(weights: np.ndarray, keys: np.ndarray, *,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Row r is sum_c weights[r, c] keys[r, c]: the weighted sum of
-    ``attention`` over a slice of key rows, into ``out`` when given."""
-    return np.matmul(weights[:, None, :], keys, None if out is None else out[:, None])[:, 0]
-
-
 def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node,
-              b: Node, *, mask: np.ndarray | None = None, rows=slice(None),
+              b: Node, rows: np.ndarray, *, mask: np.ndarray | None = None,
               dropout_p: float = 0.0,
               rng: np.random.Generator | None = None) -> tuple[Node, Node]:
     """Soft attention read of each query row over its row of ``keys``.
 
     ``keys`` is (B, C, dk) with ``mask`` (B, C) marking real entries; query
-    row r reads ``keys[rows][r]``. Masked entries get exactly 0 weight.
-    Returns (context vectors, weight distributions): ``attention_scores``,
-    then one op for the masked softmax and the weighted sum. With an index
-    array, each run of rows that read one key row is one product, so no
-    (rows, C, d) copy of the keys is made.
+    row r reads ``keys[rows[r]]``, for an index array ``rows``. Masked
+    entries get exactly 0 weight. Returns (context vectors, weight
+    distributions): ``attention_scores``, then one op for the masked
+    softmax and the weighted sum. Each run of rows that read one key row is
+    one product, so no (rows, C, d) copy of the keys is made.
     """
     if keys.value.shape[1] == 0:
         raise EmptyCandidates("attention over zero candidates")
@@ -828,14 +798,10 @@ def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node
                               dropout_p=dropout_p, rng=rng)
     p = masked_softmax(scores.value, None if mask is None else mask[rows])
     weights = Node(p)
-    if isinstance(rows, slice):
-        context = Node(_attend(p, keys.value[rows]))
-        runs = None
-    else:
-        runs = _runs(rows)
-        context = Node(np.empty(p.shape[:1] + keys.value.shape[2:]))
-        for row, lo, hi in runs:
-            np.matmul(p[lo:hi], keys.value[row], out=context.value[lo:hi])
+    runs = _runs(rows)
+    context = Node(np.empty(p.shape[:1] + keys.value.shape[2:]))
+    for row, lo, hi in runs:
+        np.matmul(p[lo:hi], keys.value[row], out=context.value[lo:hi])
     if tape is not None:
         def back():
             g = context.grad
@@ -844,15 +810,11 @@ def attention(tape: Tape | None, query: Node, keys: Node, w_score: Node, w: Node
             if g is not None:
                 if keys.grad is None:
                     keys.grad = np.zeros_like(keys.value)
-                if runs is None:
-                    _acc(weights, (keys.value[rows] @ g[:, :, None])[:, :, 0])
-                    keys.grad[rows] += p[:, :, None] * g[:, None, :]
-                else:
-                    d_weights = np.empty_like(p)
-                    for row, lo, hi in runs:
-                        np.matmul(g[lo:hi], keys.value[row].T, out=d_weights[lo:hi])
-                        keys.grad[row] += p[lo:hi].T @ g[lo:hi]
-                    _acc(weights, d_weights)
+                d_weights = np.empty_like(p)
+                for row, lo, hi in runs:
+                    np.matmul(g[lo:hi], keys.value[row].T, out=d_weights[lo:hi])
+                    keys.grad[row] += p[lo:hi].T @ g[lo:hi]
+                _acc(weights, d_weights)
             # through the softmax
             g = weights.grad
             _acc(scores, p * (g - (g * p).sum(axis=-1, keepdims=True)))

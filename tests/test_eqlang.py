@@ -424,6 +424,9 @@ def test_answers_equal():
     assert not eqlang.answers_equal(12, 13)
     assert eqlang.answers_equal(F(1, 3), 0.33335)
     assert not eqlang.answers_equal(F(1, 3), 0.3335)
+    # beyond float range on either side: compared exactly, not overflowed
+    assert not eqlang.answers_equal(F(10**400), 1)
+    assert eqlang.answers_equal(F(10**400) + 1, F(10**400))
 
 
 # ---------------------------------------------------------------------------

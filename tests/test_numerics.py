@@ -30,8 +30,15 @@ def xent(tape, *nodes):
     the summed cross-entropy of each node's rows against their first entry."""
     return nm.add_n(tape, [
         nm.softmax_cross_entropy(tape, y, np.zeros(y.value.size // y.value.shape[-1],
-                                                   dtype=np.intp))[0]
+                                                   dtype=np.intp))
         for y in nodes])
+
+
+def lstm_step(tape, x, h, c, wx, wh, b):
+    """One step of ``nm.lstm``'s one stream over rows ``x`` from (h, c): (h', c')."""
+    _, h1, c1 = nm.lstm(tape, x, np.ones(x.value.shape[0], dtype=np.intp), [[wx, wh, b]],
+                        (False,), (h, c))
+    return h1, c1
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +121,8 @@ def test_grads_softmax_and_scale():
 
     def loss_fn(tape):
         _, p = nm.attention(tape, *(nm.param(tape, registry, name)
-                                    for name in ("u", "keys", "score", "w", "b")))
+                                    for name in ("u", "keys", "score", "w", "b")),
+                            np.array([0]))
         # a one-block gate is a scalar times a tensor
         (y,), _ = nm.gate_blocks(tape, nm.param(tape, registry, "x"),
                                  nm.param(tape, registry, "g"),
@@ -164,17 +172,19 @@ def test_gate_blocks_equal_one_linear_per_group_bitwise():
                 [want[:, k:k + 1] * blk for k, blk in enumerate(blocks)], axis=-1))
 
 
-def test_grads_lstm_cell():
+def test_grads_lstm_one_step_from_a_state():
+    """Two chained one-step ``nm.lstm`` calls, each from the other's (h, c),
+    as the decoder's step 0 hands its state on to the later steps."""
     rng = np.random.default_rng(6)
     h = 5
     registry = make_registry(
-        x=rng_arr(rng, 3), h0=rng_arr(rng, h), c0=rng_arr(rng, h),
+        x=rng_arr(rng, 2, 1, 3), h0=rng_arr(rng, 2, h), c0=rng_arr(rng, 2, h),
         wx=rng_arr(rng, 4 * h, 3), wh=rng_arr(rng, 4 * h, h), b=rng_arr(rng, 4 * h))
 
     def loss_fn(tape):
         args = [nm.param(tape, registry, n) for n in ("x", "h0", "c0", "wx", "wh", "b")]
-        h1, c1 = nm.lstm_cell(tape, *args)
-        h2, c2 = nm.lstm_cell(tape, args[0], h1, c1, *args[3:])
+        h1, c1 = lstm_step(tape, *args)
+        h2, c2 = lstm_step(tape, args[0], h1, c1, *args[3:])
         return xent(tape, h2, c2)
 
     check(loss_fn, registry, probes=60)
@@ -229,14 +239,28 @@ def test_lstm_matches_cell_steps_and_ignores_padding(reverse, initial):
         for row, n in enumerate(lengths):
             for j, (rev, w) in enumerate(zip(reverse, weights)):
                 cols = slice(j * h, (j + 1) * h)
-                h_ref, c_ref = (nm.constant(v[row, cols]) for v in start)
+                h_ref, c_ref = (v[row, cols] for v in start)
                 for t in (range(n - 1, -1, -1) if rev else range(n)):
-                    h_ref, c_ref = nm.lstm_cell(None, nm.constant(x[row, t]), h_ref, c_ref, *w)
-                    assert np.allclose(states.value[row, t, cols], h_ref.value,
-                                       rtol=0, atol=1e-14)
+                    h_ref, c_ref, _ = nm._lstm_cell(x[row, t], h_ref, c_ref,
+                                                    *(v.value for v in w))
+                    assert np.allclose(states.value[row, t, cols], h_ref, rtol=0, atol=1e-14)
                 assert np.all(states.value[row, n:, cols] == 0.0)
-                assert np.allclose(h_last.value[row, cols], h_ref.value, rtol=0, atol=1e-14)
-                assert np.allclose(c_last.value[row, cols], c_ref.value, rtol=0, atol=1e-14)
+                assert np.allclose(h_last.value[row, cols], h_ref, rtol=0, atol=1e-14)
+                assert np.allclose(c_last.value[row, cols], c_ref, rtol=0, atol=1e-14)
+
+
+def test_one_lstm_step_is_the_greedy_step_bitwise():
+    """One step of ``nm.lstm`` from a given (h, c) and ``nm._lstm_cell``, the
+    step that greedy decoding runs, give the same bytes: both sum
+    (x W_x^T + b) + h W_h^T."""
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        d, x_dim = (int(v) for v in rng.choice([3, 16, 64], size=2))
+        x, h, c = rng_arr(rng, 1, x_dim), rng_arr(rng, 1, d), rng_arr(rng, 1, d)
+        w = (rng_arr(rng, 4 * d, x_dim), rng_arr(rng, 4 * d, d), rng_arr(rng, 4 * d))
+        want = nm._lstm_cell(x, h, c, *w)[:2]
+        got = lstm_step(None, *map(nm.constant, (x[:, None], h, c, *w)))
+        assert same_bits([v.value for v in got], want)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 16])
@@ -262,7 +286,7 @@ def test_grads_attention():
                                     nm.param(tape, registry, "keys"),
                                     nm.param(tape, registry, "score"),
                                     nm.param(tape, registry, "w"),
-                                    nm.param(tape, registry, "b"), mask=mask,
+                                    nm.param(tape, registry, "b"), np.arange(2), mask=mask,
                                     dropout_p=0.3, rng=np.random.default_rng(3))
         return xent(tape, ctx, weights)
 
@@ -278,7 +302,7 @@ def test_grads_attention():
                               nm.param(tape, registry, "keys"),
                               nm.param(tape, registry, "score"),
                               nm.param(tape, registry, "w"),
-                              nm.param(tape, registry, "b"), mask=mask, rows=rows,
+                              nm.param(tape, registry, "b"), rows, mask=mask,
                               dropout_p=0.3, rng=np.random.default_rng(4))
         return xent(tape, ctx)
 
@@ -309,7 +333,7 @@ def test_an_attention_read_records_two_closures():
                              score=rng_arr(rng, 6), w=rng_arr(rng, 6, 8), b=rng_arr(rng, 6))
     tape = Tape()
     args = [nm.param(tape, registry, name) for name in ("u", "keys", "score", "w", "b")]
-    nm.attention(tape, *args, mask=np.array([[True, True, False], [True] * 3]))
+    nm.attention(tape, *args, np.arange(2), mask=np.array([[True, True, False], [True] * 3]))
     assert len(tape._backs) == 2
     tape = Tape()
     args = [nm.param(tape, registry, name) for name in ("u", "keys", "score", "w", "b")]
@@ -327,8 +351,7 @@ def check_dense_relu_dense(hidden_dropout):
         args = [nm.param(tape, registry, n) for n in ("x", "w1", "b1", "w2", "b2")]
         y = nm.dense_relu_dense(tape, *args, hidden_dropout=hidden_dropout,
                                 rng=np.random.default_rng(5))
-        loss, _ = nm.softmax_cross_entropy(tape, y, 1)
-        return loss
+        return nm.softmax_cross_entropy(tape, y, 1)
 
     check(loss_fn, registry, tol=1e-4)
 
@@ -348,13 +371,13 @@ def test_grads_cross_entropy_is_softmax_minus_onehot():
     registry = make_registry(z=rng_arr(rng, 5))
     tape = Tape()
     z = nm.param(tape, registry, "z")
-    loss, probs = nm.softmax_cross_entropy(tape, z, 2)
+    loss = nm.softmax_cross_entropy(tape, z, 2)
     tape.backward(loss)
-    expected = probs.copy()
+    expected = nm.masked_softmax(registry["z"])
     expected[2] -= 1.0
     assert np.allclose(registry.grads["z"], expected, atol=1e-12)
     check(lambda tape: nm.softmax_cross_entropy(
-        tape, nm.param(tape, registry, "z"), 2)[0], registry)
+        tape, nm.param(tape, registry, "z"), 2), registry)
 
 
 def test_grads_dropout_path():
@@ -398,21 +421,24 @@ def test_grads_fanout_sums_three_consumers():
 
 def test_lstm_zero_params_fixed_point():
     registry = make_registry(wx=np.zeros((8, 3)), wh=np.zeros((8, 2)), b=np.zeros(8))
-    x = nm.constant(np.ones(3))
-    h = nm.constant(np.zeros(2))
-    c = nm.constant(np.zeros(2))
-    h1, c1 = nm.lstm_cell(None, x, h, c, *(nm.param(None, registry, n)
-                                           for n in ("wx", "wh", "b")))
-    assert np.array_equal(h1.value, np.zeros(2))
-    assert np.array_equal(c1.value, np.zeros(2))
+    x = nm.constant(np.ones((1, 1, 3)))
+    h = nm.constant(np.zeros((1, 2)))
+    c = nm.constant(np.zeros((1, 2)))
+    h1, c1 = lstm_step(None, x, h, c, *(nm.param(None, registry, n)
+                                        for n in ("wx", "wh", "b")))
+    assert np.array_equal(h1.value, np.zeros((1, 2)))
+    assert np.array_equal(c1.value, np.zeros((1, 2)))
 
 
 def test_lstm_shape_mismatch():
     registry = make_registry(wx=np.zeros((8, 3)), wh=np.zeros((8, 2)), b=np.zeros(8))
-    bad_x = nm.constant(np.ones(5))
-    with pytest.raises(nm.ShapeMismatch):
-        nm.lstm_cell(None, bad_x, nm.constant(np.zeros(2)), nm.constant(np.zeros(2)),
-                     *(nm.param(None, registry, n) for n in ("wx", "wh", "b")))
+    weights = [nm.param(None, registry, n) for n in ("wx", "wh", "b")]
+    zeros = nm.constant(np.zeros((1, 2)))
+    with pytest.raises(nm.ShapeMismatch):  # an input of the wrong width
+        lstm_step(None, nm.constant(np.ones((1, 1, 5))), zeros, zeros, *weights)
+    with pytest.raises(nm.ShapeMismatch):  # a state of another row count
+        lstm_step(None, nm.constant(np.ones((1, 1, 3))), nm.constant(np.zeros((2, 2))),
+                  zeros, *weights)
 
 
 def test_attention_singleton_and_symmetry():
@@ -422,15 +448,16 @@ def test_attention_singleton_and_symmetry():
     b = nm.constant(rng_arr(rng, 6))
     u = nm.constant(rng_arr(rng, 1, 4))
     v = rng_arr(rng, 4)
-    ctx, weights = nm.attention(None, u, nm.constant(v[None, None]), w_score, w, b)
+    first = np.array([0])
+    ctx, weights = nm.attention(None, u, nm.constant(v[None, None]), w_score, w, b, first)
     assert np.allclose(weights.value, [[1.0]])
     assert np.allclose(ctx.value, [v])
     pair = nm.constant(np.stack([v, v])[None])
-    ctx2, weights2 = nm.attention(None, u, pair, w_score, w, b)
+    ctx2, weights2 = nm.attention(None, u, pair, w_score, w, b, first)
     assert np.allclose(weights2.value, [[0.5, 0.5]])
     # a masked (padding) entry gets exactly zero weight
     padded = nm.constant(np.stack([v, rng_arr(rng, 4)])[None])
-    ctx3, weights3 = nm.attention(None, u, padded, w_score, w, b,
+    ctx3, weights3 = nm.attention(None, u, padded, w_score, w, b, first,
                                   mask=np.array([[True, False]]))
     assert weights3.value.tolist() == [[1.0, 0.0]]
     assert np.array_equal(ctx3.value, ctx.value)
@@ -440,7 +467,7 @@ def test_attention_empty_candidates():
     with pytest.raises(nm.EmptyCandidates):
         nm.attention(None, nm.constant(np.zeros((1, 2))), nm.constant(np.zeros((1, 0, 2))),
                      nm.constant(np.zeros(2)), nm.constant(np.zeros((2, 4))),
-                     nm.constant(np.zeros(2)))
+                     nm.constant(np.zeros(2)), np.array([0]))
 
 
 def test_dense_relu_dense_hand_values():
@@ -462,12 +489,11 @@ def test_dense_relu_dense_zero_params():
 
 def test_cross_entropy_values():
     logits = nm.constant(np.zeros(5))
-    loss, probs = nm.softmax_cross_entropy(None, logits, 3)
+    loss = nm.softmax_cross_entropy(None, logits, 3)
     assert np.isclose(float(loss.value), np.log(5))
-    assert np.allclose(probs, 0.2)
     favored = np.zeros(5)
     favored[3] = 30.0
-    loss2, _ = nm.softmax_cross_entropy(None, nm.constant(favored), 3)
+    loss2 = nm.softmax_cross_entropy(None, nm.constant(favored), 3)
     assert float(loss2.value) < 1e-9
     with pytest.raises(nm.IndexOutOfRange):
         nm.softmax_cross_entropy(None, logits, 9)
@@ -838,9 +864,10 @@ def test_array_functions_write_the_same_bits_into_out(rows, nan, seed):
     want = nm._attention_scores(*args)
     got = nm._attention_scores(*args, out=(np.empty(pre.shape), np.empty((rows, n_keys))))
     assert same_bits(got, want)
-    weights = nm.masked_softmax(want[1])
-    assert same_bits([nm._attend(weights, keys, out=wide((rows, d), 4))],
-                     [nm._attend(weights, keys)])
+    # greedy decoding's weighted sum, one row over its keys, into a feature row
+    weights = nm.masked_softmax(want[1][:1])
+    assert same_bits([np.matmul(weights, keys[0], out=wide((1, d), 4))],
+                     [np.matmul(weights, keys[0])])
 
     sizes = [int(s) for s in rng.multinomial(k - 3, [1 / 3] * 3) + 1]
     gate_w, gate_b = rng_arr(rng, 6, k), rng_arr(rng, 6)

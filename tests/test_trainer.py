@@ -329,6 +329,15 @@ def test_evaluate_timeouts_score_zero(monkeypatch, synth_prepared):
     assert metrics.answer_accuracy == 0.0
 
 
+def test_evaluate_counts_a_huge_answer_as_wrong(monkeypatch, synth_prepared):
+    """A solved answer beyond float range is a wrong answer, not an OverflowError."""
+    model, _ = tiny_model(synth_prepared)
+    monkeypatch.setattr(trainer, "decode_problem", lambda model, problem: DecodeResult(
+        actions=[], equations=[], answer=eqlang.Fraction(10**400), status="solved", trace=[]))
+    metrics = trainer.evaluate(model, synth_prepared[:3])
+    assert metrics.n_total == 3 and metrics.answer_accuracy == 0.0
+
+
 def test_evaluate_rejections_in_denominator(monkeypatch, synth_prepared):
     model, _ = tiny_model(synth_prepared)
     monkeypatch.setattr(trainer, "decode_problem", oracle_decode)
