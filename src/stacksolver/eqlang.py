@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 OPS = ("+", "-", "*", "/")
 
@@ -347,67 +347,42 @@ def format_rational(v: Fraction) -> str:
 # infix parser
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | x | pi | op | lparen | rparen | eq
+class _Token(NamedTuple):
+    kind: str  # num | x | op | lparen | rparen | eq
     pos: int
     value: Fraction | str | None = None
 
 
+# kind and value of every token that is not a number literal
+_SYMBOLS = {"x": ("x", None), "X": ("x", None),
+            "pi": ("num", PI_LITERAL), "PI": ("num", PI_LITERAL), "π": ("num", PI_LITERAL),
+            "+": ("op", "+"), "-": ("op", "-"), "*": ("op", "*"), "/": ("op", "/"),
+            "×": ("op", "*"), "÷": ("op", "/"),
+            "(": ("lparen", None), ")": ("rparen", None), "=": ("eq", None)}
+# a number literal or one symbol; whitespace is what no token matches. \d is
+# what isdecimal() accepts, so "²" is an unexpected character, not a digit
+_TOKEN_RE = re.compile(rf"(?P<num>(?:{_FRACTION_RE.pattern}|{_DECIMAL_RE.pattern})%?)"
+                       r"|pi|PI|\S")
+
+
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        # isdecimal, not isdigit: "²" is a digit that \d does not match
-        if ch.isdecimal() or (ch == "." and i + 1 < n and text[i + 1].isdecimal()):
-            j = (_FRACTION_RE.match(text, i) or _DECIMAL_RE.match(text, i)).end()
-            if text.startswith("%", j):
-                j += 1
-            value = parse_rational(text[i:j])
+    for m in _TOKEN_RE.finditer(text):
+        pos, num = m.start(), m["num"]
+        if num is not None:
+            kind, value = "num", parse_rational(num)
             if value is None:
-                raise EquationSyntaxError("fraction with zero denominator", i)
-            tokens.append(_Token("num", i, value))
-            i = j
-            continue
-        if ch in "xX":
-            tokens.append(_Token("x", i))
-            i += 1
-            continue
-        if ch == "π" or text[i:i + 2] in ("pi", "PI"):
-            tokens.append(_Token("num", i, PI_LITERAL))
-            i += 1 if ch == "π" else 2
-            continue
-        if ch in "+-*/":
-            tokens.append(_Token("op", i, ch))
-            i += 1
-            continue
-        if ch == "×":
-            tokens.append(_Token("op", i, "*"))
-            i += 1
-            continue
-        if ch == "÷":
-            tokens.append(_Token("op", i, "/"))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", i))
-            i += 1
-            continue
-        if ch == "=":
-            tokens.append(_Token("eq", i))
-            i += 1
-            continue
-        raise EquationSyntaxError(f"unexpected character {ch!r}", i)
+                raise EquationSyntaxError("fraction with zero denominator", pos)
+        elif m[0] in _SYMBOLS:
+            kind, value = _SYMBOLS[m[0]]
+        else:
+            raise EquationSyntaxError(f"unexpected character {m[0]!r}", pos)
+        tokens.append(_Token(kind, pos, value))
     return tokens
+
+
+# how tightly each operator binds; both levels associate to the left
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
 
 
 class _Parser:
@@ -433,26 +408,17 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self, depth: int) -> Expr:
-        node = self.term(depth)
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.value not in "+-":
-                return node
-            self.next()
-            rhs = self.term(depth)
-            node = BinOp(str(tok.value), node, rhs)
-
-    def term(self, depth: int) -> Expr:
+    def expr(self, depth: int, level: int = 0) -> Expr:
+        """Factors joined by the operators that bind at ``level`` or tighter."""
         node = self.factor(depth)
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.value not in "*/":
+            if tok is None or tok.kind != "op" or _PRECEDENCE[tok.value] < level:
                 return node
             self.next()
-            rhs = self.factor(depth)
+            rhs = self.expr(depth, _PRECEDENCE[tok.value] + 1)
             try:
-                node = BinOp(str(tok.value), node, rhs)
+                node = BinOp(tok.value, node, rhs)
             except ValueError:
                 raise EquationSyntaxError("division by zero constant", tok.pos) from None
 

@@ -876,14 +876,14 @@ ADAM_EPSILON = 1e-8
 @dataclass
 class OptimizerConfig:
     learning_rate: float = 0.001
-    gradient_clip_norm: float | None = 5.0
+    gradient_clip_norm: float = 5.0  # inf never clips
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
-        if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
-            raise ValueError("gradient_clip_norm must be positive or None")
+        if not self.gradient_clip_norm > 0:
+            raise ValueError("gradient_clip_norm must be positive")
 
 
 def adam_step(registry: ParamRegistry, config: OptimizerConfig) -> ParamRegistry:
@@ -903,7 +903,7 @@ def adam_step(registry: ParamRegistry, config: OptimizerConfig) -> ParamRegistry
     # every intermediate goes through these two rows: an arena-sized temporary
     # per operation would cost more than the arithmetic
     step, scratch = np.empty((2, g.size))
-    if config.gradient_clip_norm is not None and norm > config.gradient_clip_norm:
+    if norm > config.gradient_clip_norm:
         g = np.multiply(g, config.gradient_clip_norm / norm, out=step)
     m, v = registry.flat_m, registry.flat_v
     m *= ADAM_BETA1

@@ -175,6 +175,26 @@ def test_train_accepts_prepared_input(tmp_path, synth_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("n, frac", [(16, 0.25), (10, 0.3), (7, 0.01), (5, 0.99)])
+def test_heldout_split_is_a_seeded_partition(n, frac):
+    problems = list(range(n))  # the split reads nothing of a problem
+    train_part, held_part = cli._split_heldout(problems, frac, seed=3)
+    assert len(held_part) == max(1, int(n * frac))
+    assert not set(train_part) & set(held_part)
+    assert sorted(train_part + held_part) == problems
+    assert cli._split_heldout(problems, frac, seed=3) == (train_part, held_part)
+    assert cli._split_heldout(problems, 0.0, seed=3) == (problems, None)
+
+
+def test_train_heldout_frac_scores_the_heldout_part(tmp_path, synth_file):
+    out = tmp_path / "model"
+    assert run_cli("train", "--data", synth_file, "--out", out, "--epochs", 1,
+                   "--batch-size", 8, "--seed", 4, "--embed-dim", 8, "--hidden", 8,
+                   "--heldout-frac", 0.25) == 0
+    metrics = dict(line.split("=") for line in (out / "metrics.txt").read_text().splitlines())
+    assert int(metrics["n_total"]) == 4  # a quarter of the 16 problems
+
+
 def test_config_file_with_flag_override(tmp_path, synth_file):
     config = tmp_path / "run.cfg"
     config.write_text("epochs = 1\nhidden = 8\nembed-dim = 8\n# comment\n",

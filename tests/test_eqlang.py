@@ -104,6 +104,27 @@ def test_parse_x_on_both_sides_is_fine():
     assert eqlang.has_unknown(lhs) and not eqlang.has_unknown(rhs)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("x = 5 ", C(5)),
+    ("x=٣+３", BinOp("+", C(3), C(3))),  # any decimal digit, not only ASCII
+    ("x=5.+.5", BinOp("+", C(5), C("0.5"))),
+    ("x=1/6%", C(F(1, 600))),
+    ("x=Pi", ("unexpected character 'P'", 2)),
+    ("x=2²", ("unexpected character '²'", 3)),
+    ("x=3a", ("unexpected character 'a'", 3)),
+    ("x=1/0", ("fraction with zero denominator", 2)),
+])
+def test_lexer_edge_cases(text, expected):
+    if isinstance(expected, tuple):
+        message, position = expected
+        with pytest.raises(eqlang.EquationSyntaxError) as exc:
+            eqlang.parse_equation(text)
+        assert str(exc.value) == f"{message} (offset {position})"
+        assert exc.value.position == position
+    else:
+        assert eqlang.parse_equation(text) == (UNKNOWN, expected)
+
+
 def test_parse_depth_limit():
     deep = "x=" + "(" * 70 + "1" + ")" * 70
     with pytest.raises(eqlang.EquationSyntaxError):

@@ -186,7 +186,7 @@ def usable(config: trainer.TrainConfig, heldout_frac: float) -> bool:
             and config.constant_mode in ("direct", "self_attention", "fixed")
             and dec.transformer_mode in ("mlp", "embedding")
             and np.isfinite(opt.learning_rate) and opt.learning_rate > 0
-            and (opt.gradient_clip_norm is None or opt.gradient_clip_norm > 0))
+            and opt.gradient_clip_norm > 0)
 
 
 def assert_usable_or_config_error(argv, capsys):

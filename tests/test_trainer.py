@@ -280,6 +280,31 @@ def test_a_non_finite_parameter_is_never_kept_as_the_best(monkeypatch, synth_pre
         trainer.train(synth_prepared[:8], tiny_train_config(batch_size=4))
 
 
+@pytest.mark.parametrize("eval_every, patience, last_epoch, best_epoch",
+                         [(1, 2, 4, 2), (2, 3, 8, 4)])
+def test_training_stops_after_patience_epochs_without_a_better_accuracy(
+        monkeypatch, synth_prepared, eval_every, patience, last_epoch, best_epoch):
+    accuracies = iter([0.25, 0.5, 0.25, 0.25, 1.0])  # the 1.0 is never reached
+    snapshots = []
+
+    def scripted_evaluate(model, problems, rejected=0):
+        snapshots.append(model.registry.flat.copy())
+        return trainer.Metrics(answer_accuracy=next(accuracies), equation_accuracy=0.0,
+                               n_total=len(problems), n_correct_answer=0,
+                               n_correct_equation=0, n_rejected=0)
+
+    monkeypatch.setattr(trainer, "evaluate", scripted_evaluate)
+    config = tiny_train_config(epochs=10, eval_every=eval_every, patience=patience)
+    result = trainer.train(synth_prepared[:8], config)
+    assert [stats.epoch for stats in result.history] == list(range(1, last_epoch + 1))
+    assert result.best_epoch == best_epoch
+    assert result.best_metrics.answer_accuracy == 0.5
+    # the returned parameters are the best epoch's, not the last epoch's
+    best = snapshots[best_epoch // eval_every - 1]
+    assert np.array_equal(result.model.registry.flat, best)
+    assert not np.array_equal(best, snapshots[-1])
+
+
 def test_train_smoke_and_determinism(synth_prepared):
     subset = synth_prepared[:8]
     config = tiny_train_config(epochs=3, batch_size=4, seed=17, eval_every=3)
