@@ -367,11 +367,10 @@ def cmd_cv(args) -> int:
 def _trace_record(i: int, action: eqlang.StackAction, stack, step) -> dict:
     """Step ``i`` of a decode: its action and resulting stack, rendered, and
     the neural readouts of ``step``."""
-    index = eqlang.action_index(action)
     return {
         "step": i + 1,
-        "action": eqlang.ACTION_NAMES[index],
-        "operand": eqlang.operand_name(action.ref) if index == eqlang.PUSH else None,
+        "action": eqlang.ACTION_NAMES[action.kind],
+        "operand": action.ref,
         "action_probs": {name: float(p) for name, p in
                          zip(eqlang.ACTION_NAMES, step.action_probs)},
         "operand_probs": None if step.operand_probs is None else

@@ -218,8 +218,7 @@ def prepare(raw: RawProblem, mode: str = "word") -> PreparedProblem:
     tokens = tokenize(raw.text, mode)
     positions, values = extract_constants(tokens)
     lhs, rhs = eqlang.parse_equation(raw.equation)
-    postfix = eqlang.to_postfix(lhs, rhs)
-    target = eqlang.linearize(postfix, values)
+    target = eqlang.linearize(lhs, rhs, values)
     answer = parse_answer(raw.answer)
     eqlang.solve([(lhs, rhs)])  # reject gold equations our solver cannot handle
     return PreparedProblem(

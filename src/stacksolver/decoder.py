@@ -313,7 +313,7 @@ class DecoderRun:
             [[*range(start, start + n), ONE_ROW, PI_ROW] + [ZERO_ROW] * (width - n - 2)
              for start, n in zip(const_start.tolist(), n_constants.tolist())],
             dtype=np.intp)
-        # an unpadded batch (every greedy decode) needs no attention mask
+        # an unpadded batch (a batch of one) needs no attention mask
         self._token_mask = None if encoded.token_mask.all() else encoded.token_mask
         if config.use_gate:
             # both gates' weights, stacked once: one gate op per step
@@ -436,18 +436,17 @@ class DecoderRun:
         ``_stack_step`` moves each row's pointers."""
         if len(actions) != state.rows:
             raise ValueError(f"{len(actions)} actions for {state.rows} rows")
-        kinds = [eqlang.action_index(action) for action in actions]
         vec = np.full(state.rows, ZERO_ROW, dtype=np.intp)  # each row's pushed or new row
         unknown = state.unknown.copy()
         genvar: list[int] = []
         by_op: dict[str, list[int]] = {}
-        for row, (kind, action) in enumerate(zip(kinds, actions)):
-            if kind == GENVAR:
+        for row, action in enumerate(actions):
+            if action.kind == GENVAR:
                 genvar.append(row)
-            elif kind == PUSH:
+            elif action.kind == PUSH:
                 vec[row] = self._candidate_rows[
                     row, eqlang.operand_index(action.ref, self.problems[row].n_constants)]
-            elif kind != EQUAL:
+            elif action.kind != EQUAL:
                 by_op.setdefault(action.op, []).append(row)
 
         if genvar:  # step 0, the one step at which eqlang allows it, of every row
@@ -471,8 +470,8 @@ class DecoderRun:
             vec[op_rows] = new  # embedding: one vector for every row
         last = state.last.copy()
         vec_stacks = []
-        for row, (stack, kind) in enumerate(zip(state.vec_stacks, kinds)):
-            stack, last[row] = _stack_step(stack, kind, int(vec[row]))
+        for row, (stack, action) in enumerate(zip(state.vec_stacks, actions)):
+            stack, last[row] = _stack_step(stack, action.kind, int(vec[row]))
             vec_stacks.append(stack)
         return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown,
                             vec_stacks=tuple(vec_stacks))
@@ -589,7 +588,7 @@ def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,
             _check_finite(scores[choice], "operand score", step)
             ref = eqlang.operand_at(choice, n)
             vec = int(candidates[choice])
-        action = eqlang.action_at(kind, ref)
+        action = StackAction(kind, ref)
         try:
             eqlang.symbolic_step(symbolic, equations, action, problem.constant_values)
         except eqlang.ZeroDivisor:

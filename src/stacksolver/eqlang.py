@@ -1,4 +1,4 @@
-"""The symbolic side of the solver: equation ASTs, postfix targets, a stack VM.
+"""The symbolic side of the solver: equation ASTs, stack-action targets, a stack VM.
 
 Expressions are exact-rational trees. Gold equations arrive as infix strings,
 get linearized into stack actions (the decoder's supervision targets), and a
@@ -145,134 +145,90 @@ def evaluate(e: Expr, x: Fraction | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# operand references and stack actions
-
-
-@dataclass(frozen=True)
-class ConstRef:
-    index: int
-
-
-@dataclass(frozen=True)
-class OneRef:
-    pass
-
-
-@dataclass(frozen=True)
-class PiRef:
-    pass
-
-
-@dataclass(frozen=True)
-class UnknownRef:
-    pass
-
-
-OperandRef = Union[ConstRef, OneRef, PiRef, UnknownRef]
-
-ONE_REF = OneRef()
-PI_REF = PiRef()
-UNKNOWN_REF = UnknownRef()
-
-
-@dataclass(frozen=True)
-class GenVar:
-    pass
-
-
-@dataclass(frozen=True)
-class Push:
-    ref: OperandRef
-
-
-@dataclass(frozen=True)
-class Apply:
-    op: str
-
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"unknown operator {self.op!r}")
-
-
-@dataclass(frozen=True)
-class ApplyEqual:
-    pass
-
-
-StackAction = Union[GenVar, Push, Apply, ApplyEqual]
-
-GEN_VAR = GenVar()
-APPLY_EQUAL = ApplyEqual()
-
-
-# ---------------------------------------------------------------------------
-# the action and operand tables: every index, name and wire string of an
-# action or an operand derives from these two
+# stack actions: every index, name and wire string of an action or an
+# operand derives from the two tables here
 
 # Stack actions in decoder index order, by wire spelling. Push is the one
-# action that takes an operand (its entry is the class), and every action
-# after it pops the top two stack entries. A trace names an action by its
-# spelling without the colon (``apply+``).
-ACTIONS = {"genvar": GEN_VAR, "push": Push,
-           **{f"apply:{op}": Apply(op) for op in OPS}, "equal": APPLY_EQUAL}
-_WIRE = tuple(ACTIONS)
-ACTION_NAMES = tuple(wire.replace(":", "") for wire in _WIRE)
-GENVAR, PUSH, EQUAL = (_WIRE.index(wire) for wire in ("genvar", "push", "equal"))
-_ACTION_LIST = tuple(ACTIONS.values())
-_ACTION_INDEX = {action: i for i, action in enumerate(_ACTION_LIST)}
+# action that takes an operand, and every action after it pops the top two
+# stack entries. A trace names an action by its spelling without the colon
+# (``apply+``).
+ACTIONS = ("genvar", "push", *(f"apply:{op}" for op in OPS), "equal")
+ACTION_NAMES = tuple(wire.replace(":", "") for wire in ACTIONS)
+GENVAR, PUSH, EQUAL = (ACTIONS.index(wire) for wire in ("genvar", "push", "equal"))
+_APPLY_OP = {ACTIONS.index(f"apply:{op}"): op for op in OPS}
 
 # A push's operand candidates, in decoder order: the problem's constants
 # c0..c{n-1}, then these, by name (x only once it has been generated).
-EXTERNAL_OPERANDS = {"1": ONE_REF, "pi": PI_REF, "x": UNKNOWN_REF}
-_EXTERNAL = tuple(EXTERNAL_OPERANDS.values())
-_EXTERNAL_NAME = {ref: name for name, ref in EXTERNAL_OPERANDS.items()}
+EXTERNAL_OPERANDS = ("1", "pi", "x")
 _CONST_NAME_RE = re.compile(r"c([0-9]+)")
 
 
-def action_index(action: StackAction) -> int:
-    return PUSH if isinstance(action, Push) else _ACTION_INDEX[action]
+class StackAction(NamedTuple):
+    """One decoder action: ``kind`` indexes ``ACTIONS``, and a push's ``ref``
+    names its operand, ``c{i}`` for the i-th constant or an external one."""
+    kind: int
+    ref: str | None = None
+
+    @property
+    def op(self) -> str:
+        """The operator of an apply."""
+        if self.kind not in _APPLY_OP:
+            raise ValueError(f"{ACTIONS[self.kind]} applies no operator")
+        return _APPLY_OP[self.kind]
 
 
-def action_at(index: int, ref: OperandRef | None = None) -> StackAction:
-    """The action at ``index``; a push takes its operand ``ref``."""
-    return Push(ref) if index == PUSH else _ACTION_LIST[index]
+GEN_VAR = StackAction(GENVAR)
+APPLY_EQUAL = StackAction(EQUAL)
 
 
-def operand_index(ref: OperandRef, n_constants: int) -> int:
-    """Candidate index of ``ref`` for a problem with ``n_constants`` constants."""
-    if isinstance(ref, ConstRef):
-        if not 0 <= ref.index < n_constants:
-            raise IndexError(f"constant index {ref.index} out of range")
-        return ref.index
-    return n_constants + _EXTERNAL.index(ref)
+def push(ref: str) -> StackAction:
+    """A push of operand ``ref``: ``c{i}`` (no leading zero), ``1``, ``pi``
+    or ``x``."""
+    const = _CONST_NAME_RE.fullmatch(ref)
+    if ref not in EXTERNAL_OPERANDS and not (const and f"c{int(const[1])}" == ref):
+        raise ValueError(f"bad operand name {ref!r}")
+    return StackAction(PUSH, ref)
 
 
-def operand_at(index: int, n_constants: int) -> OperandRef:
-    return ConstRef(index) if index < n_constants else _EXTERNAL[index - n_constants]
+def apply(op: str) -> StackAction:
+    if op not in OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    return StackAction(ACTIONS.index(f"apply:{op}"))
 
 
-def operand_name(ref: OperandRef) -> str:
-    """``c{i}`` for the i-th constant, else the external operand's name."""
-    return f"c{ref.index}" if isinstance(ref, ConstRef) else _EXTERNAL_NAME[ref]
+# the names that two of perfbench's tests build actions with, until they
+# spell them push("c0"), push("x") and apply("+")
+Push, Apply, UNKNOWN_REF = push, apply, "x"
+ConstRef = "c{}".format
+
+
+def operand_index(ref: str, n_constants: int) -> int:
+    """Candidate index of operand ``ref`` for a problem with ``n_constants``
+    constants."""
+    if ref in EXTERNAL_OPERANDS:
+        return n_constants + EXTERNAL_OPERANDS.index(ref)
+    index = int(ref[1:])
+    if index >= n_constants:
+        raise IndexError(f"constant index {index} out of range")
+    return index
+
+
+def operand_at(index: int, n_constants: int) -> str:
+    return f"c{index}" if index < n_constants else EXTERNAL_OPERANDS[index - n_constants]
 
 
 def action_to_wire(action: StackAction) -> str:
     """Prepared-file spelling of an action: ``push:c2``, ``apply:+``, ``equal``."""
-    if isinstance(action, Push):
-        return f"push:{operand_name(action.ref)}"
-    return _WIRE[_ACTION_INDEX[action]]
+    return f"push:{action.ref}" if action.kind == PUSH else ACTIONS[action.kind]
 
 
 def action_from_wire(text: str) -> StackAction:
     kind, colon, name = text.partition(":")
-    if kind == "push" and colon:
-        if name in EXTERNAL_OPERANDS:
-            return Push(EXTERNAL_OPERANDS[name])
-        const = _CONST_NAME_RE.fullmatch(name)
-        if const:
-            return Push(ConstRef(int(const.group(1))))
-    elif text != "push" and text in ACTIONS:
-        return ACTIONS[text]
+    const = _CONST_NAME_RE.fullmatch(name)
+    if kind == "push" and colon and (const or name in EXTERNAL_OPERANDS):
+        return push(f"c{int(const[1])}" if const else name)
+    if text != "push" and text in ACTIONS:
+        return StackAction(ACTIONS.index(text))
     raise ValueError(f"bad action encoding {text!r}")
 
 
@@ -280,37 +236,38 @@ def action_from_wire(text: str) -> StackAction:
 # number lexing shared with the corpus module
 
 
-_FRACTION_RE = re.compile(r"(\d+)/(\d+)(?![\d.])")
-_DECIMAL_RE = re.compile(r"\d+\.\d*|\.\d+|\d+")
+# one numeric literal: a bare a/b between two integers is one rational, and
+# an int or a decimal (``5.`` tolerates a trailing dot); then an optional %
+_LITERAL = (r"(?:(?P<numerator>\d+)/(?P<denominator>\d+)(?![\d.])"
+            r"|(?P<decimal>\d+\.\d*|\.\d+|\d+))(?P<percent>%)?")
+_LITERAL_RE = re.compile(_LITERAL)
+
+
+def _literal_value(m: re.Match) -> Fraction | None:
+    """Exact value of the literal that ``m`` matched with ``_LITERAL``: None
+    for a zero denominator, ``LiteralTooLong`` past ``MAX_LITERAL_DIGITS``."""
+    numerator, denominator, decimal = m.group("numerator", "denominator", "decimal")
+    digits = len(decimal) - decimal.count(".") if decimal else len(numerator + denominator)
+    if digits > MAX_LITERAL_DIGITS:
+        raise LiteralTooLong(digits)
+    if decimal:
+        whole, _, frac = decimal.partition(".")
+        value = Fraction(int(whole + frac), 10 ** len(frac))
+    elif int(denominator):
+        value = Fraction(int(numerator), int(denominator))
+    else:
+        return None
+    return value / 100 if m["percent"] else value
 
 
 def parse_rational(text: str) -> Fraction | None:
     """Exact value of one numeric literal: int, decimal, a/b fraction, p%.
 
-    Returns None when the text is not a single literal, and raises
-    ``LiteralTooLong`` past ``MAX_LITERAL_DIGITS``. A bare ``a/b`` between
-    two integers is one rational; ``5.`` tolerates a trailing dot.
+    Returns None when the text is not a single literal or has a zero
+    denominator, and raises ``LiteralTooLong`` past ``MAX_LITERAL_DIGITS``.
     """
-    s = text.strip()
-    percent = False
-    if s.endswith("%"):
-        percent = True
-        s = s[:-1]
-    m = _FRACTION_RE.fullmatch(s)
-    if not m and not _DECIMAL_RE.fullmatch(s):
-        return None
-    digits = len(s) - s.count(".") - s.count("/")
-    if digits > MAX_LITERAL_DIGITS:
-        raise LiteralTooLong(digits)
-    if m:
-        den = int(m.group(2))
-        if den == 0:
-            return None
-        value = Fraction(int(m.group(1)), den)
-    else:
-        whole, _, frac = s.partition(".")
-        value = Fraction(int(whole + frac), 10 ** len(frac))
-    return value / 100 if percent else value
+    m = _LITERAL_RE.fullmatch(text.strip())
+    return _literal_value(m) if m else None
 
 
 def format_rational(v: Fraction) -> str:
@@ -361,16 +318,15 @@ _SYMBOLS = {"x": ("x", None), "X": ("x", None),
             "(": ("lparen", None), ")": ("rparen", None), "=": ("eq", None)}
 # a number literal or one symbol; whitespace is what no token matches. \d is
 # what isdecimal() accepts, so "²" is an unexpected character, not a digit
-_TOKEN_RE = re.compile(rf"(?P<num>(?:{_FRACTION_RE.pattern}|{_DECIMAL_RE.pattern})%?)"
-                       r"|pi|PI|\S")
+_TOKEN_RE = re.compile(rf"{_LITERAL}|pi|PI|\S")
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
-        pos, num = m.start(), m["num"]
-        if num is not None:
-            kind, value = "num", parse_rational(num)
+        pos = m.start()
+        if m["numerator"] or m["decimal"]:
+            kind, value = "num", _literal_value(m)
             if value is None:
                 raise EquationSyntaxError("fraction with zero denominator", pos)
         elif m[0] in _SYMBOLS:
@@ -381,8 +337,9 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-# how tightly each operator binds; both levels associate to the left
-_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1}
+# how tightly each operator binds, for the parser and the renderer, which
+# gives an atom 3; both levels associate to the left
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
@@ -408,7 +365,7 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expr(self, depth: int, level: int = 0) -> Expr:
+    def expr(self, depth: int, level: int = 1) -> Expr:
         """Factors joined by the operators that bind at ``level`` or tighter."""
         node = self.factor(depth)
         while True:
@@ -462,59 +419,38 @@ def parse_equation(text: str) -> tuple[Expr, Expr]:
 
 
 # ---------------------------------------------------------------------------
-# postfix linearization
-
-PostfixToken = Union[Fraction, str]  # Fraction literal, "x", an operator, or "="
+# linearization
 
 
-def to_postfix(lhs: Expr, rhs: Expr) -> list[PostfixToken]:
-    """Left-to-right postfix of both sides, terminated by '='."""
-    out: list[PostfixToken] = []
-
-    def emit(e: Expr) -> None:
-        if isinstance(e, Const):
-            out.append(e.value)
-        elif isinstance(e, Unknown):
-            out.append("x")
-        else:
-            emit(e.left)
-            emit(e.right)
-            out.append(e.op)
-
-    emit(lhs)
-    emit(rhs)
-    out.append("=")
-    return out
-
-
-def linearize(postfix: Sequence[PostfixToken],
-              constants: Sequence[Fraction]) -> list[StackAction]:
-    """Map postfix tokens onto stack actions over the problem's constants.
+def linearize(lhs: Expr, rhs: Expr, constants: Sequence[Fraction]) -> list[StackAction]:
+    """The target of ``lhs=rhs`` over the problem's constants: genvar, the
+    left-to-right postfix of both sides as pushes and applies, then equal.
 
     A literal binds to the first text constant with the exact same value;
     unmatched 1 falls back to the external one, unmatched 3.14/pi to the
     external pi. Anything else is unalignable and rejects the sample.
     """
-    actions: list[StackAction] = [GEN_VAR]
-    for tok in postfix:
-        if isinstance(tok, Fraction):
-            for i, c in enumerate(constants):
-                if c == tok:
-                    actions.append(Push(ConstRef(i)))
-                    break
-            else:
-                if tok == ONE_VALUE:
-                    actions.append(Push(ONE_REF))
-                elif tok == PI_LITERAL:
-                    actions.append(Push(PI_REF))
-                else:
-                    raise UnalignableLiteral(tok)
-        elif tok == "x":
-            actions.append(Push(UNKNOWN_REF))
-        elif tok == "=":
-            actions.append(APPLY_EQUAL)
+    actions = [GEN_VAR]
+
+    def emit(e: Expr) -> None:
+        if isinstance(e, BinOp):
+            emit(e.left)
+            emit(e.right)
+            actions.append(apply(e.op))
+        elif isinstance(e, Unknown):
+            actions.append(StackAction(PUSH, "x"))
+        elif e.value in constants:
+            actions.append(StackAction(PUSH, f"c{constants.index(e.value)}"))
+        elif e.value == ONE_VALUE:
+            actions.append(StackAction(PUSH, "1"))
+        elif e.value == PI_LITERAL:
+            actions.append(StackAction(PUSH, "pi"))
         else:
-            actions.append(Apply(tok))
+            raise UnalignableLiteral(e.value)
+
+    emit(lhs)
+    emit(rhs)
+    actions.append(APPLY_EQUAL)
     return actions
 
 
@@ -522,9 +458,9 @@ def linearize(postfix: Sequence[PostfixToken],
 # the stack virtual machine
 
 
-def resolve_operand(ref: OperandRef, constants: Sequence[Fraction]) -> Expr:
+def resolve_operand(ref: str, constants: Sequence[Fraction]) -> Expr:
     index = operand_index(ref, len(constants))
-    return UNKNOWN if ref == UNKNOWN_REF else Const((*constants, ONE_VALUE, PI_VALUE)[index])
+    return UNKNOWN if ref == "x" else Const((*constants, ONE_VALUE, PI_VALUE)[index])
 
 
 def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
@@ -534,19 +470,20 @@ def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
     This is the one symbolic transition: greedy decoding steps it beside
     the decoder's semantic stack, and a decode replays through it.
     """
-    if isinstance(action, GenVar):
+    kind = action.kind
+    if kind == GENVAR:
         return
-    if isinstance(action, Push):
+    if kind == PUSH:
         stack.append(resolve_operand(action.ref, constants))
         return
     if len(stack) < 2:
-        raise StackUnderflow(f"{action} needs two stack elements, have {len(stack)}")
+        raise StackUnderflow(f"{ACTIONS[kind]} needs two stack elements, have {len(stack)}")
     top = stack.pop()
     second = stack.pop()
-    if isinstance(action, Apply):
-        stack.append(BinOp(action.op, second, top))
-    else:
+    if kind == EQUAL:
         equations.append((second, top))
+    else:
+        stack.append(BinOp(action.op, second, top))
 
 
 def is_legal(kind: int, depth: int, has_unknown: bool) -> bool:
@@ -562,18 +499,15 @@ def check_target(target: Sequence[StackAction], n_constants: int) -> None:
     """Raise ``IllegalAction`` unless ``target`` generates the unknown first,
     every step is legal at its stack depth, and every push names an operand
     of a problem with ``n_constants`` constants (x only once generated)."""
-    if not target or not isinstance(target[0], GenVar):
+    if not target or target[0].kind != GENVAR:
         raise IllegalAction("the target does not start with genvar")
     depth = 0
-    for step, action in enumerate(target[1:], 1):  # x exists from here on
-        kind = action_index(action)
+    for step, (kind, ref) in enumerate(target[1:], 1):  # x exists from here on
         if not is_legal(kind, depth, True):
             raise IllegalAction("the target generates the unknown twice" if kind == GENVAR
                                 else f"the target underflows the stack at step {step}")
-        if kind == PUSH and isinstance(action.ref, ConstRef) \
-                and not 0 <= action.ref.index < n_constants:
-            raise IllegalAction(f"the target pushes {operand_name(action.ref)} "
-                                f"of {n_constants} values")
+        if kind == PUSH and ref not in EXTERNAL_OPERANDS and int(ref[1:]) >= n_constants:
+            raise IllegalAction(f"the target pushes {ref} of {n_constants} values")
         depth += 1 if kind == PUSH else -2 if kind == EQUAL else -1
 
 
@@ -650,8 +584,6 @@ def answers_equal(a, b) -> bool:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def expr_to_infix(e: Expr) -> str:

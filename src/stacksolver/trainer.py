@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
@@ -28,7 +29,7 @@ from . import eqlang
 from . import numerics as nm
 from .corpus import PreparedProblem
 from .decoder import DecoderConfig, DecoderRun, DecodeResult
-from .encoder import EncoderConfig, TooManyConstants
+from .encoder import EncoderConfig, TooManyConstants, check_integers
 from .eqlang import PUSH
 from .numerics import Node, OptimizerConfig, ParamRegistry, Tape
 
@@ -54,9 +55,16 @@ class TrainConfig:
     target_accuracy: float | None = None
 
     def __post_init__(self):
+        check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
+                       patience=self.patience, eval_every=self.eval_every)
         if self.seed < 0 or min(self.epochs, self.batch_size, self.patience,
                                 self.eval_every) < 1:
             raise ValueError("seed must be >= 0; epochs, batch_size, patience, eval_every >= 1")
+        accuracy = self.target_accuracy
+        if accuracy is not None and (isinstance(accuracy, bool)
+                                     or not isinstance(accuracy, numbers.Real)
+                                     or not 0 <= accuracy <= 1):
+            raise ValueError(f"target_accuracy must be None or in [0, 1], got {accuracy!r}")
         if self.mode not in ("word", "char"):
             raise ValueError(f"unknown mode {self.mode!r}")
         # building the encoder's config checks its own rules (sizes,
@@ -164,7 +172,7 @@ def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
 
     # every (row, step)'s gold action, in the tall state's order
     gold = [(action, problem) for problem in rows for action in problem.target]
-    actions = np.array([eqlang.action_index(action) for action, _ in gold], dtype=np.intp)
+    actions = np.array([action.kind for action, _ in gold], dtype=np.intp)
     pushes = np.flatnonzero(actions == PUSH)
     tall = run.stack_steps(steps)
     feats = run.state_features(tall)

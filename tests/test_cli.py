@@ -680,12 +680,9 @@ def assert_trace_matches_decode(record):
     for i, (step, action, stack) in enumerate(
             zip(record["steps"], actions, replay.stack_history)):
         assert step["step"] == i + 1
-        assert step["action"] == eqlang.ACTION_NAMES[eqlang.action_index(action)]
-        if isinstance(action, eqlang.Push):
-            ref = action.ref
-            expected = {eqlang.ONE_REF: "1", eqlang.PI_REF: "pi",
-                        eqlang.UNKNOWN_REF: "x"}.get(ref) or f"c{ref.index}"
-            assert step["operand"] == expected
+        assert step["action"] == eqlang.ACTION_NAMES[action.kind]
+        if action.kind == eqlang.PUSH:
+            assert eqlang.action_to_wire(action) == f"push:{step['operand']}"
         else:
             assert step["operand"] is None
         assert step["stack"] == [eqlang.expr_to_infix(e) for e in stack]

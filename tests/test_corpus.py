@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stacksolver import corpus, eqlang
 from stacksolver.decoder import DecoderConfig
-from stacksolver.eqlang import ConstRef, Push
+from stacksolver.eqlang import push
 
 F = Fraction
 
@@ -164,9 +164,13 @@ def test_parse_answer(text, expected):
     assert corpus.parse_answer(text) == expected
 
 
-def test_parse_answer_rejects_junk():
-    with pytest.raises(corpus.AnswerFormatError):
-        corpus.parse_answer("elephants")
+@pytest.mark.parametrize("text, message", [
+    ("elephants", "cannot parse answer"),
+    ("3(1/0)", "zero denominator in answer"),  # a mixed numeral over 0
+])
+def test_parse_answer_rejects_junk(text, message):
+    with pytest.raises(corpus.AnswerFormatError, match=message):
+        corpus.parse_answer(text)
 
 
 def test_parse_answer_many_leading_minus_signs():
@@ -185,12 +189,10 @@ def test_parse_answer_many_leading_minus_signs():
 def test_prepare_fig1_target(fig1_prepared):
     wire = fig1_prepared.target
     assert wire[0] == eqlang.GEN_VAR
-    assert wire[1] == Push(eqlang.UNKNOWN_REF)
+    assert wire[1] == push("x")
     # indices follow text order: 0.5 -> 0, 1 -> 1, 10 -> 2, 5 -> 3
-    assert wire[2] == Push(ConstRef(2))
-    assert wire[3] == Push(ConstRef(1))
-    assert wire[4] == Push(ConstRef(3))
-    assert wire[7] == Push(ConstRef(0))
+    assert wire[2:5] == [push("c2"), push("c1"), push("c3")]
+    assert wire[7] == push("c0")
     assert fig1_prepared.gold_answer == 10
 
 
@@ -303,7 +305,7 @@ def test_synth_answers_solve():
 def test_synth_difficulty3_uses_external_one():
     raws = corpus.synth_generate(60, seed=23, difficulty=3)
     prepared, _ = corpus.prepare_dataset(raws)
-    assert any(Push(eqlang.ONE_REF) in p.target for p in prepared)
+    assert any(push("1") in p.target for p in prepared)
 
 
 def test_synth_unique():

@@ -15,9 +15,7 @@ from stacksolver.decoder import (
     semantic_transform,
 )
 from stacksolver.encoder import EncoderConfig
-from stacksolver.eqlang import (
-    ACTIONS, GENVAR, PUSH, Apply, ConstRef, GEN_VAR, Push, UNKNOWN_REF, action_index,
-)
+from stacksolver.eqlang import ACTIONS, GEN_VAR, GENVAR, PUSH, apply, push
 
 from conftest import tiny_model, zeroed
 
@@ -75,9 +73,9 @@ def test_select_action_uniform_when_zero_params():
     state = run.initial_state()
     state = run.advance(state)
     state = run.apply_action(state, [GEN_VAR])
-    for ref in (ConstRef(0), ConstRef(1)):
+    for ref in ("c0", "c1"):
         state = run.advance(state)
-        state = run.apply_action(state, [Push(ref)])
+        state = run.apply_action(state, [push(ref)])
     state = run.advance(state)
     dist = run.select_action(run.state_features(state), state)
     # depth 2 with the unknown generated: six legal actions, uniform 1/6
@@ -292,7 +290,7 @@ def test_push_mirrors_symbolic_vm():
     with the vector of the constant that the VM pushes."""
     problem = simple_problem()
     _, run = make_run([problem], seed=3)
-    actions = [GEN_VAR, Push(ConstRef(1))]
+    actions = [GEN_VAR, push("c1")]
     state = run.initial_state()
     for action in actions:
         state = run.apply_action(run.advance(state), [action])
@@ -314,7 +312,16 @@ def test_genvar_on_some_rows_only_is_rejected():
     run = DecoderRun(encoded, problems, model.registry, model.dec_config)
     state = run.advance(run.initial_state())
     with pytest.raises(ValueError, match="every row"):
-        run.apply_action(state, [GEN_VAR, Push(ConstRef(0))])
+        run.apply_action(state, [GEN_VAR, push("c0")])
+
+
+def test_apply_action_takes_one_action_per_row():
+    problems = [simple_problem()] * 2
+    model, _ = tiny_model(problems, seed=3)
+    encoded = encoder.encode_batch(problems, model.vocab, model.registry, model.enc_config)
+    run = DecoderRun(encoded, problems, model.registry, model.dec_config)
+    with pytest.raises(ValueError, match="1 actions for 2 rows"):
+        run.apply_action(run.advance(run.initial_state()), [GEN_VAR])
 
 
 def test_teacher_forced_fig1_solves(fig1_prepared):
@@ -337,9 +344,9 @@ def test_equal_on_two_element_stack_leaves_zero_result():
     model, run = make_run([problem], seed=3)
     state = run.advance(run.initial_state())
     state = run.apply_action(state, [GEN_VAR])
-    for ref in (UNKNOWN_REF, ConstRef(0)):
+    for ref in ("x", "c0"):
         state = run.advance(state)
-        state = run.apply_action(state, [Push(ref)])
+        state = run.apply_action(state, [push(ref)])
     state = run.advance(state)
     state = run.apply_action(state, [eqlang.APPLY_EQUAL])
     assert state.depth[0] == 0
@@ -354,7 +361,7 @@ def test_stack_step_moves_the_pointers():
     stack = (7, 8, 9)
     assert step(stack, PUSH, 4) == ((7, 8, 9, 4), 4)
     assert step(stack, GENVAR, 12) == (stack, 12)
-    assert step(stack, action_index(Apply("-")), 12) == ((7, 12), 12)
+    assert step(stack, apply("-").kind, 12) == ((7, 12), 12)
     # equal pops two; the entry left on top is the result, the zero row on empty
     assert step(stack, eqlang.EQUAL, 0) == ((7,), 7)
     assert step((8, 9), eqlang.EQUAL, 0) == ((), decoder.ZERO_ROW)
@@ -364,9 +371,9 @@ def test_illegal_actions_raise():
     """An operator on a short stack and a second genvar are masked, and a
     target that takes either is rejected."""
     problem = simple_problem()
-    assert not legal_action_mask(1, True)[action_index(Apply("+"))]
+    assert not legal_action_mask(1, True)[apply("+").kind]
     assert not legal_action_mask(2, True)[GENVAR]
-    for target in ([GEN_VAR, Apply("+")], [GEN_VAR, Push(ConstRef(0)), Apply("+")],
+    for target in ([GEN_VAR, apply("+")], [GEN_VAR, push("c0"), apply("+")],
                    [GEN_VAR, GEN_VAR]):
         with pytest.raises(decoder.IllegalAction):
             eqlang.check_target(target, problem.n_constants)
@@ -381,7 +388,7 @@ def test_push_unknown_before_genvar_is_illegal():
     odist = run.select_operand(run.state_features(state), state)
     assert odist.count.tolist() == [problem.n_constants + 2]
     with pytest.raises(decoder.IllegalAction, match="does not start with genvar"):
-        eqlang.check_target([Push(UNKNOWN_REF), GEN_VAR], problem.n_constants)
+        eqlang.check_target([push("x"), GEN_VAR], problem.n_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +419,7 @@ def test_greedy_never_executes_masked_actions():
                                  max_steps=model.dec_config.max_steps)
         assert outcome.equations == result.equations
         assert outcome.stack_history == result.stack_history
-        genvars = [a for a in result.actions if isinstance(a, eqlang.GenVar)]
+        genvars = [a for a in result.actions if a.kind == GENVAR]
         assert len(genvars) <= 1
 
 
@@ -425,8 +432,8 @@ def test_greedy_trace_records_every_step():
     for action, step in zip(result.actions, result.trace):
         assert step.action_probs.shape == (len(ACTIONS),)
         assert abs(step.action_probs.sum() - 1.0) < 1e-9
-        assert step.action_probs[action_index(action)] > 0
-        assert (step.operand_probs is not None) == isinstance(action, Push)
+        assert step.action_probs[action.kind] > 0
+        assert (step.operand_probs is not None) == (action.kind == PUSH)
         if step.attention is not None:
             assert abs(step.attention.sum() - 1.0) < 1e-9
             assert step.attention.shape == (len(problem.tokens),)
@@ -461,9 +468,9 @@ def test_greedy_steps_take_the_argmax_and_track_depth(monkeypatch):
         for action, step, depth, stack in zip(
                 result.actions, result.trace, depths, result.stack_history):
             probs = step.action_probs
-            assert int(np.argmax(probs)) == action_index(action)
-            assert probs[action_index(action)] > 0
-            if isinstance(action, Push):
+            assert int(np.argmax(probs)) == action.kind
+            assert probs[action.kind] > 0
+            if action.kind == PUSH:
                 choice = eqlang.operand_index(action.ref, problems[0].n_constants)
                 assert int(np.argmax(step.operand_probs)) == choice
             assert depth == [len(stack)]
@@ -489,7 +496,7 @@ def reference_greedy_decode(encoded, problem, registry, config):
             choice = int(scores.argmax())
             decoder._check_finite(scores[choice], "operand score", step)
             ref = eqlang.operand_at(choice, problem.n_constants)
-        action = eqlang.action_at(idx, ref)
+        action = eqlang.StackAction(idx, ref)
         try:
             eqlang.symbolic_step(stack, equations, action, problem.constant_values)
         except eqlang.ZeroDivisor:
@@ -582,7 +589,7 @@ def test_greedy_decode_equals_the_run_loop_bitwise(flags, fuzz_problems):
             want = reference_greedy_decode(encoded, problem, model.registry,
                                            model.dec_config)
             assert_same_decode(got, want)
-            kinds |= {action_index(action) for action in got.actions}
+            kinds |= {action.kind for action in got.actions}
     assert kinds == set(range(len(ACTIONS)))  # every step kind ran
 
 
@@ -659,10 +666,10 @@ def test_dividing_by_a_zero_constant_ends_the_decode_unsolvable():
         if name.startswith("dec."):
             model.registry[name][...] = 0.0
     bias = model.registry["dec.act.b2"]
-    bias[PUSH], bias[GENVAR], bias[action_index(Apply("/"))] = 3.0, 1.0, 5.0
+    bias[PUSH], bias[GENVAR], bias[apply("/").kind] = 3.0, 1.0, 5.0
     encoded = encoder.encode(problem, model.vocab, model.registry, model.enc_config)
     result = greedy_decode(encoded, problem, model.registry, model.dec_config, trace=True)
-    assert result.actions == [Push(ConstRef(0))] * 2
+    assert result.actions == [push("c0")] * 2
     assert (result.status, result.answer, result.equations) == ("unsolvable", None, [])
     assert_same_decode(result, reference_greedy_decode(encoded, problem, model.registry,
                                                        model.dec_config))

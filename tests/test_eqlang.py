@@ -1,4 +1,4 @@
-"""Symbolic world: parsing, postfix, linearization, the stack VM, the solver."""
+"""Symbolic world: parsing, linearization, the stack VM, the solver."""
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stacksolver import eqlang
 from stacksolver.decoder import legal_action_mask
-from stacksolver.eqlang import (
-    APPLY_EQUAL,
-    Apply,
-    BinOp,
-    Const,
-    ConstRef,
-    GEN_VAR,
-    ONE_REF,
-    PI_REF,
-    Push,
-    UNKNOWN,
-    UNKNOWN_REF,
-)
+from stacksolver.eqlang import APPLY_EQUAL, GEN_VAR, UNKNOWN, BinOp, Const, apply, push
 
 F = Fraction
 
@@ -113,6 +101,7 @@ def test_parse_x_on_both_sides_is_fine():
     ("x=2²", ("unexpected character '²'", 3)),
     ("x=3a", ("unexpected character 'a'", 3)),
     ("x=1/0", ("fraction with zero denominator", 2)),
+    ("x=1 / 0", ("division by zero constant", 4)),
 ])
 def test_lexer_edge_cases(text, expected):
     if isinstance(expected, tuple):
@@ -132,7 +121,7 @@ def test_parse_depth_limit():
 
 
 # ---------------------------------------------------------------------------
-# postfix: shunting-yard oracle
+# linearization: shunting-yard oracle
 
 
 def shunting_yard(text: str):
@@ -172,22 +161,25 @@ def shunting_yard(text: str):
     "x=(1+2)*(3-4)",
     "x=((2+3)*4-5)/(6+7)",
 ])
-def test_postfix_matches_shunting_yard(text):
-    lhs, rhs = eqlang.parse_equation(text)
-    assert eqlang.to_postfix(lhs, rhs) == shunting_yard(text)
+def test_linearize_matches_shunting_yard(text):
+    postfix = shunting_yard(text)
+    constants = sorted({tok for tok in postfix if isinstance(tok, F)})
+    expected = [GEN_VAR]
+    for tok in postfix:
+        if isinstance(tok, F):
+            expected.append(push(f"c{constants.index(tok)}"))
+        elif tok == "x":
+            expected.append(push("x"))
+        else:
+            expected.append(APPLY_EQUAL if tok == "=" else apply(tok))
+    assert eqlang.linearize(*eqlang.parse_equation(text), constants) == expected
 
 
-def test_postfix_fig1_tokens():
-    lhs, rhs = eqlang.parse_equation("x=(10-1*5)/0.5")
-    assert eqlang.to_postfix(lhs, rhs) == [
-        "x", F(10), F(1), F(5), "*", "-", F(1, 2), "/", "="]
-
-
-def test_postfix_trivial_cases():
-    lhs, rhs = eqlang.parse_equation("x=5+7")
-    assert eqlang.to_postfix(lhs, rhs) == ["x", F(5), F(7), "+", "="]
-    lhs, rhs = eqlang.parse_equation("x=10")
-    assert eqlang.to_postfix(lhs, rhs) == ["x", F(10), "="]
+def test_linearize_trivial_cases():
+    assert eqlang.linearize(*eqlang.parse_equation("x=5+7"), [F(7), F(5)]) == [
+        GEN_VAR, push("x"), push("c1"), push("c0"), apply("+"), APPLY_EQUAL]
+    assert eqlang.linearize(*eqlang.parse_equation("x=10"), [F(10)]) == [
+        GEN_VAR, push("x"), push("c0"), APPLY_EQUAL]
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +203,10 @@ def random_expr(rng, depth, pool=POOL):
 
 
 def roundtrip_once(rng, depth=6, pool=POOL):
-    """parse -> postfix -> linearize -> execute == direct evaluation, exactly."""
+    """parse -> linearize -> execute == direct evaluation, exactly."""
     rhs = random_expr(rng, depth, pool)
     text = "x = " + eqlang.expr_to_infix(rhs)
-    lhs2, rhs2 = eqlang.parse_equation(text)
-    postfix = eqlang.to_postfix(lhs2, rhs2)
-    actions = eqlang.linearize(postfix, pool)
+    actions = eqlang.linearize(*eqlang.parse_equation(text), pool)
     outcome = eqlang.execute(actions, pool, max_steps=max(40, len(actions)))
     assert len(outcome.equations) == 1
     got_lhs, got_rhs = outcome.equations[0]
@@ -252,35 +242,35 @@ def test_renderer_minimal_parens():
 # linearize
 
 
+FIG1 = eqlang.parse_equation("x=(10-1*5)/0.5")
+
+
 def test_linearize_fig1_mapping():
-    postfix = ["x", F(10), F(1), F(5), "*", "-", F(1, 2), "/", "="]
     constants = [F(1, 2), F(1), F(10), F(5)]
-    assert eqlang.linearize(postfix, constants) == [
-        GEN_VAR, Push(UNKNOWN_REF), Push(ConstRef(2)), Push(ConstRef(1)),
-        Push(ConstRef(3)), Apply("*"), Apply("-"), Push(ConstRef(0)),
-        Apply("/"), APPLY_EQUAL]
+    assert eqlang.linearize(*FIG1, constants) == [
+        GEN_VAR, push("x"), push("c2"), push("c1"), push("c3"), apply("*"), apply("-"),
+        push("c0"), apply("/"), APPLY_EQUAL]
 
 
 def test_linearize_external_one_fallback():
-    actions = eqlang.linearize(["x", F(1), F(7), "+", "="], [F(7)])
-    assert actions[1] == Push(UNKNOWN_REF)
-    assert actions[2] == Push(ONE_REF)
+    actions = eqlang.linearize(*eqlang.parse_equation("x=1+7"), [F(7)])
+    assert actions[1:3] == [push("x"), push("1")]
 
 
 def test_linearize_pi_fallback():
-    actions = eqlang.linearize(["x", eqlang.PI_LITERAL, "="], [F(2)])
-    assert actions[1:] == [Push(UNKNOWN_REF), Push(eqlang.PI_REF), APPLY_EQUAL]
+    actions = eqlang.linearize(*eqlang.parse_equation("x=pi"), [F(2)])
+    assert actions[1:] == [push("x"), push("pi"), APPLY_EQUAL]
 
 
 def test_linearize_unalignable():
     with pytest.raises(eqlang.UnalignableLiteral) as exc:
-        eqlang.linearize(["x", F("7.3"), "="], [F(2)])
+        eqlang.linearize(*eqlang.parse_equation("x=7.3"), [F(2)])
     assert exc.value.value == F("7.3")
 
 
 def test_linearize_first_occurrence_wins():
-    actions = eqlang.linearize(["x", F(5), "="], [F(5), F(5)])
-    assert actions[2] == Push(ConstRef(0))
+    actions = eqlang.linearize(*eqlang.parse_equation("x=5"), [F(5), F(5)])
+    assert actions[2] == push("c0")
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +279,13 @@ def test_linearize_first_occurrence_wins():
 
 def test_execute_fig1_records_equation():
     constants = [F(1, 2), F(1), F(10), F(5)]
-    postfix = ["x", F(10), F(1), F(5), "*", "-", F(1, 2), "/", "="]
-    outcome = eqlang.execute(eqlang.linearize(postfix, constants), constants)
+    outcome = eqlang.execute(eqlang.linearize(*FIG1, constants), constants)
     assert len(outcome.equations) == 1
     assert eqlang.solve(outcome.equations) == 10
 
 
 def test_execute_minimal_equation():
-    actions = [GEN_VAR, Push(UNKNOWN_REF), Push(ConstRef(0)), APPLY_EQUAL]
+    actions = [GEN_VAR, push("x"), push("c0"), APPLY_EQUAL]
     outcome = eqlang.execute(actions, [F(4)])
     assert outcome.equations == [(UNKNOWN, C(4))]
     assert eqlang.solve(outcome.equations) == 4
@@ -304,13 +293,13 @@ def test_execute_minimal_equation():
 
 def test_execute_underflow():
     with pytest.raises(eqlang.StackUnderflow):
-        eqlang.execute([Apply("+")], [])
+        eqlang.execute([apply("+")], [])
     with pytest.raises(eqlang.StackUnderflow):
-        eqlang.execute([GEN_VAR, Push(UNKNOWN_REF), APPLY_EQUAL], [])
+        eqlang.execute([GEN_VAR, push("x"), APPLY_EQUAL], [])
 
 
 def test_execute_budget():
-    actions = [GEN_VAR] + [Push(ConstRef(0))] * 5
+    actions = [GEN_VAR] + [push("c0")] * 5
     with pytest.raises(ValueError):
         eqlang.execute(actions, [F(1)], max_steps=3)
 
@@ -326,10 +315,10 @@ def test_depth_law_random_sequences():
             choices = ["push"] if depth < 2 else ["push", "apply", "equal"]
             kind = choices[int(rng.integers(len(choices)))]
             if kind == "push":
-                actions.append(Push(ConstRef(0)))
+                actions.append(push("c0"))
                 depth += 1
             elif kind == "apply":
-                actions.append(Apply("+"))
+                actions.append(apply("+"))
                 depth -= 1
             else:
                 actions.append(APPLY_EQUAL)
@@ -349,17 +338,15 @@ def obeys_the_rules(target, n_constants) -> bool:
     if not target or target[0] != GEN_VAR:
         return False
     depth, has_unknown = 0, False
-    for action in target:
-        kind = eqlang.action_index(action)
+    for kind, ref in target:
         if not legal_action_mask(depth, has_unknown)[kind]:
             return False
         if kind == eqlang.GENVAR:
             has_unknown = True
         elif kind == eqlang.PUSH:
-            ref = action.ref
-            if isinstance(ref, ConstRef) and ref.index >= n_constants:
+            if ref.startswith("c") and int(ref[1:]) >= n_constants:
                 return False
-            if ref == UNKNOWN_REF and not has_unknown:
+            if ref == "x" and not has_unknown:
                 return False
             depth += 1
         else:
@@ -367,11 +354,10 @@ def obeys_the_rules(target, n_constants) -> bool:
     return True
 
 
-PUSHES = st.sampled_from(
-    [Push(ref) for ref in (ONE_REF, PI_REF, UNKNOWN_REF, *map(ConstRef, range(4)))])
+PUSHES = st.sampled_from([push(ref) for ref in ("1", "pi", "x", "c0", "c1", "c2", "c3")])
 # every action, two thirds of them pushes, so that many sequences are legal
 ANY_ACTION = st.one_of(PUSHES, PUSHES,
-                       st.sampled_from([GEN_VAR, APPLY_EQUAL, *map(Apply, eqlang.OPS)]))
+                       st.sampled_from([GEN_VAR, APPLY_EQUAL, *map(apply, eqlang.OPS)]))
 
 
 @settings(max_examples=500, deadline=None)
@@ -394,7 +380,7 @@ def test_check_target_accepts_exactly_the_sequences_that_obey_the_rules(
 
 def test_illegal_prefix_underflows():
     # legality: a sequence executes iff depth >= 2 right before each apply/equal
-    actions = [GEN_VAR, Push(ConstRef(0)), Apply("*")]
+    actions = [GEN_VAR, push("c0"), apply("*")]
     with pytest.raises(eqlang.StackUnderflow):
         eqlang.execute(actions, [F(3)])
 
@@ -430,6 +416,13 @@ def test_solve_unknown_cancels():
 def test_solve_retries_shifted_probes():
     # removable pole at x=1 defeats the base probes but not the retry
     assert eqlang.solve([eqlang.parse_equation("x*(x-1)/(x-1)=7")]) == 7
+
+
+def test_solve_poles_at_every_probe():
+    # poles at 0..5 leave neither probe set a defined residual
+    equation = eqlang.parse_equation("x=1/(x*(x-1)*(x-2)*(x-3)*(x-4)*(x-5))")
+    with pytest.raises(eqlang.DivisionByZero, match="residual undefined at all probe points"):
+        eqlang.solve([equation])
 
 
 def test_solve_agrees_with_evaluate():
@@ -483,19 +476,31 @@ def test_action_and_operand_tables():
     # trace names and wire strings are file formats: they must not move
     assert eqlang.ACTION_NAMES == ("genvar", "push", "apply+", "apply-", "apply*",
                                    "apply/", "equal")
-    for i in range(len(eqlang.ACTIONS)):
-        action = eqlang.action_at(i, ONE_REF)
-        assert eqlang.action_index(action) == i
+    assert eqlang.ACTIONS == ("genvar", "push", "apply:+", "apply:-", "apply:*",
+                              "apply:/", "equal")
+    actions = [GEN_VAR, push("pi"), *map(apply, eqlang.OPS), APPLY_EQUAL]
+    assert [action.kind for action in actions] == list(range(len(eqlang.ACTIONS)))
+    for action in actions:
         assert eqlang.action_from_wire(eqlang.action_to_wire(action)) == action
-    refs = [ConstRef(0), ConstRef(1), ONE_REF, eqlang.PI_REF, UNKNOWN_REF]
+    assert [action.op for action in actions[2:6]] == list(eqlang.OPS)
+    for action in (GEN_VAR, push("c0"), APPLY_EQUAL):
+        with pytest.raises(ValueError, match="applies no operator"):
+            action.op
+    refs = ["c0", "c1", "1", "pi", "x"]
     assert [eqlang.operand_index(ref, 2) for ref in refs] == [0, 1, 2, 3, 4]
     assert [eqlang.operand_at(i, 2) for i in range(5)] == refs
-    assert [eqlang.operand_name(ref) for ref in refs] == ["c0", "c1", "1", "pi", "x"]
     with pytest.raises(IndexError):
-        eqlang.operand_index(ConstRef(2), 2)
+        eqlang.operand_index("c2", 2)
+    # a wire constant may carry leading zeros; its action names it without them
+    assert eqlang.action_from_wire("push:c007") == push("c7")
     for bad in ("push", "push:", "push:c-1", "push:y", "apply:^", "genvar:x"):
         with pytest.raises(ValueError):
             eqlang.action_from_wire(bad)
+    for bad in ("y", "c", "c-1", "c007", "C0", ""):
+        with pytest.raises(ValueError, match="bad operand name"):
+            push(bad)
+    with pytest.raises(ValueError, match="unknown operator"):
+        apply("^")
 
 
 def test_parse_rational_caps_digits():

@@ -7,7 +7,7 @@ import pytest
 
 from stacksolver import corpus, decoder, encoder, eqlang, numerics as nm, trainer
 from stacksolver.decoder import DecodeResult, legal_action_mask
-from stacksolver.eqlang import Push
+from stacksolver.eqlang import GEN_VAR, apply, push
 
 from conftest import tiny_model, tiny_train_config, zeroed
 
@@ -21,12 +21,12 @@ def expected_uniform_loss(problem):
     for action in problem.target:
         legal = int(legal_action_mask(depth, has_unknown).sum())
         total += math.log(legal)
-        if isinstance(action, eqlang.GenVar):
+        if action.kind == eqlang.GENVAR:
             has_unknown = True
-        elif isinstance(action, Push):
+        elif action.kind == eqlang.PUSH:
             total += math.log(candidates)
             depth += 1
-        elif isinstance(action, eqlang.Apply):
+        elif action.kind != eqlang.EQUAL:
             depth -= 1
         else:
             depth -= 2
@@ -78,7 +78,7 @@ def test_problem_loss_gradcheck_config_variants(synth_prepared, overrides):
 def mixed_batch(problems, size):
     """Problems that all push x, with differing token counts, target lengths
     and constant counts, so every padded and narrowed path is exercised."""
-    batch = [p for p in problems if Push(eqlang.UNKNOWN_REF) in p.target][:size]
+    batch = [p for p in problems if push("x") in p.target][:size]
     assert len(batch) == size
     for feature in (lambda p: len(p.tokens), lambda p: len(p.target),
                     lambda p: p.n_constants):
@@ -131,7 +131,7 @@ def stepwise_loss(problems, model, *, tape):
                 state.last[keep], state.unknown[keep], state.vec_stacks[keep])
         state = run.advance(state)
         gold = [p.target[step] for p in rows[:active]]
-        kinds = np.array([eqlang.action_index(a) for a in gold])
+        kinds = np.array([a.kind for a in gold])
         feats = run.state_features(state)
         terms.append(run.action_loss(run.select_action(feats, state), kinds))
         pushes = np.flatnonzero(kinds == eqlang.PUSH)
@@ -183,8 +183,8 @@ def test_char_mode_end_to_end():
     assert "60" in problem.tokens and "1/6" in problem.tokens
     assert problem.constant_values == [eqlang.Fraction(60), eqlang.Fraction(1, 6)]
     # the duplicated 60 maps to its first occurrence both times
-    pushes = [a.ref for a in problem.target if isinstance(a, Push)]
-    assert pushes.count(eqlang.ConstRef(0)) == 2
+    pushes = [a.ref for a in problem.target if a.kind == eqlang.PUSH]
+    assert pushes.count("c0") == 2
     model, _ = tiny_model([problem], seed=3)
     loss = trainer.problem_loss(problem, model, tape=None)
     assert float(loss.value) > 0
@@ -220,9 +220,9 @@ def test_teacher_forcing_mirrors_vm(monkeypatch, synth_prepared):
 
 
 @pytest.mark.parametrize("target", [
-    [Push(eqlang.ConstRef(0))],                                      # no genvar first
-    [eqlang.GEN_VAR, Push(eqlang.ConstRef(0)), eqlang.Apply("+")],   # apply at depth 1
-    [eqlang.GEN_VAR, eqlang.GEN_VAR],                                # a second genvar
+    [push("c0")],                           # no genvar first
+    [GEN_VAR, push("c0"), apply("+")],      # apply at depth 1
+    [GEN_VAR, GEN_VAR],                     # a second genvar
 ])
 def test_problem_loss_rejects_malformed_target(synth_prepared, target):
     model, _ = tiny_model(synth_prepared)
@@ -238,6 +238,36 @@ def test_problem_loss_rejects_malformed_target(synth_prepared, target):
 def test_train_empty_dataset():
     with pytest.raises(trainer.EmptyDataset):
         trainer.train([], tiny_train_config())
+
+
+def wide_problem():
+    """A problem with more constants than the fixed slots hold."""
+    text = " ".join(str(n) for n in range(2, 19)) + " things"
+    wide = corpus.prepare(corpus.RawProblem(id="wide", text=text, equation="x=2", answer="2"))
+    assert wide.n_constants > encoder.FIXED_SLOT_LIMIT
+    return wide
+
+
+def test_fixed_mode_train_with_no_problem_that_fits_the_slots():
+    with pytest.raises(trainer.EmptyDataset, match="fixed constant slots"):
+        trainer.train([wide_problem()], tiny_train_config(constant_mode="fixed"))
+
+
+def test_evaluate_empty_dataset(synth_prepared):
+    model, _ = tiny_model(synth_prepared)
+    with pytest.raises(trainer.EmptyDataset, match="nothing to evaluate"):
+        trainer.evaluate(model, [])
+
+
+@pytest.mark.parametrize("setting", [
+    {"epochs": 2.5}, {"batch_size": 2.0}, {"seed": 1.5}, {"patience": 3.0},
+    {"eval_every": "1"}, {"batch_size": True}, {"epochs": 0}, {"seed": -1},
+    {"target_accuracy": 7}, {"target_accuracy": -0.1}, {"target_accuracy": float("nan")},
+    {"target_accuracy": True}, {"target_accuracy": "0.5"},
+])
+def test_train_config_rejects_values_it_cannot_run(setting):
+    with pytest.raises(ValueError):
+        trainer.TrainConfig(**setting)
 
 
 def test_nan_loss_stops_training_before_any_update(monkeypatch, synth_prepared):
@@ -465,9 +495,7 @@ def test_overfit_one_decodes_target(overfit_one):
 
 
 def test_fixed_repr_training_filters_large_problems(synth_prepared):
-    text = " ".join(str(n) for n in range(2, 19)) + " things"
-    raw = corpus.RawProblem(id="wide", text=text, equation="x=2", answer="2")
-    wide = corpus.prepare(raw)
+    wide = wide_problem()
     config = tiny_train_config(
         epochs=1, batch_size=2, eval_every=1, constant_mode="fixed")
     result = trainer.train(synth_prepared[:4] + [wide], config)
