@@ -32,7 +32,9 @@ FIXED_SLOT_LIMIT = 15
 
 # widest embedding or recurrent layer a config may ask for: at the cap a
 # model has about 41M parameters, 0.3 GiB of float64; training adds a
-# gradient and two Adam moments of that size, 1.2 GiB in all
+# gradient and two Adam moments of that size, and each Adam step two more
+# rows of scratch: six such buffers, about 1.8 GiB, and seven (2.1 GiB) once
+# training keeps a best-model copy
 MAX_WIDTH = 512
 
 

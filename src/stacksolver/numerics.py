@@ -32,7 +32,10 @@ decode and reuses it at every step; teacher forcing reads each attention
 once per run, so the op has no key half to share. ``lstm`` is the one
 recurrence op: it steps k streams at once, time-major, with one stacked
 product per step and each gate's block of every stream contiguous;
-``_lstm_cell`` is one step of one stream in its order of sums.
+``_lstm_cell`` is one step of one stream in its order of sums. Its backward
+takes every factor of the gate-logit gradients that does not wait on the
+recurrence (the gates' derivatives, tanh c) for all steps at once, in place,
+so that its reverse loop makes a handful of calls per step.
 ``gate_blocks`` computes every group of feature gates (the decoder has two)
 with one product over the stacked gate weights, applies their sigmoids and
 scales the feature blocks.
@@ -45,6 +48,10 @@ An attention read names the key row of each query row by an index array
 problem) and works per run of one index: ``attention`` takes one product
 per run, and ``_scatter`` sums a run's gradient before adding it to that
 row.
+
+``adam_step`` runs all its passes over one ``ADAM_CHUNK`` of the arena
+before the next, so the chunk stays in cache; every entry goes through the
+same operations in the same order as over the whole arena, bit for bit.
 
 All ops accept ``tape=None`` for inference-only forward passes (nothing is
 recorded, so closures are never built), and ops with dropout apply it
@@ -211,8 +218,9 @@ def uniform_init(rng: np.random.Generator, out: np.ndarray) -> None:
 
 
 def _is_basic(idx) -> bool:
-    """Whether ``idx`` is slices only, so that ``x[idx]`` is a view."""
-    return all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,)))
+    """Whether ``idx`` is slices and new axes only, so that ``x[idx]`` is a view."""
+    return all(i is None or isinstance(i, slice)
+               for i in (idx if isinstance(idx, tuple) else (idx,)))
 
 
 def _runs(rows: np.ndarray) -> list[tuple[int, int, int]]:
@@ -231,7 +239,12 @@ def _scatter(grad: np.ndarray, idx, g: np.ndarray) -> None:
     is sorted (stably, unless it already is) and each run of one row is
     summed at once: ``np.add.at`` adds one index at a time, which is slow
     when each names a block of many entries, and so is ``np.add.reduceat``
-    over the first axis of such blocks. Any other index goes to ``np.add.at``."""
+    over the first axis of such blocks. An index of slices and new axes is a
+    view, in which no entry repeats, so it takes one add. Any other index goes
+    to ``np.add.at``."""
+    if _is_basic(idx):
+        grad[idx] += g
+        return
     rows, rest = (idx[0], idx[1:]) if isinstance(idx, tuple) else (idx, ())
     if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"
             and _is_basic(rest)):
@@ -563,23 +576,6 @@ def _lstm_gates(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray)
     np.multiply(z[2], np.tanh(c, h), h)
 
 
-def _lstm_gates_back(dh: np.ndarray, dc: np.ndarray, acts: np.ndarray,
-                     c_prev: np.ndarray, c: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Gradient on the gate logits, written into ``dz`` (gates on its first
-    axis), and on the previous cell (returned) from gradients on (h, c)."""
-    gi, gf, go, gg = acts
-    tc = np.tanh(c)
-    dc_tot = dc + dh * go * (1.0 - tc * tc)
-    np.multiply(dc_tot, gg, out=dz[0])
-    np.multiply(dc_tot, c_prev, out=dz[1])
-    np.multiply(dh, tc, out=dz[2])
-    dz[:3] *= acts[:3]
-    dz[:3] *= 1.0 - acts[:3]
-    np.multiply(dc_tot, gi, out=dz[3])
-    dz[3] *= 1.0 - gg * gg
-    return dc_tot * gf
-
-
 def _by_gate(z: np.ndarray) -> np.ndarray:
     """A (..., 4h) view of [i f o g] gate blocks as (4, ..., h)."""
     return z.reshape(z.shape[:-1] + (4, -1)).transpose((z.ndim - 1, *range(z.ndim - 1), z.ndim))
@@ -674,20 +670,47 @@ def lstm(tape: Tape | None, x: Node, lengths: np.ndarray, streams: Sequence[Sequ
                 dh_out = np.where(pad[..., None], 0.0, dh_out)
             dh, dc = (np.zeros((k, n_rows, hidden)) if v.grad is None
                       else by_stream(v.grad).copy() for v in (h_last, c_last))
-            dz = np.empty_like(acts)
+            # Only dh and dc wait on the recurrence, so every other factor of
+            # the gate-logit gradients is taken for all steps at once, before
+            # it, in place. coef (T, 4, k, B, h) holds what multiplies the
+            # cell's total gradient (for gate o, the hidden state's gradient):
+            # i (1 - i) g, f (1 - f) c_prev, o (1 - o) tanh c and i (1 - g²);
+            # a holds o (1 - tanh² c), the hidden state's path into the cell.
+            gi, gf, go, gg = acts.swapaxes(0, 1)
+            coef = np.empty_like(acts)
+            np.subtract(1.0, acts[:, :3], out=coef[:, :3])
+            coef[:, :3] *= acts[:, :3]
+            coef[:, 0] *= gg
+            coef[:, 1] *= cs[:steps]
+            a = np.tanh(cs[1:])
+            coef[:, 2] *= a
+            np.multiply(gg, gg, out=coef[:, 3])
+            np.subtract(1.0, coef[:, 3], out=coef[:, 3])
+            coef[:, 3] *= gi
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            a *= go
+            # (T, k, B, 4, h): each step's gates laid out as wh's rows
+            dz = np.empty((steps, k, n_rows, 4, hidden))
+            dz_by_gate = dz.transpose(0, 3, 1, 2, 4)
+            dc_tot = np.empty_like(dc)
             for s in range(steps - 1, -1, -1):
                 dh += dh_out[s]
-                dc_prev = _lstm_gates_back(dh, dc, acts[s], cs[s], cs[s + 1], dz[s])
-                dh_prev = np.matmul(dz[s].transpose(1, 2, 0, 3).reshape(k, n_rows, -1), wh)
+                np.multiply(dh, a[s], out=dc_tot)
+                dc_tot += dc
+                np.multiply(dc_tot, coef[s], out=dz_by_gate[s])
+                np.multiply(dh, coef[s, 2], out=dz_by_gate[s, 2])
+                dh_prev = np.matmul(dz[s].reshape(k, n_rows, -1), wh)
+                dc_prev = np.multiply(dc_tot, gf[s])
                 if padded:  # the gradient passes a carried state unchanged
-                    dz[s][:, pad[s]] = 0.0
+                    dz[s][pad[s]] = 0.0
                     dh_prev[pad[s]] = dh[pad[s]]
                     dc_prev[pad[s]] = dc[pad[s]]
                 dh, dc = dh_prev, dc_prev
             for v, d in zip(initial, (dh, dc)):
                 _acc(v, d.transpose(1, 0, 2).reshape(n_rows, -1))
             # per stream, rows in step order
-            dz = flip(dz.transpose(2, 3, 0, 1, 4)).reshape(k, -1, 4 * hidden)
+            dz = flip(dz.transpose(1, 2, 0, 3, 4)).reshape(k, -1, 4 * hidden)
             h_prev = flip(hs[:steps].transpose(1, 2, 0, 3)).reshape(k, -1, hidden)
             for w, dz_j, h_j in zip(streams, dz, h_prev):
                 for node, g in zip(w, (_weight_grad(dz_j, x2), _weight_grad(dz_j, h_j),
@@ -871,6 +894,9 @@ def dense_relu_dense(tape: Tape | None, x: Node, w1: Node, b1: Node, w2: Node,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# entries of the arena that ``adam_step`` runs all its passes over before the
+# next: 0.25 MiB per float64 row, so a chunk's rows stay in cache between passes
+ADAM_CHUNK = 32768
 
 
 @dataclass
@@ -887,35 +913,46 @@ class OptimizerConfig:
 
 
 def adam_step(registry: ParamRegistry, config: OptimizerConfig) -> ParamRegistry:
-    """Bias-corrected Adam update from ``registry.flat_grads``, in place over
-    the whole arena; increments the step counter.
+    """Bias-corrected Adam update from ``registry.flat_grads``, in place, one
+    ``ADAM_CHUNK`` of the arena at a time; increments the step counter. Each
+    entry goes through the same operations in the same order as a pass over
+    the whole arena would take it, so the chunks change no bit.
 
     Raises ``NonFiniteValue`` before touching any parameter when the global
     gradient norm is NaN or infinite."""
-    g = registry.flat_grads
-    norm = np.sqrt(g @ g)
+    grads = registry.flat_grads
+    norm = np.sqrt(grads @ grads)
     if not np.isfinite(norm):
         raise NonFiniteValue(f"gradient norm is {norm}")
     registry.adam_t += 1
     t = registry.adam_t
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    # every intermediate goes through these two rows: an arena-sized temporary
-    # per operation would cost more than the arithmetic
-    step, scratch = np.empty((2, g.size))
-    if norm > config.gradient_clip_norm:
-        g = np.multiply(g, config.gradient_clip_norm / norm, out=step)
-    m, v = registry.flat_m, registry.flat_v
-    m *= ADAM_BETA1
-    m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
-    v *= ADAM_BETA2
-    v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - ADAM_BETA2, out=scratch)
-    # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-    np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
-    np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
-    scratch += ADAM_EPSILON
-    step /= scratch
-    registry.flat -= step
+    clip = norm > config.gradient_clip_norm
+    # Every intermediate goes through these two rows: an arena-sized temporary
+    # per operation would cost more than the arithmetic. They stay arena-sized
+    # although each chunk uses a chunk of them: freeing an mmapped block this
+    # large raises glibc's mmap and trim thresholds, which keeps a batch's
+    # large temporaries on the heap. With chunk-sized rows, an epoch of the
+    # train_b16 benchmark workload took 42,000-48,000 minor page faults
+    # instead of 300-5,200, and 60-80 ms more system time.
+    step_row, scratch_row = np.empty((2, grads.size))
+    for lo in range(0, grads.size, ADAM_CHUNK):
+        chunk = slice(lo, lo + ADAM_CHUNK)
+        step, scratch = step_row[chunk], scratch_row[chunk]
+        g, m, v = grads[chunk], registry.flat_m[chunk], registry.flat_v[chunk]
+        if clip:
+            g = np.multiply(g, config.gradient_clip_norm / norm, out=step)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - ADAM_BETA2, out=scratch)
+        # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(m, bc1, out=step), config.learning_rate, out=step)
+        np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+        scratch += ADAM_EPSILON
+        step /= scratch
+        registry.flat[chunk] -= step
     return registry
 
 

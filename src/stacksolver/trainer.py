@@ -279,7 +279,8 @@ def train(train_set: list[PreparedProblem], config: TrainConfig,
                     f"epoch {epoch}, batch {batch_no}: loss is {value}")
             tape.backward(loss)
             total_loss += value
-            model.registry.flat_grads /= len(batch)
+            if len(batch) > 1:  # x / 1 == x: a pass over the arena that changes nothing
+                model.registry.flat_grads /= len(batch)
             try:
                 nm.adam_step(model.registry, config.optimizer)
             except nm.NonFiniteValue as exc:

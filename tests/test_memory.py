@@ -75,6 +75,20 @@ def test_trained_model_holds_only_the_parameters(problems):
     assert training_buffers(registry) == []
 
 
+def test_adam_step_peaks_at_two_arenas(problems):
+    """Once the moments exist, an Adam step allocates its two arena-sized
+    scratch rows and nothing else: with the parameters, the gradient and
+    both moments, training peaks at six arenas (see ``encoder.MAX_WIDTH``)."""
+    registry = build(problems).registry
+    arena = registry.flat.nbytes
+    registry.flat_grads[...] = 1.0  # a norm that clips, so both rows are used
+    config = nm.OptimizerConfig()
+    nm.adam_step(registry, config)  # makes the moments
+    _, peak, resident = traced(lambda: nm.adam_step(registry, config))
+    assert 2 * arena <= peak <= 2.1 * arena
+    assert resident <= 0.01 * arena
+
+
 def test_save_checkpoint_streams_the_arena(tmp_path, problems):
     registry = build(problems).registry
     arena = registry.flat.nbytes

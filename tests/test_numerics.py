@@ -250,6 +250,87 @@ def test_lstm_matches_cell_steps_and_ignores_padding(reverse, initial):
                 assert np.allclose(c_last.value[row, cols], c_ref, rtol=0, atol=1e-14)
 
 
+def _lstm_gates_back(dh, dc, acts, c_prev, c, dz):
+    """Gradient on the gate logits, written into ``dz`` (gates on its first
+    axis), and on the previous cell (returned) from gradients on (h, c): one
+    step of the backward that ``nm.lstm`` ran before it took the gate factors
+    of all steps at once."""
+    gi, gf, go, gg = acts
+    tc = np.tanh(c)
+    dc_tot = dc + dh * go * (1.0 - tc * tc)
+    np.multiply(dc_tot, gg, out=dz[0])
+    np.multiply(dc_tot, c_prev, out=dz[1])
+    np.multiply(dh, tc, out=dz[2])
+    dz[:3] *= acts[:3]
+    dz[:3] *= 1.0 - acts[:3]
+    np.multiply(dc_tot, gi, out=dz[3])
+    dz[3] *= 1.0 - gg * gg
+    return dc_tot * gf
+
+
+def reference_lstm_grads(x, lengths, weights, reverse, initial, g_states, g_h, g_c):
+    """Gradients on x, on each stream's (wx, wh, b) and on the initial (h, c)
+    from gradients on ``nm.lstm``'s states and final (h, c), one row and one
+    stream at a time, stepping ``_lstm_gates_back`` back from the last step."""
+    rows, hidden = x.shape[0], weights[0][1].shape[1]
+    dx = np.zeros_like(x)
+    dw = [[np.zeros_like(w) for w in ws] for ws in weights]
+    d_initial = [np.zeros((rows, len(weights) * hidden)) for _ in "hc"]
+    for r, n in enumerate(lengths):
+        for j, ((wx, wh, b), rev) in enumerate(zip(weights, reverse)):
+            cols = slice(j * hidden, (j + 1) * hidden)
+            order = list(range(n - 1, -1, -1) if rev else range(n))
+            hs, cs, acts = [initial[0][r, cols]], [initial[1][r, cols]], []
+            for t in order:
+                h1, c1, a = nm._lstm_cell(x[r, t], hs[-1], cs[-1], wx, wh, b)
+                hs.append(h1)
+                cs.append(c1)
+                acts.append(a)
+            dh, dc = g_h[r, cols].copy(), g_c[r, cols].copy()
+            for i in range(len(order) - 1, -1, -1):
+                t = order[i]
+                dh = dh + g_states[r, t, cols]
+                dz = np.empty((4, hidden))
+                dc = _lstm_gates_back(dh, dc, nm._by_gate(acts[i]), cs[i], cs[i + 1], dz)
+                dz = dz.reshape(-1)  # [i f o g], as the rows of wx and wh
+                dx[r, t] += dz @ wx
+                dw[j][0] += np.outer(dz, x[r, t])
+                dw[j][1] += np.outer(dz, hs[i])
+                dw[j][2] += dz
+                dh = dz @ wh
+            d_initial[0][r, cols], d_initial[1][r, cols] = dh, dc
+    return dx, dw, d_initial
+
+
+@pytest.mark.parametrize("lengths", [[4], [4, 2, 1], [4, 4, 4]], ids=str)
+@pytest.mark.parametrize("reverse, initial", STREAMS)
+def test_lstm_backward_matches_the_per_step_reference(reverse, initial, lengths):
+    """The op's gradients, with its gate factors taken for all steps at once,
+    equal those of the per-step backward, whatever gradient reaches its
+    padded states."""
+    rng = np.random.default_rng(17)
+    h = 5
+    rows, k = len(lengths), len(reverse)
+    x = nm.constant(rng_arr(rng, rows, 4, 3))
+    weights = [[nm.constant(rng_arr(rng, *shape))
+                for shape in ((4 * h, 3), (4 * h, h), (4 * h,))] for _ in reverse]
+    start = [nm.constant(rng_arr(rng, rows, k * h)) for _ in "hc"] if initial else []
+    tape = Tape()
+    states, h_last, c_last = nm.lstm(tape, x, np.array(lengths), weights, reverse, start)
+    upstream = [rng_arr(rng, *v.value.shape) for v in (states, h_last, c_last)]
+    for node, g in zip((states, h_last, c_last), upstream):
+        node.grad = g.copy()
+    tape.backward(nm.constant(0.0))  # runs the op's closure on the gradients set above
+    dx, dw, d_initial = reference_lstm_grads(
+        x.value, lengths, [[v.value for v in w] for w in weights], reverse,
+        [v.value for v in start] or [np.zeros((rows, k * h))] * 2, *upstream)
+    pairs = [(x.grad, dx)] + [(v.grad, d) for w, dws in zip(weights, dw)
+                              for v, d in zip(w, dws)]
+    pairs += [(v.grad, d) for v, d in zip(start, d_initial)]
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_one_lstm_step_is_the_greedy_step_bitwise():
     """One step of ``nm.lstm`` from a given (h, c) and ``nm._lstm_cell``, the
     step that greedy decoding runs, give the same bytes: both sum
@@ -587,6 +668,12 @@ def reference_adam_step(params, grads, m, v, t, config):
 def test_adam_step_matches_per_name_reference(clip):
     rng = np.random.default_rng(21)
     shapes = {"w": (4, 3), "b": (4,), "e": (5, 2, 3), "s": ()}
+    if clip == math.inf:
+        # "c" spans more than two of adam_step's chunks, whose edges fall
+        # within it. Under clipping the reference's per-name norm sums in
+        # another order, which moves the near-zero entries of so long a
+        # parameter by more than the tolerance, with or without chunks.
+        shapes = {"w": (4, 3), "c": (2 * nm.ADAM_CHUNK + 3,), **shapes}
     # parameters on the scale of one step, so that a last-bit change in a
     # step shows in the parameter
     registry = make_registry(**{name: 1e-3 * rng_arr(rng, *shape)
@@ -803,6 +890,8 @@ def test_grad_check_exact_for_linear_model():
     np.array([], dtype=np.intp),
     (np.array([0, 0, 1, 4, 4]), slice(1, 3)),        # rows, then a slice
     (np.array([4, 0, 4, 1, 0]), slice(None), slice(0, 2)),
+    (np.array([3, 0, 3]), None, slice(1, 3)),        # rows, then a new axis
+    (slice(None), None),                             # a view: one plain add
 ])
 def test_scatter_matches_add_at(idx):
     rng = np.random.default_rng(0)
