@@ -99,7 +99,8 @@ def load_prepared(path) -> list[PreparedProblem]:
             continue
         try:
             out.append(prepared_from_record(json.loads(line)))
-        except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
+                RecursionError) as exc:
             raise FormatError(f"{path}:{lineno}: bad prepared record: "
                               f"{type(exc).__name__}: {exc}") from None
     return out

@@ -96,7 +96,7 @@ def load_dataset(path) -> list[RawProblem]:
     if stripped.startswith("["):
         try:
             records = json.loads(stripped)
-        except ValueError as exc:  # bad JSON, or an integer past the digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, a long integer, deep nesting
             raise FormatError(f"invalid JSON array: {exc}") from exc
         if not isinstance(records, list):
             raise FormatError("top-level JSON value is not an array")
@@ -108,7 +108,7 @@ def load_dataset(path) -> list[RawProblem]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise FormatError(f"invalid JSON: {exc}", i) from exc
             problems.append(_record_to_problem(obj, i))
     return problems

@@ -30,9 +30,10 @@ a ``StepTrace`` only when asked.
 The recurrence (``advance`` and ``apply_action``) reads only the previous
 step's result vector, never the heads' outputs. Greedy decoding must run
 the heads at every step to choose the next action. Teacher forcing knows
-every action in advance: it steps the stacks alone after step 0's genvar,
-the one action that reads h, runs the LSTM over the later steps as one op,
-and then the heads once over all the states, stacked as one ``TallState``.
+every action in advance, so ``DecoderRun.loss`` runs it in two passes: it
+steps the stacks alone after step 0's genvar, the one action that reads h,
+runs the LSTM over the later steps as one op, and then the heads once over
+all the states, stacked as one ``TallState``.
 ``param_shapes`` is the one place that names the decoder's parameters.
 The decoder works in the encoder's width and at the encoder's dropout
 rate, so ``DecoderConfig`` holds neither: ``param_shapes`` takes the width,
@@ -164,8 +165,8 @@ class TallState:
     before its action, and each row's problem in the run.
 
     Teacher forcing stacks every (row, step) of a batch into one, problem
-    by problem (``DecoderRun.stack_steps``), so the features, both heads and
-    both losses run once over the whole batch; to them it reads like a
+    by problem (``DecoderRun.loss``), so the features, both heads and both
+    losses run once over the whole batch; to them it reads like a
     ``DecoderState`` of N rows.
     """
     h: Node                   # (N, d)
@@ -253,15 +254,11 @@ def _stack_step(stack: tuple[int, ...], kind: int, vec: int) -> tuple[tuple[int,
     """One action of index ``kind`` on a thin stack: the stack after it and
     the step's result row. ``vec`` is the row that the action pushes (a
     push's operand) or appends (x at genvar, an operator's new vector);
-    an equal reads none."""
-    if kind == PUSH:
-        return stack + (vec,), vec
+    an equal reads none, and its result is the new top, or the zero row."""
+    kept = stack[:len(stack) - eqlang.ACTION_POPS[kind]]
     if kind == EQUAL:
-        # equal application: the remaining top is the step result, or zero
-        return stack[:-2], stack[-3] if len(stack) > 2 else ZERO_ROW
-    if kind == GENVAR:
-        return stack, vec
-    return stack[:-2] + (vec,), vec
+        return kept, kept[-1] if kept else ZERO_ROW
+    return kept + (vec,) if eqlang.ACTION_PUSHES[kind] else kept, vec
 
 
 def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
@@ -271,14 +268,14 @@ def legal_action_mask(stack_depth, has_unknown) -> np.ndarray:
 
 
 class DecoderRun:
-    """One teacher-forced decoding pass over R encoded problems, on their
-    semantic stacks only.
+    """Teacher-forced decoding of R encoded problems under their gold
+    targets: ``loss`` runs both passes.
 
-    Every method acts on all rows of a state at once. Teacher forcing runs
+    Every method acts on all rows of a state at once. ``loss`` runs
     ``advance`` at step 0 only and ``apply_action`` at every step, on the
     step's first rows (a batch sorted by target length drops its ended rows
-    so); ``stack_steps`` then runs the LSTM and stacks the states into one
-    ``TallState`` for the features, the heads and the losses. So each
+    so), then the LSTM over the later steps and the features, the heads and
+    the losses once over one ``TallState`` of every (row, step). So each
     attention read and the operand scorer run once per run, each projecting
     its own key half, and the two gates' weights are stacked once per run.
     """
@@ -337,33 +334,6 @@ class DecoderRun:
         _, h, c = nm.lstm(self.tape, x, np.ones(state.rows, dtype=np.intp), self._lstm,
                           (False,), (state.h, state.c))
         return DecoderState(h, c, state.last, state.unknown, state.vec_stacks)
-
-    def stack_steps(self, steps: Sequence[DecoderState]) -> TallState:
-        """Every row of every state in ``steps`` as one ``TallState``, problem
-        by problem and each problem's steps in order.
-
-        ``steps`` holds each step's state before its action, on the first
-        rows of the run: step 0's after ``advance``, the later ones with the
-        stacks alone. Their h is one ``nm.lstm`` from step 0's (h, c) over
-        each later step's input, the previous step's result vector."""
-        first = steps[0]
-        real = np.arange(first.rows)[:, None] < [state.rows for state in steps]  # (R, T)
-
-        def grid(field: str) -> np.ndarray:  # (R, T, ...), 0 (the zero row) past a row's steps
-            parts = [getattr(state, field) for state in steps]
-            out = np.zeros(real.shape[::-1] + parts[0].shape[1:], dtype=parts[0].dtype)
-            out[real.T] = np.concatenate(parts)
-            return out.swapaxes(0, 1)
-
-        inputs = nm.dropout(self.tape, self.buffer.gather(grid("last")[:, 1:, None]),
-                            self.dropout_p, self.rng)
-        later, _, _ = nm.lstm(self.tape, inputs, real.sum(axis=1) - 1, self._lstm, (False,),
-                              (first.h, first.c))
-        h = nm.concat(self.tape, [nm.gather(self.tape, first.h, (slice(None), None)), later],
-                      axis=1)
-        pairs = np.nonzero(real)
-        return TallState(nm.gather(self.tape, h, pairs), grid("top_two")[real],
-                         grid("depth")[real], grid("has_unknown")[real], pairs[0])
 
     def state_features(self, state: DecoderState | TallState) -> Features:
         """Gated concatenation of recurrent state, stack status, and attention."""
@@ -475,6 +445,59 @@ class DecoderRun:
             vec_stacks.append(stack)
         return DecoderState(h=state.h, c=state.c, last=last, unknown=unknown,
                             vec_stacks=tuple(vec_stacks))
+
+    # -- teacher forcing
+
+    def loss(self) -> Node:
+        """Summed action and operand losses of the run's rows under their gold
+        targets, which ``eqlang.check_target`` has passed; the rows must be
+        sorted by target length, longest first.
+
+        Pass 1 runs the recurrence alone, which never reads the heads: step
+        0's ``advance`` and genvar, then each later step's ``apply_action`` on
+        the stacks of the rows still decoding (the first ones), keeping each
+        (row, step)'s input row, stack tops and depth. The LSTM then runs over
+        every later step at once. Pass 2 runs the features, both heads and
+        both losses once over every (row, step), problem by problem, as one
+        ``TallState``."""
+        targets = [problem.target for problem in self.problems]
+        lengths = np.array([len(target) for target in targets])
+        if np.any(lengths[1:] > lengths[:-1]):
+            raise ValueError("the rows must be sorted by target length, longest first")
+        real = np.arange(lengths[0]) < lengths[:, None]  # (R, T); the grids hold 0 past it
+        inputs, depth = np.zeros(real.shape, dtype=np.intp), np.zeros(real.shape, dtype=np.intp)
+        tops = np.zeros(real.shape + (2,), dtype=np.intp)
+        gold = np.zeros(real.shape + (2,), dtype=np.intp)  # action index, operand index
+        first = state = self.advance(self.initial_state())  # genvar, always step 0, reads h
+        for step in range(lengths[0]):
+            active = int(real[:, step].sum())
+            if step:  # later steps carry the stacks alone
+                state = DecoderState(None, None, state.last[:active], state.unknown[:active],
+                                     state.vec_stacks[:active])
+            inputs[:active, step], depth[:active, step] = state.last, state.depth
+            tops[:active, step] = state.top_two
+            actions = [target[step] for target in targets[:active]]
+            gold[:active, step] = [(kind, eqlang.operand_index(ref, p.n_constants) if ref else 0)
+                                   for (kind, ref), p in zip(actions, self.problems)]
+            state = self.apply_action(state, actions)
+
+        x = nm.dropout(self.tape, self.buffer.gather(inputs[:, 1:, None]),
+                       self.dropout_p, self.rng)
+        later, _, _ = nm.lstm(self.tape, x, lengths - 1, self._lstm, (False,),
+                              (first.h, first.c))
+        h = nm.concat(self.tape, [nm.gather(self.tape, first.h, (slice(None), None)), later],
+                      axis=1)
+        cells = np.nonzero(real)  # problem by problem; x exists after step 0
+        tall = TallState(nm.gather(self.tape, h, cells), tops[real], depth[real],
+                         cells[1] > 0, cells[0])
+        kinds, operands = gold[real].T
+        pushes = np.flatnonzero(kinds == PUSH)
+        feats = self.state_features(tall)
+        loss = self.action_loss(self.select_action(feats, tall), kinds)
+        if pushes.size:
+            loss = nm.add_n(self.tape, [loss, self.operand_loss(
+                self.select_operand(feats, tall, pushes), operands[pushes])])
+        return loss
 
 
 def greedy_decode(encoded: EncodedBatch, problem: PreparedProblem,

@@ -149,12 +149,15 @@ def evaluate(e: Expr, x: Fraction | None = None) -> Fraction:
 # operand derives from the two tables here
 
 # Stack actions in decoder index order, by wire spelling. Push is the one
-# action that takes an operand, and every action after it pops the top two
-# stack entries. A trace names an action by its spelling without the colon
-# (``apply+``).
+# action that takes an operand. A trace names an action by its spelling
+# without the colon (``apply+``).
 ACTIONS = ("genvar", "push", *(f"apply:{op}" for op in OPS), "equal")
 ACTION_NAMES = tuple(wire.replace(":", "") for wire in ACTIONS)
 GENVAR, PUSH, EQUAL = (ACTIONS.index(wire) for wire in ("genvar", "push", "equal"))
+# Each action's stack effect, by index: the entries it pops, and whether it
+# then pushes one. Genvar makes x without touching the stack.
+ACTION_POPS = tuple(0 if wire in ("genvar", "push") else 2 for wire in ACTIONS)
+ACTION_PUSHES = tuple(wire not in ("genvar", "equal") for wire in ACTIONS)
 _APPLY_OP = {ACTIONS.index(f"apply:{op}"): op for op in OPS}
 
 # A push's operand candidates, in decoder order: the problem's constants
@@ -471,13 +474,14 @@ def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
     the decoder's semantic stack, and a decode replays through it.
     """
     kind = action.kind
+    if len(stack) < ACTION_POPS[kind]:
+        raise StackUnderflow(f"{ACTIONS[kind]} needs {ACTION_POPS[kind]} stack elements, "
+                             f"have {len(stack)}")
     if kind == GENVAR:
         return
     if kind == PUSH:
         stack.append(resolve_operand(action.ref, constants))
         return
-    if len(stack) < 2:
-        raise StackUnderflow(f"{ACTIONS[kind]} needs two stack elements, have {len(stack)}")
     top = stack.pop()
     second = stack.pop()
     if kind == EQUAL:
@@ -488,11 +492,11 @@ def symbolic_step(stack: list[Expr], equations: list[tuple[Expr, Expr]],
 
 def is_legal(kind: int, depth: int, has_unknown: bool) -> bool:
     """Whether the action at index ``kind`` may run on a stack of ``depth``
-    entries: the unknown is generated once, push is always legal, and every
-    action after push pops two entries."""
+    entries: the unknown is generated once, and every other action needs the
+    entries that it pops."""
     if kind == GENVAR:
         return not has_unknown
-    return kind == PUSH or depth >= 2
+    return depth >= ACTION_POPS[kind]
 
 
 def check_target(target: Sequence[StackAction], n_constants: int) -> None:
@@ -508,7 +512,7 @@ def check_target(target: Sequence[StackAction], n_constants: int) -> None:
                                 else f"the target underflows the stack at step {step}")
         if kind == PUSH and ref not in EXTERNAL_OPERANDS and int(ref[1:]) >= n_constants:
             raise IllegalAction(f"the target pushes {ref} of {n_constants} values")
-        depth += 1 if kind == PUSH else -2 if kind == EQUAL else -1
+        depth += ACTION_PUSHES[kind] - ACTION_POPS[kind]
 
 
 @dataclass

@@ -2,14 +2,15 @@
 
 A training batch is one graph on one tape: each gold target passes
 ``eqlang.check_target`` first, the encoder runs the batch as a padded
-BiLSTM, the decoder steps every problem's semantic stack in lockstep and
-then runs its LSTM over every step at once, and its heads and losses run
-once over every (problem, step) of the batch, so one backward sweep and one
-Adam step (on the mean-of-problems loss) are taken per batch. Everything is
-seeded, so a rerun with the same config reproduces the loss curve bit for
-bit. A saved model's ``meta.json`` states each setting once, under the
-config that holds it, and records its checkpoint's sha256, so a directory
-never loads a checkpoint and a ``meta.json`` that were not saved together.
+BiLSTM, and ``DecoderRun.loss`` steps every problem's semantic stack in
+lockstep, then runs the decoder's LSTM over every step at once and its
+heads and losses once over every (problem, step) of the batch, so one
+backward sweep and one Adam step (on the mean-of-problems loss) are taken
+per batch. Everything is seeded, so a rerun with the same config
+reproduces the loss curve bit for bit. A saved model's ``meta.json`` states
+each setting once, under the config that holds it, and records its
+checkpoint's sha256, so a directory never loads a checkpoint and a
+``meta.json`` that were not saved together.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from . import numerics as nm
 from .corpus import PreparedProblem
 from .decoder import DecoderConfig, DecoderRun, DecodeResult
 from .encoder import EncoderConfig, TooManyConstants, check_integers
-from .eqlang import PUSH
 from .numerics import Node, OptimizerConfig, ParamRegistry, Tape
 
 
@@ -144,45 +144,16 @@ def batch_loss(problems: Sequence[PreparedProblem], model: Model, *,
     """Summed action and operand losses of a batch under the gold action
     sequences, as one graph on ``tape``. Dropout runs exactly when ``rng``
     is given. A target that ``eqlang.check_target`` rejects raises
-    ``IllegalAction`` before anything runs.
-
-    Two passes over one tape. The decoder's recurrence never reads the
-    heads, so pass 1 runs it alone: step 0's ``advance`` and genvar, then
-    every later step's ``apply_action`` on the stacks alone, in lockstep
-    and sorted by target length (longest first), so the rows still decoding
-    at step t are always the first ones. ``stack_steps`` runs the LSTM over
-    all the steps at once and stacks every (row, step) into one tall state,
-    problem by problem. Pass 2 runs the features, both heads and both
-    cross-entropies once over it."""
+    ``IllegalAction`` before anything runs. The rows run sorted by target
+    length, longest first, as ``DecoderRun.loss`` takes them; it runs both
+    teacher-forcing passes."""
     for problem in problems:
         eqlang.check_target(problem.target, problem.n_constants)
     rows = sorted(problems, key=lambda p: -len(p.target))
-    lengths = np.array([len(p.target) for p in rows])
     encoded = enc.encode_batch(rows, model.vocab, model.registry, model.enc_config,
                                tape=tape, rng=rng)
-    run = DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng,
-                     dropout_p=model.enc_config.dropout_p)
-    steps = [run.advance(run.initial_state())]  # genvar, always step 0, reads its h
-    for step in range(lengths[0]):
-        active = int((lengths > step).sum())
-        if step:  # later steps carry the stacks alone: stack_steps runs their LSTM
-            steps.append(dec.DecoderState(None, None, state.last[:active],
-                                          state.unknown[:active], state.vec_stacks[:active]))
-        state = run.apply_action(steps[-1], [p.target[step] for p in rows[:active]])
-
-    # every (row, step)'s gold action, in the tall state's order
-    gold = [(action, problem) for problem in rows for action in problem.target]
-    actions = np.array([action.kind for action, _ in gold], dtype=np.intp)
-    pushes = np.flatnonzero(actions == PUSH)
-    tall = run.stack_steps(steps)
-    feats = run.state_features(tall)
-    loss = run.action_loss(run.select_action(feats, tall), actions)
-    if pushes.size:
-        operands = np.array([eqlang.operand_index(gold[i][0].ref, gold[i][1].n_constants)
-                             for i in pushes.tolist()], dtype=np.intp)
-        loss = nm.add_n(tape, [loss, run.operand_loss(
-            run.select_operand(feats, tall, pushes), operands)])
-    return loss
+    return DecoderRun(encoded, rows, model.registry, model.dec_config, tape=tape, rng=rng,
+                      dropout_p=model.enc_config.dropout_p).loss()
 
 
 def problem_loss(problem: PreparedProblem, model: Model, *, tape: Tape | None,
@@ -393,7 +364,7 @@ def load_model(directory) -> Model:
             raise ValueError(f"vocab ids must be 0..{len(ids) - 1} with "
                              f"{enc.UNK_TOKEN} at {enc.UNK_ID}")
         want = param_shapes(enc_config, dec_config, len(vocab))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise nm.CheckpointError(f"{directory / _META_NAME}: not a model description: "
                                  f"{type(exc).__name__}: {exc}") from None
     registry = nm.load_checkpoint(directory / _CKPT_NAME, sha256=sha256)

@@ -1,6 +1,7 @@
 """CLI commands end to end: files in, artifacts out, exit codes."""
 import json
 import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -497,6 +498,32 @@ def test_malformed_meta_exits_2(tmp_path, capsys, trained_dir, synth_file, rewri
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{meta}: not a model description" in err and error in err
+
+
+@pytest.mark.parametrize("where, command", [
+    ("array", "eval"), ("line", "eval"), ("line", "preprocess"), ("prepared", "eval"),
+    ("meta", "solve")])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, trained_dir, where, command):
+    """JSON nested past the recursion limit, where ``json.loads`` raises
+    ``RecursionError`` rather than ``ValueError``: a data file that is one
+    array, a raw or a prepared line, or the vocab of a ``meta.json``."""
+    depth = 10 * sys.getrecursionlimit()
+    deep = "[" * depth + "]" * depth
+    data = tmp_path / "data.jsonl"
+    data.write_text({"array": deep, "line": f'{{"a": {deep}}}',
+                     "prepared": f'{{"target": {deep}}}', "meta": ""}[where] + "\n")
+    model = copy_model(trained_dir, tmp_path)
+    if where == "meta":
+        meta = json.loads((model / "meta.json").read_text())
+        (model / "meta.json").write_text(
+            json.dumps({**meta, "vocab": "VOCAB"}).replace('"VOCAB"', deep))
+    argv = {"eval": ["eval", "--checkpoint", model, "--data", data],
+            "preprocess": ["preprocess", data, tmp_path / "prepared.jsonl"],
+            "solve": ["solve", "--checkpoint", model, "--text", "tom has 3 apples and 4 pens"]}
+    assert run_cli(*argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "maximum recursion depth exceeded" in err
 
 
 @pytest.mark.parametrize("command, flags, error", [

@@ -324,6 +324,16 @@ def test_apply_action_takes_one_action_per_row():
         run.apply_action(run.advance(run.initial_state()), [GEN_VAR])
 
 
+def test_teacher_forcing_takes_rows_longest_target_first(fig1_prepared):
+    """A run's rows still decoding at a step must be its first ones."""
+    problems = [simple_problem(), fig1_prepared]  # 6 and 10 actions
+    model, _ = tiny_model(problems, seed=3)
+    encoded = encoder.encode_batch(problems, model.vocab, model.registry, model.enc_config)
+    run = DecoderRun(encoded, problems, model.registry, model.dec_config)
+    with pytest.raises(ValueError, match="longest first"):
+        run.loss()
+
+
 def test_teacher_forced_fig1_solves(fig1_prepared):
     """The gold target passes the target check, its semantic stack keeps the
     VM's depth at every step, and the VM's one equation solves to 10."""

@@ -219,6 +219,39 @@ def test_teacher_forcing_mirrors_vm(monkeypatch, synth_prepared):
     assert seen == sum(len(p.target) for p in batch)
 
 
+def test_teacher_forcing_heads_read_the_vm_state(monkeypatch, synth_prepared):
+    """The tall state that the heads read in ``batch_loss`` holds every
+    (problem, step) problem by problem, in the sorted order, with the VM's
+    stack depth before each action, x from step 1 on, and the zero row for
+    an absent top entry; after a push, the top is the pushed candidate."""
+    model, _ = tiny_model(synth_prepared, seed=2)
+    batch = mixed_batch(synth_prepared, 6)
+    run_features = decoder.DecoderRun.state_features
+    seen = []
+
+    def state_features(run, state):
+        seen.append((run, state))
+        return run_features(run, state)
+
+    monkeypatch.setattr(decoder.DecoderRun, "state_features", state_features)
+    trainer.batch_loss(batch, model, tape=nm.Tape())
+    [(run, tall)] = seen
+    rows = sorted(batch, key=lambda p: -len(p.target))
+    assert run.problems == rows
+    cells = [(r, step) for r, p in enumerate(rows) for step in range(len(p.target))]
+    assert tall.problem.tolist() == [r for r, _ in cells]
+    assert tall.has_unknown.tolist() == [step > 0 for _, step in cells]
+    histories = [eqlang.execute(p.target, p.constant_values).stack_history for p in rows]
+    assert tall.depth.tolist() == [len(histories[r][step - 1]) if step else 0
+                                   for r, step in cells]
+    assert np.array_equal(tall.top_two == decoder.ZERO_ROW, tall.depth[:, None] < [1, 2])
+    for i, (r, step) in enumerate(cells):
+        action = rows[r].target[step]
+        if action.kind == eqlang.PUSH:
+            operand = eqlang.operand_index(action.ref, rows[r].n_constants)
+            assert tall.top_two[i + 1, 0] == run._candidate_rows[r, operand]
+
+
 @pytest.mark.parametrize("target", [
     [push("c0")],                           # no genvar first
     [GEN_VAR, push("c0"), apply("+")],      # apply at depth 1
